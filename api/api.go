@@ -49,9 +49,9 @@ type SolverOptions struct {
 	GammaStallWindow int  `json:"gamma_stall_window,omitempty"`
 	MaxIterations    int  `json:"max_iterations,omitempty"`
 	Polish           bool `json:"polish,omitempty"`
-	// UnprunedScoring disables gamma-pruned scoring and evaluates every
-	// draw exactly; the mapping is identical either way (an escape hatch
-	// and benchmarking knob, not a quality setting).
+	// Deprecated: UnprunedScoring is accepted for compatibility with older
+	// clients and ignored — every draw is scored exactly, and the job's
+	// content address (cache key, coordinator route) does not include it.
 	UnprunedScoring bool `json:"unpruned_scoring,omitempty"`
 	NumAgents       int  `json:"num_agents,omitempty"` // distributed only
 
@@ -258,15 +258,13 @@ type Event struct {
 	// Elite is the size of the iteration's elite set.
 	Elite int `json:"elite,omitempty"`
 	// Solver internals (CE iterations; zero for other solvers): draw
-	// accounting, GenPerm sampler counters, gamma-pruning effectiveness,
-	// phase timings and worker-pool barrier behaviour. See the matching
-	// fields of the internal trace schema.
+	// accounting, GenPerm sampler counters, phase timings and worker-pool
+	// barrier behaviour. See the matching fields of the internal trace
+	// schema. (Events from older daemons may also carry pruned, rescored
+	// and skipped_edges; decoding ignores them.)
 	Draws         int    `json:"draws,omitempty"`
-	Pruned        int    `json:"pruned,omitempty"`
-	Rescored      int    `json:"rescored,omitempty"`
 	RejectTries   uint64 `json:"reject_tries,omitempty"`
 	FallbackDraws uint64 `json:"fallback_draws,omitempty"`
-	SkippedEdges  uint64 `json:"skipped_edges,omitempty"`
 	SampleNs      int64  `json:"sample_ns,omitempty"`
 	SelectNs      int64  `json:"select_ns,omitempty"`
 	UpdateNs      int64  `json:"update_ns,omitempty"`

@@ -45,7 +45,7 @@ func benchEval(b *testing.B, seed uint64, n int) *cost.Evaluator {
 // "ET" metric is Table 1's quality data.
 
 func BenchmarkTable1_MaTCH(b *testing.B) {
-	// The paper's sizes plus n=64, the size the fused-hot-path kernel
+	// The paper's sizes plus n=64, the size the hot-path kernel
 	// benchmarks in EXPERIMENTS.md are keyed to.
 	for _, n := range append(gen.PaperSizes(), 64) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -186,14 +186,12 @@ func BenchmarkFig9_TurnaroundSweep(b *testing.B) {
 	b.ReportMetric(gaATN/mATN, "ATN-ratio-largest-n")
 }
 
-// --- Kernel micro-benchmarks (the fused sample-and-score hot path) --------
+// --- Kernel micro-benchmarks (the GenPerm sampler) -------------------------
 
-// BenchmarkGenPerm isolates one GenPerm permutation draw per sampler
-// variant: the linear reference walk, the stream-identical Fenwick
-// descent, and the production rejection sampler over the shared row CDF.
-// Two matrix regimes bracket a CE run: uniform (iteration 0, worst case
-// for rejection late in a draw) and near-degenerate (the pre-stop regime
-// where almost every first try hits).
+// BenchmarkGenPerm isolates one GenPerm permutation draw by the production
+// alias-table sampler. Two matrix regimes bracket a CE run: uniform
+// (iteration 0, worst case for rejection late in a draw) and
+// near-degenerate (the pre-stop regime where almost every first try hits).
 func BenchmarkGenPerm(b *testing.B) {
 	const n = 64
 	matrices := map[string]*stochmat.Matrix{
@@ -201,38 +199,13 @@ func BenchmarkGenPerm(b *testing.B) {
 		"peaked":  benchPeakedMatrix(b, n),
 	}
 	for name, m := range matrices {
-		cdf := stochmat.NewRowCDF(m)
 		at := stochmat.NewAliasTable(m)
 		s := stochmat.NewSampler(n)
 		dst := make([]int, n)
-		b.Run("linear/"+name, func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
 			rng := xrand.New(1)
 			for i := 0; i < b.N; i++ {
-				if err := s.SamplePermutation(m, rng, dst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("fenwick/"+name, func(b *testing.B) {
-			rng := xrand.New(1)
-			for i := 0; i < b.N; i++ {
-				if err := s.SamplePermutationFenwick(m, rng, dst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("fast-cdf/"+name, func(b *testing.B) {
-			rng := xrand.New(1)
-			for i := 0; i < b.N; i++ {
-				if err := s.SamplePermutationFast(m, cdf, nil, rng, dst, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("fast-alias/"+name, func(b *testing.B) {
-			rng := xrand.New(1)
-			for i := 0; i < b.N; i++ {
-				if err := s.SamplePermutationFast(m, nil, at, rng, dst, nil); err != nil {
+				if err := s.SamplePermutation(m, at, rng, dst); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -254,66 +227,6 @@ func benchPeakedMatrix(b *testing.B, n int) *stochmat.Matrix {
 		}
 	}
 	return m
-}
-
-// BenchmarkFusedScore compares one sample+score unit of work: the fused
-// draw (makespan accumulated during GenPerm) against drawing and then
-// re-walking the mapping with ExecInto.
-func BenchmarkFusedScore(b *testing.B) {
-	const n = 64
-	eval := benchEval(b, 2005, n)
-	m := stochmat.NewUniform(n, n)
-	at := stochmat.NewAliasTable(m)
-	s := stochmat.NewSampler(n)
-	dst := make([]int, n)
-	b.Run("fused", func(b *testing.B) {
-		rng := xrand.New(1)
-		ss := cost.NewStreamScorer(eval)
-		place := ss.Place
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			ss.Reset()
-			if err := s.SamplePermutationFast(m, nil, at, rng, dst, place); err != nil {
-				b.Fatal(err)
-			}
-			sink = ss.Makespan()
-		}
-		_ = sink
-	})
-	b.Run("sample-then-exec", func(b *testing.B) {
-		rng := xrand.New(1)
-		scratch := make([]float64, n)
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			if err := s.SamplePermutationFast(m, nil, at, rng, dst, nil); err != nil {
-				b.Fatal(err)
-			}
-			sink = eval.ExecInto(cost.Mapping(dst), scratch)
-		}
-		_ = sink
-	})
-}
-
-// BenchmarkSolveFusedVsUnfused measures the end-to-end effect of the
-// fused path on a full MaTCH run (both arms share the fast sampler; the
-// difference is the second scoring pass).
-func BenchmarkSolveFusedVsUnfused(b *testing.B) {
-	eval := benchEval(b, 2005, 64)
-	for _, unfused := range []bool{false, true} {
-		name := "fused"
-		if unfused {
-			name = "unfused"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Solve(eval, core.Options{
-					Seed: uint64(i), MaxIterations: 120, UnfusedScoring: unfused,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // --- Ablation benches (design choices called out in DESIGN.md) ------------

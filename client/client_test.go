@@ -189,3 +189,54 @@ func TestWatchJobCloseDuringBackoff(t *testing.T) {
 		t.Fatalf("closed watcher reports error: %v", err)
 	}
 }
+
+// TestWatchJobDecodesLegacyEvents: an older daemon's iteration events
+// carry pruned, rescored and skipped_edges, which this build no longer
+// defines. They must still decode, with every current field intact.
+func TestWatchJobDecodesLegacyEvents(t *testing.T) {
+	stream := []string{
+		`{"kind":"start","solver":"match","tasks":8,"seed":7,"iter":0}`,
+		`{"kind":"iter","seed":0,"iter":0,"gamma":90,"best":80,"worst":120,"mean":100,"best_so_far":80,"elite":6,"draws":128,"pruned":91,"rescored":2,"reject_tries":40,"fallback_draws":3,"skipped_edges":512,"sample_ns":1000}`,
+		`{"kind":"end","seed":0,"iter":0,"exec":80,"iterations":1,"stop_reason":"max-iterations"}`,
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(api.JobInfo{ID: r.PathValue("id"), State: api.StateDone})
+	})
+	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		for _, data := range stream {
+			var kind struct{ Kind string }
+			_ = json.Unmarshal([]byte(data), &kind)
+			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", kind.Kind, data)
+		}
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	w, err := New(srv.URL).WatchJob(ctx, "j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	var got []api.Event
+	for e, ok := w.Next(); ok; e, ok = w.Next() {
+		got = append(got, e)
+	}
+	if err := w.Err(); err != nil {
+		t.Fatalf("legacy stream failed to decode: %v", err)
+	}
+	if len(got) != len(stream) {
+		t.Fatalf("decoded %d events, want %d", len(got), len(stream))
+	}
+	want := api.Event{
+		Kind: "iter", Gamma: 90, Best: 80, Worst: 120, Mean: 100, BestSoFar: 80,
+		Elite: 6, Draws: 128, RejectTries: 40, FallbackDraws: 3, SampleNs: 1000,
+	}
+	if got[1] != want {
+		t.Fatalf("legacy iteration event decoded as %+v, want %+v", got[1], want)
+	}
+}

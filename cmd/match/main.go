@@ -279,11 +279,8 @@ func traceEvent(tr matchsim.IterationTrace) trace.Event {
 		BestSoFar:     tr.BestSoFar,
 		Elite:         tr.EliteCount,
 		Draws:         tr.Draws,
-		Pruned:        tr.Pruned,
-		Rescored:      tr.Rescored,
 		RejectTries:   tr.RejectTries,
 		FallbackDraws: tr.FallbackDraws,
-		SkippedEdges:  tr.SkippedEdges,
 		SampleNs:      tr.SampleNs,
 		SelectNs:      tr.SelectNs,
 		UpdateNs:      tr.UpdateNs,

@@ -120,8 +120,7 @@ func (m *topModel) render() string {
 		fmt.Fprintf(&sb, "best-so-far %s\n", sparkline(m.bestHist, 60))
 		fmt.Fprintf(&sb, "gamma       %s\n", sparkline(m.gammaHist, 60))
 		if e.Draws > 0 {
-			fmt.Fprintf(&sb, "pruned %5.1f%% of draws   rescored %-6d reject %.2f/draw   fallback %.2f%%\n",
-				100*float64(e.Pruned)/float64(e.Draws), e.Rescored,
+			fmt.Fprintf(&sb, "sampler reject %.2f/draw   fallback %.2f%%\n",
 				float64(e.RejectTries)/float64(e.Draws),
 				100*float64(e.FallbackDraws)/float64(e.Draws))
 		}

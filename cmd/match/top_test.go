@@ -39,7 +39,7 @@ func TestTopModelObserveAndRender(t *testing.T) {
 	m.observe(api.Event{Kind: "start", Solver: "match", Tasks: 24, Seed: 7})
 	m.observe(api.Event{
 		Kind: "iter", Iter: 0, Best: 120, BestSoFar: 120, Gamma: 150,
-		Elite: 12, Draws: 1000, Pruned: 600, Rescored: 4,
+		Elite: 12, Draws: 1000,
 		RejectTries: 1500, FallbackDraws: 10,
 		SampleNs: 2_000_000, SelectNs: 100_000, UpdateNs: 50_000,
 		StealUnits: 3, IdleNs: 400_000,
@@ -73,19 +73,16 @@ func TestTopModelObserveAndRender(t *testing.T) {
 	}
 }
 
-func TestTopModelRenderPhaseAndPruneLines(t *testing.T) {
+func TestTopModelRenderPhaseAndSamplerLines(t *testing.T) {
 	m := &topModel{}
 	m.observe(api.Event{Kind: "start", Solver: "match", Tasks: 10, Seed: 2})
 	m.observe(api.Event{
-		Kind: "iter", Draws: 200, Pruned: 100, RejectTries: 300,
+		Kind: "iter", Draws: 200, RejectTries: 300, FallbackDraws: 1,
 		SampleNs: 1_000_000, SelectNs: 1_000, UpdateNs: 1_000,
 	})
 	frame := m.render()
-	if !strings.Contains(frame, "pruned  50.0% of draws") {
-		t.Errorf("frame missing prune ratio:\n%s", frame)
-	}
-	if !strings.Contains(frame, "reject 1.50/draw") {
-		t.Errorf("frame missing reject rate:\n%s", frame)
+	if !strings.Contains(frame, "sampler reject 1.50/draw   fallback 0.50%") {
+		t.Errorf("frame missing sampler line:\n%s", frame)
 	}
 	if !strings.Contains(frame, "phases  sample 1ms") {
 		t.Errorf("frame missing phase timings:\n%s", frame)

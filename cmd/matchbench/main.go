@@ -23,11 +23,10 @@
 // Experiments: table1, table2, table3 (with post-hoc Welch tests; -size
 // overrides the instance size), fig3, fig7, fig8, fig9, convergence,
 // scaling, simcheck, overset, kernel (sample-and-score micro-benchmarks
-// plus the end-to-end fused vs unfused Solve; -baseline annotates
-// speedups against a reference ns/op; -compare regression-checks the
-// micros against a committed baseline), scale (end-to-end Solve wall
-// clock at n = 64/128/256, pruned vs unpruned, against the recorded
-// pre-optimisation baseline), multilevel (coarsen/solve/refine pipeline
+// plus an end-to-end Solve; -baseline annotates a speedup against a
+// reference ns/op; -compare regression-checks the micros against a
+// committed baseline), scale (end-to-end Solve wall clock at n =
+// 64/128/256 against the recorded pre-optimisation baseline), multilevel (coarsen/solve/refine pipeline
 // vs single-level CE at n = 256..10240; -compare regression-checks the
 // quick records against a committed BENCH_multilevel.json), island
 // (island-model ensembles at I = 1/2/4/8: wall time to reach the

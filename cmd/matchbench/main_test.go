@@ -42,7 +42,7 @@ func TestRunQuickSweepTables(t *testing.T) {
 }
 
 // TestRunQuickScale exercises the scale experiment end to end at reduced
-// sizes, including the pruned-vs-unpruned identical-mapping check.
+// sizes.
 func TestRunQuickScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale runs two full solves per size")
@@ -119,7 +119,7 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 	defer os.Chdir(old)
 
 	recs := []benchRecord{
-		{Name: "solve-fused", Size: 64, Solver: "MaTCH", NsPerOp: 123456, AllocsPerOp: 42},
+		{Name: "solve", Size: 64, Solver: "MaTCH", NsPerOp: 123456, AllocsPerOp: 42},
 		{Name: "table1", Size: 10, Solver: "FastMapGA", ET: 987.5, NsPerOp: 5555},
 	}
 	if err := writeBenchJSON("roundtrip", recs); err != nil {

@@ -32,9 +32,8 @@ var prePRBaselineNs = map[int]int64{
 	256: 110_724_348_555,
 }
 
-// runScale measures end-to-end Solve wall clock at large n with pruning
-// on (the default) and off, verifies both arms return identical mappings,
-// and — with -json — writes BENCH_scale.json including the recorded
+// runScale measures end-to-end Solve wall clock at large n and — with
+// -json — writes BENCH_scale.json including the recorded
 // pre-optimisation baselines and the speedup against them.
 func runScale(seed uint64, quick, jsonOut, quiet bool) error {
 	cases := []scaleCase{{64, 40, 3}, {128, 25, 3}, {256, 8, 1}}
@@ -44,7 +43,7 @@ func runScale(seed uint64, quick, jsonOut, quiet bool) error {
 
 	// Untimed warmup: the first solve in a fresh process pays page-fault
 	// and frequency-ramp costs that would otherwise land entirely on the
-	// first measured arm.
+	// first measured case.
 	if warm, err := gen.PaperInstance(seed, 32, gen.DefaultPaperConfig()); err == nil {
 		if we, err := cost.NewEvaluator(warm.TIG, warm.Platform); err == nil {
 			_, _ = core.Solve(we, core.Options{Seed: 7, MaxIterations: 10,
@@ -63,65 +62,34 @@ func runScale(seed uint64, quick, jsonOut, quiet bool) error {
 			return err
 		}
 
-		type armResult struct {
-			minNs   int64
-			exec    float64
-			mapping []int
-		}
-		arms := []struct {
-			name     string
-			unpruned bool
-		}{{"solve-pruned", false}, {"solve-unpruned", true}}
-		results := make([]armResult, len(arms))
+		var minNs int64
+		var exec float64
 		for rep := 0; rep < c.reps; rep++ {
-			// Interleave the arms within each repeat so slow drifts in
-			// machine load hit both equally.
-			for i, arm := range arms {
-				start := time.Now()
-				res, err := core.Solve(eval, core.Options{
-					Seed:             7,
-					MaxIterations:    c.iters,
-					StallC:           1 << 30,
-					GammaStallWindow: 1 << 30,
-					UnprunedScoring:  arm.unpruned,
-				})
-				if err != nil {
-					return err
-				}
-				ns := time.Since(start).Nanoseconds()
-				if rep == 0 || ns < results[i].minNs {
-					results[i].minNs = ns
-				}
-				results[i].exec = res.Exec
-				results[i].mapping = res.Mapping
-				if !quiet {
-					fmt.Fprintf(os.Stderr, "scale n=%-4d %-14s rep=%d %12d ns  exec=%g\n",
-						c.n, arm.name, rep, ns, res.Exec)
-				}
+			start := time.Now()
+			res, err := core.Solve(eval, core.Options{
+				Seed:             7,
+				MaxIterations:    c.iters,
+				StallC:           1 << 30,
+				GammaStallWindow: 1 << 30,
+			})
+			if err != nil {
+				return err
+			}
+			ns := time.Since(start).Nanoseconds()
+			if rep == 0 || ns < minNs {
+				minNs = ns
+			}
+			exec = res.Exec
+			if !quiet {
+				fmt.Fprintf(os.Stderr, "scale n=%-4d rep=%d %12d ns  exec=%g\n", c.n, rep, ns, res.Exec)
 			}
 		}
 
-		// Pruning is a pure strength reduction: identical mappings at a
-		// fixed (seed, workers) pair or the optimisation is wrong.
-		p, u := results[0], results[1]
-		if p.exec != u.exec || !sameMapping(p.mapping, u.mapping) {
-			return fmt.Errorf("scale n=%d: pruned exec %g != unpruned %g (or mappings diverge)",
-				c.n, p.exec, u.exec)
+		rec := benchRecord{Name: "solve", Size: c.n, Solver: "MaTCH", ET: exec, NsPerOp: minNs}
+		if base, ok := prePRBaselineNs[c.n]; ok && seed == 2005 {
+			rec.SpeedupVsBaseline = float64(base) / float64(minNs)
 		}
-
-		for i, arm := range arms {
-			rec := benchRecord{
-				Name:    arm.name,
-				Size:    c.n,
-				Solver:  "MaTCH",
-				ET:      results[i].exec,
-				NsPerOp: results[i].minNs,
-			}
-			if base, ok := prePRBaselineNs[c.n]; ok && seed == 2005 {
-				rec.SpeedupVsBaseline = float64(base) / float64(results[i].minNs)
-			}
-			recs = append(recs, rec)
-		}
+		recs = append(recs, rec)
 		if base, ok := prePRBaselineNs[c.n]; ok && seed == 2005 {
 			recs = append(recs, benchRecord{
 				Name: "solve-prepr-fused", Size: c.n, Solver: "MaTCH", NsPerOp: base,
@@ -142,16 +110,4 @@ func runScale(seed uint64, quick, jsonOut, quiet bool) error {
 		return writeBenchJSON("scale", recs)
 	}
 	return nil
-}
-
-func sameMapping(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

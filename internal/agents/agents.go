@@ -118,8 +118,12 @@ type rowUpdate struct {
 
 // iterationCmd is the coordinator -> agent broadcast of steps 1 and 3.
 type iterationCmd struct {
-	// matrix is the immutable snapshot agents sample from.
+	// matrix is the immutable snapshot agents sample from, and alias its
+	// alias table. The coordinator builds the table: Rebuild assigns the
+	// matrix's lazy identity, which is not goroutine-safe, so agents only
+	// ever read it.
 	matrix *stochmat.Matrix
+	alias  *stochmat.AliasTable
 	// elite carries the elite set in the second phase of the round.
 	elite [][]int
 	// quota is how many samples this agent must draw.
@@ -215,6 +219,7 @@ func Solve(eval *cost.Evaluator, opts Options) (*Result, error) {
 		}
 		// Step 1: broadcast snapshot + sampling quotas.
 		snapshot := matrix.Clone()
+		alias := stochmat.NewAliasTable(snapshot)
 		perAgent := opts.SampleSize / opts.NumAgents
 		extra := opts.SampleSize % opts.NumAgents
 		for a := 0; a < opts.NumAgents; a++ {
@@ -222,7 +227,7 @@ func Solve(eval *cost.Evaluator, opts Options) (*Result, error) {
 			if a < extra {
 				quota++
 			}
-			cmdCh[a] <- iterationCmd{matrix: snapshot, quota: quota}
+			cmdCh[a] <- iterationCmd{matrix: snapshot, alias: alias, quota: quota}
 		}
 		res.Rounds++
 
@@ -361,7 +366,7 @@ func agentLoop(cfg agentConfig) {
 			batch := sampleBatch{agent: cfg.id}
 			for k := 0; k < cmd.quota; k++ {
 				m := make([]int, cfg.n)
-				if err := sampler.SamplePermutation(cmd.matrix, cfg.rng, m); err != nil {
+				if err := sampler.SamplePermutation(cmd.matrix, cmd.alias, cfg.rng, m); err != nil {
 					// A sampling failure is unrecoverable protocol-wise;
 					// deliver an empty batch and let the coordinator's
 					// quantile handle the shortfall.

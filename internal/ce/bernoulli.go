@@ -50,16 +50,13 @@ func (b *BernoulliProblem) NewSolution() []bool { return make([]bool, b.n) }
 // Copy implements Problem.
 func (b *BernoulliProblem) Copy(dst, src []bool) { copy(dst, src) }
 
-// Sample implements Problem: independent Bernoulli draws.
-func (b *BernoulliProblem) Sample(rng *xrand.RNG, dst []bool) error {
+// Sample implements Problem: independent Bernoulli draws, scored.
+func (b *BernoulliProblem) Sample(rng *xrand.RNG, dst []bool) (float64, error) {
 	for i := range dst {
 		dst[i] = rng.Bool(b.p[i])
 	}
-	return nil
+	return b.score(dst), nil
 }
-
-// Score implements Problem.
-func (b *BernoulliProblem) Score(s []bool) float64 { return b.score(s) }
 
 // Update implements Problem: p_i <- zeta * eliteFrac_i + (1-zeta) * p_i.
 func (b *BernoulliProblem) Update(elite [][]bool, zeta float64) error {

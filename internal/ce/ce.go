@@ -44,18 +44,17 @@ import "matchsim/internal/xrand"
 
 // Problem is one combinatorial optimisation problem expressed in CE form.
 // The type parameter S is the solution representation (e.g. []int for
-// mappings, []bool for cuts). Sample and Score are called concurrently
-// from multiple workers and must not mutate shared problem state; Update
-// is called from a single goroutine between iterations.
+// mappings, []bool for cuts). Sample is called concurrently from multiple
+// workers and must not mutate shared problem state; Update is called from
+// a single goroutine between iterations.
 type Problem[S any] interface {
 	// NewSolution allocates one blank solution buffer. The framework
 	// allocates N of them once and reuses them every iteration.
 	NewSolution() S
 	// Sample overwrites dst with one draw from the current distribution,
-	// using the provided per-worker RNG.
-	Sample(rng *xrand.RNG, dst S) error
-	// Score returns the performance S(x) of a solution.
-	Score(s S) float64
+	// using the provided per-worker RNG, and returns the draw's
+	// performance S(x) — one call per draw, the whole CE hot path.
+	Sample(rng *xrand.RNG, dst S) (score float64, err error)
 	// Update re-estimates the sampling distribution from the elite
 	// solutions, applying smoothing factor zeta per eq. (13).
 	Update(elite []S, zeta float64) error
@@ -67,22 +66,8 @@ type Problem[S any] interface {
 	Copy(dst, src S)
 }
 
-// SampleScorer is the optional fused sample-and-score fast path. A
-// Problem that also implements it can draw a solution and compute its
-// score in one pass — e.g. by accumulating the cost model while the
-// sampler assigns tasks — instead of materialising the solution and then
-// re-walking it in Score. Run detects the interface at start-up and, when
-// present (and not disabled via Config.UnfusedScoring), calls SampleScore
-// in place of the Sample+Score pair. The contract matches Sample's:
-// concurrent calls with distinct (rng, dst) pairs must be safe, dst is
-// overwritten with the draw, and the returned score must equal what
-// Score(dst) would report for the same solution.
-type SampleScorer[S any] interface {
-	SampleScore(rng *xrand.RNG, dst S) (float64, error)
-}
-
 // SampleStats aggregates per-iteration sampling telemetry a Problem may
-// expose: rejection-sampling behaviour and pruning work saved — the
+// expose: rejection-sampling behaviour and lookup-table rebuild work — the
 // acceptance diagnostics De Boer et al.'s CE tutorial watches alongside
 // the gamma trajectory.
 type SampleStats struct {
@@ -98,17 +83,14 @@ type SampleStats struct {
 	// every row).
 	RebuiltRows uint64
 	SkippedRows uint64
-	// SkippedEdges counts edge charges the gamma-pruned scorer never had
-	// to accumulate.
-	SkippedEdges uint64
 }
 
 // SampleStatsProvider is an optional Problem extension. When implemented,
 // Run calls TakeSampleStats once per iteration — after the sampling
 // barrier, from the coordinator goroutine — and folds the returned
 // counters into that iteration's IterStats. Implementations accumulate
-// across concurrent Sample/SampleScore calls (atomics are the usual
-// choice) and reset on Take.
+// across concurrent Sample calls (atomics are the usual choice) and reset
+// on Take.
 type SampleStatsProvider interface {
 	TakeSampleStats() SampleStats
 }
@@ -119,28 +101,6 @@ type SampleStatsProvider interface {
 // rows the update rebuilt vs skipped via dirty-row tracking.
 type BuildStatsProvider interface {
 	TakeBuildStats() (rebuilt, skipped uint64)
-}
-
-// GammaPruner is the optional score-pruning extension of the fused path.
-// A Problem that also implements it (alongside SampleScorer) accepts the
-// previous iteration's elite threshold and may cut a draw's scoring short
-// once the score provably cannot reach the threshold. Contract:
-//
-//   - dst must still receive a complete draw consuming exactly the RNG
-//     stream an unpruned call would (sampling is never cut short, only
-//     the score accumulation), so the sample sequence is unchanged.
-//   - A pruned draw's reported score must be the run direction's worst
-//     infinity (+Inf when minimising), and its true score must provably
-//     be strictly worse than the installed gamma.
-//   - Unpruned draws score exactly as without pruning.
-//
-// Run installs gamma_k after each Update and, when an iteration's elite
-// boundary could reach into pruned draws (gamma_{k+1} may exceed
-// gamma_k), re-scores the pinned draws exactly via Score — so the elite
-// sets, telemetry gamma/best, and final mapping are identical to an
-// unpruned run. Config.UnprunedScoring disables the whole mechanism.
-type GammaPruner interface {
-	SetPruneGamma(gamma float64)
 }
 
 // Config tunes one CE run. Zero-valued fields take the documented
@@ -176,16 +136,6 @@ type Config struct {
 	Seed uint64
 	// Minimize selects the optimisation direction; MaTCH minimises.
 	Minimize bool
-	// UnfusedScoring forces the separate Sample-then-Score path even when
-	// the problem implements SampleScorer. It exists as an escape hatch
-	// and for A/B-testing the fused path; both paths consume identical
-	// RNG streams and must produce identical results.
-	UnfusedScoring bool
-	// UnprunedScoring disables gamma-pruned scoring even when the problem
-	// implements GammaPruner. Pruning never changes results (see
-	// GammaPruner), so this exists as an escape hatch and for
-	// A/B-benchmarking the pruned path.
-	UnprunedScoring bool
 	// Context, when non-nil, cancels the run: workers poll it while
 	// sampling and the loop checks it at iteration boundaries, so a
 	// cancelled run stops within (at most) one iteration. If at least one
@@ -272,38 +222,29 @@ func (c Config) validate() error {
 	return nil
 }
 
-// IterStats is per-iteration telemetry. When gamma pruning is active,
-// Worst and Mean are computed over the unpruned draws only (pruned draws
-// have no exact score to aggregate); Gamma, Best and BestSoFar are always
-// exact and identical to an unpruned run's.
+// IterStats is per-iteration telemetry. Every draw is scored exactly, so
+// Best, Worst and Mean summarise all Draws scores of the iteration.
 type IterStats struct {
 	Iter       int
 	Gamma      float64 // elite threshold gamma_k
 	Best       float64 // best score this iteration
-	Worst      float64 // worst (unpruned) score this iteration
-	Mean       float64 // mean (unpruned) score this iteration
+	Worst      float64 // worst score this iteration
+	Mean       float64 // mean score this iteration
 	BestSoFar  float64
 	EliteCount int
 	// Draws is the number of samples drawn this iteration (Config.SampleSize).
 	Draws int
-	// Pruned counts the draws whose scoring was cut short by the gamma
-	// threshold this iteration (before any rescue re-scoring).
-	Pruned int
-	// Rescored counts pruned draws the rescue path re-scored exactly
-	// because the elite boundary could have reached into them.
-	Rescored int
 
 	// Sampling counters from the problem's SampleStatsProvider (zero when
 	// the problem does not implement it).
 	RejectTries   uint64
 	FallbackDraws uint64
-	SkippedEdges  uint64
 	RebuiltRows   uint64
 	SkippedRows   uint64
 
-	// Phase timings: the sample/score barrier, selection (rescue
-	// re-scoring, quantile extraction, aggregation), and the distribution
-	// update (eq. 13 smoothing plus lookup-table rebuilds).
+	// Phase timings: the sample/score barrier, selection (quantile
+	// extraction and aggregation), and the distribution update (eq. 13
+	// smoothing plus lookup-table rebuilds).
 	SampleNs int64
 	SelectNs int64
 	UpdateNs int64
@@ -414,17 +355,6 @@ func run[S any](p Problem[S], cfg Config, exchangeEvery int, exchange ExchangeFu
 	if eliteCount < 1 {
 		eliteCount = 1
 	}
-	// The pruning threshold is the 2*eliteCount quantile, not gamma itself:
-	// iteration-to-iteration noise in how many draws land under the old
-	// gamma (~±sqrt(eliteCount)) would otherwise leave the elite boundary
-	// inside the pruned mass almost every iteration, forcing the exact
-	// rescue re-scoring that pruning is meant to avoid. The 2x headroom
-	// makes rescue a rare safety net while still pruning everything worse
-	// than the previous iteration's ~2*rho quantile.
-	pruneCount := 2 * eliteCount
-	if pruneCount > n {
-		pruneCount = n
-	}
 
 	res := Result[S]{Best: p.NewSolution()}
 	if cfg.Minimize {
@@ -440,23 +370,8 @@ func run[S any](p Problem[S], cfg Config, exchangeEvery int, exchange ExchangeFu
 		return a > b
 	}
 
-	// Fused fast path: if the problem can sample and score in one pass,
-	// use it unless explicitly disabled. Gamma pruning rides on the fused
-	// path only — the unfused path scores materialised solutions exactly.
-	sampleScorer, _ := any(p).(SampleScorer[S])
-	fused := sampleScorer != nil && !cfg.UnfusedScoring
-	if !fused {
-		sampleScorer = nil
-	}
-	pruner, _ := any(p).(GammaPruner)
-	usePrune := fused && pruner != nil && !cfg.UnprunedScoring
 	statsProvider, _ := any(p).(SampleStatsProvider)
 	buildProvider, _ := any(p).(BuildStatsProvider)
-	// The sentinel score a pruned draw reports: the direction's worst value.
-	prunedSentinel := math.Inf(1)
-	if !cfg.Minimize {
-		prunedSentinel = math.Inf(-1)
-	}
 
 	ctx := cfg.Context
 	if ctx == nil {
@@ -473,14 +388,13 @@ func run[S any](p Problem[S], cfg Config, exchangeEvery int, exchange ExchangeFu
 		return res, nil
 	}
 
-	pool := newSamplePool(p, sampleScorer, cfg.Workers, cfg.Seed, solutions, scores, done)
+	pool := newSamplePool(p, cfg.Workers, cfg.Seed, solutions, scores, done)
 	defer pool.close()
 
 	var (
-		prevGamma  float64
-		stallRuns  int
-		haveGamma  bool
-		pruneGamma float64 // last threshold handed to the pruner
+		prevGamma float64
+		stallRuns int
+		haveGamma bool
 	)
 
 	for iter := 1; iter <= cfg.MaxIterations; iter++ {
@@ -500,62 +414,21 @@ func run[S any](p Problem[S], cfg Config, exchangeEvery int, exchange ExchangeFu
 		}
 		res.Evaluations += int64(n)
 
-		// Gamma-pruned draws carry the sentinel score. Pruning is only
-		// sound against gamma_k if the elite threshold never rises — but
-		// gamma_{k+1} > gamma_k is possible, so check whether enough draws
-		// scored within the *old* threshold to pin down the new elite; if
-		// not, the boundary could reach into pruned draws and they are
-		// re-scored exactly (the draws themselves are always complete).
-		prunedCount, rescored := 0, 0
-		if usePrune {
-			for _, s := range scores {
-				if s == prunedSentinel {
-					prunedCount++
-				}
-			}
-			if prunedCount > 0 {
-				within := 0
-				for _, s := range scores {
-					if s != prunedSentinel && !better(pruneGamma, s) {
-						within++
-					}
-				}
-				if within < eliteCount {
-					for i, s := range scores {
-						if s == prunedSentinel {
-							scores[i] = p.Score(solutions[i])
-							rescored++
-						}
-					}
-				}
-			}
-		}
-
-		// Extract the elite by partial selection: only the best pruneCount
-		// (>= eliteCount) samples ever need ranking, so a full sort of all
-		// N scores is wasted work. Worst and mean come from one streaming
-		// pass over the unpruned draws.
-		selCount := eliteCount
-		if usePrune {
-			selCount = pruneCount
-		}
+		// Extract the elite by partial selection: only the best eliteCount
+		// samples ever need ranking, so a full sort of all N scores is
+		// wasted work. Worst and mean come from one streaming pass.
 		for i := range order {
 			order[i] = i
 		}
-		SelectElite(order, scores, selCount, cfg.Minimize)
+		SelectElite(order, scores, eliteCount, cfg.Minimize)
 
 		worst := scores[order[0]]
 		total := 0.0
-		scored := 0
 		for _, s := range scores {
-			if usePrune && s == prunedSentinel {
-				continue
-			}
 			if better(worst, s) {
 				worst = s
 			}
 			total += s
-			scored++
 		}
 
 		gamma := scores[order[eliteCount-1]]
@@ -567,9 +440,7 @@ func run[S any](p Problem[S], cfg Config, exchangeEvery int, exchange ExchangeFu
 			Worst:      worst,
 			EliteCount: eliteCount,
 			Draws:      n,
-			Mean:       total / float64(scored),
-			Pruned:     prunedCount,
-			Rescored:   rescored,
+			Mean:       total / float64(n),
 			SampleNs:   selectStart.Sub(sampleStart).Nanoseconds(),
 		}
 		stats.StealUnits, stats.IdleNs = pool.lastIterStats()
@@ -577,7 +448,6 @@ func run[S any](p Problem[S], cfg Config, exchangeEvery int, exchange ExchangeFu
 			ss := statsProvider.TakeSampleStats()
 			stats.RejectTries = ss.RejectTries
 			stats.FallbackDraws = ss.FallbackDraws
-			stats.SkippedEdges = ss.SkippedEdges
 		}
 
 		if better(scores[order[0]], res.BestScore) {
@@ -647,15 +517,6 @@ func run[S any](p Problem[S], cfg Config, exchangeEvery int, exchange ExchangeFu
 
 		res.History = append(res.History, stats)
 		res.Iterations = iter
-		if usePrune {
-			// Install the loosened threshold (see pruneCount above). If even
-			// the pruneCount-th best is a pruned sentinel, pruning over-fired
-			// this iteration; installing the sentinel (+/-Inf) disables
-			// pruning for the next iteration, which re-scores everything
-			// exactly and self-corrects the threshold after that.
-			pruneGamma = scores[order[selCount-1]]
-			pruner.SetPruneGamma(pruneGamma)
-		}
 
 		if cfg.OnIteration != nil {
 			cfg.OnIteration(stats)

@@ -71,8 +71,8 @@ func (g *GaussianProblem) NewSolution() []float64 { return make([]float64, g.n) 
 // Copy implements Problem.
 func (g *GaussianProblem) Copy(dst, src []float64) { copy(dst, src) }
 
-// Sample implements Problem: independent clamped normal draws.
-func (g *GaussianProblem) Sample(rng *xrand.RNG, dst []float64) error {
+// Sample implements Problem: independent clamped normal draws, scored.
+func (g *GaussianProblem) Sample(rng *xrand.RNG, dst []float64) (float64, error) {
 	for i := range dst {
 		v := g.mu[i] + g.sigma[i]*rng.NormFloat64()
 		if v < g.lo {
@@ -82,11 +82,8 @@ func (g *GaussianProblem) Sample(rng *xrand.RNG, dst []float64) error {
 		}
 		dst[i] = v
 	}
-	return nil
+	return g.score(dst), nil
 }
-
-// Score implements Problem.
-func (g *GaussianProblem) Score(s []float64) float64 { return g.score(s) }
 
 // Update implements Problem: fit mu, sigma to the elite and smooth.
 func (g *GaussianProblem) Update(elite [][]float64, zeta float64) error {

@@ -20,8 +20,7 @@ type PermutationProblem struct {
 	n        int
 	p        *stochmat.Matrix
 	q        *stochmat.Matrix
-	cdf      *stochmat.RowCDF     // prefix sums of p for the fallback sampler
-	alias    *stochmat.AliasTable // O(1) row draws for the rejection fast path
+	alias    *stochmat.AliasTable // O(1) row draws for the GenPerm sampler
 	counts   []float64            // Update scratch: elite assignment frequencies
 	score    func([]int) float64
 	samplers sync.Pool
@@ -51,7 +50,6 @@ func NewPermutationProblem(n int, score func([]int) float64) (*PermutationProble
 		score:            score,
 		DegenerateThresh: 0.95,
 	}
-	pp.cdf = stochmat.NewRowCDF(pp.p)
 	pp.alias = stochmat.NewAliasTable(pp.p)
 	pp.counts = make([]float64, n*n)
 	pp.samplers.New = func() any { return stochmat.NewSampler(n) }
@@ -67,12 +65,11 @@ func (pp *PermutationProblem) NewSolution() []int { return make([]int, pp.n) }
 // Copy implements Problem.
 func (pp *PermutationProblem) Copy(dst, src []int) { copy(dst, src) }
 
-// Sample implements Problem via GenPerm, using the alias-accelerated
-// sampler (the alias and prefix-sum tables are rebuilt after every
-// Update).
-func (pp *PermutationProblem) Sample(rng *xrand.RNG, dst []int) error {
+// Sample implements Problem: one GenPerm draw through the alias table
+// (rebuilt after every Update), scored by the problem's score function.
+func (pp *PermutationProblem) Sample(rng *xrand.RNG, dst []int) (float64, error) {
 	s := pp.samplers.Get().(*stochmat.Sampler)
-	err := s.SamplePermutationFast(pp.p, pp.cdf, pp.alias, rng, dst, nil)
+	err := s.SamplePermutation(pp.p, pp.alias, rng, dst)
 	if st := s.TakeStats(); st.RejectTries > 0 || st.FallbackDraws > 0 {
 		if st.RejectTries > 0 {
 			pp.statRejectTries.Add(st.RejectTries)
@@ -82,7 +79,10 @@ func (pp *PermutationProblem) Sample(rng *xrand.RNG, dst []int) error {
 		}
 	}
 	pp.samplers.Put(s)
-	return err
+	if err != nil {
+		return 0, err
+	}
+	return pp.score(dst), nil
 }
 
 // TakeSampleStats implements SampleStatsProvider: drain and reset the
@@ -93,9 +93,6 @@ func (pp *PermutationProblem) TakeSampleStats() SampleStats {
 		FallbackDraws: pp.statFallbackDraws.Swap(0),
 	}
 }
-
-// Score implements Problem.
-func (pp *PermutationProblem) Score(s []int) float64 { return pp.score(s) }
 
 // Update implements Problem: eq. (11) elite frequencies + eq. (13)
 // smoothing.
@@ -121,7 +118,6 @@ func (pp *PermutationProblem) Update(elite [][]int, zeta float64) error {
 	if err := pp.p.Smooth(pp.q, zeta); err != nil {
 		return err
 	}
-	pp.cdf.Rebuild(pp.p)
 	pp.alias.Rebuild(pp.p)
 	return nil
 }

@@ -114,15 +114,19 @@ func TestPermutationCEOnTSPBeatsRandom(t *testing.T) {
 }
 
 func TestPermutationSamplesAreValid(t *testing.T) {
-	p, err := NewPermutationProblem(12, func([]int) float64 { return 0 })
+	p, err := NewPermutationProblem(12, func(perm []int) float64 { return float64(perm[0]) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := xrand.New(2)
 	dst := make([]int, 12)
 	for i := 0; i < 200; i++ {
-		if err := p.Sample(rng, dst); err != nil {
+		score, err := p.Sample(rng, dst)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if score != float64(dst[0]) {
+			t.Fatalf("Sample scored %v, want the score of its own draw %v", score, dst[0])
 		}
 		seen := make([]bool, 12)
 		for _, v := range dst {

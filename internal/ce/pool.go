@@ -33,7 +33,6 @@ const unitDraws = 32
 // reproducibility of the earlier static-chunk runtime.
 type samplePool[S any] struct {
 	problem   Problem[S]
-	scorer    SampleScorer[S] // nil on the unfused path
 	seed      uint64
 	solutions []S
 	scores    []float64
@@ -62,11 +61,10 @@ type samplePool[S any] struct {
 
 // newSamplePool spawns the worker goroutines. Callers must stop the pool
 // with close() (idempotent via sync.Once is unnecessary — Run owns it).
-func newSamplePool[S any](p Problem[S], scorer SampleScorer[S], workers int, seed uint64, solutions []S, scores []float64, done <-chan struct{}) *samplePool[S] {
+func newSamplePool[S any](p Problem[S], workers int, seed uint64, solutions []S, scores []float64, done <-chan struct{}) *samplePool[S] {
 	n := len(scores)
 	pl := &samplePool[S]{
 		problem:   p,
-		scorer:    scorer,
 		seed:      seed,
 		solutions: solutions,
 		scores:    scores,
@@ -118,23 +116,13 @@ func (pl *samplePool[S]) drainIteration(w int, rng *xrand.RNG) {
 		if hi > n {
 			hi = n
 		}
-		if pl.scorer != nil {
-			for i := lo; i < hi; i++ {
-				score, err := pl.scorer.SampleScore(rng, pl.solutions[i])
-				if err != nil {
-					pl.errs[w] = err
-					return
-				}
-				pl.scores[i] = score
+		for i := lo; i < hi; i++ {
+			score, err := pl.problem.Sample(rng, pl.solutions[i])
+			if err != nil {
+				pl.errs[w] = err
+				return
 			}
-		} else {
-			for i := lo; i < hi; i++ {
-				if err := pl.problem.Sample(rng, pl.solutions[i]); err != nil {
-					pl.errs[w] = err
-					return
-				}
-				pl.scores[i] = pl.problem.Score(pl.solutions[i])
-			}
+			pl.scores[i] = score
 		}
 	}
 }

@@ -97,90 +97,6 @@ func min(a, b int) int {
 	return b
 }
 
-// mockFused is a trivial problem that counts which scoring path the CE
-// loop exercises. Solutions are single-int draws; score = the draw.
-type mockFused struct {
-	n            int
-	sampleCalls  int
-	scoreCalls   int
-	fusedCalls   int
-	allowUpdates int
-}
-
-func (m *mockFused) NewSolution() []int { return make([]int, 1) }
-func (m *mockFused) Copy(dst, src []int) {
-	copy(dst, src)
-}
-func (m *mockFused) Sample(rng *xrand.RNG, dst []int) error {
-	m.sampleCalls++
-	dst[0] = int(rng.Uint64() % 1000)
-	return nil
-}
-func (m *mockFused) Score(s []int) float64 {
-	m.scoreCalls++
-	return float64(s[0])
-}
-func (m *mockFused) SampleScore(rng *xrand.RNG, dst []int) (float64, error) {
-	m.fusedCalls++
-	dst[0] = int(rng.Uint64() % 1000)
-	return float64(dst[0]), nil
-}
-func (m *mockFused) Update(elite [][]int, zeta float64) error { return nil }
-func (m *mockFused) Converged() bool {
-	m.allowUpdates--
-	return m.allowUpdates <= 0
-}
-
-// TestRunDetectsSampleScorer: with a SampleScorer problem the loop must
-// take the fused path — and revert to Sample+Score under UnfusedScoring —
-// with identical results either way (both paths consume the same RNG
-// stream).
-func TestRunDetectsSampleScorer(t *testing.T) {
-	cfg := Config{SampleSize: 64, Rho: 0.1, Zeta: 0.5, MaxIterations: 5, Workers: 1, Seed: 9, Minimize: true}
-
-	fusedProb := &mockFused{allowUpdates: 3}
-	fusedRes, err := Run[[]int](fusedProb, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fusedProb.fusedCalls == 0 {
-		t.Fatal("fused path not taken despite SampleScorer implementation")
-	}
-	if fusedProb.sampleCalls != 0 || fusedProb.scoreCalls != 0 {
-		t.Fatalf("fused run also used unfused path: %d Sample, %d Score calls",
-			fusedProb.sampleCalls, fusedProb.scoreCalls)
-	}
-
-	cfg.UnfusedScoring = true
-	unfusedProb := &mockFused{allowUpdates: 3}
-	unfusedRes, err := Run[[]int](unfusedProb, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unfusedProb.fusedCalls != 0 {
-		t.Fatal("UnfusedScoring did not disable the fused path")
-	}
-	if unfusedProb.sampleCalls == 0 || unfusedProb.scoreCalls == 0 {
-		t.Fatal("unfused run made no Sample/Score calls")
-	}
-
-	if fusedRes.BestScore != unfusedRes.BestScore {
-		t.Fatalf("fused best %v != unfused best %v", fusedRes.BestScore, unfusedRes.BestScore)
-	}
-	if fusedRes.Best[0] != unfusedRes.Best[0] {
-		t.Fatalf("fused solution %v != unfused %v", fusedRes.Best, unfusedRes.Best)
-	}
-	if len(fusedRes.History) != len(unfusedRes.History) {
-		t.Fatalf("history lengths differ: %d vs %d", len(fusedRes.History), len(unfusedRes.History))
-	}
-	for i := range fusedRes.History {
-		a, b := fusedRes.History[i], unfusedRes.History[i]
-		if a.Gamma != b.Gamma || a.Best != b.Best || a.Worst != b.Worst || a.Mean != b.Mean {
-			t.Fatalf("iteration %d stats diverge: %+v vs %+v", i, a, b)
-		}
-	}
-}
-
 func BenchmarkEliteSelect(b *testing.B) {
 	const n = 8192
 	k := n / 20

@@ -268,7 +268,8 @@ func TestCoordinatorSingleflight(t *testing.T) {
 }
 
 // TestCoordinatorCache: a repeat submission after completion is answered
-// from the coordinator cache without touching a worker again.
+// from the coordinator cache without touching a worker again — including
+// a repeat that differs only in options the solver ignores.
 func TestCoordinatorCache(t *testing.T) {
 	ws := startWorkers(t, 2)
 	co := newTestCoordinator(t, ws, Options{CheckpointEvery: 1})
@@ -288,22 +289,36 @@ func TestCoordinatorCache(t *testing.T) {
 	}
 	res1, _ := co.Result(info.ID)
 
-	info2, err := co.Submit(req)
-	if err != nil {
-		t.Fatalf("repeat Submit: %v", err)
+	legacy := req
+	legacy.Options.UnprunedScoring = true
+	repeats := []struct {
+		name string
+		req  api.SubmitRequest
+	}{
+		{"identical", req},
+		{"unpruned_scoring is ignored", legacy},
 	}
-	if info2.State != api.StateDone || !info2.CacheHit {
-		t.Fatalf("repeat submission state=%q cacheHit=%v, want an immediate cache hit", info2.State, info2.CacheHit)
-	}
-	res2, err := co.Result(info2.ID)
-	if err != nil {
-		t.Fatalf("cached Result: %v", err)
-	}
-	if !res2.CacheHit {
-		t.Fatal("cached result not marked CacheHit")
-	}
-	if !reflect.DeepEqual(res1.Mapping, res2.Mapping) || res1.Exec != res2.Exec {
-		t.Fatal("cached result diverged from the solved one")
+	for _, r := range repeats {
+		info2, err := co.Submit(r.req)
+		if err != nil {
+			t.Fatalf("%s: repeat Submit: %v", r.name, err)
+		}
+		if info2.Key != info.Key {
+			t.Fatalf("%s: key %s, want the original %s", r.name, info2.Key, info.Key)
+		}
+		if info2.State != api.StateDone || !info2.CacheHit {
+			t.Fatalf("%s: repeat submission state=%q cacheHit=%v, want an immediate cache hit", r.name, info2.State, info2.CacheHit)
+		}
+		res2, err := co.Result(info2.ID)
+		if err != nil {
+			t.Fatalf("%s: cached Result: %v", r.name, err)
+		}
+		if !res2.CacheHit {
+			t.Fatalf("%s: cached result not marked CacheHit", r.name)
+		}
+		if !reflect.DeepEqual(res1.Mapping, res2.Mapping) || res1.Exec != res2.Exec {
+			t.Fatalf("%s: cached result diverged from the solved one", r.name)
+		}
 	}
 	var solves uint64
 	for _, w := range ws {
@@ -313,8 +328,8 @@ func TestCoordinatorCache(t *testing.T) {
 		t.Fatalf("cache hit still reached a worker (%d solves)", solves)
 	}
 	text := coordinatorMetrics(t, co)
-	if got := metricValue(t, text, "matchd_cluster_cache_hits_total"); got != 1 {
-		t.Fatalf("coordinator cache hits metric = %v, want 1", got)
+	if got := metricValue(t, text, "matchd_cluster_cache_hits_total"); got != float64(len(repeats)) {
+		t.Fatalf("coordinator cache hits metric = %v, want %d", got, len(repeats))
 	}
 }
 
@@ -385,10 +400,10 @@ func TestCoordinatorRejectsBadSubmissions(t *testing.T) {
 	co := newTestCoordinator(t, ws, Options{})
 
 	cases := []api.SubmitRequest{
-		{Solver: api.SolverMaTCH},                                       // no instance
-		{Instance: instanceJSON(t, 1, 8), Solver: "bogus"},              // unknown solver
-		{Instance: json.RawMessage(`{}`), Solver: api.SolverMaTCH},      // invalid instance
-		{Instance: instanceJSON(t, 1, 8), Solver: api.SolverGA,          // checkpoint on a non-CE solver
+		{Solver: api.SolverMaTCH},                                  // no instance
+		{Instance: instanceJSON(t, 1, 8), Solver: "bogus"},         // unknown solver
+		{Instance: json.RawMessage(`{}`), Solver: api.SolverMaTCH}, // invalid instance
+		{Instance: instanceJSON(t, 1, 8), Solver: api.SolverGA, // checkpoint on a non-CE solver
 			Checkpoint: json.RawMessage(`{"x":1}`)},
 	}
 	for i, req := range cases {

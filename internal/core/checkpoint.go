@@ -84,7 +84,7 @@ func (pr *problem) restore(c *Checkpoint) error {
 		return fmt.Errorf("core: checkpoint for %d tasks applied to %d-task problem", c.Matrix.Rows(), pr.n)
 	}
 	pr.p = c.Matrix.Clone()
-	pr.refreshCDF()
+	pr.alias.Rebuild(pr.p)
 	copy(pr.prevArgmax, c.PrevArgmax)
 	pr.stableRuns = c.StableRuns
 	pr.iter = c.Iterations

@@ -11,53 +11,39 @@ import (
 // TestSolveDeterministicAcrossWorkerCounts pins the scheduling-independence
 // guarantee: RNG streams are keyed by (seed, iteration, unit), not by
 // worker, so the same options must give a bit-identical run no matter how
-// many workers execute it — on the default gamma-pruned arm as well as
-// with UnprunedScoring. Wall-clock timings are the only fields allowed to
-// differ.
+// many workers execute it. Wall-clock timings are the only fields allowed
+// to differ.
 func TestSolveDeterministicAcrossWorkerCounts(t *testing.T) {
 	workerCounts := []int{1, 2, runtime.GOMAXPROCS(0)}
-	for _, unpruned := range []bool{false, true} {
-		for _, seed := range []uint64{1, 9} {
-			eval := fusedTestEval(t, 13, 24)
-			ref, err := Solve(eval, Options{
-				Seed: seed, Workers: 1, MaxIterations: 60, UnprunedScoring: unpruned,
-			})
+	for _, seed := range []uint64{1, 9} {
+		eval := paperEval(t, 13, 24)
+		ref, err := Solve(eval, Options{Seed: seed, Workers: 1, MaxIterations: 60})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range workerCounts[1:] {
+			got, err := Solve(eval, Options{Seed: seed, Workers: w, MaxIterations: 60})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range workerCounts[1:] {
-				got, err := Solve(eval, Options{
-					Seed: seed, Workers: w, MaxIterations: 60, UnprunedScoring: unpruned,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := func() string {
-					arm := "pruned"
-					if unpruned {
-						arm = "unpruned"
-					}
-					return arm
-				}()
-				if math.Float64bits(got.Exec) != math.Float64bits(ref.Exec) {
-					t.Fatalf("%s seed=%d workers=%d: exec %v != reference %v", label, seed, w, got.Exec, ref.Exec)
-				}
-				if !equalInts(got.Mapping, ref.Mapping) {
-					t.Fatalf("%s seed=%d workers=%d: mapping diverges:\n%v\n%v", label, seed, w, got.Mapping, ref.Mapping)
-				}
-				if got.Iterations != ref.Iterations || got.StopReason != ref.StopReason {
-					t.Fatalf("%s seed=%d workers=%d: trajectory diverges: %d/%s vs %d/%s",
-						label, seed, w, got.Iterations, got.StopReason, ref.Iterations, ref.StopReason)
-				}
-				if len(got.History) != len(ref.History) {
-					t.Fatalf("%s seed=%d workers=%d: history length %d != %d",
-						label, seed, w, len(got.History), len(ref.History))
-				}
-				for i := range got.History {
-					if !sameIterSearchStats(got.History[i], ref.History[i]) {
-						t.Fatalf("%s seed=%d workers=%d: iteration %d stats diverge:\n%+v\n%+v",
-							label, seed, w, i, got.History[i], ref.History[i])
-					}
+			if math.Float64bits(got.Exec) != math.Float64bits(ref.Exec) {
+				t.Fatalf("seed=%d workers=%d: exec %v != reference %v", seed, w, got.Exec, ref.Exec)
+			}
+			if !equalInts(got.Mapping, ref.Mapping) {
+				t.Fatalf("seed=%d workers=%d: mapping diverges:\n%v\n%v", seed, w, got.Mapping, ref.Mapping)
+			}
+			if got.Iterations != ref.Iterations || got.StopReason != ref.StopReason {
+				t.Fatalf("seed=%d workers=%d: trajectory diverges: %d/%s vs %d/%s",
+					seed, w, got.Iterations, got.StopReason, ref.Iterations, ref.StopReason)
+			}
+			if len(got.History) != len(ref.History) {
+				t.Fatalf("seed=%d workers=%d: history length %d != %d",
+					seed, w, len(got.History), len(ref.History))
+			}
+			for i := range got.History {
+				if !sameIterSearchStats(got.History[i], ref.History[i]) {
+					t.Fatalf("seed=%d workers=%d: iteration %d stats diverge:\n%+v\n%+v",
+						seed, w, i, got.History[i], ref.History[i])
 				}
 			}
 		}
@@ -76,11 +62,8 @@ func sameIterSearchStats(a, b ce.IterStats) bool {
 		math.Float64bits(a.BestSoFar) == math.Float64bits(b.BestSoFar) &&
 		a.EliteCount == b.EliteCount &&
 		a.Draws == b.Draws &&
-		a.Pruned == b.Pruned &&
-		a.Rescored == b.Rescored &&
 		a.RejectTries == b.RejectTries &&
 		a.FallbackDraws == b.FallbackDraws &&
-		a.SkippedEdges == b.SkippedEdges &&
 		a.Island == b.Island &&
 		a.MigrantsIn == b.MigrantsIn &&
 		a.MigrantsOut == b.MigrantsOut &&

@@ -139,7 +139,7 @@ func (pr *problem) injectElite(migrants [][]int, zeta float64) error {
 	if err := pr.p.Smooth(pr.q, zeta); err != nil {
 		return err
 	}
-	pr.refreshCDF()
+	pr.alias.Rebuild(pr.p)
 	return nil
 }
 
@@ -175,7 +175,7 @@ func (pr *problem) blendRows(peers [][][]float64, alpha float64) error {
 			return fmt.Errorf("core: blend row %d: %w", i, err)
 		}
 	}
-	pr.refreshCDF()
+	pr.alias.Rebuild(pr.p)
 	return nil
 }
 
@@ -257,18 +257,16 @@ func solveIslands(eval *cost.Evaluator, opts Options) (*Result, error) {
 				return nil
 			},
 			Config: ce.Config{
-				SampleSize:      perIsland,
-				Rho:             opts.Rho,
-				Zeta:            opts.Zeta,
-				StallWindow:     opts.GammaStallWindow,
-				MaxIterations:   opts.MaxIterations,
-				Workers:         opts.Workers,
-				Seed:            xrand.SeedKeyed(opts.Seed, uint64(g)),
-				Minimize:        true,
-				UnfusedScoring:  opts.UnfusedScoring,
-				UnprunedScoring: opts.UnprunedScoring,
-				OnIteration:     forward,
-				Island:          g,
+				SampleSize:    perIsland,
+				Rho:           opts.Rho,
+				Zeta:          opts.Zeta,
+				StallWindow:   opts.GammaStallWindow,
+				MaxIterations: opts.MaxIterations,
+				Workers:       opts.Workers,
+				Seed:          xrand.SeedKeyed(opts.Seed, uint64(g)),
+				Minimize:      true,
+				OnIteration:   forward,
+				Island:        g,
 			},
 		}
 		pr.alias.TakeBuildStats()

@@ -26,7 +26,7 @@ func islandTestOptions(seed uint64, count, workers int) Options {
 }
 
 func TestSolveIslandsBasic(t *testing.T) {
-	eval := fusedTestEval(t, 7, 16)
+	eval := paperEval(t, 7, 16)
 	res, err := Solve(eval, islandTestOptions(42, 3, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestSolveIslandsDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, topo := range []string{"ring", "all"} {
 		opts := islandTestOptions(11, 3, 1)
 		opts.Islands.Topology = topo
-		eval := fusedTestEval(t, 3, 16)
+		eval := paperEval(t, 3, 16)
 		ref, err := Solve(eval, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +118,7 @@ func TestSolveIslandsDeterministicAcrossWorkerCounts(t *testing.T) {
 // TestSolveIslandsCountOneIsPlainPath: Islands with Count <= 1 must be
 // bit-identical to not configuring islands at all.
 func TestSolveIslandsCountOneIsPlainPath(t *testing.T) {
-	eval := fusedTestEval(t, 5, 12)
+	eval := paperEval(t, 5, 12)
 	plain, err := Solve(eval, Options{Seed: 9, Workers: 1, MaxIterations: 40})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestSolveIslandsCountOneIsPlainPath(t *testing.T) {
 // TestSolveIslandsMigrationOnlyAndBlendOnly: both exchange mechanisms
 // work on their own.
 func TestSolveIslandsMechanisms(t *testing.T) {
-	eval := fusedTestEval(t, 2, 12)
+	eval := paperEval(t, 2, 12)
 	for _, tc := range []struct {
 		name string
 		opts IslandOptions
@@ -177,7 +177,7 @@ func TestSolveIslandsMechanisms(t *testing.T) {
 }
 
 func TestSolveIslandsValidation(t *testing.T) {
-	eval := fusedTestEval(t, 2, 8)
+	eval := paperEval(t, 2, 8)
 	for _, tc := range []struct {
 		name string
 		opts Options
@@ -201,7 +201,7 @@ func TestSolveIslandsValidation(t *testing.T) {
 // TestSolveIslandsCancellation: a cancelled ensemble returns the
 // best-so-far with StopCancelled once any island completed an iteration.
 func TestSolveIslandsCancellation(t *testing.T) {
-	eval := fusedTestEval(t, 4, 12)
+	eval := paperEval(t, 4, 12)
 	ctx, cancel := context.WithCancel(context.Background())
 	iterations := 0
 	opts := islandTestOptions(13, 2, 1)
@@ -231,7 +231,7 @@ func TestSolveIslandsCancellation(t *testing.T) {
 
 // TestSolveIslandsWarmStart: each island starts from the biased matrix.
 func TestSolveIslandsWarmStart(t *testing.T) {
-	eval := fusedTestEval(t, 6, 10)
+	eval := paperEval(t, 6, 10)
 	warm := make([]int, 10)
 	for i := range warm {
 		warm[i] = (i + 1) % 10
@@ -249,7 +249,7 @@ func TestSolveIslandsWarmStart(t *testing.T) {
 
 // TestSolveIslandsPolish: polish still applies to the global best.
 func TestSolveIslandsPolish(t *testing.T) {
-	eval := fusedTestEval(t, 8, 12)
+	eval := paperEval(t, 8, 12)
 	opts := islandTestOptions(23, 2, 1)
 	noPolish, err := Solve(eval, opts)
 	if err != nil {

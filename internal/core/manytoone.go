@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -40,18 +39,16 @@ func ManyToOne(eval *cost.Evaluator, opts Options) (*Result, error) {
 		}
 	}
 	cfg := ce.Config{
-		SampleSize:      opts.SampleSize,
-		Rho:             opts.Rho,
-		Zeta:            opts.Zeta,
-		StallWindow:     opts.GammaStallWindow,
-		MaxIterations:   opts.MaxIterations,
-		Workers:         opts.Workers,
-		Seed:            opts.Seed,
-		Minimize:        true,
-		UnfusedScoring:  opts.UnfusedScoring,
-		UnprunedScoring: opts.UnprunedScoring,
-		Context:         opts.Context,
-		OnIteration:     opts.OnIteration,
+		SampleSize:    opts.SampleSize,
+		Rho:           opts.Rho,
+		Zeta:          opts.Zeta,
+		StallWindow:   opts.GammaStallWindow,
+		MaxIterations: opts.MaxIterations,
+		Workers:       opts.Workers,
+		Seed:          opts.Seed,
+		Minimize:      true,
+		Context:       opts.Context,
+		OnIteration:   opts.OnIteration,
 	}
 
 	start := time.Now()
@@ -81,23 +78,17 @@ func ManyToOne(eval *cost.Evaluator, opts Options) (*Result, error) {
 	}, nil
 }
 
-// manyToOneProblem implements ce.Problem[[]int] (and ce.SampleScorer) with
-// independent row sampling (no permutation constraint).
+// manyToOneProblem implements ce.Problem[[]int] with independent row
+// sampling (no permutation constraint).
 type manyToOneProblem struct {
 	eval      *cost.Evaluator
 	tasks     int
 	resources int
 	p         *stochmat.Matrix
 	q         *stochmat.Matrix
-	cdf       *stochmat.RowCDF     // per-row prefix sums, rebuilt with p
 	alias     *stochmat.AliasTable // O(1) row draws, rebuilt with p
 	counts    []float64            // Update scratch: elite assignment frequencies
-	scratch   sync.Pool
-	fused     sync.Pool // *fusedState (sampler unused; edge-sweep scorer)
-
-	// pruneGamma is the fused scorers' pruning threshold (+Inf disables);
-	// see problem.pruneGamma.
-	pruneGamma float64
+	scratch   sync.Pool            // *[]float64 load buffers for ExecInto
 
 	stallC     int
 	prevArgmax []int
@@ -120,9 +111,7 @@ func newManyToOneProblem(eval *cost.Evaluator, stallC, snapshotEvery int) *manyT
 		snapshotEvery: snapshotEvery,
 		prevArgmax:    make([]int, tasks),
 		counts:        make([]float64, tasks*resources),
-		pruneGamma:    math.Inf(1),
 	}
-	pr.cdf = stochmat.NewRowCDF(pr.p)
 	pr.alias = stochmat.NewAliasTable(pr.p)
 	for i := range pr.prevArgmax {
 		pr.prevArgmax[i] = -1
@@ -130,9 +119,6 @@ func newManyToOneProblem(eval *cost.Evaluator, stallC, snapshotEvery int) *manyT
 	pr.scratch.New = func() any {
 		buf := make([]float64, resources)
 		return &buf
-	}
-	pr.fused.New = func() any {
-		return &fusedState{scorer: cost.NewStreamScorer(eval)}
 	}
 	if snapshotEvery > 0 {
 		pr.snapshots = append(pr.snapshots, Snapshot{Iter: 0, Matrix: pr.p.Clone()})
@@ -166,7 +152,6 @@ func (pr *manyToOneProblem) applyWarmStart(warm cost.Mapping, bias float64) erro
 	if pr.snapshotEvery > 0 {
 		pr.snapshots[0] = Snapshot{Iter: 0, Matrix: pr.p.Clone()}
 	}
-	pr.cdf.Rebuild(pr.p)
 	pr.alias.Rebuild(pr.p)
 	return nil
 }
@@ -175,49 +160,20 @@ func (pr *manyToOneProblem) NewSolution() []int { return make([]int, pr.tasks) }
 
 func (pr *manyToOneProblem) Copy(dst, src []int) { copy(dst, src) }
 
-// sampleInto draws each task's resource independently from its row — the
-// unconstrained generation of eq. (8) — as one O(1) alias-table draw per
-// task (one uniform variate each; no search, no clamping: zero-weight
-// columns carry no slot mass, and a degenerate zero-mass row degrades to
-// a uniform draw by the table's construction). onAssign, when non-nil,
-// observes each placement. Both the fused and unfused paths route through
-// this helper, so they consume identical RNG streams.
-func (pr *manyToOneProblem) sampleInto(rng *xrand.RNG, dst []int, onAssign func(task, col int)) {
+// Sample implements ce.Problem: each task's resource is drawn
+// independently from its row — the unconstrained generation of eq. (8) —
+// as one O(1) alias-table draw per task (one uniform variate each; no
+// search, no clamping: zero-weight columns carry no slot mass, and a
+// degenerate zero-mass row degrades to a uniform draw by the table's
+// construction). The draw is scored by the application execution time.
+func (pr *manyToOneProblem) Sample(rng *xrand.RNG, dst []int) (float64, error) {
 	for task := 0; task < pr.tasks; task++ {
-		choice := pr.alias.Sample(task, rng)
-		dst[task] = choice
-		if onAssign != nil {
-			onAssign(task, choice)
-		}
+		dst[task] = pr.alias.Sample(task, rng)
 	}
-}
-
-// Sample implements ce.Problem.
-func (pr *manyToOneProblem) Sample(rng *xrand.RNG, dst []int) error {
-	pr.sampleInto(rng, dst, nil)
-	return nil
-}
-
-// SampleScore implements ce.SampleScorer: draw the mapping, then score it
-// with one gamma-pruned edge-list sweep (see the permutation problem's
-// SampleScore for the rationale).
-func (pr *manyToOneProblem) SampleScore(rng *xrand.RNG, dst []int) (float64, error) {
-	fs := pr.fused.Get().(*fusedState)
-	fs.scorer.SetGamma(pr.pruneGamma)
-	pr.sampleInto(rng, dst, nil)
-	score := fs.scorer.ScoreMapping(dst)
-	pr.fused.Put(fs)
-	return score, nil
-}
-
-// SetPruneGamma implements ce.GammaPruner.
-func (pr *manyToOneProblem) SetPruneGamma(gamma float64) { pr.pruneGamma = gamma }
-
-func (pr *manyToOneProblem) Score(m []int) float64 {
 	buf := pr.scratch.Get().(*[]float64)
-	exec := pr.eval.ExecInto(cost.Mapping(m), *buf)
+	score := pr.eval.ExecInto(dst, *buf)
 	pr.scratch.Put(buf)
-	return exec
+	return score, nil
 }
 
 func (pr *manyToOneProblem) Update(elite [][]int, zeta float64) error {
@@ -243,7 +199,6 @@ func (pr *manyToOneProblem) Update(elite [][]int, zeta float64) error {
 	if err := pr.p.Smooth(pr.q, zeta); err != nil {
 		return err
 	}
-	pr.cdf.Rebuild(pr.p)
 	pr.alias.Rebuild(pr.p)
 	stable := true
 	for i := 0; i < pr.tasks; i++ {

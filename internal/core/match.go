@@ -19,15 +19,16 @@
 //     numerically robust reading of the criterion — or on the generic
 //     gamma-stall / iteration-cap conditions.
 //
-// Sampling and scoring run on the ce worker pool; the per-goroutine
-// GenPerm scratch state lives in sync.Pools so the hot loop is
-// allocation-free after warm-up.
+// Sampling and scoring run on the ce worker pool: one Sample call per
+// draw runs the alias-table GenPerm sampler and scores the draw with
+// cost.Evaluator.ExecInto. The per-goroutine scratch (sampler and load
+// buffer) lives in a sync.Pool so the hot loop is allocation-free after
+// warm-up.
 package core
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -86,19 +87,6 @@ type Options struct {
 	// beyond the paper that removes the small residual gaps the eq. 12
 	// stop can leave. The extra cost is O(n^2 * deg) per descent step.
 	Polish bool
-	// UnfusedScoring disables the fused sample-and-score fast path,
-	// forcing the CE loop back to separate Sample and Score calls. Both
-	// paths draw from identical RNG streams and produce identical results;
-	// the switch exists for A/B benchmarking and as an escape hatch.
-	UnfusedScoring bool
-	// UnprunedScoring disables gamma-pruned scoring on the fused path.
-	// Pruning cuts a draw's cost accumulation short once the makespan
-	// provably exceeds the previous iteration's elite threshold; the CE
-	// loop re-scores any draw the elite boundary could reach, so elite
-	// sets, telemetry and the final mapping are identical either way (see
-	// ce.GammaPruner). The switch exists for A/B benchmarking and as an
-	// escape hatch.
-	UnprunedScoring bool
 	// Context, when non-nil, cancels the run: the CE loop stops within at
 	// most one iteration of cancellation. If at least one iteration
 	// completed, Solve returns the best-so-far Result with StopReason
@@ -218,21 +206,17 @@ type Result struct {
 	finalStableRuns int
 }
 
-// problem implements ce.Problem[[]int] (and ce.SampleScorer[[]int]) for
-// the mapping COP.
+// problem implements ce.Problem[[]int] for the mapping COP.
 type problem struct {
 	eval *cost.Evaluator
 	n    int
 	p    *stochmat.Matrix
 	q    *stochmat.Matrix // elite counts buffer, reused each iteration
 
-	// cdf and alias cache per-row lookup tables of p for the fast GenPerm
-	// sampler: the alias table serves the O(1) rejection fast path, the
-	// prefix-sum table the compact fallback and external CDF consumers.
-	// Both are rebuilt after every mutation of p (all of which happen on a
+	// alias caches the per-row alias tables of p for the GenPerm sampler.
+	// It is rebuilt after every mutation of p (all of which happen on a
 	// single goroutine between sampling phases) and read concurrently by
 	// the sampling workers.
-	cdf   *stochmat.RowCDF
 	alias *stochmat.AliasTable
 
 	counts []float64 // Update scratch: elite assignment frequencies
@@ -244,15 +228,7 @@ type problem struct {
 	countSupIdx []int32
 	countSupLen []int32
 
-	// pruneGamma is the elite threshold the fused scorers prune against
-	// (+Inf disables). Written by ce.Run between iterations via
-	// SetPruneGamma, read by the sampling workers; the pool's iteration
-	// barrier orders the accesses.
-	pruneGamma float64
-
-	samplers sync.Pool // *stochmat.Sampler, for the unfused Sample path
-	scratch  sync.Pool // *[]float64 load buffers, for the unfused Score path
-	fused    sync.Pool // *fusedState, for the SampleScore path
+	scratch sync.Pool // *drawScratch, one per sampling goroutine
 
 	// Sampling telemetry, accumulated by the workers and drained once per
 	// iteration by ce.Run (TakeSampleStats). Workers add only when a draw
@@ -260,7 +236,6 @@ type problem struct {
 	// sampling almost never misses — the hot path pays no atomic traffic.
 	statRejectTries   atomic.Uint64
 	statFallbackDraws atomic.Uint64
-	statSkippedEdges  atomic.Uint64
 
 	// eq. 12 stopping state.
 	stallC     int
@@ -273,12 +248,11 @@ type problem struct {
 	snapshots     []Snapshot
 }
 
-// fusedState is the per-goroutine scratch of the fused sample-and-score
-// path: the GenPerm sampler and the gamma-pruning scorer that evaluates
-// each finished draw with a single edge-list sweep.
-type fusedState struct {
+// drawScratch is the per-goroutine state of one draw: the GenPerm sampler
+// and the load buffer ExecInto scores into.
+type drawScratch struct {
 	sampler *stochmat.Sampler
-	scorer  *cost.StreamScorer
+	loads   []float64
 }
 
 func newProblem(eval *cost.Evaluator, opts Options) *problem {
@@ -292,7 +266,6 @@ func newProblem(eval *cost.Evaluator, opts Options) *problem {
 		snapshotEvery: opts.SnapshotEvery,
 		prevArgmax:    make([]int, n),
 		counts:        make([]float64, n*n),
-		pruneGamma:    math.Inf(1),
 	}
 	if opts.SparseEps > 0 {
 		pr.sparseEps = opts.SparseEps
@@ -302,34 +275,17 @@ func newProblem(eval *cost.Evaluator, opts Options) *problem {
 			pr.p.TrackSupport(opts.SparseCut)
 		}
 	}
-	pr.cdf = stochmat.NewRowCDF(pr.p)
 	pr.alias = stochmat.NewAliasTable(pr.p)
 	for i := range pr.prevArgmax {
 		pr.prevArgmax[i] = -1
 	}
-	pr.samplers.New = func() any { return stochmat.NewSampler(n) }
 	pr.scratch.New = func() any {
-		buf := make([]float64, eval.NumResources())
-		return &buf
-	}
-	pr.fused.New = func() any {
-		return &fusedState{
-			sampler: stochmat.NewSampler(n),
-			scorer:  cost.NewStreamScorer(eval),
-		}
+		return &drawScratch{sampler: stochmat.NewSampler(n), loads: make([]float64, eval.NumResources())}
 	}
 	if opts.SnapshotEvery > 0 {
 		pr.snapshots = append(pr.snapshots, Snapshot{Iter: 0, Matrix: pr.p.Clone()})
 	}
 	return pr
-}
-
-// refreshCDF re-derives the sampler's lookup tables (prefix sums and
-// alias) after p changed. Callers must ensure no sampling worker is
-// running concurrently.
-func (pr *problem) refreshCDF() {
-	pr.cdf.Rebuild(pr.p)
-	pr.alias.Rebuild(pr.p)
 }
 
 // applyWarmStart re-initialises P_0 with bias mass on the warm mapping's
@@ -359,7 +315,7 @@ func (pr *problem) applyWarmStart(warm cost.Mapping, bias float64) error {
 		// Replace the initial snapshot with the biased matrix.
 		pr.snapshots[0] = Snapshot{Iter: 0, Matrix: pr.p.Clone()}
 	}
-	pr.refreshCDF()
+	pr.alias.Rebuild(pr.p)
 	return nil
 }
 
@@ -369,16 +325,19 @@ func (pr *problem) NewSolution() []int { return make([]int, pr.n) }
 // Copy implements ce.Problem.
 func (pr *problem) Copy(dst, src []int) { copy(dst, src) }
 
-// Sample implements ce.Problem: one GenPerm draw from the current matrix.
-// It uses the same alias-accelerated fast sampler as SampleScore so the
-// fused and unfused paths consume identical RNG streams and stay
-// bit-for-bit interchangeable.
-func (pr *problem) Sample(rng *xrand.RNG, dst []int) error {
-	s := pr.samplers.Get().(*stochmat.Sampler)
-	err := s.SamplePermutationFast(pr.p, pr.cdf, pr.alias, rng, dst, nil)
-	pr.drainSamplerStats(s)
-	pr.samplers.Put(s)
-	return err
+// Sample implements ce.Problem: one GenPerm draw from the current matrix
+// through the alias table, scored by the application execution time
+// (eqs. 1-2).
+func (pr *problem) Sample(rng *xrand.RNG, dst []int) (float64, error) {
+	ds := pr.scratch.Get().(*drawScratch)
+	err := ds.sampler.SamplePermutation(pr.p, pr.alias, rng, dst)
+	pr.drainSamplerStats(ds.sampler)
+	var score float64
+	if err == nil {
+		score = pr.eval.ExecInto(dst, ds.loads)
+	}
+	pr.scratch.Put(ds)
+	return score, err
 }
 
 // drainSamplerStats moves a sampler's local draw counters into the shared
@@ -400,51 +359,14 @@ func (pr *problem) TakeSampleStats() ce.SampleStats {
 	return ce.SampleStats{
 		RejectTries:   pr.statRejectTries.Swap(0),
 		FallbackDraws: pr.statFallbackDraws.Swap(0),
-		SkippedEdges:  pr.statSkippedEdges.Swap(0),
 	}
 }
-
-// SampleScore implements ce.SampleScorer: one GenPerm draw scored in
-// place by a single gamma-pruned edge-list sweep (cost.ScoreMapping) —
-// each TIG edge is touched exactly once, half the memory traffic of a
-// placement-order adjacency walk, and provably over-threshold draws
-// return PrunedScore early. Sampling itself always runs to completion so
-// the RNG stream is identical with pruning on or off (see ce.GammaPruner).
-func (pr *problem) SampleScore(rng *xrand.RNG, dst []int) (float64, error) {
-	fs := pr.fused.Get().(*fusedState)
-	fs.scorer.SetGamma(pr.pruneGamma)
-	err := fs.sampler.SamplePermutationFast(pr.p, pr.cdf, pr.alias, rng, dst, nil)
-	score := fs.scorer.ScoreMapping(dst)
-	pr.drainSamplerStats(fs.sampler)
-	if skipped := fs.scorer.SkippedEdges(); skipped > 0 {
-		pr.statSkippedEdges.Add(uint64(skipped))
-	}
-	pr.fused.Put(fs)
-	if err != nil {
-		return 0, err
-	}
-	return score, nil
-}
-
-// SetPruneGamma implements ce.GammaPruner: install the elite threshold the
-// fused scorers prune against from the next iteration on. Called from the
-// CE loop's single-threaded update phase.
-func (pr *problem) SetPruneGamma(gamma float64) { pr.pruneGamma = gamma }
 
 // TakeBuildStats implements ce.BuildStatsProvider: per-iteration
-// lookup-table rebuild counters from the alias table's dirty-row tracking
-// (the CDF skips exactly the same rows). Called from the CE loop's
-// single-threaded update phase.
+// lookup-table rebuild counters from the alias table's dirty-row
+// tracking. Called from the CE loop's single-threaded update phase.
 func (pr *problem) TakeBuildStats() (rebuilt, skipped uint64) {
 	return pr.alias.TakeBuildStats()
-}
-
-// Score implements ce.Problem: the application execution time.
-func (pr *problem) Score(m []int) float64 {
-	buf := pr.scratch.Get().(*[]float64)
-	exec := pr.eval.ExecInto(cost.Mapping(m), *buf)
-	pr.scratch.Put(buf)
-	return exec
 }
 
 // Update implements ce.Problem: eq. (11) re-estimation + eq. (13)
@@ -484,7 +406,7 @@ func (pr *problem) Update(elite [][]int, zeta float64) error {
 		// Fused eq. (11)+(13) with truncation: each row updates over the
 		// union of its own support and the elite count support — O(nnz)
 		// for converged rows — and rows the update leaves bit-identical
-		// keep their version, so refreshCDF skips them below.
+		// keep their version, so the alias rebuild below skips them.
 		for i := 0; i < pr.n; i++ {
 			sup := pr.countSupIdx[i*pr.n : i*pr.n+int(pr.countSupLen[i])]
 			slices.Sort(sup)
@@ -502,7 +424,7 @@ func (pr *problem) Update(elite [][]int, zeta float64) error {
 			return err
 		}
 	}
-	pr.refreshCDF()
+	pr.alias.Rebuild(pr.p)
 
 	// eq. 12: track stability of each row's maximal element.
 	stable := true
@@ -567,18 +489,16 @@ func solveFromProblem(eval *cost.Evaluator, opts Options, init func(*problem) er
 		}
 	}
 	cfg := ce.Config{
-		SampleSize:      opts.SampleSize,
-		Rho:             opts.Rho,
-		Zeta:            opts.Zeta,
-		StallWindow:     opts.GammaStallWindow,
-		MaxIterations:   opts.MaxIterations,
-		Workers:         opts.Workers,
-		Seed:            opts.Seed,
-		Minimize:        true,
-		UnfusedScoring:  opts.UnfusedScoring,
-		UnprunedScoring: opts.UnprunedScoring,
-		Context:         opts.Context,
-		OnIteration:     opts.OnIteration,
+		SampleSize:    opts.SampleSize,
+		Rho:           opts.Rho,
+		Zeta:          opts.Zeta,
+		StallWindow:   opts.GammaStallWindow,
+		MaxIterations: opts.MaxIterations,
+		Workers:       opts.Workers,
+		Seed:          opts.Seed,
+		Minimize:      true,
+		Context:       opts.Context,
+		OnIteration:   opts.OnIteration,
 	}
 
 	// Periodic checkpoint export: track the incumbent via the improve hook

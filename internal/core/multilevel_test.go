@@ -16,7 +16,7 @@ import (
 // projected mapping, and a final Exec in the same quality class as the
 // single-level solver.
 func TestMultilevelSolveSmall(t *testing.T) {
-	eval := fusedTestEval(t, 42, 64)
+	eval := paperEval(t, 42, 64)
 	opts := Options{Seed: 7, Workers: 1, MaxIterations: 200,
 		Multilevel: &MultilevelOptions{MinCoarse: 16}}
 	res, err := Solve(eval, opts)
@@ -58,7 +58,7 @@ func TestMultilevelSolveSmall(t *testing.T) {
 	// Quality: within 2x of the single-level solver on the same instance
 	// (typically within a few percent; the loose bound keeps the test
 	// robust across seeds).
-	single, err := Solve(fusedTestEval(t, 42, 64), Options{Seed: 7, Workers: 1, MaxIterations: 200})
+	single, err := Solve(paperEval(t, 42, 64), Options{Seed: 7, Workers: 1, MaxIterations: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestMultilevelSolveSmall(t *testing.T) {
 // and identical per-level stats (modulo wall-clock fields).
 func TestMultilevelDeterminism(t *testing.T) {
 	run := func() *Result {
-		eval := fusedTestEval(t, 11, 48)
+		eval := paperEval(t, 11, 48)
 		res, err := Solve(eval, Options{Seed: 3, Workers: 4, MaxIterations: 150,
 			Multilevel: &MultilevelOptions{MinCoarse: 12}})
 		if err != nil {
@@ -102,7 +102,7 @@ func TestMultilevelDeterminism(t *testing.T) {
 // TestMultilevelTinyInstanceNoLadder: an instance already at or below
 // MinCoarse must solve without coarsening (one level, no refinement).
 func TestMultilevelTinyInstanceNoLadder(t *testing.T) {
-	eval := fusedTestEval(t, 5, 10)
+	eval := paperEval(t, 5, 10)
 	res, err := Solve(eval, Options{Seed: 2, Workers: 1, MaxIterations: 100,
 		Multilevel: &MultilevelOptions{MinCoarse: 16}})
 	if err != nil {
@@ -123,7 +123,7 @@ func TestMultilevelTinyInstanceNoLadder(t *testing.T) {
 func TestSparseDenseDifferential(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 23} {
 		solve := func(cut int) *Result {
-			eval := fusedTestEval(t, 42, 24)
+			eval := paperEval(t, 42, 24)
 			res, err := Solve(eval, Options{Seed: seed, Workers: 1, MaxIterations: 120,
 				SparseEps: 1e-4, SparseCut: cut})
 			if err != nil {
@@ -154,7 +154,7 @@ func TestSparseDenseDifferential(t *testing.T) {
 // become exact fixed points and the lookup-table rebuild must start
 // skipping them — the telemetry that proves the O(nnz) claim.
 func TestSparseUpdateSkipsRows(t *testing.T) {
-	eval := fusedTestEval(t, 42, 32)
+	eval := paperEval(t, 42, 32)
 	res, err := Solve(eval, Options{Seed: 9, Workers: 1, MaxIterations: 300, SparseEps: 1e-4})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestSparseUpdateSkipsRows(t *testing.T) {
 // ladder with the sparse update at the coarse level — must produce a
 // valid, deterministic solve.
 func TestMultilevelSparseCombined(t *testing.T) {
-	eval := fusedTestEval(t, 13, 64)
+	eval := paperEval(t, 13, 64)
 	res, err := Solve(eval, Options{Seed: 5, Workers: 1, MaxIterations: 200, SparseEps: 1e-4,
 		Multilevel: &MultilevelOptions{MinCoarse: 16}})
 	if err != nil {

@@ -32,7 +32,7 @@ func LowerBound(e *Evaluator) float64 {
 	}
 	lb1 := 0.0 // total cheapest compute spread perfectly
 	lb2 := 0.0 // heaviest task on its cheapest resource
-	minCompute := PerTaskMinCompute(e)
+	minCompute := perTaskMinCompute(e)
 	for _, best := range minCompute {
 		lb1 += best
 		if best > lb2 {
@@ -66,12 +66,11 @@ func LowerBound(e *Evaluator) float64 {
 	return math.Max(lb1, math.Max(lb2, lb3))
 }
 
-// PerTaskMinCompute returns min_s Tcp[t][s] for every task t — the
+// perTaskMinCompute returns min_s Tcp[t][s] for every task t — the
 // cheapest possible compute charge each task adds to *some* resource under
 // any mapping. It is the per-task floor all three LowerBound relaxations
-// build on, exported separately so the gamma-pruned streaming scorer can
-// derive its remaining-work bound from the same quantity.
-func PerTaskMinCompute(e *Evaluator) []float64 {
+// build on.
+func perTaskMinCompute(e *Evaluator) []float64 {
 	minCompute := make([]float64, e.n)
 	for t := 0; t < e.n; t++ {
 		best := math.Inf(1)

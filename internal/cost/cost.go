@@ -83,9 +83,9 @@ type Evaluator struct {
 	// link is the platform's dense link-cost matrix, aliased.
 	link []float64
 	// edges is the TIG edge list packed to 16 bytes per edge (int32
-	// endpoints beside the weight): the scoring sweeps stream it once per
-	// draw, so halving its footprint against graph.Edge's 24 bytes cuts
-	// the cache traffic of the hottest loop in the solver.
+	// endpoints beside the weight): Loads streams it once per draw, so
+	// halving its footprint against graph.Edge's 24 bytes cuts the cache
+	// traffic of the hottest loop in the solver.
 	edges []packedEdge
 }
 
@@ -108,9 +108,9 @@ func NewEvaluator(tig *graph.TIG, platform *graph.ResourceGraph) (*Evaluator, er
 	if !platform.FullyLinked() {
 		return nil, fmt.Errorf("cost: platform %q is not fully linked; call CloseLinks first", platform.Name)
 	}
-	// The fused scoring path walks adjacency lists from concurrent
-	// sampling workers; build the CSR arrays up front so those calls
-	// never trigger the (single-threaded) lazy rebuild.
+	// CommTime and the incremental State walk adjacency lists, possibly
+	// from concurrent workers; build the CSR arrays up front so those
+	// calls never trigger the (single-threaded) lazy rebuild.
 	tig.BuildAdjacency()
 	n, r := tig.NumTasks(), platform.NumResources()
 	e := &Evaluator{
@@ -167,6 +167,11 @@ func (e *Evaluator) CommTime(t int, m Mapping) float64 {
 // dst when it has capacity (dst may be nil). The per-edge communication
 // cost is charged to both endpoints' resources, exactly as eq. (1) sums
 // over the tasks assigned to each resource.
+//
+// The edge sweep is branch-free: a co-located edge multiplies by the link
+// matrix's zero diagonal, so both of its adds are exact no-ops — the same
+// sums as skipping it, without the data-dependent branch that mispredicts
+// on randomly drawn mappings (the CE hot path scores every draw here).
 func (e *Evaluator) Loads(m Mapping, dst []float64) []float64 {
 	if cap(dst) < e.r {
 		dst = make([]float64, e.r)
@@ -175,16 +180,15 @@ func (e *Evaluator) Loads(m Mapping, dst []float64) []float64 {
 	for i := range dst {
 		dst[i] = 0
 	}
+	r := e.r
 	for t := 0; t < e.n; t++ {
 		s := m[t]
-		dst[s] += e.tcp[t*e.r+s]
+		dst[s] += e.tcp[t*r+s]
 	}
+	link := e.link
 	for _, edge := range e.edges {
 		su, sv := m[edge.u], m[edge.v]
-		if su == sv {
-			continue
-		}
-		c := edge.w * e.link[su*e.r+sv]
+		c := edge.w * link[su*r+sv]
 		dst[su] += c
 		dst[sv] += c
 	}
@@ -192,7 +196,7 @@ func (e *Evaluator) Loads(m Mapping, dst []float64) []float64 {
 }
 
 // Exec returns the application execution time Exec(M) = max_s Exec_s(M),
-// eq. (2). It avoids materialising the full load vector.
+// eq. (2).
 func (e *Evaluator) Exec(m Mapping) float64 {
 	return e.ExecInto(m, nil)
 }

@@ -47,10 +47,6 @@ func TestZeroWeightTasksAreCommOnly(t *testing.T) {
 	if got := e.Exec(Mapping{0, 0, 0}); got != 0 {
 		t.Fatalf("co-located zero-weight Exec = %v, want 0", got)
 	}
-	ss := NewStreamScorer(e)
-	if got := ss.ScoreMapping([]int{0, 0, 0}); got != 0 {
-		t.Fatalf("ScoreMapping = %v, want 0", got)
-	}
 	// An isolated zero-weight task contributes nothing anywhere.
 	st, err := NewState(e, Mapping{0, 1, 2})
 	if err != nil {
@@ -73,21 +69,10 @@ func TestSingleTaskGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := NewStreamScorer(e)
 	for rs, want := range []float64{10, 15, 35} {
 		m := Mapping{rs}
 		if got := e.Exec(m); got != want {
 			t.Fatalf("Exec on resource %d = %v, want %v", rs, got, want)
-		}
-		if got := ss.ScoreMapping(m); got != want {
-			t.Fatalf("ScoreMapping on resource %d = %v, want %v", rs, got, want)
-		}
-		got, err := ss.Score(m)
-		if err != nil {
-			t.Fatalf("Score: %v", err)
-		}
-		if got != want {
-			t.Fatalf("Score on resource %d = %v, want %v", rs, got, want)
 		}
 		st, err := NewState(e, m)
 		if err != nil {
@@ -96,14 +81,6 @@ func TestSingleTaskGraph(t *testing.T) {
 		if got := st.Exec(); got != want {
 			t.Fatalf("State Exec on resource %d = %v, want %v", rs, got, want)
 		}
-	}
-	// Gamma pruning on a single task still tells the truth.
-	ss.SetGamma(12)
-	if got := ss.ScoreMapping(Mapping{0}); got != 10 {
-		t.Fatalf("unpruned single-task score = %v, want 10", got)
-	}
-	if got := ss.ScoreMapping(Mapping{2}); got != PrunedScore && got != 35 {
-		t.Fatalf("single-task score above gamma = %v, want pruned or 35", got)
 	}
 }
 
@@ -117,10 +94,6 @@ func TestTrueNOneInstance(t *testing.T) {
 	}
 	if got := e.Exec(Mapping{0}); got != 12 {
 		t.Fatalf("n=1 Exec = %v, want 12", got)
-	}
-	ss := NewStreamScorer(e)
-	if got := ss.ScoreMapping([]int{0}); got != 12 {
-		t.Fatalf("n=1 ScoreMapping = %v, want 12", got)
 	}
 	st, err := NewState(e, Mapping{0})
 	if err != nil {
@@ -148,7 +121,7 @@ func TestIsolatedTasksIgnoreLinkCosts(t *testing.T) {
 	if got := e.Exec(Mapping{0, 1, 2}); got != 8 {
 		t.Fatalf("edgeless Exec = %v, want 8", got)
 	}
-	if got := NewStreamScorer(e).ScoreMapping([]int{2, 1, 0}); got != 8 {
-		t.Fatalf("edgeless ScoreMapping = %v, want 8", got)
+	if got := e.Exec(Mapping{2, 1, 0}); got != 8 {
+		t.Fatalf("edgeless permuted Exec = %v, want 8", got)
 	}
 }

@@ -162,7 +162,7 @@ func (g *Undirected) TotalEdgeWeight() float64 {
 // BuildAdjacency eagerly (re)builds the CSR adjacency arrays. Neighbors
 // and Degree build them lazily on first use, which is not safe to trigger
 // from multiple goroutines; code that shares a finished graph across
-// goroutines (the fused CE sampling workers do) must call BuildAdjacency
+// goroutines (cost.Evaluator's concurrent callers do) must call BuildAdjacency
 // once beforehand, after which concurrent Neighbors calls are read-only.
 func (g *Undirected) BuildAdjacency() { g.ensureAdjacency() }
 

@@ -44,6 +44,44 @@ func instanceJSON(t *testing.T, seed uint64, n int) []byte {
 	return buf.Bytes()
 }
 
+// TestSubmitAcceptsUnprunedScoring: older clients still send
+// "unpruned_scoring": true. The daemon must accept it, solve normally, and
+// answer with the same result and content address as a submission
+// without it.
+func TestSubmitAcceptsUnprunedScoring(t *testing.T) {
+	c, m := newTestServer(t, jobs.Options{Workers: 1})
+	ctx := context.Background()
+	inst := instanceJSON(t, 6, 10)
+	legacy, err := c.Submit(ctx, api.SubmitRequest{
+		Instance: inst, Solver: api.SolverMaTCH,
+		Options: api.SolverOptions{Seed: 3, Workers: 1, UnprunedScoring: true},
+	})
+	if err != nil {
+		t.Fatalf("Submit with unpruned_scoring: %v", err)
+	}
+	final, err := c.Wait(ctx, legacy.ID, 5*time.Millisecond)
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	if final.State != api.StateDone {
+		t.Fatalf("job ended %q (error %q), want done", final.State, final.Error)
+	}
+	plain, err := c.Submit(ctx, api.SubmitRequest{
+		Instance: inst, Solver: api.SolverMaTCH,
+		Options: api.SolverOptions{Seed: 3, Workers: 1},
+	})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if plain.Key != legacy.Key || !plain.CacheHit {
+		t.Fatalf("plain resubmission key=%s cacheHit=%v, want key %s and a cache hit",
+			plain.Key, plain.CacheHit, legacy.Key)
+	}
+	if got := m.Stats().SolvesTotal; got != 1 {
+		t.Fatalf("solver ran %d times, want 1", got)
+	}
+}
+
 // TestHTTPRoundTrip drives the full protocol through the public client:
 // submit, poll, result, and determinism against a direct library call.
 func TestHTTPRoundTrip(t *testing.T) {

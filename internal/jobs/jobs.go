@@ -196,11 +196,8 @@ type managerMetrics struct {
 
 	iterations    *telemetry.Counter
 	draws         *telemetry.Counter
-	pruned        *telemetry.Counter
-	rescored      *telemetry.Counter
 	rejectTries   *telemetry.Counter
 	fallbackDraws *telemetry.Counter
-	skippedEdges  *telemetry.Counter
 	rebuiltRows   *telemetry.Counter
 	skippedRows   *telemetry.Counter
 	stealUnits    *telemetry.Counter
@@ -234,11 +231,8 @@ func newManagerMetrics(reg *telemetry.Registry) *managerMetrics {
 
 		iterations:    reg.Counter("matchd_solver_iterations_total", "CE iterations / GA generations executed."),
 		draws:         reg.Counter("matchd_solver_draws_total", "Solution samples drawn by the CE solvers."),
-		pruned:        reg.Counter("matchd_solver_pruned_draws_total", "Draws whose scoring was cut short by the elite threshold."),
-		rescored:      reg.Counter("matchd_solver_rescored_draws_total", "Pruned draws re-scored exactly by the rescue path."),
 		rejectTries:   reg.Counter("matchd_solver_reject_tries_total", "GenPerm rejection-sampling misses."),
 		fallbackDraws: reg.Counter("matchd_solver_fallback_draws_total", "GenPerm draws resolved through the compact fallback."),
-		skippedEdges:  reg.Counter("matchd_solver_skipped_edges_total", "TIG edges the gamma-pruned scorer never accumulated."),
 		rebuiltRows:   reg.Counter("matchd_solver_rebuilt_rows_total", "Sampling-table rows rebuilt by distribution updates."),
 		skippedRows:   reg.Counter("matchd_solver_skipped_rows_total", "Sampling-table row rebuilds skipped because the row was unchanged."),
 		stealUnits:    reg.Counter("matchd_solver_steal_units_total", "Sampling work units claimed beyond an even per-worker share."),
@@ -264,11 +258,8 @@ func (m *Manager) observeIteration(tr matchsim.IterationTrace, traceID string) {
 	mm := m.metrics
 	mm.iterations.Inc()
 	mm.draws.AddUint(uint64(tr.Draws))
-	mm.pruned.AddUint(uint64(tr.Pruned))
-	mm.rescored.AddUint(uint64(tr.Rescored))
 	mm.rejectTries.AddUint(tr.RejectTries)
 	mm.fallbackDraws.AddUint(tr.FallbackDraws)
-	mm.skippedEdges.AddUint(tr.SkippedEdges)
 	mm.rebuiltRows.AddUint(tr.RebuiltRows)
 	mm.skippedRows.AddUint(tr.SkippedRows)
 	mm.stealUnits.AddUint(uint64(tr.StealUnits))
@@ -354,8 +345,11 @@ func buildRevision() string {
 // Key computes the content address of a submission: a SHA-256 over the
 // canonical re-marshalled instance (so formatting and field-order noise in
 // the client's JSON does not defeat caching), the solver name and the
-// options document.
+// options document. Options that no longer affect the solve
+// (UnprunedScoring, accepted on the wire and ignored) are cleared first,
+// so submissions differing only in them share one cache entry and route.
 func Key(p *matchsim.Problem, solver string, opts api.SolverOptions) (string, error) {
+	opts.UnprunedScoring = false
 	var canonical bytes.Buffer
 	if err := p.WriteInstance(&canonical); err != nil {
 		return "", err
@@ -819,11 +813,8 @@ func traceEvent(e api.Event) trace.Event {
 		BestSoFar:     e.BestSoFar,
 		Elite:         e.Elite,
 		Draws:         e.Draws,
-		Pruned:        e.Pruned,
-		Rescored:      e.Rescored,
 		RejectTries:   e.RejectTries,
 		FallbackDraws: e.FallbackDraws,
-		SkippedEdges:  e.SkippedEdges,
 		RebuiltRows:   e.RebuiltRows,
 		SkippedRows:   e.SkippedRows,
 		SampleNs:      e.SampleNs,
@@ -884,7 +875,6 @@ func (m *Manager) runJob(j *job) {
 				"gamma", telemetryFloat(tr.Gamma),
 				"best_so_far", telemetryFloat(tr.BestSoFar),
 				"draws", strconv.Itoa(tr.Draws),
-				"pruned", strconv.Itoa(tr.Pruned),
 				"sample_ns", strconv.FormatInt(tr.SampleNs, 10),
 				"select_ns", strconv.FormatInt(tr.SelectNs, 10),
 				"update_ns", strconv.FormatInt(tr.UpdateNs, 10))
@@ -900,11 +890,8 @@ func (m *Manager) runJob(j *job) {
 			BestSoFar:     tr.BestSoFar,
 			Elite:         tr.EliteCount,
 			Draws:         tr.Draws,
-			Pruned:        tr.Pruned,
-			Rescored:      tr.Rescored,
 			RejectTries:   tr.RejectTries,
 			FallbackDraws: tr.FallbackDraws,
-			SkippedEdges:  tr.SkippedEdges,
 			RebuiltRows:   tr.RebuiltRows,
 			SkippedRows:   tr.SkippedRows,
 			SampleNs:      tr.SampleNs,

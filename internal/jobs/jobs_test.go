@@ -116,6 +116,41 @@ func TestSubmitSolveAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestKeyOptions pins which option differences change a submission's
+// content address: real solver knobs do, options the solver ignores
+// (unpruned_scoring, accepted on the wire for older clients) do not.
+func TestKeyOptions(t *testing.T) {
+	p, err := matchsim.ReadProblem(bytes.NewReader(instanceJSON(t, 3, 10)))
+	if err != nil {
+		t.Fatalf("ReadProblem: %v", err)
+	}
+	base := api.SolverOptions{Seed: 9, Workers: 1}
+	baseKey, err := Key(p, api.SolverMaTCH, base)
+	if err != nil {
+		t.Fatalf("Key: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*api.SolverOptions)
+		same bool
+	}{
+		{"identical", func(*api.SolverOptions) {}, true},
+		{"unpruned_scoring is ignored", func(o *api.SolverOptions) { o.UnprunedScoring = true }, true},
+		{"seed changes the key", func(o *api.SolverOptions) { o.Seed = 10 }, false},
+		{"iteration cap changes the key", func(o *api.SolverOptions) { o.MaxIterations = 5 }, false},
+	} {
+		opts := base
+		c.edit(&opts)
+		key, err := Key(p, api.SolverMaTCH, opts)
+		if err != nil {
+			t.Fatalf("%s: Key: %v", c.name, err)
+		}
+		if (key == baseKey) != c.same {
+			t.Errorf("%s: key equal to base = %v, want %v", c.name, key == baseKey, c.same)
+		}
+	}
+}
+
 // TestCacheHit checks that an identical resubmission is answered from the
 // result cache: done immediately, zero new solver runs, same mapping.
 func TestCacheHit(t *testing.T) {

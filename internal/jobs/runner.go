@@ -31,7 +31,6 @@ func (m *Manager) solve(ctx context.Context, j *job, onIter func(matchsim.Iterat
 			Workers:          o.Workers,
 			Seed:             o.Seed,
 			Polish:           o.Polish,
-			UnprunedScoring:  o.UnprunedScoring,
 			SparseEps:        o.SparseEps,
 			SparseCut:        o.SparseCut,
 			Context:          ctx,
@@ -113,7 +112,6 @@ func (m *Manager) solve(ctx context.Context, j *job, onIter func(matchsim.Iterat
 			MaxIterations:    o.MaxIterations,
 			Workers:          o.Workers,
 			Seed:             o.Seed,
-			UnprunedScoring:  o.UnprunedScoring,
 			Context:          ctx,
 			OnIteration:      onIter,
 		})

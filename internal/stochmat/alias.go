@@ -8,8 +8,8 @@ import (
 
 // AliasTable holds a Walker/Vose alias structure for every row of a
 // Matrix, giving O(1) categorical draws from the full (unmasked) row
-// distribution — the fast path of the GenPerm rejection sampler, replacing
-// the O(log n) binary search over RowCDF. Like RowCDF it is rebuilt once
+// distribution — the fast path of the GenPerm rejection sampler and the
+// whole draw of the unconstrained many-to-one sampler. It is rebuilt once
 // per CE iteration (after the eq. 13 smoothing update) and then read
 // concurrently by every sampling worker; the per-row build is amortised
 // over the N = 2n^2 draws of the iteration.
@@ -34,11 +34,6 @@ import (
 // the slot's own column and its alias. Columns with zero probability
 // receive zero slot mass and are never aliased to, so they are never
 // drawn.
-//
-// The alias method resolves the same distribution as the inverse-CDF
-// search but maps uniform variates to columns differently, so switching a
-// sampler between the two changes its draw stream (not its distribution);
-// see the package EXPERIMENTS notes on seed-stream compatibility.
 type AliasTable struct {
 	rows, cols int
 	slots      []aliasSlot // slots[i*cols+j]: live slot j of row i
@@ -87,8 +82,7 @@ func (a *AliasTable) Rows() int { return a.rows }
 func (a *AliasTable) Cols() int { return a.cols }
 
 // RowTotal returns the total weight of row i as accumulated during the
-// build — the same left-to-right sum the CDF path's last prefix entry
-// holds, used to detect (numerically) empty rows.
+// build (a left-to-right sum), used to detect (numerically) empty rows.
 func (a *AliasTable) RowTotal(i int) float64 { return a.total[i] }
 
 // TakeBuildStats returns the number of rows rebuilt and skipped by
@@ -103,8 +97,9 @@ func (a *AliasTable) TakeBuildStats() (rebuilt, skipped uint64) {
 // Rebuild refreshes the table from m, reallocating only on shape change
 // and rebuilding only rows whose version changed since the last Rebuild
 // from the same matrix. It must not run concurrently with readers; the CE
-// loop calls it from the single-threaded Update step, right after
-// RowCDF.Rebuild.
+// loop calls it from the single-threaded Update step. Rebuild reads m.ID,
+// whose lazy assignment is not goroutine-safe, so only the goroutine that
+// owns m may call it.
 func (a *AliasTable) Rebuild(m *Matrix) {
 	fresh := false
 	if a.rows != m.rows || a.cols != m.cols {

@@ -42,7 +42,7 @@ func TestAliasSampleFrequencies(t *testing.T) {
 
 // TestAliasZeroWeightNeverDrawn: zero-probability columns receive no slot
 // mass and no alias points at them, so they must never come out — the
-// property SamplePermutationFast's inlined alias path relies on when it
+// property SamplePermutation's inlined alias path relies on when it
 // skips the row-weight re-check.
 func TestAliasZeroWeightNeverDrawn(t *testing.T) {
 	m, err := NewFromRows([][]float64{{5, 0, 3, 0, 2}})

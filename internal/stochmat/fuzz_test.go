@@ -1,14 +1,17 @@
-package stochmat
+package stochmat_test
 
 import (
 	"testing"
 
+	"matchsim/internal/stochmat"
+	"matchsim/internal/verify"
 	"matchsim/internal/xrand"
 )
 
-// FuzzSamplePermutation asserts GenPerm always emits valid permutations
-// from arbitrary (fuzzer-driven) stochastic matrices, including extreme
-// spiky and near-degenerate shapes.
+// FuzzSamplePermutation asserts the production GenPerm sampler always
+// emits valid permutations from arbitrary (fuzzer-driven) stochastic
+// matrices, including extreme spiky rows and one-hot rows whose columns
+// collide (which force the uniform fallback).
 func FuzzSamplePermutation(f *testing.F) {
 	f.Add(uint8(5), uint64(1), false)
 	f.Add(uint8(1), uint64(2), true)
@@ -19,6 +22,11 @@ func FuzzSamplePermutation(f *testing.F) {
 		rows := make([][]float64, n)
 		for i := range rows {
 			rows[i] = make([]float64, n)
+			if spiky && rng.Bool(0.3) {
+				// One-hot row; with n small, several collide.
+				rows[i][rng.Intn(n)] = 1
+				continue
+			}
 			for j := range rows[i] {
 				switch {
 				case spiky && rng.Bool(0.8):
@@ -32,22 +40,19 @@ func FuzzSamplePermutation(f *testing.F) {
 			// Guarantee positive mass.
 			rows[i][rng.Intn(n)] += 1
 		}
-		m, err := NewFromRows(rows)
+		m, err := stochmat.NewFromRows(rows)
 		if err != nil {
 			t.Fatalf("constructed rows rejected: %v", err)
 		}
-		s := NewSampler(n)
+		at := stochmat.NewAliasTable(m)
+		s := stochmat.NewSampler(n)
 		dst := make([]int, n)
 		for k := 0; k < 5; k++ {
-			if err := s.SamplePermutation(m, rng, dst); err != nil {
+			if err := s.SamplePermutation(m, at, rng, dst); err != nil {
 				t.Fatalf("sampling failed: %v", err)
 			}
-			seen := make([]bool, n)
-			for _, v := range dst {
-				if v < 0 || v >= n || seen[v] {
-					t.Fatalf("non-permutation draw %v", dst)
-				}
-				seen[v] = true
+			if err := verify.CheckPermutation(dst); err != nil {
+				t.Fatalf("draw %v: %v", dst, err)
 			}
 		}
 	})

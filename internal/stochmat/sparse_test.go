@@ -252,29 +252,6 @@ func TestAliasCompactedZeroRows(t *testing.T) {
 	}
 }
 
-// TestRowCDFRebuildSkipsUnchangedRows: the prefix-sum table shares the
-// dirty-row tracking; a skipped row keeps serving correct sums.
-func TestRowCDFRebuildSkipsUnchangedRows(t *testing.T) {
-	m := NewUniform(8, 8)
-	cdf := NewRowCDF(m)
-	want := cdf.Row(3)[7]
-	row := make([]float64, 8)
-	row[5] = 2
-	if err := m.SetRow(6, row); err != nil {
-		t.Fatal(err)
-	}
-	cdf.Rebuild(m)
-	if got := cdf.Row(3)[7]; got != want {
-		t.Fatalf("untouched row's total changed: %v -> %v", want, got)
-	}
-	if got := cdf.Row(6)[7]; got != 1 {
-		t.Fatalf("rebuilt row total %v, want 1", got)
-	}
-	if j := cdf.SearchRow(6, 0.5); j != 5 {
-		t.Fatalf("SearchRow on rebuilt one-hot row returned %d, want 5", j)
-	}
-}
-
 // TestCloneIndependentVersions: a clone must carry its own identity so
 // tables built from the original fully rebuild against the clone.
 func TestCloneIndependentVersions(t *testing.T) {

@@ -9,7 +9,9 @@
 //
 // The kernel also provides the masked row sampling that GenPerm (Fig. 4)
 // needs: drawing from a row restricted to the still-unassigned resources,
-// which is equivalent to zeroing assigned columns and renormalising.
+// which is equivalent to zeroing assigned columns and renormalising. The
+// draws go through a per-iteration alias table (AliasTable), one sampler
+// for every CE solver.
 package stochmat
 
 import (
@@ -33,7 +35,7 @@ type Matrix struct {
 	p          []float64
 
 	// id and version implement the change tracking that lets the
-	// per-iteration lookup-table rebuilds (RowCDF, AliasTable) skip rows
+	// per-iteration alias-table rebuilds (AliasTable) skip rows
 	// the eq. (13) update left bit-identical. id is assigned lazily (see
 	// ID); version is allocated lazily on first mutation, every row
 	// implicitly at version 1 until then.
@@ -503,33 +505,31 @@ func (m *Matrix) EliteUpdateRow(i int, counts []float64, countSup []int32, zeta,
 	return changed, nil
 }
 
-// Sampler draws permutations (or partial assignments) from a Matrix with
-// per-row masking — the inner operation of GenPerm. One Sampler holds the
-// scratch buffers for one goroutine; create one per worker and reuse it
-// across draws to stay allocation-free in the hot loop.
+// Sampler draws GenPerm permutations (paper Fig. 4) from a Matrix through
+// its per-iteration AliasTable. One Sampler holds the scratch buffers for
+// one goroutine; create one per worker and reuse it across draws to stay
+// allocation-free in the hot loop.
 type Sampler struct {
-	cols    int
-	masked  []bool    // columns already assigned in the current draw
-	scratch []float64 // masked row copy / compact prefix sums
-	order   []int     // task visiting order buffer
-	free    []int     // unassigned columns (compact, swap-removed)
-	pos     []int     // pos[col] = index of col in free
-	fen     *Fenwick  // lazily allocated, for SamplePermutationFenwick
+	cols   int
+	masked []bool // columns already assigned in the current draw
+	order  []int  // task visiting order buffer
+	free   []int  // unassigned columns (compact, swap-removed)
+	pos    []int  // pos[col] = index of col in free
 
-	// stats accumulates draw telemetry (SamplePermutationFast only). The
-	// counters are plain uint64s — a Sampler is single-goroutine scratch —
-	// and drain via TakeStats, so callers can attribute them per draw.
+	// stats accumulates draw telemetry. The counters are plain uint64s — a
+	// Sampler is single-goroutine scratch — and drain via TakeStats, so
+	// callers can attribute them per draw.
 	stats SampleStats
 }
 
-// SampleStats counts the sampling work SamplePermutationFast performed:
-// how often the rejection fast path missed and how often a task fell
-// through to the exact compact draw — the acceptance signals the CE
-// tutorial's diagnostics watch (a converged matrix rejects almost never,
-// a crowded one falls back almost always).
+// SampleStats counts the sampling work SamplePermutation performed: how
+// often the rejection fast path missed and how often a task fell through
+// to the exact compact draw — the acceptance signals the CE tutorial's
+// diagnostics watch (a converged matrix rejects almost never, a crowded
+// one falls back almost always).
 type SampleStats struct {
 	// RejectTries counts rejected fast-path tries: draws from the full-row
-	// alias/CDF distribution that landed on an already-assigned column and
+	// alias distribution that landed on an already-assigned column and
 	// were thrown away.
 	RejectTries uint64
 	// FallbackDraws counts task assignments that exhausted the rejection
@@ -547,99 +547,21 @@ func (s *Sampler) TakeStats() SampleStats {
 // NewSampler returns a sampler for matrices with the given column count.
 func NewSampler(cols int) *Sampler {
 	return &Sampler{
-		cols:    cols,
-		masked:  make([]bool, cols),
-		scratch: make([]float64, cols),
-		order:   make([]int, 0, cols),
-		free:    make([]int, cols),
-		pos:     make([]int, cols),
+		cols:   cols,
+		masked: make([]bool, cols),
+		order:  make([]int, 0, cols),
+		free:   make([]int, cols),
+		pos:    make([]int, cols),
 	}
 }
 
-// SamplePermutation draws one bijective mapping from m following GenPerm
-// (paper Fig. 4): visit tasks in a fresh uniformly random order; for each
-// task draw a resource from its row restricted to unassigned columns
-// (zeroing assigned columns and renormalising); mark the drawn column
-// assigned. dst must have length m.Rows(); the draw is written there.
-//
-// If a task's row has zero remaining mass (all its probability sits on
-// already-assigned columns), the draw falls back to a uniform choice among
-// the unassigned columns — the natural completion the paper leaves
-// implicit, needed once rows become nearly degenerate.
-func (s *Sampler) SamplePermutation(m *Matrix, rng *xrand.RNG, dst []int) error {
-	if err := s.checkSquare(m, dst); err != nil {
-		return err
-	}
-	s.beginDraw(m.rows, rng)
-	remaining := m.cols
-	for _, task := range s.order {
-		choice, err := s.maskedDraw(m, task, rng, remaining)
-		if err != nil {
-			return err
-		}
-		dst[task] = choice
-		s.masked[choice] = true
-		remaining--
-	}
-	return nil
-}
-
-// SamplePermutationFenwick is SamplePermutation with the per-task
-// roulette walk replaced by an O(log n) Fenwick-tree descent. It consumes
-// exactly the same RNG variates as the linear sampler and produces the
-// same permutation stream (the descent resolves the same inverse-CDF
-// query the walk does), so the two are interchangeable; the linear path
-// is retained as the reference implementation and for cross-checking.
-func (s *Sampler) SamplePermutationFenwick(m *Matrix, rng *xrand.RNG, dst []int) error {
-	if err := s.checkSquare(m, dst); err != nil {
-		return err
-	}
-	if s.fen == nil || s.fen.Len() != s.cols {
-		s.fen = NewFenwick(s.cols)
-	}
-	s.beginDraw(m.rows, rng)
-	remaining := m.cols
-	for _, task := range s.order {
-		row := m.Row(task)
-		total := 0.0
-		for j := 0; j < m.cols; j++ {
-			if s.masked[j] {
-				s.scratch[j] = 0
-			} else {
-				s.scratch[j] = row[j]
-				total += row[j]
-			}
-		}
-		var choice int
-		if total > 1e-300 {
-			s.fen.Build(s.scratch)
-			// Use the linearly accumulated total (not the tree's) so the
-			// draw value x is bit-identical to the linear sampler's.
-			choice = s.fen.Find(rng.Float64() * total)
-			if choice < 0 || s.masked[choice] {
-				return fmt.Errorf("stochmat: internal error, Fenwick descent picked masked column %d", choice)
-			}
-		} else {
-			var err error
-			choice, err = s.uniformUnmasked(rng, remaining)
-			if err != nil {
-				return err
-			}
-		}
-		dst[task] = choice
-		s.masked[choice] = true
-		remaining--
-	}
-	return nil
-}
-
-// fastSampleMaxRejects is the rejection budget of SamplePermutationFast
-// before it falls back to the exact O(remaining) compact draw. A small
-// fixed cap measures best: on a converged (near-degenerate) matrix the
-// first try almost always lands, and on a near-uniform one a larger
-// budget just burns extra RNG draws on tries whose acceptance probability
-// the fallback's compact walk beats anyway — the late-draw fallbacks sum
-// to well under the edge-scoring work per draw.
+// maxRejects is the rejection budget of SamplePermutation before it falls
+// back to the exact O(remaining) compact draw. A small fixed cap measures
+// best: on a converged (near-degenerate) matrix the first try almost
+// always lands, and on a near-uniform one a larger budget just burns extra
+// RNG draws on tries whose acceptance probability the fallback's compact
+// walk beats anyway — the late-draw fallbacks sum to well under the
+// edge-scoring work per draw.
 //
 // The effective budget additionally adapts *within* a draw: after a task
 // exhausts its tries without a hit, subsequent tasks get a single try
@@ -649,46 +571,43 @@ func (s *Sampler) SamplePermutationFenwick(m *Matrix, rng *xrand.RNG, dst []int)
 // converged matrix the single try still hits nearly always and instantly
 // restores the full budget. The draw-local state keeps sampling
 // deterministic for a fixed RNG stream.
-const fastSampleMaxRejects = 3
+const maxRejects = 3
 
-// SamplePermutationFast draws one GenPerm permutation using the shared
-// per-row lookup tables built once per CE iteration from the same matrix
-// m: the alias table at (when non-nil) or the prefix-sum table cdf. Each
-// task first tries rejection from its full-row distribution — an O(1)
-// alias draw, or an O(log n) binary search over the CDF when no alias
-// table is supplied — redrawing when the sampled column is already
-// assigned. After fastSampleMaxRejects misses it
-// switches to the exact masked draw, evaluated compactly over the
-// unassigned columns only —
-// O(remaining) via a swap-removed free list, not O(n) over the full row.
-// A near-degenerate matrix resolves almost every task on the first try;
-// a near-uniform one degrades to the compact draw whose total cost over a
-// whole permutation is O(n^2/2) simple accumulations — still about half
-// the linear reference's work, with no per-column masking branches. Both
-// regimes beat the O(n^2) reference walk by 2-3x at n = 64.
+// SamplePermutation draws one bijective mapping from m following GenPerm
+// (paper Fig. 4): visit tasks in a fresh uniformly random order; for each
+// task draw a resource from its row restricted to unassigned columns
+// (zeroing assigned columns and renormalising); mark the drawn column
+// assigned. at must be the alias table of m (rebuilt after every change
+// to m); dst must have length m.Rows() and receives the draw.
 //
-// The rejection loop consumes a variable number of RNG variates, and the
-// alias method maps each variate to a different column than the
-// inverse-CDF search would, so the fast stream differs from the
-// linear/Fenwick stream and the alias stream differs from the CDF stream.
-// Within one configuration, draws remain fully deterministic for a fixed
-// RNG stream. Exactly one of at and cdf may be nil.
+// Each task first tries rejection from its full-row distribution — an
+// O(1) alias draw, redrawn when the sampled column is already assigned.
+// After maxRejects misses it switches to the exact masked draw, evaluated
+// compactly over the unassigned columns only — O(remaining) via a
+// swap-removed free list, not O(n) over the full row. A near-degenerate
+// matrix resolves almost every task on the first try; a near-uniform one
+// degrades to the compact draw, whose total cost over a whole permutation
+// is O(n^2/2) simple accumulations. Rejection followed by the exact
+// masked draw samples exactly the GenPerm distribution (internal/verify
+// holds the linear reference walk the distribution tests compare against).
 //
-// onAssign, when non-nil, is invoked as each task is assigned — the hook
-// the fused sample-and-score path uses to accumulate the makespan while
-// the permutation is still being built.
-func (s *Sampler) SamplePermutationFast(m *Matrix, cdf *RowCDF, at *AliasTable, rng *xrand.RNG, dst []int, onAssign func(task, col int)) error {
+// If a task's row has zero remaining mass (all its probability sits on
+// already-assigned columns), the draw falls back to a uniform choice among
+// the unassigned columns — the natural completion the paper leaves
+// implicit, needed once rows become nearly degenerate.
+//
+// The rejection loop consumes a variable number of RNG variates, so the
+// draw stream is deterministic for a fixed RNG stream but differs from
+// the reference walk's.
+func (s *Sampler) SamplePermutation(m *Matrix, at *AliasTable, rng *xrand.RNG, dst []int) error {
 	if err := s.checkSquare(m, dst); err != nil {
 		return err
 	}
-	if at != nil {
-		if err := at.checkShape(m); err != nil {
-			return err
-		}
-	} else if cdf == nil {
-		return fmt.Errorf("stochmat: SamplePermutationFast needs an alias table or a CDF")
-	} else if cdf.rows != m.rows || cdf.cols != m.cols {
-		return fmt.Errorf("stochmat: CDF shape %dx%d for matrix %dx%d", cdf.rows, cdf.cols, m.rows, m.cols)
+	if at == nil {
+		return fmt.Errorf("stochmat: SamplePermutation needs the matrix's alias table")
+	}
+	if err := at.checkShape(m); err != nil {
+		return err
 	}
 	s.beginDraw(m.rows, rng)
 	free := s.free[:m.cols]
@@ -697,50 +616,36 @@ func (s *Sampler) SamplePermutationFast(m *Matrix, cdf *RowCDF, at *AliasTable, 
 		s.pos[j] = j
 	}
 	k := m.cols // unassigned column count
-	budget := fastSampleMaxRejects
+	budget := maxRejects
 	for _, task := range s.order {
 		choice := -1
-		if at != nil {
-			if at.total[task] > 1e-300 {
-				// Alias draws inlined: one uniform variate and at most
-				// two (adjacent-index) table reads per try. No
-				// row[j] > 0 re-check — the alias table gives
-				// zero-weight columns no slot mass, so they are never
-				// drawn, and re-reading the row would cost an extra
-				// random access per try. The table is support-compacted:
-				// nSup live slots covering the row's nonzero columns, so
-				// converged rows draw from O(nnz) slots. For strictly
-				// positive rows nSup == cols and the slot columns are the
-				// slot indices, so the draw stream is bit-identical to the
-				// uncompacted table's.
-				base := task * m.cols
-				nSup := int(at.supLen[task])
-				slots := at.slots[base : base+nSup]
-				for try := 0; try < budget; try++ {
-					u := rng.Float64() * float64(nSup)
-					j := int(u)
-					if j >= nSup { // unreachable for nSup < 2^52
-						j = nSup - 1
-					}
-					slot := slots[j]
-					col := int(slot.col)
-					if u-float64(j) >= slot.prob {
-						col = int(slot.alias)
-					}
-					if !s.masked[col] {
-						choice = col
-						break
-					}
-					s.stats.RejectTries++
-				}
-			}
-		} else if total := cdf.Row(task)[m.cols-1]; total > 1e-300 {
-			row := m.Row(task)
+		if at.total[task] > 1e-300 {
+			// Alias draws inlined: one uniform variate and at most two
+			// (adjacent-index) table reads per try. No row[j] > 0 re-check
+			// — the alias table gives zero-weight columns no slot mass, so
+			// they are never drawn, and re-reading the row would cost an
+			// extra random access per try. The table is support-compacted:
+			// nSup live slots covering the row's nonzero columns, so
+			// converged rows draw from O(nnz) slots. For strictly positive
+			// rows nSup == cols and the slot columns are the slot indices,
+			// so the draw stream is bit-identical to the uncompacted
+			// table's.
+			base := task * m.cols
+			nSup := int(at.supLen[task])
+			slots := at.slots[base : base+nSup]
 			for try := 0; try < budget; try++ {
-				x := rng.Float64() * total
-				j := cdf.SearchRow(task, x)
-				if j < m.cols && !s.masked[j] && row[j] > 0 {
-					choice = j
+				u := rng.Float64() * float64(nSup)
+				j := int(u)
+				if j >= nSup { // unreachable for nSup < 2^52
+					j = nSup - 1
+				}
+				slot := slots[j]
+				col := int(slot.col)
+				if u-float64(j) >= slot.prob {
+					col = int(slot.alias)
+				}
+				if !s.masked[col] {
+					choice = col
 					break
 				}
 				s.stats.RejectTries++
@@ -749,15 +654,13 @@ func (s *Sampler) SamplePermutationFast(m *Matrix, cdf *RowCDF, at *AliasTable, 
 		var freeIdx int
 		if choice >= 0 {
 			freeIdx = s.pos[choice]
-			budget = fastSampleMaxRejects
+			budget = maxRejects
 		} else {
 			budget = 1
 			s.stats.FallbackDraws++
-			// Exact masked draw over the unassigned columns only: one
-			// pass for the remaining mass, then a second that stops at
-			// the first prefix sum exceeding x — the same column the
-			// prefix-table binary search would select, for the same
-			// variate, without its stores or its unpredictable probes.
+			// Exact masked draw over the unassigned columns only: one pass
+			// for the remaining mass, then a second that stops at the first
+			// prefix sum exceeding x.
 			row := m.Row(task)
 			total := 0.0
 			for idx := 0; idx < k; idx++ {
@@ -792,15 +695,11 @@ func (s *Sampler) SamplePermutationFast(m *Matrix, cdf *RowCDF, at *AliasTable, 
 		last := free[k]
 		free[freeIdx] = last
 		s.pos[last] = freeIdx
-		if onAssign != nil {
-			onAssign(task, choice)
-		}
 	}
 	return nil
 }
 
-// checkSquare validates the shared preconditions of the permutation
-// samplers.
+// checkSquare validates the shape preconditions of SamplePermutation.
 func (s *Sampler) checkSquare(m *Matrix, dst []int) error {
 	if m.rows != m.cols {
 		return fmt.Errorf("stochmat: SamplePermutation on non-square %dx%d matrix", m.rows, m.cols)
@@ -824,42 +723,6 @@ func (s *Sampler) beginDraw(rows int, rng *xrand.RNG) {
 	}
 	s.order = s.order[:rows]
 	rng.PermInto(s.order)
-}
-
-// maskedDraw performs the exact masked categorical draw of GenPerm for
-// one task: zero assigned columns, renormalise by the remaining mass, and
-// fall back to a uniform choice among unassigned columns when the row has
-// (numerically) no mass left.
-func (s *Sampler) maskedDraw(m *Matrix, task int, rng *xrand.RNG, remaining int) (int, error) {
-	row := m.Row(task)
-	total := 0.0
-	for j := 0; j < m.cols; j++ {
-		if s.masked[j] {
-			s.scratch[j] = 0
-		} else {
-			s.scratch[j] = row[j]
-			total += row[j]
-		}
-	}
-	if total > 1e-300 {
-		return rng.CategoricalTotal(s.scratch, total), nil
-	}
-	return s.uniformUnmasked(rng, remaining)
-}
-
-// uniformUnmasked draws uniformly among the unassigned columns — the
-// degenerate fallback the paper leaves implicit.
-func (s *Sampler) uniformUnmasked(rng *xrand.RNG, remaining int) (int, error) {
-	k := rng.Intn(remaining)
-	for j := 0; j < s.cols; j++ {
-		if !s.masked[j] {
-			if k == 0 {
-				return j, nil
-			}
-			k--
-		}
-	}
-	return -1, fmt.Errorf("stochmat: internal error, no unassigned column left")
 }
 
 // String renders the matrix with fixed precision, one row per line —

@@ -229,13 +229,19 @@ func isPermutation(p []int) bool {
 	return true
 }
 
+// sample draws one GenPerm permutation from m through a fresh alias table
+// (tests build the table per call; the CE loop builds it per iteration).
+func sample(s *Sampler, m *Matrix, rng *xrand.RNG, dst []int) error {
+	return s.SamplePermutation(m, NewAliasTable(m), rng, dst)
+}
+
 func TestSamplePermutationValidity(t *testing.T) {
 	m := NewUniform(10, 10)
 	s := NewSampler(10)
 	rng := xrand.New(7)
 	dst := make([]int, 10)
 	for i := 0; i < 500; i++ {
-		if err := s.SamplePermutation(m, rng, dst); err != nil {
+		if err := sample(s, m, rng, dst); err != nil {
 			t.Fatal(err)
 		}
 		if !isPermutation(dst) {
@@ -257,7 +263,7 @@ func TestSamplePermutationUniformIsUniform(t *testing.T) {
 	}
 	dst := make([]int, n)
 	for d := 0; d < draws; d++ {
-		if err := s.SamplePermutation(m, rng, dst); err != nil {
+		if err := sample(s, m, rng, dst); err != nil {
 			t.Fatal(err)
 		}
 		for task, res := range dst {
@@ -292,7 +298,7 @@ func TestSamplePermutationFollowsBias(t *testing.T) {
 	hits := 0
 	const draws = 20000
 	for d := 0; d < draws; d++ {
-		if err := s.SamplePermutation(m, rng, dst); err != nil {
+		if err := sample(s, m, rng, dst); err != nil {
 			t.Fatal(err)
 		}
 		if dst[0] == 3 {
@@ -323,7 +329,7 @@ func TestSamplePermutationDegenerateMatrix(t *testing.T) {
 	rng := xrand.New(10)
 	dst := make([]int, 3)
 	for i := 0; i < 200; i++ {
-		if err := s.SamplePermutation(m, rng, dst); err != nil {
+		if err := sample(s, m, rng, dst); err != nil {
 			t.Fatal(err)
 		}
 		if dst[0] != 1 || dst[1] != 2 || dst[2] != 0 {
@@ -348,7 +354,7 @@ func TestSamplePermutationConflictFallback(t *testing.T) {
 	rng := xrand.New(11)
 	dst := make([]int, 3)
 	for i := 0; i < 500; i++ {
-		if err := s.SamplePermutation(m, rng, dst); err != nil {
+		if err := sample(s, m, rng, dst); err != nil {
 			t.Fatal(err)
 		}
 		if !isPermutation(dst) {
@@ -360,14 +366,20 @@ func TestSamplePermutationConflictFallback(t *testing.T) {
 func TestSamplePermutationErrors(t *testing.T) {
 	s := NewSampler(3)
 	rng := xrand.New(1)
-	if err := s.SamplePermutation(NewUniform(2, 3), rng, make([]int, 2)); err == nil {
+	if err := sample(s, NewUniform(2, 3), rng, make([]int, 2)); err == nil {
 		t.Fatal("non-square matrix accepted")
 	}
-	if err := s.SamplePermutation(NewUniform(3, 3), rng, make([]int, 2)); err == nil {
+	if err := sample(s, NewUniform(3, 3), rng, make([]int, 2)); err == nil {
 		t.Fatal("short destination accepted")
 	}
-	if err := s.SamplePermutation(NewUniform(4, 4), rng, make([]int, 4)); err == nil {
+	if err := sample(s, NewUniform(4, 4), rng, make([]int, 4)); err == nil {
 		t.Fatal("mismatched sampler width accepted")
+	}
+	if err := s.SamplePermutation(NewUniform(3, 3), nil, rng, make([]int, 3)); err == nil {
+		t.Fatal("missing alias table accepted")
+	}
+	if err := s.SamplePermutation(NewUniform(3, 3), NewAliasTable(NewUniform(2, 2)), rng, make([]int, 3)); err == nil {
+		t.Fatal("alias table of another shape accepted")
 	}
 }
 
@@ -397,7 +409,7 @@ func TestSamplePermutationProperty(t *testing.T) {
 		s := NewSampler(n)
 		dst := make([]int, n)
 		for k := 0; k < 20; k++ {
-			if err := s.SamplePermutation(m, local, dst); err != nil {
+			if err := sample(s, m, local, dst); err != nil {
 				return false
 			}
 			if !isPermutation(dst) {
@@ -433,12 +445,13 @@ func TestStringAndHeatmap(t *testing.T) {
 
 func BenchmarkSamplePermutation50(b *testing.B) {
 	m := NewUniform(50, 50)
+	at := NewAliasTable(m)
 	s := NewSampler(50)
 	rng := xrand.New(1)
 	dst := make([]int, 50)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.SamplePermutation(m, rng, dst); err != nil {
+		if err := s.SamplePermutation(m, at, rng, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

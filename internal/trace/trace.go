@@ -52,17 +52,14 @@ type Event struct {
 	// Elite is the size of the iteration's elite set.
 	Elite int `json:"elite,omitempty"`
 	// Solver internals (CE iterations; zero elsewhere). Draws is the
-	// samples drawn; Pruned/Rescored count gamma-pruned draws and the
-	// rescue re-scores; RejectTries/FallbackDraws are GenPerm sampler
-	// counters; SkippedEdges counts TIG edges the pruned scorer never
-	// touched; SampleNs/SelectNs/UpdateNs are phase timings; StealUnits
-	// and IdleNs describe the worker pool's barrier behaviour.
+	// samples drawn; RejectTries/FallbackDraws are GenPerm sampler
+	// counters; SampleNs/SelectNs/UpdateNs are phase timings; StealUnits
+	// and IdleNs describe the worker pool's barrier behaviour. Traces
+	// written by older builds may also carry pruned, rescored and
+	// skipped_edges; Reader ignores them.
 	Draws         int    `json:"draws,omitempty"`
-	Pruned        int    `json:"pruned,omitempty"`
-	Rescored      int    `json:"rescored,omitempty"`
 	RejectTries   uint64 `json:"reject_tries,omitempty"`
 	FallbackDraws uint64 `json:"fallback_draws,omitempty"`
-	SkippedEdges  uint64 `json:"skipped_edges,omitempty"`
 	SampleNs      int64  `json:"sample_ns,omitempty"`
 	SelectNs      int64  `json:"select_ns,omitempty"`
 	UpdateNs      int64  `json:"update_ns,omitempty"`
@@ -122,7 +119,7 @@ func (e Event) Validate() error {
 		v    int64
 	}{
 		{"tasks", int64(e.Tasks)}, {"iter", int64(e.Iter)}, {"elite", int64(e.Elite)},
-		{"draws", int64(e.Draws)}, {"pruned", int64(e.Pruned)}, {"rescored", int64(e.Rescored)},
+		{"draws", int64(e.Draws)},
 		{"sample_ns", e.SampleNs}, {"select_ns", e.SelectNs}, {"update_ns", e.UpdateNs},
 		{"steal_units", int64(e.StealUnits)}, {"idle_ns", e.IdleNs},
 		{"iterations", int64(e.Iterations)}, {"evaluations", e.Evaluations},

@@ -203,8 +203,8 @@ func TestSolverInternalsRoundTrip(t *testing.T) {
 	w.Start("MaTCH", 16, 3)
 	in := Event{
 		Iter: 4, Gamma: 55, Best: 50, Worst: 80, Mean: 60, BestSoFar: 48,
-		Elite: 15, Draws: 512, Pruned: 300, Rescored: 7,
-		RejectTries: 1234, FallbackDraws: 56, SkippedEdges: 7890,
+		Elite: 15, Draws: 512,
+		RejectTries: 1234, FallbackDraws: 56,
 		SampleNs: 150_000, SelectNs: 12_000, UpdateNs: 9_000,
 		StealUnits: 3, IdleNs: 4_500,
 	}
@@ -354,5 +354,30 @@ func TestConcurrentEmit(t *testing.T) {
 	}
 	if want := writers * eventsPerGorou; lines != want {
 		t.Fatalf("decoded %d events, want %d", lines, want)
+	}
+}
+
+// TestReadLegacySolverInternals: traces written by older builds carry
+// pruned, rescored and skipped_edges on iteration events. This build no
+// longer defines them; such files must still replay, every current field
+// intact.
+func TestReadLegacySolverInternals(t *testing.T) {
+	input := `{"kind":"start","solver":"MaTCH","tasks":16,"seed":3,"iter":0}
+{"kind":"iter","seed":0,"iter":4,"gamma":55,"best":50,"worst":80,"mean":60,"best_so_far":48,"elite":15,"draws":512,"pruned":300,"rescored":7,"reject_tries":1234,"fallback_draws":56,"skipped_edges":7890,"sample_ns":150000}
+{"kind":"end","seed":0,"iter":0,"exec":48,"iterations":4,"stop_reason":"max-iterations"}
+`
+	runs, err := Read(strings.NewReader(input))
+	if err != nil {
+		t.Fatalf("legacy trace rejected: %v", err)
+	}
+	if len(runs) != 1 || len(runs[0].Iterations) != 1 || runs[0].End == nil {
+		t.Fatalf("legacy trace replayed as %+v", runs)
+	}
+	want := Event{
+		Kind: KindIteration, Iter: 4, Gamma: 55, Best: 50, Worst: 80, Mean: 60, BestSoFar: 48,
+		Elite: 15, Draws: 512, RejectTries: 1234, FallbackDraws: 56, SampleNs: 150_000,
+	}
+	if got := runs[0].Iterations[0]; got != want {
+		t.Errorf("legacy iteration decoded as %+v, want %+v", got, want)
 	}
 }

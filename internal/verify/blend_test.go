@@ -204,6 +204,17 @@ func TestIslandDeterminism(t *testing.T) {
 				if err := CheckPermutation(ref.Mapping); err != nil {
 					t.Fatal(err)
 				}
+				// The merged history interleaves islands; each island's own
+				// trajectory must satisfy the single-run invariants.
+				perIsland := make([][]ce.IterStats, count)
+				for _, it := range ref.History {
+					perIsland[it.Island] = append(perIsland[it.Island], it)
+				}
+				for g, h := range perIsland {
+					if err := CheckHistory(h, true); err != nil {
+						t.Fatalf("topo=%s I=%d seed=%d island %d: %v", topo, count, seed, g, err)
+					}
+				}
 				for _, w := range workerCounts[1:] {
 					got := solve(w)
 					if math.Float64bits(got.Exec) != math.Float64bits(ref.Exec) {

@@ -3,18 +3,21 @@
 // from any test, metamorphic instance transformations, and a
 // deterministic fault-injection simulator for the matchd job manager.
 //
-// The production kernels (cost.Evaluator, cost.StreamScorer, cost.State)
-// are heavily optimised — packed edge lists, fused sample-and-score,
-// gamma-pruned block scans, epoch-stamped swap deltas. Every one of them
-// promises the plain eqs. (1)–(2) semantics of the paper. This package
-// re-derives those semantics as naively as possible and never shares
-// code with the optimised paths, so a bug in the clever code cannot hide
-// in the oracle too:
+// The production kernels (cost.Evaluator, cost.State, the alias-table
+// GenPerm sampler) are heavily optimised — packed branch-free edge sweeps,
+// epoch-stamped swap deltas, O(1) rejection draws with a compact
+// fallback. Every one of them promises the plain semantics of the paper.
+// This package re-derives those semantics as naively as possible and
+// never shares code with the optimised paths, so a bug in the clever code
+// cannot hide in the oracle too:
 //
 //   - RefLoads / RefExec / RefExecS (oracle.go) walk tig.Edges() and call
 //     platform.LinkCost per edge — no adjacency build, no packing, no
-//     pruning, no incremental state.
+//     incremental state.
 //   - RefExecAfterSwap copies the mapping, swaps, and fully rescores.
+//   - RefSamplePermutation (genperm.go) is GenPerm (Fig. 4) as a linear
+//     masked roulette walk — the reference the alias sampler's
+//     distribution tests compare against.
 //
 // On integer-weighted instances (gen.PaperInstance emits integral
 // weights) every partial sum is exactly representable in float64, so the
@@ -32,8 +35,9 @@
 //     distribution (chi-square goodness of fit via stats.ChiSquareSurvival).
 //   - CheckEliteSelection: ce.SelectElite's postcondition — the elite
 //     prefix is exactly the k best draws and gamma bounds the rest.
-//   - CheckHistory: per-iteration search invariants — Best <= Gamma <=
-//     Worst in the improving direction and BestSoFar is monotone
+//   - CheckHistory: per-iteration search invariants — finite summaries,
+//     Best <= Gamma <= Worst and Best <= Mean <= Worst in the improving
+//     direction, and BestSoFar is monotone
 //     (non-increasing when minimising), which is the run-level form of
 //     "gamma never regresses past the incumbent under elite selection".
 //     (Raw gamma_k may rise between iterations; see the note in
@@ -49,12 +53,13 @@
 //   - AddZeroEdges: zero-weight TIG edges never change any Exec.
 //
 // Fuzzing: the repo's native Go fuzz targets live next to the code they
-// exercise — FuzzScoreMapping (this package, differential against the
-// oracle), FuzzDecodeCheckpoint (internal/core), FuzzTraceReader
-// (internal/trace), FuzzJobSpecJSON (api), plus the pre-existing graph
-// and stochmat targets. Run one locally with e.g.
+// exercise — FuzzExec (this package, differential against the oracle),
+// FuzzDecodeCheckpoint (internal/core), FuzzTraceReader (internal/trace),
+// FuzzJobSpecJSON (api), plus the pre-existing graph target and
+// FuzzSamplePermutation (internal/stochmat, the production sampler under
+// CheckPermutation). Run one locally with e.g.
 //
-//	go test ./internal/verify -run '^$' -fuzz '^FuzzScoreMapping$' -fuzztime 30s
+//	go test ./internal/verify -run '^$' -fuzz '^FuzzExec$' -fuzztime 30s
 //
 // Seed corpora are committed under each package's testdata/fuzz
 // directory and double as regression tests in plain `go test` runs.

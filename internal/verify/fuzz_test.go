@@ -3,22 +3,19 @@ package verify
 import (
 	"math"
 	"testing"
-
-	"matchsim/internal/cost"
 )
 
-// FuzzScoreMapping is the differential fuzz target: for a fuzzer-chosen
-// instance, mapping and gamma, the optimised gamma-pruned streaming
-// scorer must agree with the naive eqs. (1)-(2) oracle — bit-identically
-// when it scores, and truthfully (exec really is above gamma) when it
-// prunes.
-func FuzzScoreMapping(f *testing.F) {
-	f.Add(uint64(1), 8, int64(1000), []byte{0})
-	f.Add(uint64(7), 4, int64(500), []byte{3, 1, 2, 0})
-	f.Add(uint64(42), 24, int64(2000), []byte{0xff, 0x10, 7})
-	f.Add(uint64(3), 1, int64(0), []byte{})
-	f.Add(uint64(99), 16, int64(990), []byte{9, 9, 9, 9, 9, 9, 9, 9})
-	f.Fuzz(func(t *testing.T, seed uint64, n int, gammaMilli int64, permBytes []byte) {
+// FuzzExec is the differential fuzz target: for a fuzzer-chosen instance
+// and mapping, the production scorer (Evaluator.ExecInto, the one every
+// CE draw goes through) must agree bit-identically with the naive
+// eqs. (1)-(2) oracle.
+func FuzzExec(f *testing.F) {
+	f.Add(uint64(1), 8, []byte{0})
+	f.Add(uint64(7), 4, []byte{3, 1, 2, 0})
+	f.Add(uint64(42), 24, []byte{0xff, 0x10, 7})
+	f.Add(uint64(3), 1, []byte{})
+	f.Add(uint64(99), 16, []byte{9, 9, 9, 9, 9, 9, 9, 9})
+	f.Fuzz(func(t *testing.T, seed uint64, n int, permBytes []byte) {
 		n = 1 + (abs(n) % 32) // clamp to the supported band
 		tig, platform, eval := paperInstance(t, seed, n)
 
@@ -45,34 +42,18 @@ func FuzzScoreMapping(f *testing.F) {
 		if err != nil {
 			t.Fatalf("RefExec: %v", err)
 		}
-		ss := cost.NewStreamScorer(eval)
-		if got := ss.ScoreMapping(m); math.Float64bits(got) != math.Float64bits(refExec) {
-			t.Fatalf("unpruned ScoreMapping %v != oracle %v (n=%d seed=%d m=%v)", got, refExec, n, seed, m)
+		// A dirty scratch buffer must not leak into the score.
+		scratch := make([]float64, n)
+		for i := range scratch {
+			scratch[i] = math.MaxFloat64
 		}
-
-		// gammaMilli in [0, 2000] sweeps gamma from 0 to 2x the true exec.
-		factor := float64(abs64(gammaMilli)%2001) / 1000
-		gamma := refExec * factor
-		ss.SetGamma(gamma)
-		switch got := ss.ScoreMapping(m); {
-		case got == cost.PrunedScore:
-			if refExec <= gamma {
-				t.Fatalf("pruned at gamma=%v but oracle exec %v <= gamma (n=%d seed=%d m=%v)", gamma, refExec, n, seed, m)
-			}
-		case math.Float64bits(got) != math.Float64bits(refExec):
-			t.Fatalf("pruned-arm ScoreMapping %v != oracle %v at gamma=%v (n=%d seed=%d m=%v)", got, refExec, gamma, n, seed, m)
+		if got := eval.ExecInto(m, scratch); math.Float64bits(got) != math.Float64bits(refExec) {
+			t.Fatalf("ExecInto %v != oracle %v (n=%d seed=%d m=%v)", got, refExec, n, seed, m)
 		}
 	})
 }
 
 func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func abs64(v int64) int64 {
 	if v < 0 {
 		return -v
 	}

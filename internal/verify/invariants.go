@@ -139,13 +139,15 @@ func CheckEliteSelection(order []int, scores []float64, k int, minimize bool) er
 }
 
 // CheckHistory verifies the per-iteration search invariants of a CE run's
-// trajectory: in the improving direction Best_k <= Gamma_k <= Worst_k
+// trajectory: every summary statistic is finite (every draw is scored
+// exactly), in the improving direction Best_k <= Gamma_k <= Worst_k
 // (elite selection puts gamma at the rho-quantile, never past the
-// extremes), BestSoFar_k is monotone and never worse than Best_k, the
-// elite is non-empty and within the draw count. Raw gamma_k itself may
-// move against the improving direction between iterations (the sample
-// set is redrawn each time — see the note in internal/ce/ce.go), so the
-// monotone quantity under elite selection is the incumbent BestSoFar.
+// extremes) and Best_k <= Mean_k <= Worst_k, BestSoFar_k is monotone and
+// never worse than Best_k, the elite is non-empty and within the draw
+// count. Raw gamma_k itself may move against the improving direction
+// between iterations (the sample set is redrawn each time — see the note
+// in internal/ce/ce.go), so the monotone quantity under elite selection
+// is the incumbent BestSoFar.
 func CheckHistory(history []ce.IterStats, minimize bool) error {
 	worseThan := func(a, b float64) bool {
 		if minimize {
@@ -156,7 +158,8 @@ func CheckHistory(history []ce.IterStats, minimize bool) error {
 	prevBestSoFar := math.NaN()
 	for i, it := range history {
 		for name, v := range map[string]float64{
-			"gamma": it.Gamma, "best": it.Best, "best_so_far": it.BestSoFar,
+			"gamma": it.Gamma, "best": it.Best, "worst": it.Worst, "mean": it.Mean,
+			"best_so_far": it.BestSoFar,
 		} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("verify: iteration %d has non-finite %s (%v)", i, name, v)
@@ -171,10 +174,12 @@ func CheckHistory(history []ce.IterStats, minimize bool) error {
 		if worseThan(it.Best, it.Gamma) {
 			return fmt.Errorf("verify: iteration %d best %.6g worse than gamma %.6g", i, it.Best, it.Gamma)
 		}
-		// Worst is +/-Inf when every non-elite draw was pruned; the bound
-		// only applies when it was actually measured.
-		if !math.IsInf(it.Worst, 0) && worseThan(it.Gamma, it.Worst) {
+		if worseThan(it.Gamma, it.Worst) {
 			return fmt.Errorf("verify: iteration %d gamma %.6g worse than worst %.6g", i, it.Gamma, it.Worst)
+		}
+		if worseThan(it.Best, it.Mean) || worseThan(it.Mean, it.Worst) {
+			return fmt.Errorf("verify: iteration %d mean %.6g outside [best %.6g, worst %.6g]",
+				i, it.Mean, it.Best, it.Worst)
 		}
 		if worseThan(it.BestSoFar, it.Best) {
 			return fmt.Errorf("verify: iteration %d best-so-far %.6g worse than iteration best %.6g",
@@ -185,12 +190,6 @@ func CheckHistory(history []ce.IterStats, minimize bool) error {
 				i, it.BestSoFar, prevBestSoFar)
 		}
 		prevBestSoFar = it.BestSoFar
-		if it.Pruned < 0 || it.Pruned > it.Draws {
-			return fmt.Errorf("verify: iteration %d pruned %d of %d draws", i, it.Pruned, it.Draws)
-		}
-		if it.Rescored < 0 || it.Rescored > it.Pruned {
-			return fmt.Errorf("verify: iteration %d rescored %d > pruned %d", i, it.Rescored, it.Pruned)
-		}
 	}
 	return nil
 }

@@ -125,32 +125,7 @@ func checkAgainstOracle(t *testing.T, tig *graph.TIG, platform *graph.ResourceGr
 		agree(loads[s], refLoads[s], fmt.Sprintf("Evaluator.Loads[%d]", s))
 	}
 	agree(eval.Exec(m), refExec, "Evaluator.Exec")
-
-	ss := cost.NewStreamScorer(eval)
-	got, err := ss.Score(m)
-	if err != nil {
-		t.Fatalf("StreamScorer.Score: %v", err)
-	}
-	agree(got, refExec, "StreamScorer.Score (Place path)")
-
-	agree(ss.ScoreMapping(m), refExec, "StreamScorer.ScoreMapping (no gamma)")
-
-	// Pruned arm: a gamma above Exec must not prune and must stay exact; a
-	// gamma below Exec may prune, and a pruned verdict must be truthful.
-	ss.SetGamma(refExec * 2)
-	agree(ss.ScoreMapping(m), refExec, "StreamScorer.ScoreMapping (loose gamma)")
-	if ss.Pruned() {
-		t.Fatalf("ScoreMapping pruned a mapping under a gamma 2x above its exec")
-	}
-	tight := refExec * 0.5
-	ss.SetGamma(tight)
-	if pr := ss.ScoreMapping(m); pr == cost.PrunedScore {
-		if !(refExec > tight) {
-			t.Fatalf("ScoreMapping pruned at gamma %v but oracle exec is %v", tight, refExec)
-		}
-	} else {
-		agree(pr, refExec, "StreamScorer.ScoreMapping (tight gamma, unpruned)")
-	}
+	agree(eval.ExecInto(m, loads), refExec, "Evaluator.ExecInto (reused buffer)")
 
 	st, err := cost.NewState(eval, m)
 	if err != nil {

@@ -81,15 +81,18 @@ type IterationTrace struct {
 	BestSoFar float64
 	// EliteCount is the size of the iteration's elite set.
 	EliteCount int
-	// Draws is the number of samples drawn; Pruned and Rescored count the
-	// draws whose scoring was cut short by the elite threshold and the
-	// subset the rescue path re-scored exactly.
-	Draws, Pruned, Rescored int
+	// Draws is the number of samples drawn (every one scored exactly).
+	Draws int
+	// Deprecated: Pruned, Rescored and SkippedEdges counted the work of
+	// the gamma-pruned scorer, which no longer exists; they are always 0
+	// and remain only so existing readers keep compiling.
+	Pruned, Rescored int
 	// RejectTries and FallbackDraws are GenPerm sampler counters: masked
 	// rejection-sampling misses and draws resolved through the compact
-	// fallback. SkippedEdges counts TIG edges the gamma-pruned scorer
-	// never accumulated.
-	RejectTries, FallbackDraws, SkippedEdges uint64
+	// fallback.
+	RejectTries, FallbackDraws uint64
+	// Deprecated: always 0; see Pruned.
+	SkippedEdges uint64
 	// SampleNs, SelectNs and UpdateNs are the iteration's phase timings:
 	// the sample/score barrier, elite selection, and the distribution
 	// update.
@@ -211,11 +214,6 @@ type MaTCHOptions struct {
 	// Polish runs 2-swap local descent on the best mapping after the CE
 	// loop ends (hybrid extension; only applies to SolveMaTCH).
 	Polish bool
-	// UnprunedScoring disables the gamma-pruned fused scorer and scores
-	// every draw exactly. The search trajectory and result are identical
-	// either way (pruning is a pure strength reduction); the switch
-	// exists for benchmarking and as an escape hatch.
-	UnprunedScoring bool
 	// Multilevel, when non-nil, routes the solve through the multilevel
 	// coarsen/solve/refine pipeline — the large-n configuration. Such
 	// runs are not checkpointable and report per-level stats in
@@ -342,7 +340,6 @@ func coreOptions(opts MaTCHOptions) core.Options {
 		Seed:             opts.Seed,
 		WarmStart:        opts.WarmStart,
 		Polish:           opts.Polish,
-		UnprunedScoring:  opts.UnprunedScoring,
 		SparseEps:        opts.SparseEps,
 		SparseCut:        opts.SparseCut,
 		Context:          opts.Context,
@@ -379,11 +376,8 @@ func coreOptions(opts MaTCHOptions) core.Options {
 				BestSoFar:     st.BestSoFar,
 				EliteCount:    st.EliteCount,
 				Draws:         st.Draws,
-				Pruned:        st.Pruned,
-				Rescored:      st.Rescored,
 				RejectTries:   st.RejectTries,
 				FallbackDraws: st.FallbackDraws,
-				SkippedEdges:  st.SkippedEdges,
 				SampleNs:      st.SampleNs,
 				SelectNs:      st.SelectNs,
 				UpdateNs:      st.UpdateNs,
