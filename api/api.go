@@ -4,14 +4,15 @@
 // internal/httpapi, internal/jobs) and the Go client (package client),
 // and doubles as the JSON schema reference for non-Go consumers.
 //
-// All documents are plain JSON. Progress events reuse the field layout of
-// the repo's JSONL trace schema (internal/trace), so a concatenation of a
-// job's SSE `data:` payloads is a valid trace stream.
+// All documents are plain JSON. Event is also the record of the repo's
+// JSONL trace files (internal/trace), so a concatenation of a job's SSE
+// `data:` payloads is a valid trace stream.
 package api
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -236,12 +237,21 @@ type JobResult struct {
 	CacheHit bool `json:"cache_hit,omitempty"`
 }
 
-// Event is one progress event, streamed over GET /v1/jobs/{id}/events as
-// SSE data payloads. The JSON layout matches the internal trace schema:
-// one "start" event, one "iter" event per CE iteration / GA generation,
-// and one "end" event.
+// Event kinds: one "start" event opens a run, one "iter" event follows
+// per CE iteration / GA generation, and one "end" event closes it.
+const (
+	KindStart     = "start"
+	KindIteration = "iter"
+	KindEnd       = "end"
+)
+
+// Event is the one per-run record of the system: the line of a JSONL
+// trace file (internal/trace), the SSE data payload of
+// GET /v1/jobs/{id}/events, the input of the daemon's solver-internals
+// metrics and the model of `match -top`. Fields are a union across
+// kinds; unused fields are omitted from the wire form.
 type Event struct {
-	Kind string `json:"kind"` // "start" | "iter" | "end"
+	Kind string `json:"kind"` // KindStart | KindIteration | KindEnd
 	// Run identity (start events). Seed has no omitempty: 0 is a valid
 	// seed and must survive the wire round-trip.
 	Solver string `json:"solver,omitempty"`
@@ -257,11 +267,12 @@ type Event struct {
 	BestSoFar float64 `json:"best_so_far,omitempty"`
 	// Elite is the size of the iteration's elite set.
 	Elite int `json:"elite,omitempty"`
-	// Solver internals (CE iterations; zero for other solvers): draw
-	// accounting, GenPerm sampler counters, phase timings and worker-pool
-	// barrier behaviour. See the matching fields of the internal trace
-	// schema. (Events from older daemons may also carry pruned, rescored
-	// and skipped_edges; decoding ignores them.)
+	// Solver internals (CE iterations; zero for other solvers). Draws is
+	// the samples drawn; RejectTries/FallbackDraws are GenPerm sampler
+	// counters; SampleNs/SelectNs/UpdateNs are phase timings; StealUnits
+	// and IdleNs describe the worker pool's barrier behaviour. Events
+	// from older builds may also carry pruned, rescored and
+	// skipped_edges; decoding ignores them.
 	Draws         int    `json:"draws,omitempty"`
 	RejectTries   uint64 `json:"reject_tries,omitempty"`
 	FallbackDraws uint64 `json:"fallback_draws,omitempty"`
@@ -270,10 +281,14 @@ type Event struct {
 	UpdateNs      int64  `json:"update_ns,omitempty"`
 	StealUnits    int    `json:"steal_units,omitempty"`
 	IdleNs        int64  `json:"idle_ns,omitempty"`
-	RebuiltRows   uint64 `json:"rebuilt_rows,omitempty"`
-	SkippedRows   uint64 `json:"skipped_rows,omitempty"`
+	// RebuiltRows and SkippedRows count the sampling-table rows the
+	// iteration's distribution update rebuilt versus skipped as unchanged
+	// (sparse-row runs; both zero on the dense path).
+	RebuiltRows uint64 `json:"rebuilt_rows,omitempty"`
+	SkippedRows uint64 `json:"skipped_rows,omitempty"`
 	// Island-model telemetry (island runs only): which island produced
-	// this iteration and its exchange-round activity.
+	// this iteration, the elite mappings received/sent in its exchange
+	// round and the P-matrix blend steps applied.
 	Island      int `json:"island,omitempty"`
 	MigrantsIn  int `json:"migrants_in,omitempty"`
 	MigrantsOut int `json:"migrants_out,omitempty"`
@@ -284,6 +299,53 @@ type Event struct {
 	Evaluations int64         `json:"evaluations,omitempty"`
 	MappingTime time.Duration `json:"mapping_time_ns,omitempty"`
 	StopReason  string        `json:"stop_reason,omitempty"`
+}
+
+// Validate rejects events no well-formed solver run can produce: unknown
+// kinds, non-finite costs (NaN/Inf gamma, best, worst, mean, best-so-far
+// or exec) and negative counters or timings. Trace writers refuse to emit
+// such events (json.Marshal would otherwise fail cryptically on NaN, or
+// silently encode a negative iteration), and readers reject them instead
+// of propagating them into consumers such as `match -top`.
+func (e Event) Validate() error {
+	switch e.Kind {
+	case KindStart, KindIteration, KindEnd:
+	case "":
+		return fmt.Errorf("api: event without kind")
+	default:
+		return fmt.Errorf("api: unknown event kind %q", e.Kind)
+	}
+	floats := [...]struct {
+		name string
+		v    float64
+	}{
+		{"gamma", e.Gamma}, {"best", e.Best}, {"worst", e.Worst},
+		{"mean", e.Mean}, {"best_so_far", e.BestSoFar}, {"exec", e.Exec},
+	}
+	for _, f := range floats {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("api: event has non-finite %s (%v)", f.name, f.v)
+		}
+	}
+	ints := [...]struct {
+		name string
+		v    int64
+	}{
+		{"tasks", int64(e.Tasks)}, {"iter", int64(e.Iter)}, {"elite", int64(e.Elite)},
+		{"draws", int64(e.Draws)},
+		{"sample_ns", e.SampleNs}, {"select_ns", e.SelectNs}, {"update_ns", e.UpdateNs},
+		{"steal_units", int64(e.StealUnits)}, {"idle_ns", e.IdleNs},
+		{"iterations", int64(e.Iterations)}, {"evaluations", e.Evaluations},
+		{"mapping_time_ns", int64(e.MappingTime)},
+		{"island", int64(e.Island)}, {"migrants_in", int64(e.MigrantsIn)},
+		{"migrants_out", int64(e.MigrantsOut)}, {"blend_rounds", int64(e.BlendRounds)},
+	}
+	for _, f := range ints {
+		if f.v < 0 {
+			return fmt.Errorf("api: event has negative %s (%d)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // SpanEvent is one timestamped annotation inside a span, offset

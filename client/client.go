@@ -316,7 +316,7 @@ func (c *Client) watch(ctx context.Context, id string, deliver func(api.Event)) 
 		before := seen
 		err := c.EventsFrom(ctx, id, seen, func(e api.Event) {
 			seen++
-			if e.Kind == "end" {
+			if e.Kind == api.KindEnd {
 				sawEnd = true
 			}
 			deliver(e)

@@ -183,7 +183,7 @@ func run(cfg config) error {
 					tr.Iteration, tr.Best, tr.Gamma, tr.BestSoFar)
 			}
 			if tw != nil {
-				tw.Iteration(traceEvent(tr))
+				tw.Emit(trace.IterEvent(tr))
 			}
 		}
 	}
@@ -265,34 +265,6 @@ func run(cfg config) error {
 		fmt.Printf("  total makespan:   %10.2f units (%d events)\n", rep.Makespan, rep.Events)
 	}
 	return nil
-}
-
-// traceEvent converts per-iteration solver telemetry to its trace-schema
-// record, carrying the solver-internals block through to the JSONL file.
-func traceEvent(tr matchsim.IterationTrace) trace.Event {
-	return trace.Event{
-		Iter:          tr.Iteration,
-		Gamma:         tr.Gamma,
-		Best:          tr.Best,
-		Worst:         tr.Worst,
-		Mean:          tr.Mean,
-		BestSoFar:     tr.BestSoFar,
-		Elite:         tr.EliteCount,
-		Draws:         tr.Draws,
-		RejectTries:   tr.RejectTries,
-		FallbackDraws: tr.FallbackDraws,
-		SampleNs:      tr.SampleNs,
-		SelectNs:      tr.SelectNs,
-		UpdateNs:      tr.UpdateNs,
-		StealUnits:    tr.StealUnits,
-		IdleNs:        tr.IdleNs,
-		RebuiltRows:   tr.RebuiltRows,
-		SkippedRows:   tr.SkippedRows,
-		Island:        tr.Island,
-		MigrantsIn:    tr.MigrantsIn,
-		MigrantsOut:   tr.MigrantsOut,
-		BlendRounds:   tr.BlendRounds,
-	}
 }
 
 // runMatch runs the MaTCH solver with optional checkpointing: the run

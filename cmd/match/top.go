@@ -19,7 +19,6 @@ import (
 
 	"matchsim/api"
 	"matchsim/client"
-	"matchsim/internal/trace"
 )
 
 // topModel folds a stream of trace-schema events into the latest view
@@ -47,11 +46,11 @@ type topModel struct {
 
 func (m *topModel) observe(e api.Event) {
 	switch e.Kind {
-	case "start":
+	case api.KindStart:
 		// A new run on the same stream (resume, shared daemon trace file)
 		// resets the view.
 		*m = topModel{solver: e.Solver, tasks: e.Tasks, seed: e.Seed}
-	case "iter":
+	case api.KindIteration:
 		m.iter = e
 		m.iters++
 		m.bestHist = append(m.bestHist, e.BestSoFar)
@@ -63,7 +62,7 @@ func (m *topModel) observe(e api.Event) {
 		m.migrantsIn += e.MigrantsIn
 		m.migrantsOut += e.MigrantsOut
 		m.blendRounds += e.BlendRounds
-	case "end":
+	case api.KindEnd:
 		end := e
 		m.end = &end
 	}
@@ -206,7 +205,7 @@ func runTop(cfg config) error {
 		defer w.Close()
 		for e, ok := w.Next(); ok; e, ok = w.Next() {
 			model.observe(e)
-			draw(e.Kind != "iter")
+			draw(e.Kind != api.KindIteration)
 		}
 		draw(true)
 		return w.Err()
@@ -243,24 +242,18 @@ func tailTrace(ctx context.Context, path string, model *topModel, draw func(bool
 			if line == "" {
 				continue
 			}
-			// Trace lines share the api.Event JSON layout; decode through
-			// the trace schema first so corrupt values (negative
-			// iterations, non-finite costs) are rejected with a clear
-			// error instead of garbling the view.
-			var te trace.Event
-			if err := json.Unmarshal([]byte(line), &te); err != nil {
-				return fmt.Errorf("malformed trace line: %w", err)
-			}
-			if err := te.Validate(); err != nil {
-				return fmt.Errorf("invalid trace line: %w", err)
-			}
+			// Corrupt values (negative iterations, non-finite costs) are
+			// rejected with a clear error instead of garbling the view.
 			var e api.Event
 			if err := json.Unmarshal([]byte(line), &e); err != nil {
 				return fmt.Errorf("malformed trace line: %w", err)
 			}
+			if err := e.Validate(); err != nil {
+				return fmt.Errorf("invalid trace line: %w", err)
+			}
 			model.observe(e)
-			draw(e.Kind != "iter")
-			if e.Kind == "end" {
+			draw(e.Kind != api.KindIteration)
+			if e.Kind == api.KindEnd {
 				draw(true)
 				return nil
 			}

@@ -126,12 +126,23 @@ func TestTailTraceReplaysFile(t *testing.T) {
 }
 
 func TestTailTraceMalformedLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.jsonl")
-	if err := os.WriteFile(path, []byte("{not json}\n"), 0o644); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, line, want string
+	}{
+		{"not json", `{not json}`, "malformed trace line"},
+		{"negative iter", `{"kind":"iter","seed":0,"iter":-1}`, "negative iter"},
 	}
-	if err := tailTrace(context.Background(), path, &topModel{}, func(bool) {}); err == nil {
-		t.Fatal("tailTrace accepted a malformed line")
+	for _, c := range cases {
+		path := filepath.Join(t.TempDir(), "bad.jsonl")
+		if err := os.WriteFile(path, []byte(c.line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := tailTrace(context.Background(), path, &topModel{}, func(bool) {})
+		if err == nil {
+			t.Errorf("%s: tailTrace accepted the line", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 
+	"matchsim/api"
 	"matchsim/internal/ce"
 	"matchsim/internal/core"
 	"matchsim/internal/cost"
@@ -34,13 +35,15 @@ func main() {
 	var traceBuf bytes.Buffer
 	tw := trace.NewWriter(&traceBuf)
 
+	onIter := func(st ce.IterStats) {
+		tw.Iteration(api.Event{Iter: st.Iter, Gamma: st.Gamma, Best: st.Best, Mean: st.Mean, BestSoFar: st.BestSoFar})
+	}
+
 	// Phase 1: run five iterations, then "lose the machine".
 	tw.Start("MaTCH", 30, 1)
 	phase1, err := core.Solve(eval, core.Options{
 		Seed: 1, MaxIterations: 5, GammaStallWindow: 1000,
-		OnIteration: func(st ce.IterStats) {
-			tw.Iteration(trace.Event{Iter: st.Iter, Gamma: st.Gamma, Best: st.Best, Mean: st.Mean, BestSoFar: st.BestSoFar})
-		},
+		OnIteration: onIter,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -64,9 +67,7 @@ func main() {
 	}
 	phase2, err := core.Resume(eval, restored, core.Options{
 		Seed: 2, MaxIterations: 500,
-		OnIteration: func(st ce.IterStats) {
-			tw.Iteration(trace.Event{Iter: st.Iter, Gamma: st.Gamma, Best: st.Best, Mean: st.Mean, BestSoFar: st.BestSoFar})
-		},
+		OnIteration: onIter,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -67,9 +67,9 @@ type Problem[S any] interface {
 }
 
 // SampleStats aggregates per-iteration sampling telemetry a Problem may
-// expose: rejection-sampling behaviour and lookup-table rebuild work — the
-// acceptance diagnostics De Boer et al.'s CE tutorial watches alongside
-// the gamma trajectory.
+// expose: rejection-sampling behaviour — the acceptance diagnostics De
+// Boer et al.'s CE tutorial watches alongside the gamma trajectory.
+// (Lookup-table rebuild work arrives through BuildStatsProvider.)
 type SampleStats struct {
 	// RejectTries counts fast-path draws rejected because they landed on
 	// an already-assigned column.
@@ -77,12 +77,6 @@ type SampleStats struct {
 	// FallbackDraws counts task assignments that exhausted the rejection
 	// budget and resolved through the exact compact draw.
 	FallbackDraws uint64
-	// RebuiltRows and SkippedRows count per-row lookup-table rebuilds the
-	// distribution update performed vs skipped via dirty-row tracking —
-	// the sparse-row hit-rate telemetry (a converged run skips almost
-	// every row).
-	RebuiltRows uint64
-	SkippedRows uint64
 }
 
 // SampleStatsProvider is an optional Problem extension. When implemented,

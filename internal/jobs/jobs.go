@@ -254,23 +254,23 @@ func newManagerMetrics(reg *telemetry.Registry) *managerMetrics {
 // observeIteration feeds one iteration's solver telemetry into the
 // registry, attaching traceID as the exemplar on the phase histograms
 // when tracing is on. Called from solver callback goroutines without mu.
-func (m *Manager) observeIteration(tr matchsim.IterationTrace, traceID string) {
+func (m *Manager) observeIteration(e api.Event, traceID string) {
 	mm := m.metrics
 	mm.iterations.Inc()
-	mm.draws.AddUint(uint64(tr.Draws))
-	mm.rejectTries.AddUint(tr.RejectTries)
-	mm.fallbackDraws.AddUint(tr.FallbackDraws)
-	mm.rebuiltRows.AddUint(tr.RebuiltRows)
-	mm.skippedRows.AddUint(tr.SkippedRows)
-	mm.stealUnits.AddUint(uint64(tr.StealUnits))
-	mm.idleSeconds.Add(float64(tr.IdleNs) / 1e9)
-	mm.migrantsIn.AddUint(uint64(tr.MigrantsIn))
-	mm.migrantsOut.AddUint(uint64(tr.MigrantsOut))
-	mm.blendRounds.AddUint(uint64(tr.BlendRounds))
-	if tr.SampleNs > 0 {
-		mm.samplePhase.ObserveExemplar(float64(tr.SampleNs)/1e9, traceID)
-		mm.selectPhase.ObserveExemplar(float64(tr.SelectNs)/1e9, traceID)
-		mm.updatePhase.ObserveExemplar(float64(tr.UpdateNs)/1e9, traceID)
+	mm.draws.AddUint(uint64(e.Draws))
+	mm.rejectTries.AddUint(e.RejectTries)
+	mm.fallbackDraws.AddUint(e.FallbackDraws)
+	mm.rebuiltRows.AddUint(e.RebuiltRows)
+	mm.skippedRows.AddUint(e.SkippedRows)
+	mm.stealUnits.AddUint(uint64(e.StealUnits))
+	mm.idleSeconds.Add(float64(e.IdleNs) / 1e9)
+	mm.migrantsIn.AddUint(uint64(e.MigrantsIn))
+	mm.migrantsOut.AddUint(uint64(e.MigrantsOut))
+	mm.blendRounds.AddUint(uint64(e.BlendRounds))
+	if e.SampleNs > 0 {
+		mm.samplePhase.ObserveExemplar(float64(e.SampleNs)/1e9, traceID)
+		mm.selectPhase.ObserveExemplar(float64(e.SelectNs)/1e9, traceID)
+		mm.updatePhase.ObserveExemplar(float64(e.UpdateNs)/1e9, traceID)
 	}
 }
 
@@ -458,7 +458,7 @@ func (m *Manager) SubmitCtx(ctx context.Context, req api.SubmitRequest) (api.Job
 		res.CacheHit = true
 		j.result = &res
 		j.events = []api.Event{
-			{Kind: string(trace.KindStart), Solver: j.solver, Tasks: problem.NumTasks(), Seed: req.Options.Seed},
+			{Kind: api.KindStart, Solver: j.solver, Tasks: problem.NumTasks(), Seed: req.Options.Seed},
 			endEvent(&res),
 		}
 		m.register(j)
@@ -721,7 +721,7 @@ func (m *Manager) emitLocked(j *job, e api.Event) {
 		}
 	}
 	if m.opts.TraceWriter != nil {
-		m.opts.TraceWriter.Emit(traceEvent(e))
+		m.opts.TraceWriter.Emit(e)
 	}
 }
 
@@ -731,7 +731,7 @@ func (m *Manager) emitLocked(j *job, e api.Event) {
 func (m *Manager) finalizeLocked(j *job, state, stopReason string) {
 	m.setState(j, state)
 	j.finished = time.Now()
-	end := api.Event{Kind: string(trace.KindEnd), StopReason: stopReason}
+	end := api.Event{Kind: api.KindEnd, StopReason: stopReason}
 	if j.result != nil {
 		end = endEvent(j.result)
 	} else {
@@ -790,47 +790,12 @@ func telemetryFloat(v float64) string {
 
 func endEvent(r *api.JobResult) api.Event {
 	return api.Event{
-		Kind:        string(trace.KindEnd),
+		Kind:        api.KindEnd,
 		Exec:        r.Exec,
 		Iterations:  r.Iterations,
 		Evaluations: r.Evaluations,
 		MappingTime: r.MappingTime,
 		StopReason:  r.StopReason,
-	}
-}
-
-func traceEvent(e api.Event) trace.Event {
-	return trace.Event{
-		Kind:          trace.EventKind(e.Kind),
-		Solver:        e.Solver,
-		Tasks:         e.Tasks,
-		Seed:          e.Seed,
-		Iter:          e.Iter,
-		Gamma:         e.Gamma,
-		Best:          e.Best,
-		Worst:         e.Worst,
-		Mean:          e.Mean,
-		BestSoFar:     e.BestSoFar,
-		Elite:         e.Elite,
-		Draws:         e.Draws,
-		RejectTries:   e.RejectTries,
-		FallbackDraws: e.FallbackDraws,
-		RebuiltRows:   e.RebuiltRows,
-		SkippedRows:   e.SkippedRows,
-		SampleNs:      e.SampleNs,
-		SelectNs:      e.SelectNs,
-		UpdateNs:      e.UpdateNs,
-		StealUnits:    e.StealUnits,
-		IdleNs:        e.IdleNs,
-		Island:        e.Island,
-		MigrantsIn:    e.MigrantsIn,
-		MigrantsOut:   e.MigrantsOut,
-		BlendRounds:   e.BlendRounds,
-		Exec:          e.Exec,
-		Iterations:    e.Iterations,
-		Evaluations:   e.Evaluations,
-		MappingTime:   e.MappingTime,
-		StopReason:    e.StopReason,
 	}
 }
 
@@ -854,7 +819,7 @@ func (m *Manager) runJob(j *job) {
 	j.solveSpan = solveSpan
 	ctx = telemetry.ContextWithSpan(ctx, solveSpan)
 	m.emitLocked(j, api.Event{
-		Kind:   string(trace.KindStart),
+		Kind:   api.KindStart,
 		Solver: j.solver,
 		Tasks:  j.problem.NumTasks(),
 		Seed:   j.req.Options.Seed,
@@ -866,44 +831,22 @@ func (m *Manager) runJob(j *job) {
 
 	traceID := j.traceID
 	onIter := func(tr matchsim.IterationTrace) {
-		m.observeIteration(tr, traceID)
+		e := trace.IterEvent(tr)
+		m.observeIteration(e, traceID)
 		// Guarded so the tracing-off path never pays the attribute
 		// formatting, only a nil test.
 		if solveSpan != nil {
 			solveSpan.Event("iter",
-				"i", strconv.Itoa(tr.Iteration),
-				"gamma", telemetryFloat(tr.Gamma),
-				"best_so_far", telemetryFloat(tr.BestSoFar),
-				"draws", strconv.Itoa(tr.Draws),
-				"sample_ns", strconv.FormatInt(tr.SampleNs, 10),
-				"select_ns", strconv.FormatInt(tr.SelectNs, 10),
-				"update_ns", strconv.FormatInt(tr.UpdateNs, 10))
+				"i", strconv.Itoa(e.Iter),
+				"gamma", telemetryFloat(e.Gamma),
+				"best_so_far", telemetryFloat(e.BestSoFar),
+				"draws", strconv.Itoa(e.Draws),
+				"sample_ns", strconv.FormatInt(e.SampleNs, 10),
+				"select_ns", strconv.FormatInt(e.SelectNs, 10),
+				"update_ns", strconv.FormatInt(e.UpdateNs, 10))
 		}
 		m.mu.Lock()
-		m.emitLocked(j, api.Event{
-			Kind:          string(trace.KindIteration),
-			Iter:          tr.Iteration,
-			Gamma:         tr.Gamma,
-			Best:          tr.Best,
-			Worst:         tr.Worst,
-			Mean:          tr.Mean,
-			BestSoFar:     tr.BestSoFar,
-			Elite:         tr.EliteCount,
-			Draws:         tr.Draws,
-			RejectTries:   tr.RejectTries,
-			FallbackDraws: tr.FallbackDraws,
-			RebuiltRows:   tr.RebuiltRows,
-			SkippedRows:   tr.SkippedRows,
-			SampleNs:      tr.SampleNs,
-			SelectNs:      tr.SelectNs,
-			UpdateNs:      tr.UpdateNs,
-			StealUnits:    tr.StealUnits,
-			IdleNs:        tr.IdleNs,
-			Island:        tr.Island,
-			MigrantsIn:    tr.MigrantsIn,
-			MigrantsOut:   tr.MigrantsOut,
-			BlendRounds:   tr.BlendRounds,
-		})
+		m.emitLocked(j, e)
 		m.mu.Unlock()
 	}
 

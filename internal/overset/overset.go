@@ -211,6 +211,17 @@ func Generate(seed uint64, cfg Config) (*System, error) {
 			Spacing: rng.Float64Range(cfg.SpacingLo, cfg.SpacingHi),
 		})
 	}
+	// The stretch falls short of a small successor whose jittered center
+	// lies far away. Reach that center then: it is interior to the
+	// successor's box, so every adjacent ring pair overlaps with positive
+	// volume and the TIG contains the whole ring.
+	for i := 0; n > 1 && i < n; i++ {
+		next := (i + 1) % n
+		if _, ok := sys.Grids[i].Box.Intersect(sys.Grids[next].Box); !ok {
+			c := centers[next]
+			sys.Grids[i].Box = sys.Grids[i].Box.Union(Box{Lo: c, Hi: c})
+		}
+	}
 	return sys, nil
 }
 

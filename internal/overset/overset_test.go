@@ -237,3 +237,22 @@ func TestGenerateProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGenerateAdjacentGridsOverlap is the regression case for a seed whose
+// stretched grids fell short of their ring successors, leaving the TIG
+// disconnected. Every adjacent ring pair must overlap.
+func TestGenerateAdjacentGridsOverlap(t *testing.T) {
+	sys, err := Generate(0xc2d33649798c6bb1, Config{NumGrids: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.TIG(0.001); err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range sys.Grids {
+		next := sys.Grids[(i+1)%len(sys.Grids)]
+		if _, ok := g.Box.Intersect(next.Box); !ok {
+			t.Errorf("ring grids %d and %d do not overlap", i, next.ID)
+		}
+	}
+}

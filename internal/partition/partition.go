@@ -184,33 +184,11 @@ func Coarsen(tig *graph.TIG, k int, maxWeightFactor float64) (*Coarsening, error
 	}
 
 	// Build the coarse TIG.
-	coarse := graph.NewTIG(k)
+	coarse, err := graph.ContractTIG(tig, graph.Contraction{CoarseN: k, Map: out.Assign})
+	if err != nil {
+		return nil, err
+	}
 	coarse.Name = fmt.Sprintf("%s-coarse-%d", tig.Name, k)
-	for t := 0; t < n; t++ {
-		coarse.Weights[out.Assign[t]] += tig.Weights[t]
-	}
-	agg := map[[2]int]float64{}
-	for _, e := range tig.Edges() {
-		ca, cb := out.Assign[e.U], out.Assign[e.V]
-		if ca != cb {
-			agg[key(ca, cb)] += e.Weight
-		}
-	}
-	aggKeys := make([][2]int, 0, len(agg))
-	for p := range agg {
-		aggKeys = append(aggKeys, p)
-	}
-	sort.Slice(aggKeys, func(i, j int) bool {
-		if aggKeys[i][0] != aggKeys[j][0] {
-			return aggKeys[i][0] < aggKeys[j][0]
-		}
-		return aggKeys[i][1] < aggKeys[j][1]
-	})
-	for _, p := range aggKeys {
-		if err := coarse.AddEdge(p[0], p[1], agg[p]); err != nil {
-			return nil, err
-		}
-	}
 	out.Coarse = coarse
 	return out, nil
 }

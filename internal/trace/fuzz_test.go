@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"matchsim/api"
 )
 
 // FuzzTraceReader feeds arbitrary byte streams to Read. It must never
@@ -31,7 +33,7 @@ func FuzzTraceReader(f *testing.F) {
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
 		for _, run := range runs {
-			events := append([]Event{run.Start}, run.Iterations...)
+			events := append([]api.Event{run.Start}, run.Iterations...)
 			if run.End != nil {
 				events = append(events, *run.End)
 			}

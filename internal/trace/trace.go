@@ -1,9 +1,10 @@
-// Package trace records solver runs as JSON-lines event streams —
-// production observability for long mapping jobs. Each run emits one
+// Package trace records solver runs as JSON-lines streams of api.Event —
+// the same record the matchd daemon streams over SSE, feeds into its
+// /metrics counters and `match -top` renders. Each run emits one
 // run-start event, one event per iteration/generation, and one run-end
-// event; the Reader parses a stream back for offline analysis (the
-// convergence plots in internal/exp consume either live histories or
-// replayed traces).
+// event; Read parses a stream back for offline analysis. IterEvent is the
+// single conversion from the library's matchsim.IterationTrace callback
+// record to the wire record.
 //
 // The format is line-delimited JSON so streams can be tailed, truncated
 // and concatenated safely; a torn final line (a crashed run) is reported
@@ -15,124 +16,41 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"time"
+
+	"matchsim"
+	"matchsim/api"
 )
 
-// EventKind discriminates trace events.
-type EventKind string
-
-const (
-	// KindStart opens a run.
-	KindStart EventKind = "start"
-	// KindIteration records one CE iteration or GA generation.
-	KindIteration EventKind = "iter"
-	// KindEnd closes a run.
-	KindEnd EventKind = "end"
-)
-
-// Event is one trace record. Fields are a union across kinds; unused
-// fields are omitted from the wire form — except Seed and Iter, which
-// carry legitimate zero values (seed 0 is a valid seed, and resumed runs
-// may re-emit iteration 0) and are therefore always present.
-type Event struct {
-	Kind EventKind `json:"kind"`
-	// Run identity (start events).
-	Solver string `json:"solver,omitempty"`
-	Tasks  int    `json:"tasks,omitempty"`
-	Seed   uint64 `json:"seed"`
-	// Per-iteration payload.
-	Iter      int     `json:"iter"`
-	Gamma     float64 `json:"gamma,omitempty"`
-	Best      float64 `json:"best,omitempty"`
-	Worst     float64 `json:"worst,omitempty"`
-	Mean      float64 `json:"mean,omitempty"`
-	BestSoFar float64 `json:"best_so_far,omitempty"`
-	// Elite is the size of the iteration's elite set.
-	Elite int `json:"elite,omitempty"`
-	// Solver internals (CE iterations; zero elsewhere). Draws is the
-	// samples drawn; RejectTries/FallbackDraws are GenPerm sampler
-	// counters; SampleNs/SelectNs/UpdateNs are phase timings; StealUnits
-	// and IdleNs describe the worker pool's barrier behaviour. Traces
-	// written by older builds may also carry pruned, rescored and
-	// skipped_edges; Reader ignores them.
-	Draws         int    `json:"draws,omitempty"`
-	RejectTries   uint64 `json:"reject_tries,omitempty"`
-	FallbackDraws uint64 `json:"fallback_draws,omitempty"`
-	SampleNs      int64  `json:"sample_ns,omitempty"`
-	SelectNs      int64  `json:"select_ns,omitempty"`
-	UpdateNs      int64  `json:"update_ns,omitempty"`
-	StealUnits    int    `json:"steal_units,omitempty"`
-	IdleNs        int64  `json:"idle_ns,omitempty"`
-	// RebuiltRows and SkippedRows count the sampling-table rows the
-	// iteration's distribution update rebuilt versus skipped as unchanged
-	// (sparse-row runs; both zero on the dense path).
-	RebuiltRows uint64 `json:"rebuilt_rows,omitempty"`
-	SkippedRows uint64 `json:"skipped_rows,omitempty"`
-	// Island-model telemetry (island-ensemble runs only): Island labels
-	// which island produced this iteration; MigrantsIn/MigrantsOut count
-	// elite solutions received/sent in the iteration's exchange round and
-	// BlendRounds the P-matrix blend steps applied (zero off exchange
-	// rounds and on single-population runs).
-	Island      int `json:"island,omitempty"`
-	MigrantsIn  int `json:"migrants_in,omitempty"`
-	MigrantsOut int `json:"migrants_out,omitempty"`
-	BlendRounds int `json:"blend_rounds,omitempty"`
-	// Run outcome (end events).
-	Exec        float64       `json:"exec,omitempty"`
-	Iterations  int           `json:"iterations,omitempty"`
-	Evaluations int64         `json:"evaluations,omitempty"`
-	MappingTime time.Duration `json:"mapping_time_ns,omitempty"`
-	StopReason  string        `json:"stop_reason,omitempty"`
-}
-
-// Validate rejects events no well-formed solver run can produce: unknown
-// kinds, non-finite costs (NaN/Inf gamma, best, worst, mean, best-so-far
-// or exec) and negative counters or timings. The Writer refuses to emit
-// such events with a clear error (json.Marshal would otherwise fail
-// cryptically on NaN, or silently encode a negative iteration), and the
-// reader rejects them instead of propagating them into consumers such as
-// matchtop.
-func (e Event) Validate() error {
-	switch e.Kind {
-	case KindStart, KindIteration, KindEnd:
-	case "":
-		return fmt.Errorf("trace: event without kind")
-	default:
-		return fmt.Errorf("trace: unknown event kind %q", e.Kind)
+// IterEvent converts the per-iteration telemetry of a solver callback to
+// its wire record, solver-internals block included. It is the one place
+// the IterationTrace field set maps onto api.Event.
+func IterEvent(tr matchsim.IterationTrace) api.Event {
+	return api.Event{
+		Kind:          api.KindIteration,
+		Iter:          tr.Iteration,
+		Gamma:         tr.Gamma,
+		Best:          tr.Best,
+		Worst:         tr.Worst,
+		Mean:          tr.Mean,
+		BestSoFar:     tr.BestSoFar,
+		Elite:         tr.EliteCount,
+		Draws:         tr.Draws,
+		RejectTries:   tr.RejectTries,
+		FallbackDraws: tr.FallbackDraws,
+		SampleNs:      tr.SampleNs,
+		SelectNs:      tr.SelectNs,
+		UpdateNs:      tr.UpdateNs,
+		StealUnits:    tr.StealUnits,
+		IdleNs:        tr.IdleNs,
+		RebuiltRows:   tr.RebuiltRows,
+		SkippedRows:   tr.SkippedRows,
+		Island:        tr.Island,
+		MigrantsIn:    tr.MigrantsIn,
+		MigrantsOut:   tr.MigrantsOut,
+		BlendRounds:   tr.BlendRounds,
 	}
-	floats := [...]struct {
-		name string
-		v    float64
-	}{
-		{"gamma", e.Gamma}, {"best", e.Best}, {"worst", e.Worst},
-		{"mean", e.Mean}, {"best_so_far", e.BestSoFar}, {"exec", e.Exec},
-	}
-	for _, f := range floats {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("trace: event has non-finite %s (%v)", f.name, f.v)
-		}
-	}
-	ints := [...]struct {
-		name string
-		v    int64
-	}{
-		{"tasks", int64(e.Tasks)}, {"iter", int64(e.Iter)}, {"elite", int64(e.Elite)},
-		{"draws", int64(e.Draws)},
-		{"sample_ns", e.SampleNs}, {"select_ns", e.SelectNs}, {"update_ns", e.UpdateNs},
-		{"steal_units", int64(e.StealUnits)}, {"idle_ns", e.IdleNs},
-		{"iterations", int64(e.Iterations)}, {"evaluations", e.Evaluations},
-		{"mapping_time_ns", int64(e.MappingTime)},
-		{"island", int64(e.Island)}, {"migrants_in", int64(e.MigrantsIn)},
-		{"migrants_out", int64(e.MigrantsOut)}, {"blend_rounds", int64(e.BlendRounds)},
-	}
-	for _, f := range ints {
-		if f.v < 0 {
-			return fmt.Errorf("trace: event has negative %s (%d)", f.name, f.v)
-		}
-	}
-	return nil
 }
 
 // Writer streams events as JSON lines. It is safe for concurrent use:
@@ -160,7 +78,7 @@ func NewWriter(w io.Writer) *Writer {
 // Flush calls. End events flush through to the underlying writer, so a
 // trace file is complete on disk the moment each run finishes even if the
 // process later dies without Close.
-func (t *Writer) Emit(e Event) error {
+func (t *Writer) Emit(e api.Event) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
@@ -173,7 +91,7 @@ func (t *Writer) Emit(e Event) error {
 		t.err = err
 		return err
 	}
-	if e.Kind == KindEnd {
+	if e.Kind == api.KindEnd {
 		if err := t.w.Flush(); err != nil {
 			t.err = err
 			return err
@@ -184,19 +102,20 @@ func (t *Writer) Emit(e Event) error {
 
 // Start emits a run-start event.
 func (t *Writer) Start(solver string, tasks int, seed uint64) error {
-	return t.Emit(Event{Kind: KindStart, Solver: solver, Tasks: tasks, Seed: seed})
+	return t.Emit(api.Event{Kind: api.KindStart, Solver: solver, Tasks: tasks, Seed: seed})
 }
 
-// Iteration emits one iteration event; e.Kind is forced to KindIteration.
-func (t *Writer) Iteration(e Event) error {
-	e.Kind = KindIteration
+// Iteration emits one iteration event; e.Kind is forced to
+// api.KindIteration.
+func (t *Writer) Iteration(e api.Event) error {
+	e.Kind = api.KindIteration
 	return t.Emit(e)
 }
 
 // End emits a run-end event and flushes it through.
 func (t *Writer) End(exec float64, iterations int, evaluations int64, mappingTime time.Duration, stopReason string) error {
-	return t.Emit(Event{
-		Kind: KindEnd, Exec: exec, Iterations: iterations,
+	return t.Emit(api.Event{
+		Kind: api.KindEnd, Exec: exec, Iterations: iterations,
 		Evaluations: evaluations, MappingTime: mappingTime, StopReason: stopReason,
 	})
 }
@@ -242,9 +161,9 @@ func (t *Writer) Close() error {
 
 // Run is one replayed run.
 type Run struct {
-	Start      Event
-	Iterations []Event
-	End        *Event // nil when the stream ended mid-run (crash)
+	Start      api.Event
+	Iterations []api.Event
+	End        *api.Event // nil when the stream ended mid-run (crash)
 }
 
 // Read replays a trace stream into runs. A truncated or torn final line
@@ -261,7 +180,7 @@ func Read(r io.Reader) ([]Run, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var e Event
+		var e api.Event
 		if err := json.Unmarshal(line, &e); err != nil {
 			// A torn final line is tolerated; mid-stream corruption is not.
 			if !scanner.Scan() {
@@ -276,18 +195,18 @@ func Read(r io.Reader) ([]Run, error) {
 			return nil, fmt.Errorf("trace: invalid event at line %d: %w", lineNo, err)
 		}
 		switch e.Kind {
-		case KindStart:
+		case api.KindStart:
 			if current != nil {
 				// Previous run never ended (crash); keep it with End nil.
 				runs = append(runs, *current)
 			}
 			current = &Run{Start: e}
-		case KindIteration:
+		case api.KindIteration:
 			if current == nil {
 				return nil, fmt.Errorf("trace: iteration event before any start at line %d", lineNo)
 			}
 			current.Iterations = append(current.Iterations, e)
-		case KindEnd:
+		case api.KindEnd:
 			if current == nil {
 				return nil, fmt.Errorf("trace: end event before any start at line %d", lineNo)
 			}

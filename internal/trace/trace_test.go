@@ -5,10 +5,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"matchsim"
+	"matchsim/api"
 )
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -18,7 +22,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if err := w.Iteration(Event{Iter: i, Gamma: 100 - float64(i), Best: 90 - float64(i), Mean: 95, BestSoFar: 90 - float64(i)}); err != nil {
+		if err := w.Iteration(api.Event{Iter: i, Gamma: 100 - float64(i), Best: 90 - float64(i), Mean: 95, BestSoFar: 90 - float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +63,7 @@ func TestReadMultipleRuns(t *testing.T) {
 	w := NewWriter(&buf)
 	for r := 0; r < 3; r++ {
 		w.Start("GA", 10, uint64(r))
-		w.Iteration(Event{Iter: 1, Best: 50, Mean: 60, BestSoFar: 50})
+		w.Iteration(api.Event{Iter: 1, Best: 50, Mean: 60, BestSoFar: 50})
 		w.End(50, 1, 100, time.Millisecond, "generations")
 	}
 	w.Flush()
@@ -81,7 +85,7 @@ func TestReadCrashedRun(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.Start("MaTCH", 5, 1)
-	w.Iteration(Event{Iter: 1, Gamma: 10, Best: 9, Mean: 9.5, BestSoFar: 9})
+	w.Iteration(api.Event{Iter: 1, Gamma: 10, Best: 9, Mean: 9.5, BestSoFar: 9})
 	// No end event: the process died.
 	w.Flush()
 	runs, err := Read(&buf)
@@ -136,7 +140,7 @@ func TestReadRejectsOrphanEvents(t *testing.T) {
 
 func TestEmitRejectsKindlessEvent(t *testing.T) {
 	w := NewWriter(&bytes.Buffer{})
-	if err := w.Emit(Event{}); err == nil {
+	if err := w.Emit(api.Event{}); err == nil {
 		t.Fatal("kindless event accepted")
 	}
 }
@@ -171,7 +175,7 @@ func TestZeroSeedAndIterationRoundTrip(t *testing.T) {
 	if err := w.Start("MaTCH", 8, 0); err != nil { // seed 0, deliberately
 		t.Fatal(err)
 	}
-	if err := w.Iteration(Event{Iter: 0, Gamma: 12, Best: 10, Mean: 11, BestSoFar: 10}); err != nil {
+	if err := w.Iteration(api.Event{Iter: 0, Gamma: 12, Best: 10, Mean: 11, BestSoFar: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.End(10, 1, 64, time.Millisecond, "cancelled"); err != nil {
@@ -201,7 +205,7 @@ func TestSolverInternalsRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	w.Start("MaTCH", 16, 3)
-	in := Event{
+	in := api.Event{
 		Iter: 4, Gamma: 55, Best: 50, Worst: 80, Mean: 60, BestSoFar: 48,
 		Elite: 15, Draws: 512,
 		RejectTries: 1234, FallbackDraws: 56,
@@ -218,7 +222,7 @@ func TestSolverInternalsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := runs[0].Iterations[0]
-	in.Kind = KindIteration
+	in.Kind = api.KindIteration
 	if got != in {
 		t.Errorf("round trip mutated event:\n got %+v\nwant %+v", got, in)
 	}
@@ -253,7 +257,7 @@ func TestWriterStickyError(t *testing.T) {
 	if w.Err() == nil {
 		t.Fatal("error did not stick")
 	}
-	if err := w.Emit(Event{Kind: KindStart}); err == nil {
+	if err := w.Emit(api.Event{Kind: api.KindStart}); err == nil {
 		t.Fatal("Emit after sticky error succeeded")
 	}
 	if err := w.Close(); err == nil {
@@ -315,7 +319,7 @@ func TestConcurrentEmit(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < eventsPerGorou; i++ {
-				if err := w.Iteration(Event{Iter: i, Gamma: 1, Best: 2, Mean: 3, BestSoFar: 4}); err != nil {
+				if err := w.Iteration(api.Event{Iter: i, Gamma: 1, Best: 2, Mean: 3, BestSoFar: 4}); err != nil {
 					t.Errorf("writer %d: %v", g, err)
 					return
 				}
@@ -340,11 +344,11 @@ func TestConcurrentEmit(t *testing.T) {
 		if len(scanner.Bytes()) == 0 {
 			continue
 		}
-		var e Event
+		var e api.Event
 		if err := json.Unmarshal(scanner.Bytes(), &e); err != nil {
 			t.Fatalf("torn event on line %d: %v\n%s", lines+1, err, scanner.Bytes())
 		}
-		if e.Kind != KindIteration {
+		if e.Kind != api.KindIteration {
 			t.Fatalf("unexpected kind %q on line %d", e.Kind, lines+1)
 		}
 		lines++
@@ -373,11 +377,59 @@ func TestReadLegacySolverInternals(t *testing.T) {
 	if len(runs) != 1 || len(runs[0].Iterations) != 1 || runs[0].End == nil {
 		t.Fatalf("legacy trace replayed as %+v", runs)
 	}
-	want := Event{
-		Kind: KindIteration, Iter: 4, Gamma: 55, Best: 50, Worst: 80, Mean: 60, BestSoFar: 48,
+	want := api.Event{
+		Kind: api.KindIteration, Iter: 4, Gamma: 55, Best: 50, Worst: 80, Mean: 60, BestSoFar: 48,
 		Elite: 15, Draws: 512, RejectTries: 1234, FallbackDraws: 56, SampleNs: 150_000,
 	}
 	if got := runs[0].Iterations[0]; got != want {
 		t.Errorf("legacy iteration decoded as %+v, want %+v", got, want)
+	}
+}
+
+// TestIterEventCarriesEveryField fills each IterationTrace field with a
+// distinct value and checks IterEvent lands it in the api.Event field of
+// the same name, so a counter added to the callback record cannot be
+// silently dropped on the way to the wire.
+func TestIterEventCarriesEveryField(t *testing.T) {
+	renamed := map[string]string{"Iteration": "Iter", "EliteCount": "Elite"}
+	deprecated := map[string]bool{"Pruned": true, "Rescored": true, "SkippedEdges": true}
+
+	var tr matchsim.IterationTrace
+	in := reflect.ValueOf(&tr).Elem()
+	for i := 0; i < in.NumField(); i++ {
+		f := in.Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Uint64:
+			f.SetUint(uint64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		default:
+			t.Fatalf("IterationTrace.%s has unhandled kind %s", in.Type().Field(i).Name, f.Kind())
+		}
+	}
+	e := IterEvent(tr)
+	if e.Kind != api.KindIteration {
+		t.Errorf("kind %q, want %q", e.Kind, api.KindIteration)
+	}
+	out := reflect.ValueOf(e)
+	for i := 0; i < in.NumField(); i++ {
+		name := in.Type().Field(i).Name
+		if deprecated[name] {
+			continue
+		}
+		wire := name
+		if r, ok := renamed[name]; ok {
+			wire = r
+		}
+		got := out.FieldByName(wire)
+		if !got.IsValid() {
+			t.Errorf("IterationTrace.%s has no api.Event.%s", name, wire)
+			continue
+		}
+		if got.Interface() != in.Field(i).Interface() {
+			t.Errorf("api.Event.%s = %v, want IterationTrace.%s = %v", wire, got, name, in.Field(i))
+		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"matchsim/api"
 )
 
 func TestWriterRejectsInvalidEvents(t *testing.T) {
@@ -12,17 +14,17 @@ func TestWriterRejectsInvalidEvents(t *testing.T) {
 	w := NewWriter(&buf)
 	cases := []struct {
 		name string
-		e    Event
+		e    api.Event
 		want string
 	}{
-		{"no kind", Event{}, "without kind"},
-		{"unknown kind", Event{Kind: "progress"}, "unknown event kind"},
-		{"NaN gamma", Event{Kind: KindIteration, Gamma: math.NaN()}, "non-finite gamma"},
-		{"Inf exec", Event{Kind: KindEnd, Exec: math.Inf(1)}, "non-finite exec"},
-		{"-Inf best", Event{Kind: KindIteration, Best: math.Inf(-1)}, "non-finite best"},
-		{"negative iter", Event{Kind: KindIteration, Iter: -3}, "negative iter"},
-		{"negative iterations", Event{Kind: KindEnd, Iterations: -1}, "negative iterations"},
-		{"negative mapping time", Event{Kind: KindEnd, MappingTime: -5}, "negative mapping_time_ns"},
+		{"no kind", api.Event{}, "without kind"},
+		{"unknown kind", api.Event{Kind: "progress"}, "unknown event kind"},
+		{"NaN gamma", api.Event{Kind: api.KindIteration, Gamma: math.NaN()}, "non-finite gamma"},
+		{"Inf exec", api.Event{Kind: api.KindEnd, Exec: math.Inf(1)}, "non-finite exec"},
+		{"-Inf best", api.Event{Kind: api.KindIteration, Best: math.Inf(-1)}, "non-finite best"},
+		{"negative iter", api.Event{Kind: api.KindIteration, Iter: -3}, "negative iter"},
+		{"negative iterations", api.Event{Kind: api.KindEnd, Iterations: -1}, "negative iterations"},
+		{"negative mapping time", api.Event{Kind: api.KindEnd, MappingTime: -5}, "negative mapping_time_ns"},
 	}
 	for _, c := range cases {
 		err := w.Emit(c.e)

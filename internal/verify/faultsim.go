@@ -278,9 +278,9 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 		prevIter := -1
 		for i, e := range events {
 			switch e.Kind {
-			case "start":
+			case api.KindStart:
 				prevIter = -1
-			case "iter":
+			case api.KindIteration:
 				if e.Iter < 0 {
 					return fmt.Errorf("verify: faultsim stream: negative iteration %d", e.Iter)
 				}
@@ -288,7 +288,7 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 					return fmt.Errorf("verify: faultsim stream: iteration went backwards (%d after %d)", e.Iter, prevIter)
 				}
 				prevIter = e.Iter
-			case "end":
+			case api.KindEnd:
 				if i != len(events)-1 {
 					return fmt.Errorf("verify: faultsim stream: %d event(s) after end", len(events)-1-i)
 				}
@@ -332,7 +332,7 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 				if !ok {
 					return 0, fmt.Errorf("verify: faultsim job %s stream closed before iteration %d", id, minIter)
 				}
-				if e.Kind == "iter" && e.Iter >= minIter {
+				if e.Kind == api.KindIteration && e.Iter >= minIter {
 					return e.Iter, nil
 				}
 			case <-deadline:

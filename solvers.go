@@ -120,32 +120,11 @@ type IterationTrace struct {
 // sample budget N = 2n^2 is paid at the coarse n, instances with tens of
 // thousands of tasks become solvable in seconds. Zero values take the
 // defaults documented per field.
-type MultilevelOptions struct {
-	// MinCoarse is the vertex count the coarsener aims for (default 128).
-	MinCoarse int
-	// CoarsenRatio aborts coarsening when one step would keep more than
-	// this fraction of the current vertices (default 0.95).
-	CoarsenRatio float64
-	// RefinePasses caps the refinement passes per level (default 8).
-	RefinePasses int
-}
+type MultilevelOptions = core.MultilevelOptions
 
 // LevelStats is per-level telemetry of a multilevel run, ordered
 // fine-to-coarse (index 0 is the original instance).
-type LevelStats struct {
-	// Tasks and Edges are the instance size at this level.
-	Tasks, Edges int
-	// CoarsenNs, SolveNs and RefineNs are the phase timings: building the
-	// next-coarser level, the coarse CE solve (coarsest level only), and
-	// the post-projection refinement (all levels above the coarsest).
-	CoarsenNs, SolveNs, RefineNs int64
-	// RefinePasses, RefineSwaps and RefineProbes account the refinement
-	// work at this level.
-	RefinePasses, RefineSwaps int
-	RefineProbes              int64
-	// Exec is the makespan of this level's mapping after refinement.
-	Exec float64
-}
+type LevelStats = core.LevelStats
 
 // IslandTransport moves exchange packets between cooperating islands;
 // see IslandOptions.Transport. The in-memory default suffices inside one
@@ -162,27 +141,7 @@ type IslandTransport = island.Transport
 // bit-reproducible per (Seed, Topology, Count) regardless of worker
 // counts or scheduling. Island runs are not checkpointable and do not
 // combine with Multilevel.
-type IslandOptions struct {
-	// Count is the total number of islands (across all nodes of a
-	// cooperative run); <= 1 disables island mode.
-	Count int
-	// Topology is the exchange graph: "ring" (default) or "all".
-	Topology string
-	// MigrateEvery is the exchange period in CE iterations (default 10).
-	MigrateEvery int
-	// MigrantCount is the elite mappings each island publishes per
-	// exchange; 0 defaults to 4, negative disables migration.
-	MigrantCount int
-	// BlendAlpha in [0, 1) blends each P row towards the mean of the
-	// peers' rows; 0 disables blending.
-	BlendAlpha float64
-	// Transport, when non-nil, replaces the in-process exchange — matchd
-	// uses it to spread one job's islands across daemon nodes.
-	Transport IslandTransport
-	// Remote, when non-nil, has Count entries marking islands solved on
-	// other nodes; requires an explicit Transport.
-	Remote []bool
-}
+type IslandOptions = core.IslandOptions
 
 // MaTCHOptions tunes the MaTCH solver. Zero values take the paper's
 // defaults: N = 2n^2 samples per iteration, rho = 0.05, zeta = 0.3,
@@ -292,20 +251,7 @@ func matchSolution(res *core.Result) *Solution {
 	}
 	if len(res.Levels) > 0 {
 		s.Solver = "MaTCH-multilevel"
-		s.Levels = make([]LevelStats, len(res.Levels))
-		for i, lv := range res.Levels {
-			s.Levels[i] = LevelStats{
-				Tasks:        lv.Tasks,
-				Edges:        lv.Edges,
-				CoarsenNs:    lv.CoarsenNs,
-				SolveNs:      lv.SolveNs,
-				RefineNs:     lv.RefineNs,
-				RefinePasses: lv.RefinePasses,
-				RefineSwaps:  lv.RefineSwaps,
-				RefineProbes: lv.RefineProbes,
-				Exec:         lv.Exec,
-			}
-		}
+		s.Levels = res.Levels
 	}
 	return s
 }
@@ -345,24 +291,8 @@ func coreOptions(opts MaTCHOptions) core.Options {
 		Context:          opts.Context,
 		CheckpointEvery:  opts.CheckpointEvery,
 		OnCheckpoint:     opts.OnCheckpoint,
-	}
-	if opts.Multilevel != nil {
-		o.Multilevel = &core.MultilevelOptions{
-			MinCoarse:    opts.Multilevel.MinCoarse,
-			CoarsenRatio: opts.Multilevel.CoarsenRatio,
-			RefinePasses: opts.Multilevel.RefinePasses,
-		}
-	}
-	if opts.Islands != nil {
-		o.Islands = &core.IslandOptions{
-			Count:        opts.Islands.Count,
-			Topology:     opts.Islands.Topology,
-			MigrateEvery: opts.Islands.MigrateEvery,
-			MigrantCount: opts.Islands.MigrantCount,
-			BlendAlpha:   opts.Islands.BlendAlpha,
-			Transport:    opts.Islands.Transport,
-			Remote:       opts.Islands.Remote,
-		}
+		Multilevel:       opts.Multilevel,
+		Islands:          opts.Islands,
 	}
 	if opts.OnIteration != nil {
 		cb := opts.OnIteration
