@@ -100,11 +100,12 @@ type SolverOptions struct {
 
 // SubmitRequest is the body of POST /v1/jobs.
 //
-// CheckpointEvery and Checkpoint live outside Options deliberately: the
-// job's content-address Key hashes (instance, solver, options) only, so
-// supervision details — how often the run exports rescue checkpoints, or
-// that a submission resumes an interrupted run — never change which cache
-// entry a job maps to.
+// CheckpointEvery and Checkpoint live outside Options deliberately: how
+// often a run exports rescue checkpoints never changes which cache entry
+// a job maps to. A resumed run is bit-identical to the uninterrupted one,
+// so resuming changes no result either; the content address additionally
+// hashes the checkpoint only so a document from outside cannot claim the
+// fresh submission's cache entry.
 type SubmitRequest struct {
 	// Instance is the problem instance JSON (the matchgen format: a
 	// {"tig": ..., "platform": ...} document).
@@ -121,9 +122,12 @@ type SubmitRequest struct {
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// Checkpoint, when non-empty, submits the job as a resumption of an
 	// interrupted run: the encoded checkpoint (a core.Checkpoint JSON
-	// document) seeds the solve, the job reports Resumed, and — because a
-	// resumed trajectory is not bit-identical to a fresh solve — the
-	// result is excluded from the deterministic result cache.
+	// document) seeds the solve, and the job reports Resumed and
+	// finishes with the uninterrupted run's result. A checkpoint that
+	// cannot resume exactly — a legacy document without a version, or
+	// options requesting multilevel or islands — is dropped and the job
+	// solves fresh. One that does not decode, does not fit the instance,
+	// or whose best_exec is not its incumbent's score is rejected (400).
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
 }
 
@@ -182,7 +186,8 @@ type JobInfo struct {
 	ID     string `json:"id"`
 	State  string `json:"state"`
 	Solver string `json:"solver"`
-	// Key is the content hash of (instance, solver, options) — identical
+	// Key is the content hash of (instance, solver, options, plus the
+	// checkpoint of a submission that resumes one) — identical
 	// submissions share it and hit the result cache.
 	Key     string    `json:"key"`
 	Created time.Time `json:"created"`
@@ -195,15 +200,11 @@ type JobInfo struct {
 	// CacheHit marks a job satisfied from the result cache without
 	// running the solver.
 	CacheHit bool `json:"cache_hit,omitempty"`
-	// Resumed marks a job restored from a persisted checkpoint after a
-	// daemon restart.
+	// Resumed marks a job restored after a daemon restart or submitted
+	// with a checkpoint (including a coordinator's handoff). It is
+	// information only: resumed jobs end with the same result as
+	// uninterrupted ones and share their cache entries.
 	Resumed bool `json:"resumed,omitempty"`
-	// DegradedResume marks a resumed job whose original options requested
-	// a mode the checkpoint cannot restore (multilevel pipeline or island
-	// ensemble): the job re-ran on the plain single-population path warm-
-	// started from the checkpoint, so its trajectory differs from an
-	// uninterrupted run.
-	DegradedResume bool `json:"degraded_resume,omitempty"`
 	// TraceID is the distributed-trace identifier covering this job's
 	// whole lifecycle (submission, queueing, solve, island exchanges on
 	// other nodes, checkpoint/resume). Empty when the daemon runs with
@@ -257,8 +258,8 @@ type Event struct {
 	Solver string `json:"solver,omitempty"`
 	Tasks  int    `json:"tasks,omitempty"`
 	Seed   uint64 `json:"seed"`
-	// Per-iteration payload. Iter has no omitempty: resumed runs may
-	// re-emit iteration 0.
+	// Per-iteration payload. Iter counts across a resume: a resumed run's
+	// first event follows its checkpoint's iterations.
 	Iter      int     `json:"iter"`
 	Gamma     float64 `json:"gamma,omitempty"`
 	Best      float64 `json:"best,omitempty"`

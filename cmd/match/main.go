@@ -19,8 +19,9 @@
 //
 // With -checkpoint, a MaTCH run becomes interruptible: Ctrl-C (or
 // SIGTERM) stops the CE loop within one iteration and saves its state to
-// the file; re-running the same command resumes from it instead of
-// starting over. The file is also written on normal completion so a
+// the file; re-running the same command resumes from it and ends with
+// exactly the result of an uninterrupted run. -max-iters caps the whole
+// chain, and the file is also written on normal completion, so a
 // finished run can later be extended with a larger -max-iters.
 package main
 

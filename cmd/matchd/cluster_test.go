@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -34,7 +35,8 @@ type journalDoc struct {
 // SIGKILLed mid-run — after the coordinator has journalled a checkpoint.
 // Every accepted job must complete: the short ones undisturbed and
 // bit-identical to a direct library solve, the long one rescued onto the
-// survivor with Resumed set. Afterwards the coordinator and the survivor
+// survivor with Resumed set and — resumes being exact — the same bits as
+// an uninterrupted library solve. Afterwards the coordinator and the survivor
 // must both report matchd_trace_spans_open == 0. Gated by
 // MATCH_E2E_CLUSTER=1; CI runs it under -race because the client,
 // coordinator routing and telemetry plumbing are concurrent across real
@@ -175,6 +177,24 @@ func TestThreeDaemonClusterSolve(t *testing.T) {
 	}
 	if res.Exec != direct.Exec {
 		t.Errorf("cluster exec %v != direct exec %v", res.Exec, direct.Exec)
+	}
+	// So does the rescued one.
+	rescued, err := c.Result(ctx, longID)
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	o := long.Options
+	directLong, err := matchsim.SolveMaTCH(p, matchsim.MaTCHOptions{
+		Seed: o.Seed, Workers: o.Workers, SampleSize: o.SampleSize,
+		MaxIterations: o.MaxIterations, StallC: o.StallC, GammaStallWindow: o.GammaStallWindow,
+	})
+	if err != nil {
+		t.Fatalf("SolveMaTCH: %v", err)
+	}
+	if rescued.Exec != directLong.Exec || !slices.Equal(rescued.Mapping, directLong.Mapping) ||
+		rescued.Iterations != directLong.Iterations {
+		t.Errorf("rescued exec %v (%d iterations) != uninterrupted exec %v (%d)",
+			rescued.Exec, rescued.Iterations, directLong.Exec, directLong.Iterations)
 	}
 
 	// Topology reflects the kill, and the routing metrics moved.

@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -390,7 +392,7 @@ func scrapeValue(text, name string) (float64, bool) {
 
 // TestSIGTERMCheckpointAndResume restarts the daemon around an in-flight
 // CE job: SIGTERM checkpoints it, the next start resumes and finishes it
-// under the original job id.
+// under the original job id, with the uninterrupted run's result.
 func TestSIGTERMCheckpointAndResume(t *testing.T) {
 	bin := buildDaemon(t)
 	ckptDir := filepath.Join(t.TempDir(), "ckpt")
@@ -406,9 +408,14 @@ func TestSIGTERMCheckpointAndResume(t *testing.T) {
 	if err := p.WriteInstance(&inst); err != nil {
 		t.Fatalf("WriteInstance: %v", err)
 	}
+	// Stall stops are pinned off so only the iteration cap ends the run:
+	// long enough for SIGTERM to land mid-solve, short enough to finish
+	// after the restart.
+	opts := matchsim.MaTCHOptions{Seed: 3, Workers: 1, MaxIterations: 1500, StallC: 100000, GammaStallWindow: 100000}
 	info, err := c.Submit(ctx, api.SubmitRequest{
 		Instance: inst.Bytes(), Solver: api.SolverMaTCH,
-		Options: api.SolverOptions{Seed: 3, Workers: 1, MaxIterations: 100000, StallC: 100000, GammaStallWindow: 100000},
+		Options: api.SolverOptions{Seed: opts.Seed, Workers: opts.Workers, MaxIterations: opts.MaxIterations,
+			StallC: opts.StallC, GammaStallWindow: opts.GammaStallWindow},
 	})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -442,10 +449,8 @@ func TestSIGTERMCheckpointAndResume(t *testing.T) {
 		t.Fatalf("no checkpoint persisted for interrupted job: %v", err)
 	}
 
-	// Restart over the same checkpoint dir; lower the iteration cap is
-	// not possible per-job here — cancel-by-convergence would take long,
-	// so resume and then simply observe the job is back and running (or
-	// already done), then cancel it to finish quickly.
+	// Restart over the same checkpoint dir: the job comes back under its
+	// id and runs to the cap.
 	cmd2, base2 := startDaemon(t, bin, "-checkpoint-dir", ckptDir, "-workers", "1")
 	c2 := client.New(base2)
 	resumed, err := c2.Info(ctx, info.ID)
@@ -455,17 +460,27 @@ func TestSIGTERMCheckpointAndResume(t *testing.T) {
 	if !resumed.Resumed {
 		t.Error("restored job not marked resumed")
 	}
-	if _, err := c2.Cancel(ctx, info.ID); err != nil {
-		t.Fatalf("Cancel resumed job: %v", err)
-	}
-	waitCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	waitCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
 	defer cancel()
 	final, err := c2.Wait(waitCtx, info.ID, 20*time.Millisecond)
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	if !api.TerminalState(final.State) {
-		t.Fatalf("resumed job stuck in %q", final.State)
+	if final.State != api.StateDone {
+		t.Fatalf("resumed job ended %q (error %q), want done", final.State, final.Error)
+	}
+	res, err := c2.Result(ctx, info.ID)
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	want, err := matchsim.SolveMaTCH(p, opts)
+	if err != nil {
+		t.Fatalf("SolveMaTCH: %v", err)
+	}
+	if math.Float64bits(res.Exec) != math.Float64bits(want.Exec) || !slices.Equal(res.Mapping, want.Mapping) ||
+		res.Iterations != want.Iterations || res.Evaluations != want.Evaluations {
+		t.Errorf("resumed result exec %v (%d iterations) differs from the uninterrupted %v (%d)",
+			res.Exec, res.Iterations, want.Exec, want.Iterations)
 	}
 	if err := cmd2.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatalf("SIGTERM restart: %v", err)

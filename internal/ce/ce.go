@@ -120,7 +120,8 @@ type Config struct {
 	// StallWindow stops the run when gamma_k is unchanged for this many
 	// consecutive iterations; default 5 (the paper's c).
 	StallWindow int
-	// MaxIterations caps the loop regardless of convergence; default 1000.
+	// MaxIterations caps the loop regardless of convergence, counting the
+	// iterations of the run a RunFrom start state continues; default 1000.
 	MaxIterations int
 	// Workers sets the sampling/scoring parallelism; default GOMAXPROCS.
 	// Workers = 1 gives a fully sequential run. The worker count does not
@@ -283,14 +284,37 @@ const (
 	StopCancelled StopReason = "cancelled"
 )
 
+// State is what iteration k+1 depends on besides the problem's sampling
+// distribution: the iteration index (it keys the RNG streams and the
+// dynamic-smoothing schedule), the Fig. 2 stall window and the incumbent.
+// The zero value is a fresh run.
+type State[S any] struct {
+	// Iterations counts the completed iterations; the next is Iterations+1.
+	Iterations int
+	// Gamma is gamma_k of iteration Iterations, and GammaStallRuns the
+	// number of consecutive iterations before it that repeated it.
+	Gamma          float64
+	GammaStallRuns int
+	// Best and BestScore are the incumbent (unused when Iterations == 0).
+	Best      S
+	BestScore float64
+}
+
+// StateFunc observes the loop state after every iteration, on the
+// coordinator goroutine right after OnIteration. st.Best is the reused
+// best-so-far buffer: copy what you keep, mutate nothing, use no RNG.
+type StateFunc[S any] func(st State[S])
+
 // Result carries the outcome of one CE run.
 type Result[S any] struct {
-	Best        S
-	BestScore   float64
-	Iterations  int
+	// State is the loop state at exit — also on StopCancelled — so
+	// RunFrom(p, cfg, res.State, ...) continues the run exactly.
+	State[S]
+	// Evaluations counts the draws of every iteration, including those of
+	// the run a start state continues.
 	Evaluations int64
 	StopReason  StopReason
-	// History holds per-iteration telemetry (always recorded; it is small).
+	// History holds this call's per-iteration telemetry.
 	History []IterStats
 }
 
@@ -300,29 +324,21 @@ var ErrNoProgress = errors.New("ce: sampler failed to produce any valid solution
 // Run executes the CE loop on p under cfg and returns the best solution
 // found across all iterations (not merely the final distribution's mode).
 func Run[S any](p Problem[S], cfg Config) (Result[S], error) {
-	return run(p, cfg, 0, nil, nil)
+	return run(p, cfg, State[S]{}, 0, nil, nil)
 }
 
-// ImproveFunc observes a new incumbent (see RunWithImprove). best is the
-// framework's reused best-so-far buffer: the hook must copy anything it
-// keeps and must not mutate it. It runs on the coordinator goroutine
-// between sampling barriers — same contract as Config.OnIteration — and
-// must not use the problem's RNG streams (pure observation keeps the run
-// bit-identical to an unhooked one).
-type ImproveFunc[S any] func(iter int, best S, score float64)
-
-// RunWithImprove is Run plus an incumbent-observation hook, fired every
-// time the best-so-far solution improves. Config is not generic over S,
-// so the hook rides the call like RunIslands' ExchangeFunc does.
-func RunWithImprove[S any](p Problem[S], cfg Config, onImprove ImproveFunc[S]) (Result[S], error) {
-	return run(p, cfg, 0, nil, onImprove)
+// RunFrom continues the CE loop from start, an earlier run's State, with
+// p's distribution restored to where that run left it. Under the same
+// Config the result is bit-identical to the uninterrupted run, and
+// cfg.MaxIterations caps the whole chain. onState may be nil.
+func RunFrom[S any](p Problem[S], cfg Config, start State[S], onState StateFunc[S]) (Result[S], error) {
+	return run(p, cfg, start, 0, nil, onState)
 }
 
-// run is the CE loop shared by Run and RunIslands; exchange, when
-// non-nil, fires after the Update step of every exchangeEvery-th
-// iteration; onImprove, when non-nil, fires whenever the best-so-far
-// solution improves.
-func run[S any](p Problem[S], cfg Config, exchangeEvery int, exchange ExchangeFunc[S], onImprove ImproveFunc[S]) (Result[S], error) {
+// run is the CE loop shared by Run, RunFrom and RunIslands; exchange,
+// when non-nil, fires after the Update step of every exchangeEvery-th
+// iteration.
+func run[S any](p Problem[S], cfg Config, start State[S], exchangeEvery int, exchange ExchangeFunc[S], onState StateFunc[S]) (Result[S], error) {
 	cfg = cfg.withDefaults()
 	var zero Result[S]
 	if err := cfg.validate(); err != nil {
@@ -350,10 +366,15 @@ func run[S any](p Problem[S], cfg Config, exchangeEvery int, exchange ExchangeFu
 		eliteCount = 1
 	}
 
-	res := Result[S]{Best: p.NewSolution()}
-	if cfg.Minimize {
+	res := Result[S]{State: start}
+	res.Best = p.NewSolution()
+	res.Evaluations = int64(start.Iterations) * int64(n)
+	switch {
+	case start.Iterations > 0:
+		p.Copy(res.Best, start.Best)
+	case cfg.Minimize:
 		res.BestScore = math.Inf(1)
-	} else {
+	default:
 		res.BestScore = math.Inf(-1)
 	}
 
@@ -385,13 +406,7 @@ func run[S any](p Problem[S], cfg Config, exchangeEvery int, exchange ExchangeFu
 	pool := newSamplePool(p, cfg.Workers, cfg.Seed, solutions, scores, done)
 	defer pool.close()
 
-	var (
-		prevGamma float64
-		stallRuns int
-		haveGamma bool
-	)
-
-	for iter := 1; iter <= cfg.MaxIterations; iter++ {
+	for iter := start.Iterations + 1; iter <= cfg.MaxIterations; iter++ {
 		if ctx.Err() != nil {
 			return cancelled()
 		}
@@ -447,9 +462,6 @@ func run[S any](p Problem[S], cfg Config, exchangeEvery int, exchange ExchangeFu
 		if better(scores[order[0]], res.BestScore) {
 			res.BestScore = scores[order[0]]
 			p.Copy(res.Best, solutions[order[0]])
-			if onImprove != nil {
-				onImprove(iter, res.Best, res.BestScore)
-			}
 		}
 		stats.BestSoFar = res.BestScore
 
@@ -501,35 +513,35 @@ func run[S any](p Problem[S], cfg Config, exchangeEvery int, exchange ExchangeFu
 				if better(ex.InScores[i], res.BestScore) {
 					res.BestScore = ex.InScores[i]
 					p.Copy(res.Best, m)
-					if onImprove != nil {
-						onImprove(iter, res.Best, res.BestScore)
-					}
 				}
 			}
 			stats.BestSoFar = res.BestScore
 		}
 
-		res.History = append(res.History, stats)
+		if res.Iterations > 0 && gamma == res.Gamma {
+			res.GammaStallRuns++
+		} else {
+			res.GammaStallRuns = 0
+		}
+		res.Gamma = gamma
 		res.Iterations = iter
+		res.History = append(res.History, stats)
 
 		if cfg.OnIteration != nil {
 			cfg.OnIteration(stats)
+		}
+		if onState != nil {
+			onState(res.State)
 		}
 
 		if p.Converged() {
 			res.StopReason = StopConverged
 			return res, nil
 		}
-		if haveGamma && gamma == prevGamma {
-			stallRuns++
-			if stallRuns >= cfg.StallWindow {
-				res.StopReason = StopGammaStall
-				return res, nil
-			}
-		} else {
-			stallRuns = 0
+		if res.GammaStallRuns >= cfg.StallWindow {
+			res.StopReason = StopGammaStall
+			return res, nil
 		}
-		prevGamma, haveGamma = gamma, true
 	}
 	res.StopReason = StopMaxIterations
 	return res, nil

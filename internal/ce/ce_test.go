@@ -395,3 +395,58 @@ func TestDynamicSmoothingZetaValues(t *testing.T) {
 		t.Fatalf("schedule not decaying: z2=%v z10=%v", z2, z10)
 	}
 }
+
+// TestRunFromIsExact: stopping a run after k iterations and continuing it
+// with RunFrom from the returned State (on the same problem, whose
+// distribution stayed at P_k) reproduces the uninterrupted run bit for
+// bit for every k — including the dynamic-smoothing schedule, which is
+// keyed by the iteration index, and the gamma-stall window, which OneMax's
+// integer scores trip often.
+func TestRunFromIsExact(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		cfg := Config{
+			SampleSize:       100,
+			Rho:              0.1,
+			Zeta:             0.5,
+			DynamicSmoothing: true,
+			StallWindow:      3,
+			Seed:             21,
+			Workers:          workers,
+		}
+		fresh, err := NewBernoulliProblem(40, onesScore)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Run[[]bool](fresh, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("workers=%d: %d iterations, %s", workers, ref.Iterations, ref.StopReason)
+		for k := 1; k < ref.Iterations; k++ {
+			p, err := NewBernoulliProblem(40, onesScore)
+			if err != nil {
+				t.Fatal(err)
+			}
+			short := cfg
+			short.MaxIterations = k
+			first, err := Run[[]bool](p, short)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := RunFrom[[]bool](p, cfg, first.State, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Iterations != ref.Iterations || got.Evaluations != ref.Evaluations ||
+				got.StopReason != ref.StopReason || got.GammaStallRuns != ref.GammaStallRuns ||
+				math.Float64bits(got.BestScore) != math.Float64bits(ref.BestScore) {
+				t.Fatalf("workers=%d k=%d: resumed %+v, want %+v", workers, k, got.State, ref.State)
+			}
+			for i, st := range got.History {
+				if st.Search() != ref.History[k+i].Search() {
+					t.Fatalf("workers=%d k=%d: iteration %d diverges", workers, k, st.Iter)
+				}
+			}
+		}
+	}
+}

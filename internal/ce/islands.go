@@ -52,7 +52,7 @@ func RunIslands[S any](ctx context.Context, runs []IslandRun[S]) ([]Result[S], e
 			defer wg.Done()
 			cfg := runs[g].Config
 			cfg.Context = cctx
-			res, err := run(runs[g].Problem, cfg, runs[g].ExchangeEvery, runs[g].Exchange, nil)
+			res, err := run(runs[g].Problem, cfg, State[S]{}, runs[g].ExchangeEvery, runs[g].Exchange, nil)
 			if err == nil && runs[g].After != nil {
 				if aerr := runs[g].After(cctx, &res); aerr != nil && cctx.Err() == nil {
 					err = aerr

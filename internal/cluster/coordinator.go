@@ -163,12 +163,6 @@ type flight struct {
 	checkpoint      []byte
 	checkpointIters int
 
-	// noCache excludes the flight's result from the coordinator cache:
-	// set for explicit-resume submissions and after any checkpoint-
-	// carrying handoff, whose trajectories are not bit-reproducible
-	// against a fresh solve.
-	noCache bool
-
 	attached  []*cjob
 	tp        string // traceparent forwarded to the worker submission
 	abandoned bool   // every attached job was cancelled
@@ -192,7 +186,6 @@ type cjob struct {
 	errMsg   string
 	cacheHit bool
 	resumed  bool
-	degraded bool
 	worker   string
 
 	result *api.JobResult
@@ -214,10 +207,10 @@ type Coordinator struct {
 	closed     bool
 	jobs       map[string]*cjob
 	flights    map[string]*flight // by flight id; active flights only
-	byKey      map[string]*flight // collapsible (non-resume) flights only
+	byKey      map[string]*flight // active flights by content address
 	down       map[string]bool
 	failures   map[string]int
-	cache      *resultCache
+	cache      *jobs.ResultCache
 	stateCount map[string]int
 	handoffs   uint64
 
@@ -248,7 +241,7 @@ func New(opts Options) (*Coordinator, error) {
 		byKey:      make(map[string]*flight),
 		down:       make(map[string]bool),
 		failures:   make(map[string]int),
-		cache:      newResultCache(opts.CacheCapacity),
+		cache:      jobs.NewResultCache(opts.CacheCapacity),
 		stateCount: make(map[string]int),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -272,7 +265,7 @@ func New(opts Options) (*Coordinator, error) {
 		func() float64 {
 			co.mu.Lock()
 			defer co.mu.Unlock()
-			return float64(co.cache.len())
+			return float64(co.cache.Len())
 		})
 	start := time.Now()
 	reg.GaugeFunc("matchd_cluster_uptime_seconds", "Seconds since the coordinator started.",
@@ -332,20 +325,15 @@ func (co *Coordinator) SubmitCtx(ctx context.Context, req api.SubmitRequest) (ap
 	if err != nil {
 		return api.JobInfo{}, fmt.Errorf("cluster: invalid instance: %w", err)
 	}
-	key, err := jobs.Key(problem, req.Solver, req.Options)
-	if err != nil {
+	// Same rule as a worker's front door, so a bad handoff document is a
+	// 400 here rather than a failed flight later, and a dropped checkpoint
+	// never reaches the worker.
+	if _, err := jobs.ResumeFrom(problem, &req, co.log); err != nil {
 		return api.JobInfo{}, err
 	}
-	resume := len(req.Checkpoint) > 0
-	if resume {
-		// Validate locally so a bad handoff document is a 400 here, not a
-		// failed flight later; the rules mirror jobs.SubmitCtx.
-		if req.Solver != api.SolverMaTCH {
-			return api.JobInfo{}, fmt.Errorf("cluster: solver %q does not accept checkpoints", req.Solver)
-		}
-		if _, err := matchsim.DecodeCheckpoint(req.Checkpoint); err != nil {
-			return api.JobInfo{}, fmt.Errorf("cluster: invalid checkpoint: %w", err)
-		}
+	key, err := jobs.Key(problem, req.Solver, req.Options, req.Checkpoint)
+	if err != nil {
+		return api.JobInfo{}, err
 	}
 
 	co.mu.Lock()
@@ -359,46 +347,44 @@ func (co *Coordinator) SubmitCtx(ctx context.Context, req api.SubmitRequest) (ap
 	}
 	co.metrics.submitted.Inc()
 
-	if !resume {
-		if cached, ok := co.cache.get(key); ok {
-			co.metrics.cacheHits.Inc()
-			j.state = api.StateDone
-			j.started, j.finished = j.created, j.created
-			j.cacheHit = true
-			res := cached
-			res.CacheHit = true
-			j.result = &res
-			co.registerLocked(j)
-			co.startJobSpanLocked(ctx, j, problem)
-			j.span.Event("cache-hit", "key", key)
-			j.span.SetStatus("ok")
-			j.span.End()
-			co.metrics.jobSeconds.With(j.state).ObserveExemplar(0, j.traceID)
-			info := co.infoLocked(j)
-			co.mu.Unlock()
-			co.log.Info("cluster job served from cache", "id", j.id, "key", key)
-			return info, nil
+	if cached, ok := co.cache.Get(key); ok {
+		co.metrics.cacheHits.Inc()
+		j.state = api.StateDone
+		j.started, j.finished = j.created, j.created
+		j.cacheHit = true
+		res := cached
+		res.CacheHit = true
+		j.result = &res
+		co.registerLocked(j)
+		co.startJobSpanLocked(ctx, j, problem)
+		j.span.Event("cache-hit", "key", key)
+		j.span.SetStatus("ok")
+		j.span.End()
+		co.metrics.jobSeconds.With(j.state).ObserveExemplar(0, j.traceID)
+		info := co.infoLocked(j)
+		co.mu.Unlock()
+		co.log.Info("cluster job served from cache", "id", j.id, "key", key)
+		return info, nil
+	}
+	co.metrics.cacheMisses.Inc()
+	if f := co.byKey[key]; f != nil && !f.finished {
+		// Singleflight: ride the identical in-flight solve.
+		co.registerLocked(j)
+		co.startJobSpanLocked(ctx, j, problem)
+		j.span.Event("singleflight", "flight", f.id, "worker", f.worker)
+		j.flight = f
+		f.attached = append(f.attached, j)
+		if f.lastState == api.StateRunning {
+			co.setStateLocked(j, api.StateRunning)
+			j.started = time.Now()
 		}
-		co.metrics.cacheMisses.Inc()
-		if f := co.byKey[key]; f != nil && !f.finished {
-			// Singleflight: ride the identical in-flight solve.
-			co.registerLocked(j)
-			co.startJobSpanLocked(ctx, j, problem)
-			j.span.Event("singleflight", "flight", f.id, "worker", f.worker)
-			j.flight = f
-			f.attached = append(f.attached, j)
-			if f.lastState == api.StateRunning {
-				co.setStateLocked(j, api.StateRunning)
-				j.started = time.Now()
-			}
-			f.dirty = true
-			co.metrics.singleflight.Inc()
-			info := co.infoLocked(j)
-			co.mu.Unlock()
-			co.writeJournal(f)
-			co.log.Info("cluster job collapsed onto in-flight solve", "id", j.id, "flight", f.id, "key", key)
-			return info, nil
-		}
+		f.dirty = true
+		co.metrics.singleflight.Inc()
+		info := co.infoLocked(j)
+		co.mu.Unlock()
+		co.writeJournal(f)
+		co.log.Info("cluster job collapsed onto in-flight solve", "id", j.id, "flight", f.id, "key", key)
+		return info, nil
 	}
 
 	f := &flight{
@@ -406,7 +392,6 @@ func (co *Coordinator) SubmitCtx(ctx context.Context, req api.SubmitRequest) (ap
 		key:        key,
 		req:        req,
 		checkpoint: req.Checkpoint,
-		noCache:    resume,
 		attached:   []*cjob{j},
 		lastState:  api.StateQueued,
 		dirty:      true,
@@ -416,16 +401,14 @@ func (co *Coordinator) SubmitCtx(ctx context.Context, req api.SubmitRequest) (ap
 	co.startJobSpanLocked(ctx, j, problem)
 	f.tp = j.span.Traceparent()
 	co.flights[f.id] = f
-	if !resume {
-		co.byKey[key] = f
-	}
+	co.byKey[key] = f
 	co.wg.Add(1)
 	info := co.infoLocked(j)
 	co.mu.Unlock()
 	co.writeJournal(f)
 	go co.runFlight(f)
 	co.log.Info("cluster job queued", "id", j.id, "flight", f.id, "key", key,
-		"solver", req.Solver, "resume", resume)
+		"solver", req.Solver, "resume", len(req.Checkpoint) > 0)
 	return info, nil
 }
 
@@ -494,19 +477,18 @@ func (co *Coordinator) infoLocked(j *cjob) api.JobInfo {
 		worker = j.flight.worker
 	}
 	return api.JobInfo{
-		ID:             j.id,
-		State:          j.state,
-		Solver:         j.solver,
-		Key:            j.key,
-		Created:        j.created,
-		Started:        j.started,
-		Finished:       j.finished,
-		Error:          j.errMsg,
-		CacheHit:       j.cacheHit,
-		Resumed:        j.resumed,
-		DegradedResume: j.degraded,
-		TraceID:        j.traceID,
-		Worker:         worker,
+		ID:       j.id,
+		State:    j.state,
+		Solver:   j.solver,
+		Key:      j.key,
+		Created:  j.created,
+		Started:  j.started,
+		Finished: j.finished,
+		Error:    j.errMsg,
+		CacheHit: j.cacheHit,
+		Resumed:  j.resumed,
+		TraceID:  j.traceID,
+		Worker:   worker,
 	}
 }
 
@@ -889,17 +871,13 @@ func (co *Coordinator) assignFlight(f *flight, worker, workerJobID string, rescu
 }
 
 // beginRescue detaches the flight from its worker so the watcher loop
-// re-routes it. A checkpoint-carrying rescue resumes mid-solve and
-// excludes the result from the deterministic cache.
+// re-routes it; a checkpoint-carrying rescue resumes mid-solve.
 func (co *Coordinator) beginRescue(f *flight, reason string) {
 	co.mu.Lock()
 	f.worker = ""
 	f.workerJobID = ""
 	f.lastState = api.StateQueued
 	f.dirty = true
-	if len(f.checkpoint) > 0 {
-		f.noCache = true
-	}
 	co.handoffs++
 	co.metrics.handoffs.With(reason).Inc()
 	iters := f.checkpointIters
@@ -1048,22 +1026,18 @@ func (co *Coordinator) fetchResult(cl *client.Client, f *flight) (api.JobResult,
 }
 
 // completeFlight finalises every attached job with the worker's result
-// and feeds the coordinator cache (rescued and explicit-resume flights
-// stay out: their trajectories are not bit-reproducible, and serving
-// them to a later identical submission would be a stale hit).
+// and feeds the coordinator cache. Resumes are exact, so a rescued
+// flight's result is the fresh solve's and is cached like any other.
 func (co *Coordinator) completeFlight(f *flight, info api.JobInfo, res api.JobResult) {
 	co.mu.Lock()
 	f.finished = true
-	if !f.noCache {
-		co.cache.put(f.key, res)
-	}
+	co.cache.Put(f.key, res)
 	for _, j := range f.attached {
 		r := res
 		r.Mapping = append([]int(nil), res.Mapping...)
 		j.result = &r
 		j.worker = f.worker
 		j.resumed = info.Resumed
-		j.degraded = info.DegradedResume
 		co.finalizeJobLocked(j, api.StateDone)
 	}
 	delete(co.flights, f.id)

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -399,12 +401,29 @@ func TestCoordinatorRejectsBadSubmissions(t *testing.T) {
 	ws := startWorkers(t, 1)
 	co := newTestCoordinator(t, ws, Options{})
 
+	// A checkpoint whose best_exec is not its incumbent's score.
+	p, err := matchsim.ReadProblem(bytes.NewReader(instanceJSON(t, 1, 8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := matchsim.SolveMaTCH(p, matchsim.MaTCHOptions{Seed: 1, Workers: 1, MaxIterations: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := sol.Checkpoint()
+	forged.BestExec = 1
+	forgedDoc, err := forged.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	cases := []api.SubmitRequest{
 		{Solver: api.SolverMaTCH},                                  // no instance
 		{Instance: instanceJSON(t, 1, 8), Solver: "bogus"},         // unknown solver
 		{Instance: json.RawMessage(`{}`), Solver: api.SolverMaTCH}, // invalid instance
 		{Instance: instanceJSON(t, 1, 8), Solver: api.SolverGA, // checkpoint on a non-CE solver
 			Checkpoint: json.RawMessage(`{"x":1}`)},
+		{Instance: instanceJSON(t, 1, 8), Solver: api.SolverMaTCH, Checkpoint: forgedDoc}, // forged best_exec
 	}
 	for i, req := range cases {
 		if _, err := co.Submit(req); err == nil {
@@ -413,5 +432,38 @@ func TestCoordinatorRejectsBadSubmissions(t *testing.T) {
 	}
 	if st := co.Status(); st.Flights != 0 {
 		t.Fatalf("%d flights left behind by rejected submissions", st.Flights)
+	}
+}
+
+// TestRestoreLegacyJournal: a journal written before exact resume (it
+// carries the retired "no_cache" field) still re-attaches; the flight
+// completes under its original job id and its result enters the cache.
+func TestRestoreLegacyJournal(t *testing.T) {
+	ws := startWorkers(t, 1)
+	dir := t.TempDir()
+	req := api.SubmitRequest{
+		Instance: instanceJSON(t, 2, 8), Solver: api.SolverMaTCH,
+		Options: api.SolverOptions{Seed: 3, Workers: 1, MaxIterations: 10},
+	}
+	reqJSON, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := `{"id":"flegacy01","key":"legacy-key","request":` + string(reqJSON) +
+		`,"no_cache":true,"worker":"` + ws[0].ts.URL + `","worker_job_id":"jgone",` +
+		`"jobs":[{"id":"clegacy01","created":"2026-01-02T03:04:05Z"}]}`
+	if err := os.WriteFile(filepath.Join(dir, "flegacy01.json"), []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	co := newTestCoordinator(t, ws, Options{StateDir: dir})
+	restored, err := co.Restore()
+	if err != nil || restored != 1 {
+		t.Fatalf("Restore = %d, %v; want 1 flight", restored, err)
+	}
+	if final := waitDone(t, co, "clegacy01"); final.State != api.StateDone {
+		t.Fatalf("re-attached job ended %q (error %q)", final.State, final.Error)
+	}
+	if n := metricValue(t, coordinatorMetrics(t, co), "matchd_cluster_cache_entries"); n != 1 {
+		t.Errorf("cache entries after the re-attached flight = %v, want 1", n)
 	}
 }

@@ -20,7 +20,6 @@ type journalFlight struct {
 	ID              string            `json:"id"`
 	Key             string            `json:"key"`
 	Request         api.SubmitRequest `json:"request"`
-	NoCache         bool              `json:"no_cache,omitempty"`
 	Worker          string            `json:"worker,omitempty"`
 	WorkerJobID     string            `json:"worker_job_id,omitempty"`
 	Checkpoint      json.RawMessage   `json:"checkpoint,omitempty"`
@@ -47,7 +46,6 @@ func (co *Coordinator) journalLocked(f *flight) journalFlight {
 		ID:              f.id,
 		Key:             f.key,
 		Request:         f.req,
-		NoCache:         f.noCache,
 		Worker:          f.worker,
 		WorkerJobID:     f.workerJobID,
 		CheckpointIters: f.checkpointIters,
@@ -218,7 +216,6 @@ func (co *Coordinator) restoreFlight(doc journalFlight) error {
 		id:              doc.ID,
 		key:             doc.Key,
 		req:             doc.Request,
-		noCache:         doc.NoCache,
 		worker:          doc.Worker,
 		workerJobID:     doc.WorkerJobID,
 		checkpoint:      doc.Checkpoint,
@@ -267,7 +264,7 @@ func (co *Coordinator) restoreFlight(doc journalFlight) error {
 		return fmt.Errorf("cluster: journalled flight %q restored no jobs", f.id)
 	}
 	co.flights[f.id] = f
-	if !f.noCache && co.byKey[f.key] == nil {
+	if co.byKey[f.key] == nil {
 		co.byKey[f.key] = f
 	}
 	co.wg.Add(1)

@@ -3,18 +3,34 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 
+	"matchsim/internal/ce"
 	"matchsim/internal/cost"
 	"matchsim/internal/stochmat"
 )
 
+// CheckpointVersion is the checkpoint format Encode writes. Version 2
+// carries the whole CE loop state, so a resume is bit-identical to the
+// uninterrupted run. Documents without a version predate it: they decode,
+// but Resume rejects them.
+const CheckpointVersion = 2
+
 // Checkpoint captures a MaTCH run's resumable state: the stochastic
-// matrix, the eq. 12 stability bookkeeping, and the incumbent mapping.
-// Long mapping jobs (the paper reports runs of tens of minutes on its
-// hardware) can be stopped and resumed without losing progress.
+// matrix, the eq. 12 stability bookkeeping, the CE loop's iteration index
+// and gamma-stall window, and the incumbent mapping. Long mapping jobs
+// (the paper reports runs of tens of minutes on its hardware) can be
+// stopped and resumed without changing their result.
 type Checkpoint struct {
+	// Version is the format version (CheckpointVersion; 0 when absent).
+	Version int `json:"version"`
 	// Iterations completed when the checkpoint was taken.
 	Iterations int `json:"iterations"`
+	// Gamma is gamma_k of the last completed iteration and GammaStallRuns
+	// the Fig. 2 stall counter (see ce.State).
+	Gamma          float64 `json:"gamma"`
+	GammaStallRuns int     `json:"gamma_stall_runs"`
 	// Matrix is the current sampling distribution P_k.
 	Matrix *stochmat.Matrix `json:"matrix"`
 	// PrevArgmax and StableRuns carry the eq. 12 stop state.
@@ -25,22 +41,33 @@ type Checkpoint struct {
 	BestExec float64      `json:"best_exec"`
 }
 
+// newCheckpoint snapshots the problem state (P_k and the eq. 12 window)
+// together with the CE loop state st that pairs with it. Everything is
+// cloned.
+func newCheckpoint(p *stochmat.Matrix, argmax []int, stableRuns int, st ce.State[[]int]) *Checkpoint {
+	return &Checkpoint{
+		Version:        CheckpointVersion,
+		Iterations:     st.Iterations,
+		Gamma:          st.Gamma,
+		GammaStallRuns: st.GammaStallRuns,
+		Matrix:         p.Clone(),
+		PrevArgmax:     slices.Clone(argmax),
+		StableRuns:     stableRuns,
+		Best:           slices.Clone(st.Best),
+		BestExec:       st.BestScore,
+	}
+}
+
 // CheckpointFrom extracts a resumable checkpoint from a finished (or
-// interrupted) run's Result. Multilevel results carry no final matrix at
-// the fine size (the CE matrix lives at the coarse level only) and return
-// nil: they are not resumable.
+// interrupted) run's Result. The incumbent is the CE loop's, before any
+// Polish pass, so resuming reproduces the uninterrupted run. Multilevel
+// and island results carry no fine-size CE state and return nil: they are
+// not resumable.
 func CheckpointFrom(res *Result) *Checkpoint {
-	if res.FinalMatrix == nil {
+	if res.FinalMatrix == nil || res.loop.Best == nil {
 		return nil
 	}
-	return &Checkpoint{
-		Iterations: res.Iterations,
-		Matrix:     res.FinalMatrix.Clone(),
-		PrevArgmax: append([]int(nil), res.finalArgmax...),
-		StableRuns: res.finalStableRuns,
-		Best:       res.Mapping.Clone(),
-		BestExec:   res.Exec,
-	}
+	return newCheckpoint(res.FinalMatrix, res.finalArgmax, res.finalStableRuns, res.loop)
 }
 
 // Encode serialises the checkpoint as JSON.
@@ -72,18 +99,40 @@ func (c *Checkpoint) validate() error {
 	if len(c.Best) != n || !c.Best.IsPermutation() {
 		return fmt.Errorf("core: checkpoint incumbent %v invalid", c.Best)
 	}
-	if c.StableRuns < 0 || c.Iterations < 0 {
+	if c.StableRuns < 0 || c.Iterations < 0 || c.GammaStallRuns < 0 {
 		return fmt.Errorf("core: negative checkpoint counters")
+	}
+	if math.IsInf(c.Gamma, 0) || math.IsNaN(c.Gamma) {
+		return fmt.Errorf("core: checkpoint gamma %v not finite", c.Gamma)
 	}
 	return nil
 }
 
-// restore loads the checkpoint into a fresh problem.
-func (pr *problem) restore(c *Checkpoint) error {
-	if c.Matrix.Rows() != pr.n {
-		return fmt.Errorf("core: checkpoint for %d tasks applied to %d-task problem", c.Matrix.Rows(), pr.n)
+// Verify checks that c can resume a run on eval: the shapes match, and
+// the incumbent's recorded score is the one eval computes for it, bit for
+// bit. A checkpoint from outside cannot smuggle in a score its mapping
+// does not have.
+func (c *Checkpoint) Verify(eval *cost.Evaluator) error {
+	if err := c.validate(); err != nil {
+		return err
 	}
+	n := eval.NumTasks()
+	if n != eval.NumResources() || c.Matrix.Rows() != n {
+		return fmt.Errorf("core: checkpoint/problem shape mismatch (%d tasks, %d resources, matrix %d)",
+			n, eval.NumResources(), c.Matrix.Rows())
+	}
+	if exec := eval.Exec(c.Best); math.Float64bits(exec) != math.Float64bits(c.BestExec) {
+		return fmt.Errorf("core: checkpoint incumbent evaluates to %v, not its recorded best_exec %v", exec, c.BestExec)
+	}
+	return nil
+}
+
+// restore loads the checkpoint into a fresh problem, keeping the
+// problem's sparse-row support tracking.
+func (pr *problem) restore(c *Checkpoint) {
+	cut := pr.p.SupportCut()
 	pr.p = c.Matrix.Clone()
+	pr.p.TrackSupport(cut)
 	pr.alias.Rebuild(pr.p)
 	copy(pr.prevArgmax, c.PrevArgmax)
 	pr.stableRuns = c.StableRuns
@@ -91,44 +140,38 @@ func (pr *problem) restore(c *Checkpoint) error {
 	if pr.snapshotEvery > 0 {
 		pr.snapshots[0] = Snapshot{Iter: c.Iterations, Matrix: pr.p.Clone()}
 	}
-	return nil
 }
 
-// Resume continues a checkpointed MaTCH run under the given options. The
-// returned Result reflects only the new iterations' effort counters, but
-// its Mapping/Exec incorporate the checkpoint's incumbent (the result
-// can only be at least as good as the checkpoint).
+// Resume continues a checkpointed MaTCH run on eval. Under the options of
+// the run that wrote the checkpoint (Workers may differ) the result is
+// bit-identical to that run left uninterrupted: the CE loop continues at
+// iteration Iterations+1 with its stall window and incumbent,
+// opts.MaxIterations caps the whole chain, and the Result's Iterations
+// and Evaluations count it; History holds the new iterations only.
+// Checkpoints older than CheckpointVersion lack that state and are
+// rejected, as are multilevel and island options, whose state no
+// checkpoint captures.
 func Resume(eval *cost.Evaluator, c *Checkpoint, opts Options) (*Result, error) {
-	if err := c.validate(); err != nil {
+	if err := c.Verify(eval); err != nil {
 		return nil, err
 	}
-	n := eval.NumTasks()
-	if n != eval.NumResources() || c.Matrix.Rows() != n {
-		return nil, fmt.Errorf("core: checkpoint/problem shape mismatch (%d tasks, %d resources, matrix %d)",
-			n, eval.NumResources(), c.Matrix.Rows())
+	if c.Version != CheckpointVersion {
+		return nil, fmt.Errorf("core: checkpoint version %d cannot resume exactly (want %d); solve fresh instead", c.Version, CheckpointVersion)
 	}
-	opts = opts.withDefaults(n)
+	if opts.Multilevel != nil || (opts.Islands != nil && opts.Islands.Count > 1) {
+		return nil, fmt.Errorf("core: multilevel and island runs cannot resume from a checkpoint")
+	}
+	opts = opts.withDefaults(eval.NumTasks())
 	opts.WarmStart = nil // the checkpoint matrix IS the initialisation
-	if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil {
-		// Checkpoints exported mid-resume must carry the best incumbent
-		// across the whole chain, not just the new iterations — the same
-		// merge Resume applies to its final Result below.
-		inner := opts.OnCheckpoint
-		opts.OnCheckpoint = func(ck *Checkpoint) {
-			if c.BestExec < ck.BestExec {
-				ck.BestExec = c.BestExec
-				ck.Best = c.Best.Clone()
-			}
-			inner(ck)
-		}
+	start := ce.State[[]int]{
+		Iterations:     c.Iterations,
+		Gamma:          c.Gamma,
+		GammaStallRuns: c.GammaStallRuns,
+		Best:           c.Best,
+		BestScore:      c.BestExec,
 	}
-	res, err := solveFromProblem(eval, opts, func(pr *problem) error { return pr.restore(c) })
-	if err != nil {
-		return nil, err
-	}
-	if c.BestExec < res.Exec {
-		res.Exec = c.BestExec
-		copy(res.Mapping, c.Best)
-	}
-	return res, nil
+	return solveFromProblem(eval, opts, start, func(pr *problem) error {
+		pr.restore(c)
+		return nil
+	})
 }

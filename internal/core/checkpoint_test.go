@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
+
+	"matchsim/internal/ce"
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -269,5 +273,147 @@ func TestDecodeCheckpointTruncatedJSON(t *testing.T) {
 	}
 	if _, err := DecodeCheckpoint(data); err != nil {
 		t.Fatalf("full encoding rejected: %v", err)
+	}
+}
+
+// TestResumeIsExact is the resume differential: for every k below the
+// uninterrupted run's stop iteration, solving to k, checkpointing through
+// a JSON round trip and resuming must reproduce the uninterrupted run bit
+// for bit — mapping, exec, effort counters, stop reason, and the resumed
+// history as the suffix of the uninterrupted one. The mid-run export at
+// iteration k must encode to the same document as the solve-to-k
+// checkpoint. Seed 34 polishes, so checkpoints must carry the CE
+// incumbent rather than the polished mapping. Seed 35 loosens eq. 12 and
+// tightens the gamma-stall window so its runs stop on a gamma stall,
+// which only an exact resume of the stall counter reproduces.
+func TestResumeIsExact(t *testing.T) {
+	for _, seed := range []uint64{33, 34, 35} {
+		for _, workers := range []int{1, 4} {
+			for _, sparse := range []float64{0, 1e-4} {
+				seed, workers, sparse := seed, workers, sparse
+				t.Run(fmt.Sprintf("seed%d/w%d/sparse%g", seed, workers, sparse), func(t *testing.T) {
+					t.Parallel()
+					e := paperEval(t, seed, 12)
+					opts := Options{Seed: seed, Workers: workers, SparseEps: sparse, MaxIterations: 200}
+					switch seed {
+					case 34:
+						opts.Polish = true
+					case 35:
+						opts.StallC, opts.GammaStallWindow = 50, 3
+					}
+					exported := map[int][]byte{}
+					full := opts
+					full.CheckpointEvery = 1
+					full.OnCheckpoint = func(c *Checkpoint) {
+						data, err := c.Encode()
+						if err != nil {
+							t.Error(err)
+						}
+						exported[c.Iterations] = data
+					}
+					ref, err := Solve(e, full)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ref.Iterations < 3 {
+						t.Fatalf("uninterrupted run stopped after %d iterations; too short to test", ref.Iterations)
+					}
+					if seed == 35 && ref.StopReason != ce.StopGammaStall {
+						t.Fatalf("seed 35 stopped on %s, want a gamma stall", ref.StopReason)
+					}
+					for k := 1; k < ref.Iterations; k++ {
+						short := opts
+						short.MaxIterations = k
+						first, err := Solve(e, short)
+						if err != nil {
+							t.Fatal(err)
+						}
+						data, err := CheckpointFrom(first).Encode()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(data, exported[k]) {
+							t.Fatalf("k=%d: solve-to-k checkpoint differs from the mid-run export", k)
+						}
+						cp, err := DecodeCheckpoint(data)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := Resume(e, cp, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := sameRun(got, ref, k); err != nil {
+							t.Fatalf("k=%d: %v", k, err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// sameRun reports how a run resumed after k iterations differs from the
+// uninterrupted reference, or nil when it matches bit for bit.
+func sameRun(got, ref *Result, k int) error {
+	switch {
+	case !equalInts(got.Mapping, ref.Mapping):
+		return fmt.Errorf("mapping %v, want %v", got.Mapping, ref.Mapping)
+	case math.Float64bits(got.Exec) != math.Float64bits(ref.Exec):
+		return fmt.Errorf("exec %v, want %v", got.Exec, ref.Exec)
+	case got.Iterations != ref.Iterations || got.Evaluations != ref.Evaluations:
+		return fmt.Errorf("effort %d/%d, want %d/%d", got.Iterations, got.Evaluations, ref.Iterations, ref.Evaluations)
+	case got.StopReason != ref.StopReason:
+		return fmt.Errorf("stop %s, want %s", got.StopReason, ref.StopReason)
+	case len(got.History) != len(ref.History)-k:
+		return fmt.Errorf("history length %d, want %d", len(got.History), len(ref.History)-k)
+	}
+	for i, st := range got.History {
+		if st.Search() != ref.History[k+i].Search() {
+			return fmt.Errorf("iteration %d: %+v, want %+v", st.Iter, st.Search(), ref.History[k+i].Search())
+		}
+	}
+	return nil
+}
+
+// TestResumeRejectsForgedBestExec: a checkpoint whose recorded incumbent
+// score is not its mapping's score is invalid — Resume must not report it.
+func TestResumeRejectsForgedBestExec(t *testing.T) {
+	e := paperEval(t, 39, 8)
+	res, err := Solve(e, Options{Seed: 1, Workers: 1, MaxIterations: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := CheckpointFrom(res)
+	cp.BestExec = 1
+	if _, err := Resume(e, cp, Options{Seed: 1, Workers: 1}); err == nil {
+		t.Fatal("forged best_exec accepted")
+	}
+	cp.BestExec = math.Nextafter(e.Exec(cp.Best), math.Inf(1))
+	if _, err := Resume(e, cp, Options{Seed: 1, Workers: 1}); err == nil {
+		t.Fatal("best_exec one ulp off accepted")
+	}
+}
+
+// TestResumeRejectsLegacyCheckpoint: an unversioned document still decodes
+// (old files stay readable) but cannot resume exactly, so Resume refuses.
+func TestResumeRejectsLegacyCheckpoint(t *testing.T) {
+	e := paperEval(t, 40, 8)
+	res, err := Solve(e, Options{Seed: 1, Workers: 1, MaxIterations: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := CheckpointFrom(res)
+	cp.Version = 0
+	data, err := cp.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatalf("legacy checkpoint rejected by the decoder: %v", err)
+	}
+	if _, err := Resume(e, legacy, Options{Seed: 1, Workers: 1}); err == nil {
+		t.Fatal("legacy checkpoint resumed")
 	}
 }

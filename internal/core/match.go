@@ -201,7 +201,8 @@ type Result struct {
 	// ordered by (Iter, Island).
 	Islands int
 
-	// Terminal eq. 12 state, carried for CheckpointFrom.
+	// Terminal CE loop and eq. 12 state, carried for CheckpointFrom.
+	loop            ce.State[[]int]
 	finalArgmax     []int
 	finalStableRuns int
 }
@@ -470,7 +471,7 @@ func Solve(eval *cost.Evaluator, opts Options) (*Result, error) {
 		return solveMultilevel(eval, opts)
 	}
 	opts = opts.withDefaults(n)
-	return solveFromProblem(eval, opts, func(pr *problem) error {
+	return solveFromProblem(eval, opts, ce.State[[]int]{}, func(pr *problem) error {
 		if opts.WarmStart != nil {
 			return pr.applyWarmStart(opts.WarmStart, opts.WarmStartBias)
 		}
@@ -479,9 +480,9 @@ func Solve(eval *cost.Evaluator, opts Options) (*Result, error) {
 }
 
 // solveFromProblem builds the problem, applies init (warm start or
-// checkpoint restore) and runs the CE loop. opts must already carry
-// defaults.
-func solveFromProblem(eval *cost.Evaluator, opts Options, init func(*problem) error) (*Result, error) {
+// checkpoint restore) and runs the CE loop from start. opts must already
+// carry defaults.
+func solveFromProblem(eval *cost.Evaluator, opts Options, start ce.State[[]int], init func(*problem) error) (*Result, error) {
 	pr := newProblem(eval, opts)
 	if init != nil {
 		if err := init(pr); err != nil {
@@ -501,36 +502,13 @@ func solveFromProblem(eval *cost.Evaluator, opts Options, init func(*problem) er
 		OnIteration:   opts.OnIteration,
 	}
 
-	// Periodic checkpoint export: track the incumbent via the improve hook
-	// (the CE framework's best buffer is reused, so copy), then emit a
-	// cloned Checkpoint every CheckpointEvery iterations from the
-	// OnIteration wrapper — after Update, so the matrix and eq. 12 state
-	// are the post-iteration ones a resume would want.
-	var onImprove ce.ImproveFunc[[]int]
+	// Periodic checkpoint export, after the iteration's Update, so the
+	// matrix and eq. 12 state are the post-iteration ones a resume wants.
+	var onState ce.StateFunc[[]int]
 	if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil {
-		var ckBest cost.Mapping
-		var ckExec float64
-		onImprove = func(iter int, best []int, score float64) {
-			if ckBest == nil {
-				ckBest = make(cost.Mapping, len(best))
-			}
-			copy(ckBest, best)
-			ckExec = score
-		}
-		inner := cfg.OnIteration
-		cfg.OnIteration = func(st ce.IterStats) {
-			if st.Iter%opts.CheckpointEvery == 0 && ckBest != nil {
-				opts.OnCheckpoint(&Checkpoint{
-					Iterations: pr.iter,
-					Matrix:     pr.p.Clone(),
-					PrevArgmax: append([]int(nil), pr.prevArgmax...),
-					StableRuns: pr.stableRuns,
-					Best:       ckBest.Clone(),
-					BestExec:   ckExec,
-				})
-			}
-			if inner != nil {
-				inner(st)
+		onState = func(st ce.State[[]int]) {
+			if st.Iterations%opts.CheckpointEvery == 0 {
+				opts.OnCheckpoint(newCheckpoint(pr.p, pr.prevArgmax, pr.stableRuns, st))
 			}
 		}
 	}
@@ -540,12 +518,12 @@ func solveFromProblem(eval *cost.Evaluator, opts Options, init func(*problem) er
 	// only its own rebuilds.
 	pr.alias.TakeBuildStats()
 
-	start := time.Now()
-	ceRes, err := ce.RunWithImprove[[]int](pr, cfg, onImprove)
+	began := time.Now()
+	ceRes, err := ce.RunFrom[[]int](pr, cfg, start, onState)
 	if err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(start)
+	elapsed := time.Since(began)
 
 	if opts.SnapshotEvery > 0 {
 		// Always include the terminal matrix.
@@ -566,6 +544,7 @@ func solveFromProblem(eval *cost.Evaluator, opts Options, init func(*problem) er
 		Snapshots:   pr.snapshots,
 		FinalMatrix: pr.p,
 
+		loop:            ceRes.State,
 		finalArgmax:     pr.prevArgmax,
 		finalStableRuns: pr.stableRuns,
 	}
@@ -588,26 +567,13 @@ func polish(eval *cost.Evaluator, res *Result) error {
 	if err != nil {
 		return err
 	}
-	n := eval.NumTasks()
-	current := st.Exec()
-	for {
-		bi, bj, best := -1, -1, current
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				res.Evaluations++
-				if exec := st.ExecAfterSwap(i, j); exec < best-1e-12 {
-					bi, bj, best = i, j, exec
-				}
-			}
-		}
-		if bi < 0 {
-			break
-		}
-		st.Swap(bi, bj)
-		current = best
+	exec, probes, err := st.Descend(nil)
+	if err != nil {
+		return err
 	}
-	copy(res.Mapping, st.Mapping())
-	res.Exec = current
+	res.Mapping = st.Mapping()
+	res.Exec = exec
+	res.Evaluations += probes
 	res.MappingTime += time.Since(start)
 	return nil
 }

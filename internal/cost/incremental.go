@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -177,6 +178,36 @@ func (s *State) ExecAfterSwap(t1, t2 int) float64 {
 		break
 	}
 	return best
+}
+
+// Descend runs steepest-descent 2-swap hill climbing: every step probes
+// all task pairs (i < j) and applies the swap that lowers the makespan
+// most (by more than 1e-12), until no pair improves. It returns the final
+// makespan as the last winning probe computed it, and the number of
+// probes. A non-nil ctx is checked before every step; on cancellation the
+// descent stops with ctx's error.
+func (s *State) Descend(ctx context.Context) (exec float64, probes int64, err error) {
+	n := len(s.mapping)
+	exec = s.Exec()
+	for {
+		if ctx != nil && ctx.Err() != nil {
+			return exec, probes, ctx.Err()
+		}
+		bi, bj, best := -1, -1, exec
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				probes++
+				if v := s.ExecAfterSwap(i, j); v < best-1e-12 {
+					bi, bj, best = i, j, v
+				}
+			}
+		}
+		if bi < 0 {
+			return exec, probes, nil
+		}
+		s.Swap(bi, bj)
+		exec = best
+	}
 }
 
 // beginProbe starts a fresh epoch for the delta scratch.

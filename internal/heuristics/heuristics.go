@@ -197,25 +197,10 @@ func LocalSearch(ctx context.Context, eval *cost.Evaluator, restarts int, seed u
 		if err != nil {
 			return nil, err
 		}
-		current := st.Exec()
-		for {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			bi, bj, bestMove := -1, -1, current
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					evals++
-					if exec := st.ExecAfterSwap(i, j); exec < bestMove-1e-12 {
-						bi, bj, bestMove = i, j, exec
-					}
-				}
-			}
-			if bi < 0 {
-				break
-			}
-			st.Swap(bi, bj)
-			current = bestMove
+		current, probes, err := st.Descend(ctx)
+		evals += probes
+		if err != nil {
+			return nil, err
 		}
 		if current < bestExec {
 			bestExec = current

@@ -6,11 +6,12 @@ import (
 	"matchsim/api"
 )
 
-// resultCache is a small LRU keyed by the content address of a submission
+// ResultCache is a small LRU keyed by the content address of a submission
 // (see Key). Identical resubmissions are answered from it with zero new
-// cost-function evaluations. It is not internally synchronised — the
-// Manager calls it under its own lock.
-type resultCache struct {
+// cost-function evaluations; the Manager and the cluster coordinator each
+// keep one. It is not internally synchronised — owners call it under
+// their own lock.
+type ResultCache struct {
 	cap     int
 	order   *list.List // front = most recently used; values are *cacheEntry
 	entries map[string]*list.Element
@@ -21,17 +22,18 @@ type cacheEntry struct {
 	result api.JobResult
 }
 
-// newResultCache builds a cache holding up to cap entries; cap <= 0
+// NewResultCache builds a cache holding up to cap entries; cap <= 0
 // disables caching entirely.
-func newResultCache(cap int) *resultCache {
-	return &resultCache{
+func NewResultCache(cap int) *ResultCache {
+	return &ResultCache{
 		cap:     cap,
 		order:   list.New(),
 		entries: make(map[string]*list.Element),
 	}
 }
 
-func (c *resultCache) get(key string) (api.JobResult, bool) {
+// Get returns the result cached under key, marking it most recently used.
+func (c *ResultCache) Get(key string) (api.JobResult, bool) {
 	el, ok := c.entries[key]
 	if !ok {
 		return api.JobResult{}, false
@@ -44,7 +46,9 @@ func (c *resultCache) get(key string) (api.JobResult, bool) {
 	return res, true
 }
 
-func (c *resultCache) put(key string, res api.JobResult) {
+// Put caches res under key, evicting the least recently used entry when
+// the cache is full.
+func (c *ResultCache) Put(key string, res api.JobResult) {
 	if c.cap <= 0 {
 		return
 	}
@@ -63,4 +67,5 @@ func (c *resultCache) put(key string, res api.JobResult) {
 	}
 }
 
-func (c *resultCache) len() int { return c.order.Len() }
+// Len returns the number of cached entries.
+func (c *ResultCache) Len() int { return c.order.Len() }

@@ -123,7 +123,6 @@ type job struct {
 	errMsg   string
 	cacheHit bool
 	resumed  bool
-	degraded bool // resumed without a mode the checkpoint cannot restore
 
 	result     *api.JobResult
 	resumeFrom *matchsim.Checkpoint // restored state for a resumed job
@@ -161,7 +160,7 @@ type Manager struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	cache *resultCache
+	cache *ResultCache
 
 	// board is the island-exchange rendezvous store shared by every
 	// island-model job this daemon runs; the HTTP layer posts packets
@@ -284,7 +283,7 @@ func New(opts Options) *Manager {
 		queue:      make(chan *job, opts.QueueCapacity),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		cache:      newResultCache(opts.CacheCapacity),
+		cache:      NewResultCache(opts.CacheCapacity),
 		stateCount: make(map[string]int),
 		board:      island.NewBoard(),
 		metrics:    newManagerMetrics(opts.Metrics),
@@ -298,7 +297,7 @@ func New(opts Options) *Manager {
 	reg.GaugeFunc("matchd_workers", "Size of the solver worker pool.",
 		func() float64 { return float64(opts.Workers) })
 	reg.GaugeFunc("matchd_cache_entries", "Entries currently held by the result cache.",
-		func() float64 { return float64(m.cache.len()) })
+		func() float64 { return float64(m.cache.Len()) })
 	reg.GaugeFunc("matchd_cache_capacity", "Capacity of the result cache.",
 		func() float64 { return float64(opts.CacheCapacity) })
 	start := time.Now()
@@ -344,11 +343,13 @@ func buildRevision() string {
 
 // Key computes the content address of a submission: a SHA-256 over the
 // canonical re-marshalled instance (so formatting and field-order noise in
-// the client's JSON does not defeat caching), the solver name and the
-// options document. Options that no longer affect the solve
-// (UnprunedScoring, accepted on the wire and ignored) are cleared first,
-// so submissions differing only in them share one cache entry and route.
-func Key(p *matchsim.Problem, solver string, opts api.SolverOptions) (string, error) {
+// the client's JSON does not defeat caching), the solver name, the
+// options document and, for a submission that resumes from one (see
+// ResumeFrom), the checkpoint bytes, so an outside checkpoint gets its own
+// address. Options that no longer affect the solve (UnprunedScoring,
+// accepted on the wire and ignored) are cleared first, so submissions
+// differing only in them share one cache entry and route.
+func Key(p *matchsim.Problem, solver string, opts api.SolverOptions, checkpoint []byte) (string, error) {
 	opts.UnprunedScoring = false
 	var canonical bytes.Buffer
 	if err := p.WriteInstance(&canonical); err != nil {
@@ -364,7 +365,41 @@ func Key(p *matchsim.Problem, solver string, opts api.SolverOptions) (string, er
 	h.Write([]byte(solver))
 	h.Write([]byte{0})
 	h.Write(ob)
+	if len(checkpoint) > 0 {
+		h.Write([]byte{0})
+		h.Write(checkpoint)
+	}
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// ResumeFrom is both serving tiers' one rule for a submission's
+// checkpoint: it returns the checkpoint to resume from, or nil to solve
+// fresh from (spec, seed). A checkpoint that cannot resume exactly (older
+// than matchsim.CheckpointVersion, or options asking for multilevel or
+// islands) is logged and cleared from req. Either way the result is the
+// uninterrupted run's. An undecodable, ill-fitting or forged checkpoint,
+// or one sent to a solver other than match, is an error.
+func ResumeFrom(problem *matchsim.Problem, req *api.SubmitRequest, log *slog.Logger) (*matchsim.Checkpoint, error) {
+	if len(req.Checkpoint) == 0 {
+		return nil, nil
+	}
+	if req.Solver != api.SolverMaTCH {
+		return nil, fmt.Errorf("jobs: solver %q does not accept checkpoints", req.Solver)
+	}
+	c, err := matchsim.DecodeCheckpoint(req.Checkpoint)
+	if err == nil {
+		err = problem.VerifyCheckpoint(c)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("jobs: invalid checkpoint: %w", err)
+	}
+	if o := req.Options; c.Version != matchsim.CheckpointVersion || o.Multilevel || o.Islands > 1 {
+		log.Warn("checkpoint dropped: it cannot resume exactly; solving fresh",
+			"version", c.Version, "multilevel", o.Multilevel, "islands", o.Islands)
+		req.Checkpoint = nil
+		return nil, nil
+	}
+	return c, nil
 }
 
 func newJobID() string {
@@ -402,38 +437,23 @@ func (m *Manager) SubmitCtx(ctx context.Context, req api.SubmitRequest) (api.Job
 	if err != nil {
 		return api.JobInfo{}, fmt.Errorf("jobs: invalid instance: %w", err)
 	}
-	key, err := Key(problem, req.Solver, req.Options)
+	resumeFrom, err := ResumeFrom(problem, &req, m.log)
+	if err != nil {
+		return api.JobInfo{}, err
+	}
+	key, err := Key(problem, req.Solver, req.Options, req.Checkpoint)
 	if err != nil {
 		return api.JobInfo{}, err
 	}
 	j := &job{
-		id:      newJobID(),
-		key:     key,
-		solver:  req.Solver,
-		req:     req,
-		problem: problem,
-		created: time.Now(),
-	}
-	if len(req.Checkpoint) > 0 {
-		// A handoff submission: resume the encoded checkpoint instead of
-		// solving fresh. Mirrors restoreOne's rules — only match jobs
-		// checkpoint, modes the checkpoint cannot restore degrade to the
-		// plain path, and the job both skips the result cache on the way
-		// in (the caller wants the run continued, not a cached answer)
-		// and stays out of it on the way out (a resumed trajectory is not
-		// bit-reproducible against a fresh solve).
-		if req.Solver != api.SolverMaTCH {
-			return api.JobInfo{}, fmt.Errorf("jobs: solver %q does not accept checkpoints", req.Solver)
-		}
-		c, err := matchsim.DecodeCheckpoint(req.Checkpoint)
-		if err != nil {
-			return api.JobInfo{}, fmt.Errorf("jobs: invalid checkpoint: %w", err)
-		}
-		j.resumeFrom = c
-		j.resumed = true
-		if o := req.Options; o.Multilevel || o.Islands > 1 {
-			j.degraded = true
-		}
+		id:         newJobID(),
+		key:        key,
+		solver:     req.Solver,
+		req:        req,
+		problem:    problem,
+		created:    time.Now(),
+		resumeFrom: resumeFrom,
+		resumed:    resumeFrom != nil,
 	}
 
 	m.mu.Lock()
@@ -447,7 +467,7 @@ func (m *Manager) SubmitCtx(ctx context.Context, req api.SubmitRequest) (api.Job
 	m.submitted++
 	m.metrics.submitted.Inc()
 
-	if cached, ok := m.cache.get(key); ok && !j.resumed {
+	if cached, ok := m.cache.Get(key); ok {
 		m.cacheHits++
 		m.metrics.cacheHits.Inc()
 		j.state = api.StateDone
@@ -501,9 +521,6 @@ func (m *Manager) startJobSpan(ctx context.Context, j *job) {
 	span.SetAttr("seed", strconv.FormatUint(j.req.Options.Seed, 10))
 	if j.resumed {
 		span.SetAttr("resumed", "true")
-		if j.degraded {
-			span.SetAttr("degraded_resume", "true")
-		}
 	}
 	j.span = span
 	j.traceID = span.TraceID()
@@ -566,18 +583,17 @@ func (m *Manager) Info(id string) (api.JobInfo, error) {
 
 func (m *Manager) infoLocked(j *job) api.JobInfo {
 	return api.JobInfo{
-		ID:             j.id,
-		State:          j.state,
-		Solver:         j.solver,
-		Key:            j.key,
-		Created:        j.created,
-		Started:        j.started,
-		Finished:       j.finished,
-		Error:          j.errMsg,
-		CacheHit:       j.cacheHit,
-		Resumed:        j.resumed,
-		DegradedResume: j.degraded,
-		TraceID:        j.traceID,
+		ID:       j.id,
+		State:    j.state,
+		Solver:   j.solver,
+		Key:      j.key,
+		Created:  j.created,
+		Started:  j.started,
+		Finished: j.finished,
+		Error:    j.errMsg,
+		CacheHit: j.cacheHit,
+		Resumed:  j.resumed,
+		TraceID:  j.traceID,
 	}
 }
 
@@ -872,12 +888,7 @@ func (m *Manager) runJob(j *job) {
 		elapsed := time.Since(j.started).Seconds()
 		m.solveSecondsTotal += elapsed
 		m.metrics.solveSeconds.Add(elapsed)
-		// A resumed job warm-starts from its checkpointed distribution, so
-		// its result is not bit-reproducible against a fresh solve of the
-		// same key — keep it out of the deterministic result cache.
-		if !j.resumed {
-			m.cache.put(j.key, *result)
-		}
+		m.cache.Put(j.key, *result)
 		m.finalizeLocked(j, api.StateDone, result.StopReason)
 	}
 	persistDone := api.TerminalState(j.state) && !m.closed
@@ -940,7 +951,7 @@ func (m *Manager) Stats() Stats {
 		Submitted:         m.submitted,
 		CacheHits:         m.cacheHits,
 		CacheMisses:       m.cacheMisses,
-		CacheEntries:      m.cache.len(),
+		CacheEntries:      m.cache.Len(),
 		CacheCapacity:     m.opts.CacheCapacity,
 		SolvesTotal:       m.solvesTotal,
 		SolveSecondsTotal: m.solveSecondsTotal,

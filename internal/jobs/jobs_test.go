@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -117,17 +119,29 @@ func TestSubmitSolveAndDeterminism(t *testing.T) {
 }
 
 // TestKeyOptions pins which option differences change a submission's
-// content address: real solver knobs do, options the solver ignores
-// (unpruned_scoring, accepted on the wire for older clients) do not.
+// content address: real solver knobs and a checkpoint do, options the
+// solver ignores (unpruned_scoring, accepted on the wire for older
+// clients) do not. The checkpoint-free address is pinned to its recorded
+// bytes, so caches and ring routes survive upgrades.
 func TestKeyOptions(t *testing.T) {
 	p, err := matchsim.ReadProblem(bytes.NewReader(instanceJSON(t, 3, 10)))
 	if err != nil {
 		t.Fatalf("ReadProblem: %v", err)
 	}
 	base := api.SolverOptions{Seed: 9, Workers: 1}
-	baseKey, err := Key(p, api.SolverMaTCH, base)
+	baseKey, err := Key(p, api.SolverMaTCH, base, nil)
 	if err != nil {
 		t.Fatalf("Key: %v", err)
+	}
+	if want := "e266b23cf7471b3c82c2c361c0a3ed298eb8496cb7e701b78c94bc0a19dbb3b9"; baseKey != want {
+		t.Errorf("checkpoint-free key = %s, want the recorded %s", baseKey, want)
+	}
+	ckKey, err := Key(p, api.SolverMaTCH, base, []byte(`{"version":2}`))
+	if err != nil {
+		t.Fatalf("Key: %v", err)
+	}
+	if ckKey == baseKey {
+		t.Error("a checkpoint does not change the key")
 	}
 	for _, c := range []struct {
 		name string
@@ -141,7 +155,7 @@ func TestKeyOptions(t *testing.T) {
 	} {
 		opts := base
 		c.edit(&opts)
-		key, err := Key(p, api.SolverMaTCH, opts)
+		key, err := Key(p, api.SolverMaTCH, opts, nil)
 		if err != nil {
 			t.Fatalf("%s: Key: %v", c.name, err)
 		}
@@ -406,13 +420,13 @@ func TestShutdownPersistsAndRestoreResumes(t *testing.T) {
 	dir := t.TempDir()
 	m := New(Options{Workers: 1, CheckpointDir: dir})
 
-	inst := instanceJSON(t, 13, 24)
+	inst := instanceJSON(t, 13, 16)
 	info, err := m.Submit(api.SubmitRequest{
 		Instance: inst, Solver: api.SolverMaTCH,
 		// Stall stops are pinned off so only the iteration cap ends the
 		// run: long enough to be caught mid-flight by Shutdown, bounded
 		// enough that the resumed job completes within the wait below.
-		Options: api.SolverOptions{Seed: 17, Workers: 1, MaxIterations: 600, StallC: 100000, GammaStallWindow: 100000},
+		Options: api.SolverOptions{Seed: 17, Workers: 1, MaxIterations: 300, StallC: 100000, GammaStallWindow: 100000},
 	})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -464,6 +478,18 @@ func TestShutdownPersistsAndRestoreResumes(t *testing.T) {
 	if err := validMapping(p, res.Mapping); err != nil {
 		t.Errorf("resumed result invalid: %v", err)
 	}
+	// The resume is exact: the result is the uninterrupted run's.
+	want, err := matchsim.SolveMaTCH(p, matchsim.MaTCHOptions{
+		Seed: 17, Workers: 1, MaxIterations: 300, StallC: 100000, GammaStallWindow: 100000,
+	})
+	if err != nil {
+		t.Fatalf("SolveMaTCH: %v", err)
+	}
+	if math.Float64bits(res.Exec) != math.Float64bits(want.Exec) || !slices.Equal(res.Mapping, want.Mapping) ||
+		res.Iterations != want.Iterations || res.Evaluations != want.Evaluations {
+		t.Errorf("resumed result exec %v (%d iterations) differs from the uninterrupted %v (%d)",
+			res.Exec, res.Iterations, want.Exec, want.Iterations)
+	}
 	// The spent checkpoint file is cleaned up.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -478,12 +504,12 @@ func TestShutdownPersistsAndRestoreResumes(t *testing.T) {
 	}
 }
 
-// TestRestoreDegradedResume covers the checkpoint-cannot-restore-mode
-// path: a persisted job whose options request the multilevel pipeline
-// but that carries a plain single-population checkpoint (e.g. written by
-// an older daemon) must resume on the plain path with DegradedResume set
-// in its status rather than dropping the mode silently.
-func TestRestoreDegradedResume(t *testing.T) {
+// TestRestoreMultilevelSolvesFresh covers a checkpoint that cannot
+// resume exactly: a persisted job whose options request the multilevel
+// pipeline but that carries a plain single-population checkpoint (e.g.
+// written by an older daemon). The checkpoint is dropped and the job
+// solves fresh, ending bit-identical to a fresh multilevel library solve.
+func TestRestoreMultilevelSolvesFresh(t *testing.T) {
 	dir := t.TempDir()
 	inst := instanceJSON(t, 31, 16)
 	p, err := matchsim.ReadProblem(bytes.NewReader(inst))
@@ -499,7 +525,7 @@ func TestRestoreDegradedResume(t *testing.T) {
 		t.Fatalf("Encode: %v", err)
 	}
 	pj := persistedJob{
-		ID: "jdegradedresume01",
+		ID: "jmultilevelfresh01",
 		Request: api.SubmitRequest{
 			Instance: inst, Solver: api.SolverMaTCH,
 			Options: api.SolverOptions{
@@ -529,25 +555,164 @@ func TestRestoreDegradedResume(t *testing.T) {
 	}
 	final := waitTerminal(t, m, pj.ID, 60*time.Second)
 	if final.State != api.StateDone {
-		t.Fatalf("degraded-resume job ended %q (error %q), want done", final.State, final.Error)
+		t.Fatalf("restored job ended %q (error %q), want done", final.State, final.Error)
 	}
 	if !final.Resumed {
-		t.Error("degraded-resume job not marked Resumed")
-	}
-	if !final.DegradedResume {
-		t.Error("job resumed without its multilevel arm but DegradedResume is false")
+		t.Error("restored job not marked Resumed")
 	}
 	res, err := m.Result(pj.ID)
 	if err != nil {
 		t.Fatalf("Result: %v", err)
 	}
-	if err := validMapping(p, res.Mapping); err != nil {
-		t.Errorf("degraded-resume result invalid: %v", err)
+	want, err := matchsim.SolveMaTCH(p, matchsim.MaTCHOptions{
+		Seed: 31, Workers: 1, MaxIterations: 20,
+		Multilevel: &matchsim.MultilevelOptions{MinCoarse: 8},
+	})
+	if err != nil {
+		t.Fatalf("SolveMaTCH multilevel: %v", err)
 	}
-	// The plain path it fell back to reports the plain solver name, not
-	// the multilevel one (the mode was dropped, visibly).
-	if res.Solver != "MaTCH" {
-		t.Errorf("degraded-resume result solver %q, want plain MaTCH", res.Solver)
+	if res.Solver != want.Solver || math.Float64bits(res.Exec) != math.Float64bits(want.Exec) ||
+		!slices.Equal(res.Mapping, want.Mapping) || res.Iterations != want.Iterations {
+		t.Errorf("restored job %s exec %v iterations %d, want fresh %s exec %v iterations %d",
+			res.Solver, res.Exec, res.Iterations, want.Solver, want.Exec, want.Iterations)
+	}
+}
+
+// TestSubmitRejectsForgedCheckpoint: a checkpoint whose best_exec is not
+// its incumbent's score is an invalid submission, not a result to serve.
+func TestSubmitRejectsForgedCheckpoint(t *testing.T) {
+	m := New(Options{Workers: 1})
+	defer m.Shutdown(context.Background())
+	inst := instanceJSON(t, 33, 12)
+	p, err := matchsim.ReadProblem(bytes.NewReader(inst))
+	if err != nil {
+		t.Fatalf("ReadProblem: %v", err)
+	}
+	sol, err := matchsim.SolveMaTCH(p, matchsim.MaTCHOptions{Seed: 3, Workers: 1, MaxIterations: 4})
+	if err != nil {
+		t.Fatalf("SolveMaTCH: %v", err)
+	}
+	cp := sol.Checkpoint()
+	cp.BestExec = 1
+	enc, err := cp.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	_, err = m.Submit(api.SubmitRequest{
+		Instance: inst, Solver: api.SolverMaTCH, Checkpoint: enc,
+		Options: api.SolverOptions{Seed: 3, Workers: 1},
+	})
+	if err == nil || !strings.Contains(err.Error(), "invalid checkpoint") {
+		t.Fatalf("forged best_exec submission: err = %v, want an invalid-checkpoint error", err)
+	}
+}
+
+// TestSubmitLegacyCheckpointSolvesFresh: an unversioned checkpoint still
+// decodes, but cannot resume exactly, so it is dropped: the job solves
+// fresh under the fresh content address and ends with the fresh bits.
+func TestSubmitLegacyCheckpointSolvesFresh(t *testing.T) {
+	m := New(Options{Workers: 1})
+	defer m.Shutdown(context.Background())
+	inst := instanceJSON(t, 35, 10)
+	p, err := matchsim.ReadProblem(bytes.NewReader(inst))
+	if err != nil {
+		t.Fatalf("ReadProblem: %v", err)
+	}
+	short, err := matchsim.SolveMaTCH(p, matchsim.MaTCHOptions{Seed: 5, Workers: 1, MaxIterations: 3})
+	if err != nil {
+		t.Fatalf("SolveMaTCH: %v", err)
+	}
+	legacy := short.Checkpoint()
+	legacy.Version = 0
+	enc, err := legacy.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	opts := api.SolverOptions{Seed: 5, Workers: 1}
+	info, err := m.Submit(api.SubmitRequest{Instance: inst, Solver: api.SolverMaTCH, Options: opts, Checkpoint: enc})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	freshKey, err := Key(p, api.SolverMaTCH, opts, nil)
+	if err != nil {
+		t.Fatalf("Key: %v", err)
+	}
+	if info.Resumed || info.Key != freshKey {
+		t.Errorf("legacy checkpoint job: resumed %v, key %s; want a fresh job under %s", info.Resumed, info.Key, freshKey)
+	}
+	if final := waitTerminal(t, m, info.ID, 30*time.Second); final.State != api.StateDone {
+		t.Fatalf("job ended %q (error %q)", final.State, final.Error)
+	}
+	res, err := m.Result(info.ID)
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	want, err := matchsim.SolveMaTCH(p, matchsim.MaTCHOptions{Seed: 5, Workers: 1})
+	if err != nil {
+		t.Fatalf("SolveMaTCH: %v", err)
+	}
+	if math.Float64bits(res.Exec) != math.Float64bits(want.Exec) || !slices.Equal(res.Mapping, want.Mapping) {
+		t.Errorf("legacy checkpoint job exec %v, want the fresh solve's %v", res.Exec, want.Exec)
+	}
+}
+
+// TestSubmitCheckpointResumesExactly: submitting a mid-run checkpoint
+// resumes to the uninterrupted run's result, and the result is cached
+// under the checkpoint's own content address, never the fresh one.
+func TestSubmitCheckpointResumesExactly(t *testing.T) {
+	m := New(Options{Workers: 1})
+	defer m.Shutdown(context.Background())
+	inst := instanceJSON(t, 34, 12)
+	p, err := matchsim.ReadProblem(bytes.NewReader(inst))
+	if err != nil {
+		t.Fatalf("ReadProblem: %v", err)
+	}
+	opts := api.SolverOptions{Seed: 4, Workers: 2}
+	short, err := matchsim.SolveMaTCH(p, matchsim.MaTCHOptions{Seed: 4, Workers: 1, MaxIterations: 3})
+	if err != nil {
+		t.Fatalf("SolveMaTCH: %v", err)
+	}
+	enc, err := short.Checkpoint().Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	req := api.SubmitRequest{Instance: inst, Solver: api.SolverMaTCH, Options: opts, Checkpoint: enc}
+	info, err := m.Submit(req)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if !info.Resumed {
+		t.Error("checkpoint submission not marked Resumed")
+	}
+	if final := waitTerminal(t, m, info.ID, 30*time.Second); final.State != api.StateDone {
+		t.Fatalf("resumed job ended %q (error %q)", final.State, final.Error)
+	}
+	res, err := m.Result(info.ID)
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	want, err := matchsim.SolveMaTCH(p, matchsim.MaTCHOptions{Seed: 4, Workers: 1})
+	if err != nil {
+		t.Fatalf("SolveMaTCH: %v", err)
+	}
+	if math.Float64bits(res.Exec) != math.Float64bits(want.Exec) || !slices.Equal(res.Mapping, want.Mapping) ||
+		res.Iterations != want.Iterations || res.Evaluations != want.Evaluations {
+		t.Errorf("resumed result exec %v (%d iterations) differs from the uninterrupted %v (%d)",
+			res.Exec, res.Iterations, want.Exec, want.Iterations)
+	}
+	fresh, err := m.Submit(api.SubmitRequest{Instance: inst, Solver: api.SolverMaTCH, Options: opts})
+	if err != nil {
+		t.Fatalf("Submit fresh: %v", err)
+	}
+	if fresh.CacheHit || fresh.Key == info.Key {
+		t.Errorf("fresh submission shares the checkpoint submission's cache entry (hit %v)", fresh.CacheHit)
+	}
+	again, err := m.Submit(req)
+	if err != nil {
+		t.Fatalf("Submit again: %v", err)
+	}
+	if !again.CacheHit {
+		t.Error("identical checkpoint resubmission missed the cache")
 	}
 }
 

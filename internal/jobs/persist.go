@@ -165,36 +165,35 @@ func (m *Manager) restoreOne(p *persistedJob, path string) error {
 	if err != nil {
 		return fmt.Errorf("invalid instance: %w", err)
 	}
-	key, err := Key(problem, p.Request.Solver, p.Request.Options)
+	// The job keeps its original request's identity; the persisted
+	// checkpoint, when there is one, is the later state to resume from.
+	req := p.Request
+	log := m.log.With("id", p.ID)
+	resumeFrom, err := ResumeFrom(problem, &req, log)
+	if err != nil {
+		return err
+	}
+	if len(p.Checkpoint) > 0 {
+		later := req
+		later.Checkpoint = p.Checkpoint
+		if resumeFrom, err = ResumeFrom(problem, &later, log); err != nil {
+			return err
+		}
+	}
+	key, err := Key(problem, req.Solver, req.Options, req.Checkpoint)
 	if err != nil {
 		return err
 	}
 	j := &job{
 		id:          p.ID,
 		key:         key,
-		solver:      p.Request.Solver,
-		req:         p.Request,
+		solver:      req.Solver,
+		req:         req,
 		problem:     problem,
 		created:     p.Created,
 		resumed:     true,
+		resumeFrom:  resumeFrom,
 		persistPath: path,
-	}
-	if len(p.Checkpoint) > 0 {
-		c, err := matchsim.DecodeCheckpoint(p.Checkpoint)
-		if err != nil {
-			return err
-		}
-		j.resumeFrom = c
-		// Checkpoints capture a single CE population; a job originally
-		// submitted with the multilevel pipeline or an island ensemble
-		// resumes on the plain path instead of restarting from scratch.
-		// Flag the degradation rather than dropping the mode silently.
-		if o := p.Request.Options; o.Multilevel || o.Islands > 1 {
-			j.degraded = true
-			m.log.Warn("degraded resume: checkpoint cannot restore requested mode; resuming on plain single-population path",
-				"id", j.id, "solver", j.solver,
-				"multilevel", o.Multilevel, "islands", o.Islands)
-		}
 	}
 	if j.created.IsZero() {
 		j.created = time.Now()
@@ -219,9 +218,6 @@ func (m *Manager) restoreOne(p *persistedJob, path string) error {
 		span.SetAttr("job_id", j.id)
 		span.SetAttr("solver", j.solver)
 		span.SetAttr("resumed", "true")
-		if j.degraded {
-			span.SetAttr("degraded_resume", "true")
-		}
 		span.Event("resume", "checkpointed", fmt.Sprint(j.resumeFrom != nil))
 		j.span = span
 		j.traceID = span.TraceID()

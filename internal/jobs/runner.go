@@ -92,12 +92,6 @@ func (m *Manager) solve(ctx context.Context, j *job, onIter func(matchsim.Iterat
 			opts.Islands = iopts
 		}
 		if j.resumeFrom != nil {
-			// Neither the multilevel pipeline nor an island ensemble
-			// produces resumable checkpoints, so a resumed job always
-			// re-runs on the plain single-population path (warm-started
-			// from the checkpoint); restoreOne flagged it degraded.
-			opts.Multilevel = nil
-			opts.Islands = nil
 			sol, err = matchsim.ResumeMaTCH(j.problem, j.resumeFrom, opts)
 		} else {
 			sol, err = matchsim.SolveMaTCH(j.problem, opts)

@@ -103,14 +103,14 @@ func (w *simWorker) crash() {
 //     every result bit-identical to a standalone daemon's;
 //  2. worker crash mid-solve — the routed worker dies after the
 //     coordinator captured a checkpoint; the job must finish on a
-//     survivor with Resumed set, and an identical follow-up submission
-//     must NOT be served from the cache (rescued trajectories are not
-//     bit-reproducible) but must solve fresh to the standalone bits;
+//     survivor with Resumed set and the standalone daemon's fresh bits
+//     (resumes are exact), and an identical follow-up submission must be
+//     a cache hit with the same bits;
 //  3. coordinator restart — the coordinator shuts down mid-flight and a
 //     new one re-attaches through the StateDir journal; the job keeps
 //     its id and completes;
 //  4. partition + heal — a partitioned worker's solve hands off to a
-//     survivor, the heal is picked up by health probes, and new jobs
+//     survivor and still ends with the standalone bits, the heal is picked up by health probes, and new jobs
 //     route onto the healed worker again.
 //
 // Throughout: no lost jobs (every accepted submission reaches done under
@@ -224,7 +224,7 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 			if long {
 				opts = longOpts(seed)
 			}
-			key, err := jobs.Key(problems[instIdx], api.SolverMaTCH, opts)
+			key, err := jobs.Key(problems[instIdx], api.SolverMaTCH, opts, nil)
 			if err != nil {
 				return api.SubmitRequest{}, fmt.Errorf("verify: clustersim key: %w", err)
 			}
@@ -321,7 +321,8 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 		return nil
 	}
 	bitIdentical := func(a, b api.JobResult) bool {
-		if math.Float64bits(a.Exec) != math.Float64bits(b.Exec) || len(a.Mapping) != len(b.Mapping) {
+		if math.Float64bits(a.Exec) != math.Float64bits(b.Exec) || len(a.Mapping) != len(b.Mapping) ||
+			a.Iterations != b.Iterations || a.Evaluations != b.Evaluations || a.StopReason != b.StopReason {
 			return false
 		}
 		for i := range a.Mapping {
@@ -340,9 +341,10 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 		ledger = append(ledger, ledgerEntry{info.ID, epoch})
 		return info, nil
 	}
-	// settle waits a job out, validates its mapping, and — when the solve
-	// ran undisturbed — holds it to the standalone daemon's bits.
-	settle := func(co *cluster.Coordinator, id string, instIdx int, req api.SubmitRequest, wantBits bool) (api.JobInfo, api.JobResult, error) {
+	// settle waits a job out, validates its mapping, and holds it to the
+	// standalone daemon's bits — handoffs included, since resumes are
+	// exact.
+	settle := func(co *cluster.Coordinator, id string, instIdx int, req api.SubmitRequest) (api.JobInfo, api.JobResult, error) {
 		final, err := waitTerminal(co, id)
 		if err != nil {
 			return final, api.JobResult{}, err
@@ -357,14 +359,12 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 		if err := validate(id, instIdx, res); err != nil {
 			return final, res, err
 		}
-		if wantBits {
-			want, err := refResult(req)
-			if err != nil {
-				return final, res, err
-			}
-			if !bitIdentical(res, want) {
-				return final, res, fmt.Errorf("verify: clustersim job %s diverged from the standalone solve (exec %v vs %v)", id, res.Exec, want.Exec)
-			}
+		want, err := refResult(req)
+		if err != nil {
+			return final, res, err
+		}
+		if !bitIdentical(res, want) {
+			return final, res, fmt.Errorf("verify: clustersim job %s diverged from the standalone solve (exec %v vs %v, resumed %v)", id, res.Exec, want.Exec, final.Resumed)
 		}
 		st.Done++
 		if final.Resumed {
@@ -415,11 +415,11 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 		}
 	}
 	for _, p := range batch {
-		final, _, err := settle(co, p.id, p.instIdx, p.req, true)
+		final, _, err := settle(co, p.id, p.instIdx, p.req)
 		if err != nil {
 			return st, err
 		}
-		key, err := jobs.Key(problems[p.instIdx], api.SolverMaTCH, p.req.Options)
+		key, err := jobs.Key(problems[p.instIdx], api.SolverMaTCH, p.req.Options, nil)
 		if err != nil {
 			return st, err
 		}
@@ -448,7 +448,7 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 	}
 	victim.crash()
 	st.Crashes++
-	final, _, err := settle(co, info.ID, 0, crashReq, false)
+	final, rescued, err := settle(co, info.ID, 0, crashReq)
 	if err != nil {
 		return st, err
 	}
@@ -458,22 +458,21 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 	if final.Worker == victimURL {
 		return st, fmt.Errorf("verify: clustersim rescued job %s still attributed to the dead worker", info.ID)
 	}
-	// No stale cache hits: the rescued trajectory must not satisfy an
-	// identical follow-up, which instead solves fresh to the standalone
-	// daemon's bits on a survivor.
+	// The rescued result is the fresh solve's, so it feeds the cache: an
+	// identical follow-up is a hit carrying the same bits.
 	dup, err := submit(co, crashReq)
 	if err != nil {
 		return st, err
 	}
-	if dup.CacheHit {
-		return st, fmt.Errorf("verify: clustersim identical submission after a rescue was served from the cache")
+	if !dup.CacheHit {
+		return st, fmt.Errorf("verify: clustersim identical submission after a rescue missed the cache")
 	}
-	dupFinal, dupRes, err := settle(co, dup.ID, 0, crashReq, true)
+	_, dupRes, err := settle(co, dup.ID, 0, crashReq)
 	if err != nil {
 		return st, err
 	}
-	if dupRes.CacheHit || dupFinal.Resumed {
-		return st, fmt.Errorf("verify: clustersim post-rescue duplicate: cacheHit=%v resumed=%v, want a fresh solve", dupRes.CacheHit, dupFinal.Resumed)
+	if !bitIdentical(dupRes, rescued) {
+		return st, fmt.Errorf("verify: clustersim post-rescue cache hit differs from the rescued result")
 	}
 
 	excluded := map[string]bool{victimURL: true}
@@ -525,7 +524,7 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 	// No lost jobs: the in-flight job survives the restart under its
 	// original id (the worker kept solving through the coordinator's
 	// downtime, so the result is an undisturbed deterministic solve).
-	if _, _, err := settle(co, info.ID, 1, restartReq, true); err != nil {
+	if _, _, err := settle(co, info.ID, 1, restartReq); err != nil {
 		return st, err
 	}
 
@@ -550,7 +549,7 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 	}
 	part.partitioned.Store(true)
 	st.Partitions++
-	final, _, err = settle(co, info.ID, 2, partReq, false)
+	final, _, err = settle(co, info.ID, 2, partReq)
 	if err != nil {
 		return st, err
 	}
@@ -587,7 +586,7 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 	if err != nil {
 		return st, err
 	}
-	final, _, err = settle(co, info.ID, 2, healReq, true)
+	final, _, err = settle(co, info.ID, 2, healReq)
 	if err != nil {
 		return st, err
 	}

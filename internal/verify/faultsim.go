@@ -169,12 +169,9 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 	)
 
 	// validateResult checks a delivered result against the independent
-	// evaluator and — for jobs that ran fresh — against the first result
-	// seen for its cache key. Resumed jobs warm-start from a checkpointed
-	// distribution, so their mapping is valid but not bit-reproducible;
-	// they are exempt from the cache ledger (and the manager likewise
-	// keeps them out of its result cache).
-	validateResult := func(id string, rec *jobRec, res api.JobResult, resumed bool) error {
+	// evaluator and against the first result seen for its cache key —
+	// resumed jobs included, since a resume is exact.
+	validateResult := func(id string, rec *jobRec, res api.JobResult) error {
 		if err := CheckPermutation(res.Mapping); err != nil {
 			return fmt.Errorf("job %s: %w", id, err)
 		}
@@ -187,10 +184,6 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		if resumed {
-			st.ResultsChecked++
-			return nil
-		}
 		if want, ok := expected[rec.key]; ok {
 			if len(want.Mapping) != len(res.Mapping) {
 				return fmt.Errorf("job %s: stale result for key %s: mapping length changed", id, rec.key)
@@ -314,11 +307,10 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 		return nil
 	}
 
-	// waitIter reads a job's stream until an iteration event at or past
-	// minIter arrives, proving the solver is actively running. (Event
-	// iteration indices restart for resumed runs — the RNG streams, not
-	// the emitted indices, carry the resume point — so resumption itself
-	// is asserted via JobInfo.Resumed, not via index continuity.)
+	// waitIter reads a job's stream until its first iteration event,
+	// proving the solver is actively running, and requires that event to
+	// be at or past minIter: a resumed run continues the iteration count
+	// of its checkpoint.
 	waitIter := func(m *jobs.Manager, id string, minIter int) (int, error) {
 		ch, cancel, err := m.Subscribe(id)
 		if err != nil {
@@ -332,9 +324,13 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 				if !ok {
 					return 0, fmt.Errorf("verify: faultsim job %s stream closed before iteration %d", id, minIter)
 				}
-				if e.Kind == api.KindIteration && e.Iter >= minIter {
-					return e.Iter, nil
+				if e.Kind != api.KindIteration {
+					continue
 				}
+				if e.Iter < minIter {
+					return 0, fmt.Errorf("verify: faultsim job %s first iteration event %d, want >= %d", id, e.Iter, minIter)
+				}
+				return e.Iter, nil
 			case <-deadline:
 				return 0, fmt.Errorf("verify: faultsim job %s produced no iteration >= %d in %v", id, minIter, cfg.Timeout)
 			}
@@ -365,6 +361,7 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 	}()
 
 	var longID string // the job deliberately interrupted mid-run by shutdown
+	var longIters int // iterations its shutdown checkpoint banked
 
 	for epoch := 0; epoch < epochs; epoch++ {
 		m = jobs.New(mgrOpts())
@@ -399,7 +396,8 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 				if !info.Resumed {
 					return st, fmt.Errorf("verify: faultsim restored job %s not marked resumed", longID)
 				}
-				if _, err := waitIter(m, longID, 1); err != nil {
+				// It continues past its checkpoint.
+				if _, err := waitIter(m, longID, longIters+1); err != nil {
 					return st, err
 				}
 				st.ResumedIterOK++
@@ -524,7 +522,7 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 						if err != nil {
 							return fmt.Errorf("verify: faultsim result %s: %w", id, err)
 						}
-						if err := validateResult(id, rec, res, info.Resumed); err != nil {
+						if err := validateResult(id, rec, res); err != nil {
 							return err
 						}
 					}
@@ -589,7 +587,7 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 					if err != nil {
 						return st, fmt.Errorf("verify: faultsim result %s: %w", id, err)
 					}
-					if err := validateResult(id, rec, res, info.Resumed); err != nil {
+					if err := validateResult(id, rec, res); err != nil {
 						return st, err
 					}
 					st.Done++
@@ -609,8 +607,7 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 				return st, err
 			}
 			if probe != "" {
-				probeInfo, err := waitTerminal(m, probe)
-				if err != nil {
+				if _, err := waitTerminal(m, probe); err != nil {
 					return st, err
 				}
 				res, err := m.Result(probe)
@@ -621,7 +618,7 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 				rec := recs[probe]
 				rec.closed = true
 				mu.Unlock()
-				if err := validateResult(probe, rec, res, probeInfo.Resumed); err != nil {
+				if err := validateResult(probe, rec, res); err != nil {
 					return st, err
 				}
 				st.Done++
@@ -643,7 +640,7 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 				mu.Lock()
 				recs[dup].closed = true
 				mu.Unlock()
-				if err := validateResult(dup, recs[dup], res2, info.Resumed); err != nil {
+				if err := validateResult(dup, recs[dup], res2); err != nil {
 					return st, err
 				}
 				st.Done++
@@ -655,6 +652,13 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 		cancelCtx()
 		if err != nil {
 			return st, fmt.Errorf("verify: faultsim shutdown: %w", err)
+		}
+		if longID != "" {
+			doc, err := m.Checkpoint(longID)
+			if err != nil {
+				return st, fmt.Errorf("verify: faultsim interrupted job %s has no checkpoint: %w", longID, err)
+			}
+			longIters = doc.Iterations
 		}
 		if err := drainSubs(subs); err != nil {
 			return st, err
@@ -699,7 +703,7 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 				if rerr != nil {
 					return st, fmt.Errorf("verify: faultsim result %s: %w", id, rerr)
 				}
-				if err := validateResult(id, rec, res, info.Resumed); err != nil {
+				if err := validateResult(id, rec, res); err != nil {
 					return st, err
 				}
 				mu.Lock()

@@ -47,15 +47,23 @@ type Solution struct {
 const StopCancelled = string(ce.StopCancelled)
 
 // Checkpoint is a resumable snapshot of a MaTCH (CE) run: the stochastic
-// matrix, the eq. 12 stability bookkeeping and the incumbent mapping. It
-// serialises with Encode and restores with DecodeCheckpoint + ResumeMaTCH.
+// matrix, the eq. 12 stability bookkeeping, the CE loop's iteration index
+// and gamma-stall window, and the incumbent mapping. It serialises with
+// Encode and restores with DecodeCheckpoint + ResumeMaTCH.
 type Checkpoint = core.Checkpoint
+
+// CheckpointVersion is the checkpoint format ResumeMaTCH accepts.
+const CheckpointVersion = core.CheckpointVersion
 
 // DecodeCheckpoint parses and validates a checkpoint produced by
 // (*Checkpoint).Encode.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return core.DecodeCheckpoint(data)
 }
+
+// VerifyCheckpoint checks that c fits p and that its incumbent's score is
+// the one p computes, bit for bit.
+func (p *Problem) VerifyCheckpoint(c *Checkpoint) error { return c.Verify(p.eval) }
 
 // Checkpoint extracts a resumable snapshot from a MaTCH solution —
 // including one returned early by a cancelled Context. It returns nil for
@@ -224,9 +232,12 @@ func SolveMaTCH(p *Problem, opts MaTCHOptions) (*Solution, error) {
 	return matchSolution(res), nil
 }
 
-// ResumeMaTCH continues a checkpointed MaTCH run on the same problem. The
-// returned Solution's effort counters cover only the new iterations, but
-// its Mapping/Exec incorporate the checkpoint's incumbent.
+// ResumeMaTCH continues a checkpointed MaTCH run on the same problem.
+// Under the options of the run that wrote the checkpoint (Workers may
+// differ) the Solution is bit-identical to that run left uninterrupted:
+// MaxIterations caps the whole chain, and Iterations and Evaluations
+// count it. Checkpoints older than CheckpointVersion, and multilevel or
+// island options, are rejected.
 func ResumeMaTCH(p *Problem, c *Checkpoint, opts MaTCHOptions) (*Solution, error) {
 	res, err := core.Resume(p.evaluator(), c, coreOptions(opts))
 	if err != nil {
