@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -142,6 +143,17 @@ func (c *Client) Checkpoint(ctx context.Context, id string) (api.CheckpointDoc, 
 func (c *Client) Info(ctx context.Context, id string) (api.JobInfo, error) {
 	var info api.JobInfo
 	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &info)
+	return info, err
+}
+
+// InfoWait long-polls a job's status: the daemon answers once the job's
+// state differs from state, or after wait (the daemon caps it at a few
+// seconds), whichever comes first. A daemon that predates the long-poll
+// answers at once, so callers must not assume the state changed.
+func (c *Client) InfoWait(ctx context.Context, id, state string, wait time.Duration) (api.JobInfo, error) {
+	var info api.JobInfo
+	q := url.Values{"state": {state}, "wait": {wait.String()}}
+	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"?"+q.Encode(), nil, &info)
 	return info, err
 }
 

@@ -89,7 +89,7 @@ func run(args []string, stdout io.Writer) error {
 		checkpointDir = fs.String("checkpoint-dir", "", "directory for shutdown checkpoints (empty disables persistence)")
 		coordinator   = fs.Bool("coordinator", false, "run as a cluster coordinator routing jobs to the -workers nodes instead of solving locally")
 		clusterState  = fs.String("cluster-state", "", "coordinator journal directory for in-flight solves (empty disables restart re-attachment)")
-		pollInterval  = fs.Duration("poll-interval", 200*time.Millisecond, "coordinator worker job-status poll cadence")
+		pollInterval  = fs.Duration("poll-interval", 200*time.Millisecond, "coordinator checkpoint-refresh and retry cadence; completion is seen at once (worker status calls long-poll)")
 		ckptEvery     = fs.Int("checkpoint-every", 5, "coordinator-injected checkpoint export cadence (CE iterations) for handoff")
 		traceFile     = fs.String("trace", "", "append every job's trace events to this JSONL file")
 		spanFile      = fs.String("trace-spans", "", "append every finished span to this JSONL file")

@@ -49,7 +49,9 @@ type Options struct {
 	// routed plain match jobs so a dead worker's solves can be handed off
 	// mid-run; default 5. A submission's own CheckpointEvery wins.
 	CheckpointEvery int
-	// PollInterval is the worker job-status poll cadence; default 200ms.
+	// PollInterval is the checkpoint-refresh and retry cadence; default
+	// 200ms. Completion is seen at once: each worker status call is a
+	// long-poll the worker answers as soon as the job's state changes.
 	PollInterval time.Duration
 	// HealthEvery is the down-worker recovery probe cadence; default 1s.
 	HealthEvery time.Duration
@@ -778,17 +780,27 @@ func (co *Coordinator) runFlight(f *flight) {
 			info, err := co.clients[worker].Submit(ctx, req)
 			cancel()
 			if err != nil {
-				var apiErr *api.Error
-				if errors.As(err, &apiErr) && apiErr.Status >= 400 && apiErr.Status < 500 {
-					// The worker understood us and said no: retrying on
-					// another node cannot help.
-					co.failFlight(f, fmt.Sprintf("worker %s rejected submission: %v", worker, apiErr.Message))
-					return
-				}
 				if co.baseCtx.Err() != nil {
 					return
 				}
-				co.noteFailure(worker)
+				var apiErr *api.Error
+				if errors.As(err, &apiErr) {
+					// Any answer means the worker is up; only transport
+					// errors count towards marking it down.
+					co.noteSuccess(worker)
+					if apiErr.Status >= 400 && apiErr.Status < 500 {
+						// The worker understood us and said no: retrying
+						// on another node cannot help.
+						co.failFlight(f, fmt.Sprintf("worker %s rejected submission: %v", worker, apiErr.Message))
+						return
+					}
+					// A 5xx (queue full, shutting down) is retried below.
+				} else {
+					co.noteFailure(worker)
+				}
+				if !sleepCtx(co.baseCtx, co.opts.PollInterval) {
+					return
+				}
 				continue
 			}
 			co.noteSuccess(worker)
@@ -830,6 +842,12 @@ func (co *Coordinator) flightWorker(f *flight) string {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	return f.worker
+}
+
+func (co *Coordinator) flightState(f *flight) string {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	return f.lastState
 }
 
 func (co *Coordinator) flightJobID(f *flight) string {
@@ -890,7 +908,14 @@ func (co *Coordinator) beginRescue(f *flight, reason string) {
 }
 
 // pollFlight tracks an assigned flight on its worker until a terminal
-// outcome or a condition that forces a re-route.
+// outcome or a condition that forces a re-route. Each status call is a
+// long-poll the worker holds until the job leaves the state the flight
+// last saw, or for up to PollInterval, so a finished solve is seen at
+// once. A call that brings nothing new (the hold ran out, a worker that
+// predates the long-poll answered at once, or the call failed) is
+// followed by a pause for the rest of the interval: while a job runs its
+// worker sees at most one status and one checkpoint call per
+// PollInterval.
 func (co *Coordinator) pollFlight(f *flight) (flightOutcome, string) {
 	worker := co.flightWorker(f)
 	cl := co.clients[worker]
@@ -899,71 +924,81 @@ func (co *Coordinator) pollFlight(f *flight) (flightOutcome, string) {
 		// is no longer on the ring.
 		return flightRescue, "worker-removed"
 	}
+	// The hold must end well inside the call's own timeout.
+	wait := min(co.opts.PollInterval, co.opts.CallTimeout/2)
 	for {
 		if co.flightAbandoned(f) {
 			co.discardFlight(f)
 			return flightDiscarded, ""
 		}
 		co.maybeWriteJournal(f)
-		if !sleepCtx(co.baseCtx, co.opts.PollInterval) {
-			return flightShutdown, ""
-		}
+		seen := co.flightState(f)
+		next := time.Now().Add(co.opts.PollInterval)
 		ctx, cancel := co.callCtx()
-		info, err := cl.Info(ctx, co.flightJobID(f))
+		info, err := cl.InfoWait(ctx, co.flightJobID(f), seen, wait)
 		cancel()
 		if err != nil {
 			if co.baseCtx.Err() != nil {
 				return flightShutdown, ""
 			}
 			var apiErr *api.Error
-			if errors.As(err, &apiErr) {
+			if !errors.As(err, &apiErr) {
+				co.noteFailure(worker)
+				if co.workerDown(worker) {
+					return flightRescue, "worker-down"
+				}
+			} else {
+				co.noteSuccess(worker)
 				if apiErr.Status == http.StatusNotFound {
 					// The worker is up but no longer knows the job: it
 					// restarted and lost its store. Resubmit (with the
 					// freshest checkpoint when one was exported).
 					return flightRescue, "worker-restart"
 				}
-				continue // other HTTP errors: transient, keep polling
+				// Other HTTP errors are transient: keep polling.
 			}
-			co.noteFailure(worker)
-			if co.workerDown(worker) {
-				return flightRescue, "worker-down"
-			}
-			continue
-		}
-		co.noteSuccess(worker)
-		switch info.State {
-		case api.StateRunning:
-			co.observeRunning(f)
-			co.refreshCheckpoint(cl, f)
-		case api.StateDone:
-			res, rerr := co.fetchResult(cl, f)
-			if rerr != nil {
+		} else {
+			co.noteSuccess(worker)
+			switch info.State {
+			case api.StateRunning:
+				if seen != api.StateRunning {
+					co.observeRunning(f)
+					continue
+				}
+				co.refreshCheckpoint(cl, f)
+			case api.StateDone:
+				res, rerr := co.fetchResult(cl, f)
+				if rerr == nil {
+					co.completeFlight(f, info, res)
+					return flightDone, ""
+				}
 				if co.baseCtx.Err() != nil {
 					return flightShutdown, ""
 				}
-				continue // transient; the next pass re-observes done
+				// Transient; the next pass re-observes done.
+				next = time.Now().Add(co.opts.PollInterval)
+			case api.StateFailed:
+				co.failFlight(f, info.Error)
+				return flightFailed, ""
+			case api.StateCancelled:
+				if co.flightAbandoned(f) {
+					co.discardFlight(f)
+					return flightDiscarded, ""
+				}
+				// Cancelled out from under us: a drain (ours) or an
+				// operator acting on the worker directly. Collect the
+				// final interrupted-state checkpoint and resume elsewhere.
+				ctx, ccancel := co.callCtx()
+				doc, cerr := cl.Checkpoint(ctx, co.flightJobID(f))
+				ccancel()
+				if cerr == nil {
+					co.adoptCheckpoint(f, doc.Checkpoint, doc.Iterations)
+				}
+				return flightRescue, "drain"
 			}
-			co.completeFlight(f, info, res)
-			return flightDone, ""
-		case api.StateFailed:
-			co.failFlight(f, info.Error)
-			return flightFailed, ""
-		case api.StateCancelled:
-			if co.flightAbandoned(f) {
-				co.discardFlight(f)
-				return flightDiscarded, ""
-			}
-			// Cancelled out from under us: a drain (ours) or an operator
-			// acting on the worker directly. Collect the final
-			// interrupted-state checkpoint and resume elsewhere.
-			ctx, ccancel := co.callCtx()
-			doc, cerr := cl.Checkpoint(ctx, co.flightJobID(f))
-			ccancel()
-			if cerr == nil {
-				co.adoptCheckpoint(f, doc.Checkpoint, doc.Iterations)
-			}
-			return flightRescue, "drain"
+		}
+		if d := time.Until(next); d > 0 && !sleepCtx(co.baseCtx, d) {
+			return flightShutdown, ""
 		}
 	}
 }

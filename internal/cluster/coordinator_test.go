@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,15 +46,26 @@ func startWorkers(t *testing.T, n int) []*testWorker {
 	t.Helper()
 	ws := make([]*testWorker, n)
 	for i := range ws {
-		m := jobs.New(jobs.Options{Workers: 2})
-		ts := httptest.NewServer(httpapi.New(m))
-		ws[i] = &testWorker{m: m, ts: ts}
-		t.Cleanup(func() {
-			ts.Close()
-			m.Shutdown(context.Background())
-		})
+		ws[i] = startWorker(t, jobs.Options{Workers: 2}, nil)
 	}
 	return ws
+}
+
+// startWorker starts one worker daemon, behind front when it is non-nil.
+func startWorker(t *testing.T, opts jobs.Options, front *callCounter) *testWorker {
+	t.Helper()
+	m := jobs.New(opts)
+	var h http.Handler = httpapi.New(m)
+	if front != nil {
+		front.inner = h
+		h = front
+	}
+	ts := httptest.NewServer(h)
+	t.Cleanup(func() {
+		ts.Close()
+		m.Shutdown(context.Background())
+	})
+	return &testWorker{m: m, ts: ts}
 }
 
 func workerBases(ws []*testWorker) []string {
@@ -465,5 +477,202 @@ func TestRestoreLegacyJournal(t *testing.T) {
 	}
 	if n := metricValue(t, coordinatorMetrics(t, co), "matchd_cluster_cache_entries"); n != 1 {
 		t.Errorf("cache entries after the re-attached flight = %v, want 1", n)
+	}
+}
+
+// callCounter is a worker front that counts the coordinator's job-status
+// and checkpoint calls. With stripQuery it also drops every query string,
+// standing in for a worker build that predates the long-poll status.
+type callCounter struct {
+	inner       http.Handler
+	stripQuery  bool
+	status      atomic.Int64
+	checkpoints atomic.Int64
+}
+
+func (c *callCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if rest, ok := strings.CutPrefix(r.URL.Path, "/v1/jobs/"); ok && r.Method == http.MethodGet {
+		switch {
+		case !strings.Contains(rest, "/"):
+			c.status.Add(1)
+		case strings.HasSuffix(rest, "/checkpoint"):
+			c.checkpoints.Add(1)
+		}
+	}
+	if c.stripQuery {
+		r.URL.RawQuery = ""
+	}
+	c.inner.ServeHTTP(w, r)
+}
+
+// workerJobID is the id of a coordinator job's solve on its worker.
+func workerJobID(co *Coordinator, id string) string {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	return co.jobs[id].flight.workerJobID
+}
+
+// TestCoordinatorSeesCompletionPromptly: a routed job is done on the
+// coordinator right after its worker finishes it, however long
+// PollInterval is — the status call long-polls instead of sleeping.
+func TestCoordinatorSeesCompletionPromptly(t *testing.T) {
+	counter := &callCounter{}
+	w := startWorker(t, jobs.Options{Workers: 2}, counter)
+	co := newTestCoordinator(t, []*testWorker{w}, Options{PollInterval: 2 * time.Second})
+
+	info, err := co.Submit(api.SubmitRequest{
+		Instance: instanceJSON(t, 13, 12),
+		Solver:   api.SolverMaTCH,
+		Options:  api.SolverOptions{Seed: 4, Workers: 1, MaxIterations: 20},
+	})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	final := waitDone(t, co, info.ID)
+	seen := time.Now()
+	if final.State != api.StateDone {
+		t.Fatalf("job ended %q (error %q)", final.State, final.Error)
+	}
+	winfo, err := w.m.Info(workerJobID(co, info.ID))
+	if err != nil {
+		t.Fatalf("worker Info: %v", err)
+	}
+	if lag := seen.Sub(winfo.Finished); lag > 300*time.Millisecond {
+		t.Fatalf("coordinator saw the job done %v after the worker finished it (PollInterval 2s)", lag)
+	}
+	if n := counter.status.Load(); n > 3 {
+		t.Fatalf("%d status calls for one short job, want at most 3", n)
+	}
+}
+
+// TestCoordinatorPollCadence: while a routed job runs, its worker sees
+// at most about one status and one checkpoint call per PollInterval,
+// whether the worker holds the status call (long-poll) or answers at once
+// (an older worker that ignores ?wait=). Either way the flight completes
+// with the standalone bits.
+func TestCoordinatorPollCadence(t *testing.T) {
+	const poll = 40 * time.Millisecond
+	req := api.SubmitRequest{
+		Instance: instanceJSON(t, 17, 16),
+		Solver:   api.SolverMaTCH,
+		Options: api.SolverOptions{
+			Seed: 6, Workers: 1, SampleSize: 300,
+			MaxIterations: 60, GammaStallWindow: 1000, StallC: 1000,
+		},
+	}
+	standalone := jobs.New(jobs.Options{Workers: 1})
+	t.Cleanup(func() { standalone.Shutdown(context.Background()) })
+	ref, err := standalone.Submit(req)
+	if err != nil {
+		t.Fatalf("standalone Submit: %v", err)
+	}
+	for info := ref; !api.TerminalState(info.State); {
+		if info, err = standalone.WaitInfo(context.Background(), ref.ID, info.State); err != nil {
+			t.Fatalf("standalone WaitInfo: %v", err)
+		}
+	}
+	want, err := standalone.Result(ref.ID)
+	if err != nil {
+		t.Fatalf("standalone Result: %v", err)
+	}
+
+	for _, old := range []bool{false, true} {
+		name := "long-poll worker"
+		if old {
+			name = "worker without long-poll"
+		}
+		t.Run(name, func(t *testing.T) {
+			counter := &callCounter{stripQuery: old}
+			w := startWorker(t, jobs.Options{Workers: 1}, counter)
+			co := newTestCoordinator(t, []*testWorker{w}, Options{PollInterval: poll, CheckpointEvery: 1})
+			start := time.Now()
+			info, err := co.Submit(req)
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			final := waitDone(t, co, info.ID)
+			elapsed := time.Since(start)
+			if final.State != api.StateDone {
+				t.Fatalf("job ended %q (error %q)", final.State, final.Error)
+			}
+			res, err := co.Result(info.ID)
+			if err != nil {
+				t.Fatalf("Result: %v", err)
+			}
+			if !reflect.DeepEqual(res.Mapping, want.Mapping) || res.Exec != want.Exec {
+				t.Fatal("routed result differs from the standalone solve")
+			}
+			periods := int64(elapsed / poll)
+			if n := counter.status.Load(); n > periods+2 {
+				t.Errorf("%d status calls in %v (%d poll intervals), want at most %d", n, elapsed, periods, periods+2)
+			}
+			if n := counter.checkpoints.Load(); n > periods+1 {
+				t.Errorf("%d checkpoint calls in %v (%d poll intervals), want at most %d", n, elapsed, periods, periods+1)
+			}
+			t.Logf("%v: %d status, %d checkpoint calls over %d intervals", elapsed, counter.status.Load(), counter.checkpoints.Load(), periods)
+		})
+	}
+}
+
+// TestCoordinatorRetriesBusyWorker: a worker whose queue is full answers
+// a routed submission with 503. That is an answer, not a transport
+// failure: the coordinator retries at PollInterval until the queue
+// frees, and the worker is never marked down.
+func TestCoordinatorRetriesBusyWorker(t *testing.T) {
+	w := startWorker(t, jobs.Options{Workers: 1, QueueCapacity: 1}, nil)
+	co := newTestCoordinator(t, []*testWorker{w}, Options{})
+
+	long := api.SolverOptions{Seed: 1, Workers: 1, MaxIterations: 100000, StallC: 100000, GammaStallWindow: 100000}
+	blocker, err := w.m.Submit(api.SubmitRequest{Instance: instanceJSON(t, 21, 28), Solver: api.SolverMaTCH, Options: long})
+	if err != nil {
+		t.Fatalf("Submit blocker: %v", err)
+	}
+	if _, err := w.m.WaitInfo(context.Background(), blocker.ID, api.StateQueued); err != nil {
+		t.Fatalf("WaitInfo: %v", err)
+	}
+	filler, err := w.m.Submit(api.SubmitRequest{Instance: instanceJSON(t, 22, 8), Solver: api.SolverMaTCH, Options: long})
+	if err != nil {
+		t.Fatalf("Submit filler: %v", err)
+	}
+
+	info, err := co.Submit(api.SubmitRequest{
+		Instance: instanceJSON(t, 23, 8),
+		Solver:   api.SolverMaTCH,
+		Options:  api.SolverOptions{Seed: 3, Workers: 1, MaxIterations: 20},
+	})
+	if err != nil {
+		t.Fatalf("coordinator Submit: %v", err)
+	}
+	// Let the coordinator meet several 503s before the queue frees.
+	const busy = `matchd_http_requests_total{route="POST /v1/jobs",method="POST",code="503"}`
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var buf bytes.Buffer
+		if err := w.m.Registry().WritePrometheus(&buf); err != nil {
+			t.Fatalf("worker WritePrometheus: %v", err)
+		}
+		if metricValue(t, buf.String(), busy) >= 5 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the coordinator never retried its submission to the busy worker")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	for _, id := range []string{filler.ID, blocker.ID} {
+		if _, err := w.m.Cancel(id); err != nil {
+			t.Fatalf("Cancel %s: %v", id, err)
+		}
+	}
+
+	if final := waitDone(t, co, info.ID); final.State != api.StateDone {
+		t.Fatalf("job ended %q (error %q)", final.State, final.Error)
+	}
+	text := coordinatorMetrics(t, co)
+	if up := metricValue(t, text, `matchd_cluster_worker_up{worker="`+w.ts.URL+`"}`); up != 1 {
+		t.Errorf("matchd_cluster_worker_up = %v, want 1", up)
+	}
+	if n := metricValue(t, text, "matchd_cluster_rebalance_total"); n != 0 {
+		t.Errorf("matchd_cluster_rebalance_total = %v, want 0", n)
 	}
 }

@@ -5,7 +5,9 @@
 // before they reach a worker, serves a coordinator-level LRU result
 // cache backed by the workers' own caches, and hands off mid-solve
 // checkpoints so a draining or dead worker's jobs resume on a surviving
-// node with their trace intact.
+// node with their trace intact. It follows each routed solve with a
+// long-poll on the worker's status route, so a finished solve is seen as
+// soon as the worker finishes it.
 //
 // The coordinator speaks the same HTTP/JSON job protocol as a standalone
 // matchd (package httpapi), so clients point at either interchangeably;

@@ -17,7 +17,10 @@ import (
 // Server exposes a Coordinator over HTTP/JSON. The job routes mirror a
 // standalone matchd's (package httpapi), so clients point at either
 // interchangeably; SSE progress streaming is the one omission — poll
-// GET /v1/jobs/{id} instead (client.Wait does). Cluster-only routes:
+// GET /v1/jobs/{id} instead (client.Wait does). The long-poll form of
+// that route (?state=&wait=) is answered at once here: the hold lives on
+// the workers, where the coordinator itself long-polls. Cluster-only
+// routes:
 //
 //	GET  /v1/cluster        topology + routing status → 200 ClusterStatus
 //	POST /v1/cluster/drain  drain a worker's solves   → 200 ClusterStatus

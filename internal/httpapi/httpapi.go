@@ -4,6 +4,7 @@
 //	POST   /v1/jobs             submit a job            → 202 JobInfo (200 on cache hit)
 //	POST   /v1/jobs:batch       submit many jobs        → 200 BatchSubmitResponse (per-item statuses)
 //	GET    /v1/jobs/{id}        job status              → 200 JobInfo
+//	GET    /v1/jobs/{id}?state=S&wait=D  long-poll: status once it leaves S, or after D → 200 JobInfo
 //	GET    /v1/jobs/{id}/result finished job's mapping  → 200 JobResult
 //	GET    /v1/jobs/{id}/checkpoint latest resumable checkpoint → 200 CheckpointDoc
 //	DELETE /v1/jobs/{id}        cancel a job            → 200 JobInfo
@@ -16,7 +17,12 @@
 //	GET    /readyz              readiness checks        → 200/503 ReadyStatus
 //	GET    /metrics             Prometheus text format  → 200
 //
-// Every non-2xx response body is an api.Error document. The SSE stream
+// Every non-2xx response body is an api.Error document. The long-poll
+// status form holds the request until the job's state differs from
+// ?state= or the ?wait= duration (Go syntax, e.g. "200ms"; capped at
+// MaxStatusWait) runs out, then answers the current JobInfo either way. A
+// cluster coordinator learns of a routed job's completion this way
+// instead of polling on a timer. The SSE stream
 // replays the job's event history, then follows it live (an optional
 // ?from=N query resumes the replay at event index N, so a reconnecting
 // client skips what it already saw); each `data:` payload is one
@@ -57,16 +63,25 @@ import (
 	"matchsim/internal/telemetry"
 )
 
+// MaxStatusWait caps the ?wait= hold of a long-poll status request. It
+// sits below the coordinator's default per-call timeout (10s), so a held
+// request always answers before the caller gives up on it.
+const MaxStatusWait = 5 * time.Second
+
 // Server adapts a jobs.Manager to net/http. Every route is wrapped in RED
 // middleware feeding the manager's telemetry registry: request count by
 // (route, method, code), error count, and a latency histogram per route
 // with trace-ID exemplars. Streaming routes (SSE) record time-to-first-
 // byte in the request-latency histogram — stream lifetime would poison
-// its p99 — and their full lifetime in a separate stream histogram.
+// its p99 — and their full lifetime in a separate stream histogram. A
+// long-poll status request (one carrying ?wait=) is recorded only in the
+// stream histogram: its first byte is its last, so its hold time would
+// read as the route's latency.
 type Server struct {
 	manager *jobs.Manager
 	mux     *http.ServeMux
 	tracer  *telemetry.Tracer
+	maxWait time.Duration // MaxStatusWait; tests shorten it
 
 	requests      *telemetry.CounterVec
 	errors        *telemetry.CounterVec
@@ -95,6 +110,9 @@ const (
 type routeOpts struct {
 	trace     traceMode
 	streaming bool
+	// longPoll marks a route whose requests carrying ?wait= are held
+	// until something changes; those are timed as streams.
+	longPoll bool
 }
 
 // New builds the HTTP surface over m, instrumenting m.Registry() and
@@ -105,6 +123,7 @@ func New(m *jobs.Manager) *Server {
 		manager: m,
 		mux:     http.NewServeMux(),
 		tracer:  m.Tracer(),
+		maxWait: MaxStatusWait,
 		requests: reg.CounterVec("matchd_http_requests_total",
 			"HTTP requests served, by route pattern, method and status code.",
 			"route", "method", "code"),
@@ -115,12 +134,12 @@ func New(m *jobs.Manager) *Server {
 			"HTTP request latency, by route pattern. Streaming routes record time-to-first-byte here; see matchd_http_stream_seconds for their lifetimes.",
 			telemetry.ExpBuckets(0.001, 4, 8), "route"),
 		streamSeconds: reg.HistogramVec("matchd_http_stream_seconds",
-			"Full lifetime of streaming (SSE) requests, by route pattern.",
+			"Full lifetime of streaming (SSE) and long-poll (?wait=) requests, by route pattern.",
 			telemetry.ExpBuckets(0.01, 4, 10), "route"),
 	}
 	s.handle("POST /v1/jobs", s.submit, routeOpts{trace: traceAlways})
 	s.handle("POST /v1/jobs:batch", s.submitBatch, routeOpts{trace: traceAlways})
-	s.handle("GET /v1/jobs/{id}", s.status, routeOpts{trace: traceOnHeader})
+	s.handle("GET /v1/jobs/{id}", s.status, routeOpts{trace: traceOnHeader, longPoll: true})
 	s.handle("GET /v1/jobs/{id}/result", s.result, routeOpts{trace: traceOnHeader})
 	s.handle("GET /v1/jobs/{id}/checkpoint", s.checkpoint, routeOpts{trace: traceOnHeader})
 	s.handle("DELETE /v1/jobs/{id}", s.cancel, routeOpts{trace: traceOnHeader})
@@ -170,16 +189,21 @@ func (s *Server) handle(pattern string, h http.HandlerFunc, opts routeOpts) {
 			log.Warn("request failed", "route", pattern, "code", rec.code,
 				"duration", elapsed, "remote", r.RemoteAddr)
 		}
-		latency := elapsed
-		if opts.streaming {
+		switch {
+		case opts.longPoll && r.URL.Query().Has("wait"):
+			s.streamSeconds.With(pattern).ObserveExemplar(elapsed.Seconds(), span.TraceID())
+		case opts.streaming:
 			// Time-to-first-byte for the latency series; the stream's
 			// lifetime lands in its own histogram.
+			latency := elapsed
 			if !rec.firstByte.IsZero() {
 				latency = rec.firstByte.Sub(start)
 			}
 			s.streamSeconds.With(pattern).ObserveExemplar(elapsed.Seconds(), span.TraceID())
+			s.latency.With(pattern).ObserveExemplar(latency.Seconds(), span.TraceID())
+		default:
+			s.latency.With(pattern).ObserveExemplar(elapsed.Seconds(), span.TraceID())
 		}
-		s.latency.With(pattern).ObserveExemplar(latency.Seconds(), span.TraceID())
 		if span != nil {
 			span.SetAttrInt("code", int64(rec.code))
 			if rec.code >= 400 {
@@ -301,8 +325,29 @@ func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// status serves a job's JobInfo. With ?wait=D it long-polls: the answer
+// comes once the job's state differs from ?state= (at once when it
+// already does, or when no state is given) or after D, capped at
+// MaxStatusWait.
 func (s *Server) status(w http.ResponseWriter, r *http.Request) {
-	info, err := s.manager.Info(r.PathValue("id"))
+	id := r.PathValue("id")
+	q := r.URL.Query()
+	var (
+		info api.JobInfo
+		err  error
+	)
+	if q.Has("wait") {
+		wait, perr := time.ParseDuration(q.Get("wait"))
+		if perr != nil || wait < 0 {
+			writeError(w, http.StatusBadRequest, "invalid wait %q: want a non-negative duration such as 200ms", q.Get("wait"))
+			return
+		}
+		ctx, cancel := context.WithTimeout(r.Context(), min(wait, s.maxWait))
+		info, err = s.manager.WaitInfo(ctx, id, q.Get("state"))
+		cancel()
+	} else {
+		info, err = s.manager.Info(id)
+	}
 	if err != nil {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return

@@ -734,3 +734,108 @@ func TestMetricsOpenMetricsNegotiation(t *testing.T) {
 		t.Errorf("OpenMetrics exposition has no exemplar for trace %s", info.TraceID)
 	}
 }
+
+// TestStatusLongPoll covers GET /v1/jobs/{id}?state=&wait=: a malformed or
+// negative wait is a 400, an unknown id a 404, a wait over the cap is
+// clamped to it, and the hold ends as soon as the job's state changes.
+// The hold time lands in matchd_http_stream_seconds, never in the
+// route's request-latency histogram.
+func TestStatusLongPoll(t *testing.T) {
+	m := jobs.New(jobs.Options{Workers: 1})
+	s := New(m)
+	s.maxWait = 100 * time.Millisecond
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ts.Close()
+		m.Shutdown(context.Background())
+	})
+	c := client.New(ts.URL)
+	ctx := context.Background()
+
+	info, err := c.Submit(ctx, api.SubmitRequest{
+		Instance: instanceJSON(t, 8, 28), Solver: api.SolverMaTCH,
+		Options: api.SolverOptions{Seed: 1, Workers: 1, MaxIterations: 100000, StallC: 100000, GammaStallWindow: 100000},
+	})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if _, err := m.WaitInfo(ctx, info.ID, api.StateQueued); err != nil {
+		t.Fatalf("WaitInfo: %v", err)
+	}
+	if got, err := c.Info(ctx, info.ID); err != nil || got.State != api.StateRunning {
+		t.Fatalf("Info = %q, %v; want running", got.State, err)
+	}
+
+	for _, wait := range []string{"abc", "-1s", "5"} {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + info.ID + "?state=running&wait=" + wait)
+		if err != nil {
+			t.Fatalf("GET wait=%s: %v", wait, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("wait=%s: status %d, want 400", wait, resp.StatusCode)
+		}
+	}
+	var apiErr *api.Error
+	if _, err := c.InfoWait(ctx, "jmissing", api.StateQueued, time.Second); !errors.As(err, &apiErr) || apiErr.Status != 404 {
+		t.Errorf("unknown id long-poll error = %v, want 404", err)
+	}
+
+	start := time.Now()
+	got, err := c.InfoWait(ctx, info.ID, api.StateRunning, time.Hour)
+	held := time.Since(start)
+	if err != nil || got.State != api.StateRunning {
+		t.Fatalf("clamped long-poll = %q, %v; want running", got.State, err)
+	}
+	if held < s.maxWait || held > 5*time.Second {
+		t.Fatalf("wait=1h held %v, want the %v cap", held, s.maxWait)
+	}
+
+	text, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("Metrics: %v", err)
+	}
+	const route = `{route="GET /v1/jobs/{id}"}`
+	if n := metricValue(t, text, "matchd_http_stream_seconds_count"+route); n != 5 {
+		t.Errorf("long-poll observations in the stream histogram = %v, want 5", n)
+	}
+	if n := metricValue(t, text, "matchd_http_request_seconds_count"+route); n != 1 {
+		t.Errorf("request-latency observations = %v, want only the plain status call", n)
+	}
+	if sum := metricValue(t, text, "matchd_http_request_seconds_sum"+route); sum >= s.maxWait.Seconds() {
+		t.Errorf("request-latency sum %vs includes a long-poll hold", sum)
+	}
+
+	// A held request answers as soon as the state changes; a second
+	// daemon keeps the default cap so the hold cannot end on its own.
+	c2, _ := newTestServer(t, jobs.Options{Workers: 1})
+	info, err = c2.Submit(ctx, api.SubmitRequest{
+		Instance: instanceJSON(t, 9, 28), Solver: api.SolverMaTCH,
+		Options: api.SolverOptions{Seed: 2, Workers: 1, MaxIterations: 100000, StallC: 100000, GammaStallWindow: 100000},
+	})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitRunning(t, c2, info.ID)
+	type answer struct {
+		info api.JobInfo
+		err  error
+	}
+	woke := make(chan answer, 1)
+	go func() {
+		info, err := c2.InfoWait(ctx, info.ID, api.StateRunning, MaxStatusWait)
+		woke <- answer{info, err}
+	}()
+	time.Sleep(20 * time.Millisecond)
+	start = time.Now()
+	if _, err := c2.Cancel(ctx, info.ID); err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
+	a := <-woke
+	if a.err != nil || a.info.State != api.StateCancelled {
+		t.Fatalf("held long-poll = %q, %v; want cancelled", a.info.State, a.err)
+	}
+	if d := time.Since(start); d > MaxStatusWait/2 {
+		t.Fatalf("long-poll answered %v after the state change", d)
+	}
+}

@@ -144,6 +144,12 @@ type job struct {
 	events []api.Event
 	subs   map[int]chan api.Event
 	subCtr int
+
+	// changed is closed by the next state change and then cleared. It
+	// exists only while WaitInfo callers are blocked on the job (counted
+	// by waiters), so a job nobody waits on never allocates one.
+	changed chan struct{}
+	waiters int
 }
 
 // Manager owns the job store, queue, worker pool and result cache.
@@ -552,6 +558,10 @@ func (m *Manager) setState(j *job, state string) {
 	j.state = state
 	m.stateCount[state]++
 	m.metrics.jobsByState.With(state).Add(1)
+	if j.changed != nil {
+		close(j.changed)
+		j.changed = nil
+	}
 }
 
 // Registry exposes the telemetry registry the manager instruments; the
@@ -577,6 +587,40 @@ func (m *Manager) Info(id string) (api.JobInfo, error) {
 	j := m.jobs[id]
 	if j == nil {
 		return api.JobInfo{}, ErrUnknownJob
+	}
+	return m.infoLocked(j), nil
+}
+
+// WaitInfo is a long-poll Info: it returns the job's status document as
+// soon as the job's state differs from state, or when ctx ends (the
+// document then still reports state). A job that is already past state,
+// or terminal, answers at once.
+func (m *Manager) WaitInfo(ctx context.Context, id, state string) (api.JobInfo, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j := m.jobs[id]
+	if j == nil {
+		return api.JobInfo{}, ErrUnknownJob
+	}
+	for j.state == state && !api.TerminalState(state) {
+		if j.changed == nil {
+			j.changed = make(chan struct{})
+		}
+		changed := j.changed
+		j.waiters++
+		m.mu.Unlock()
+		select {
+		case <-changed:
+		case <-ctx.Done():
+		}
+		m.mu.Lock()
+		j.waiters--
+		if ctx.Err() != nil {
+			if j.waiters == 0 && j.changed == changed {
+				j.changed = nil // last waiter gone; nothing to close
+			}
+			break
+		}
 	}
 	return m.infoLocked(j), nil
 }

@@ -803,3 +803,141 @@ func validMapping(p *matchsim.Problem, mapping []int) error {
 	_, err := p.Exec(mapping)
 	return err
 }
+
+// waitIdle reports whether a job holds no WaitInfo state: no wait channel
+// and no registered waiter.
+func waitIdle(m *Manager, id string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j := m.jobs[id]
+	return j.changed == nil && j.waiters == 0
+}
+
+// TestWaitInfo covers the long-poll status: it wakes on queued→running
+// and running→done (every concurrent waiter at once), answers at once
+// for a terminal job or a state that already differs, gives up with the
+// state unchanged when ctx ends, rejects unknown ids, and leaves no wait
+// channel behind in any of those cases.
+func TestWaitInfo(t *testing.T) {
+	m := New(Options{Workers: 1, QueueCapacity: 4})
+	defer m.Shutdown(context.Background())
+
+	blocker, err := m.Submit(api.SubmitRequest{
+		Instance: instanceJSON(t, 31, 28), Solver: api.SolverMaTCH,
+		Options: api.SolverOptions{Seed: 1, Workers: 1, MaxIterations: 100000, StallC: 100000, GammaStallWindow: 100000},
+	})
+	if err != nil {
+		t.Fatalf("Submit blocker: %v", err)
+	}
+	waitState(t, m, blocker.ID, api.StateRunning, 10*time.Second)
+	short, err := m.Submit(api.SubmitRequest{
+		Instance: instanceJSON(t, 32, 8), Solver: api.SolverMaTCH,
+		Options: api.SolverOptions{Seed: 2, Workers: 1, MaxIterations: 20},
+	})
+	if err != nil {
+		t.Fatalf("Submit short: %v", err)
+	}
+
+	// ctx expiry: the blocker keeps running, so the wait times out and
+	// reports the unchanged state.
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	info, err := m.WaitInfo(ctx, blocker.ID, api.StateRunning)
+	cancel()
+	if err != nil || info.State != api.StateRunning {
+		t.Fatalf("timed-out WaitInfo = %q, %v; want running, nil", info.State, err)
+	}
+	if waited := time.Since(start); waited < 30*time.Millisecond {
+		t.Fatalf("WaitInfo returned after %v, before its context ended", waited)
+	}
+	if !waitIdle(m, blocker.ID) {
+		t.Fatal("timed-out WaitInfo left its wait channel behind")
+	}
+
+	// queued→running: several waiters park on the queued short job and
+	// all wake when cancelling the blocker lets it start.
+	const waiters = 4
+	startWaiters := func(id, from string) <-chan api.JobInfo {
+		got := make(chan api.JobInfo, waiters)
+		for i := 0; i < waiters; i++ {
+			go func() {
+				info, err := m.WaitInfo(context.Background(), id, from)
+				if err != nil {
+					t.Errorf("WaitInfo(%s, %s): %v", id, from, err)
+				}
+				got <- info
+			}()
+		}
+		// Return once every waiter is parked (or the job moved on, which
+		// sends them back at once).
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			m.mu.Lock()
+			j := m.jobs[id]
+			parked, moved := j.waiters, j.state != from
+			m.mu.Unlock()
+			if parked == waiters || moved {
+				return got
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d of %d waiters parked on %s", parked, waiters, id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	got := startWaiters(short.ID, api.StateQueued)
+	if _, err := m.Cancel(blocker.ID); err != nil {
+		t.Fatalf("Cancel blocker: %v", err)
+	}
+	for i := 0; i < waiters; i++ {
+		if info := <-got; info.State == api.StateQueued {
+			t.Fatal("WaitInfo(queued) woke with the job still queued")
+		}
+	}
+	waitTerminal(t, m, short.ID, 10*time.Second)
+
+	// running→done: a job that runs for a while is done when its waiters
+	// wake.
+	medium, err := m.Submit(api.SubmitRequest{
+		Instance: instanceJSON(t, 33, 16), Solver: api.SolverMaTCH,
+		Options: api.SolverOptions{Seed: 3, Workers: 1, MaxIterations: 60, StallC: 100000, GammaStallWindow: 100000},
+	})
+	if err != nil {
+		t.Fatalf("Submit medium: %v", err)
+	}
+	waitState(t, m, medium.ID, api.StateRunning, 10*time.Second)
+	got = startWaiters(medium.ID, api.StateRunning)
+	for i := 0; i < waiters; i++ {
+		if info := <-got; info.State != api.StateDone {
+			t.Fatalf("WaitInfo(running) woke in %q, want done", info.State)
+		}
+	}
+	if !waitIdle(m, short.ID) || !waitIdle(m, medium.ID) {
+		t.Fatal("state changes left a wait channel behind")
+	}
+
+	// Terminal job, or a state that already differs: answered at once,
+	// even with a context that never ends.
+	for _, from := range []string{api.StateDone, api.StateQueued, api.StateRunning, ""} {
+		done := make(chan api.JobInfo, 1)
+		go func() {
+			info, _ := m.WaitInfo(context.Background(), short.ID, from)
+			done <- info
+		}()
+		select {
+		case info := <-done:
+			if info.State != api.StateDone {
+				t.Fatalf("WaitInfo(%q) on a done job = %q", from, info.State)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("WaitInfo(%q) on a done job blocked", from)
+		}
+	}
+	if !waitIdle(m, short.ID) {
+		t.Fatal("immediate answers allocated a wait channel")
+	}
+
+	if _, err := m.WaitInfo(context.Background(), "j-missing", api.StateQueued); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("WaitInfo(unknown) = %v, want ErrUnknownJob", err)
+	}
+}
