@@ -57,15 +57,17 @@ type SolverOptions struct {
 	NumAgents       int  `json:"num_agents,omitempty"` // distributed only
 
 	// Multilevel routes a match job through the coarsen/solve/refine
-	// pipeline (large instances); the remaining fields tune it and the
-	// sparse-row distribution update. Zero values take the library
-	// defaults (see matchsim.MultilevelOptions / MaTCHOptions).
+	// pipeline (large instances); the remaining fields tune it. Zero
+	// values take the library defaults (see matchsim.MultilevelOptions).
 	Multilevel   bool    `json:"multilevel,omitempty"`
 	MinCoarse    int     `json:"min_coarse,omitempty"`
 	CoarsenRatio float64 `json:"coarsen_ratio,omitempty"`
 	RefinePasses int     `json:"refine_passes,omitempty"`
-	SparseEps    float64 `json:"sparse_eps,omitempty"`
-	SparseCut    int     `json:"sparse_cut,omitempty"`
+	// Deprecated: SparseEps and SparseCut tuned the sparse-row
+	// distribution update, which no longer exists. Like UnprunedScoring
+	// they are accepted, ignored and left out of the content address.
+	SparseEps float64 `json:"sparse_eps,omitempty"`
+	SparseCut int     `json:"sparse_cut,omitempty"`
 
 	// Islands routes a match job through the island-model ensemble: I
 	// independent CE islands exchanging elites and blending P-matrix rows
@@ -272,8 +274,8 @@ type Event struct {
 	// the samples drawn; RejectTries/FallbackDraws are GenPerm sampler
 	// counters; SampleNs/SelectNs/UpdateNs are phase timings; StealUnits
 	// and IdleNs describe the worker pool's barrier behaviour. Events
-	// from older builds may also carry pruned, rescored and
-	// skipped_edges; decoding ignores them.
+	// from older builds may also carry pruned, rescored, skipped_edges,
+	// rebuilt_rows and skipped_rows; decoding ignores them.
 	Draws         int    `json:"draws,omitempty"`
 	RejectTries   uint64 `json:"reject_tries,omitempty"`
 	FallbackDraws uint64 `json:"fallback_draws,omitempty"`
@@ -282,11 +284,6 @@ type Event struct {
 	UpdateNs      int64  `json:"update_ns,omitempty"`
 	StealUnits    int    `json:"steal_units,omitempty"`
 	IdleNs        int64  `json:"idle_ns,omitempty"`
-	// RebuiltRows and SkippedRows count the sampling-table rows the
-	// iteration's distribution update rebuilt versus skipped as unchanged
-	// (sparse-row runs; both zero on the dense path).
-	RebuiltRows uint64 `json:"rebuilt_rows,omitempty"`
-	SkippedRows uint64 `json:"skipped_rows,omitempty"`
 	// Island-model telemetry (island runs only): which island produced
 	// this iteration, the elite mappings received/sent in its exchange
 	// round and the P-matrix blend steps applied.

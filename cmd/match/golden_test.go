@@ -36,8 +36,8 @@ func TestTraceGolden(t *testing.T) {
 		// islands is up to the scheduler.
 		unordered bool
 	}{
-		// The sparse-row update makes rebuilt_rows/skipped_rows nonzero.
-		{"match-sparse", "match", func(c *config) { c.seed = 3; c.sparseEps = 1e-4 }, false},
+		// Plain single-population MaTCH.
+		{"match", "match", func(c *config) { c.seed = 3 }, false},
 		// The island ensemble fills island/migrants_in/out/blend_rounds.
 		{"match-islands", "match", func(c *config) {
 			c.islands, c.migrateEvery, c.migrants, c.blendAlpha = 2, 5, 2, 0.2

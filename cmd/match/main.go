@@ -51,14 +51,11 @@ type config struct {
 	zeta     float64
 	maxIters int
 	agentsN  int
-	// Large-instance knobs: the multilevel pipeline and the sparse-row
-	// distribution update.
+	// Large-instance knobs: the multilevel pipeline.
 	multilevel   bool
 	minCoarse    int
 	coarsenRatio float64
 	refinePasses int
-	sparseEps    float64
-	sparseCut    int
 	// Island-model knobs (match solver): islands > 1 splits the run into
 	// an ensemble of CE islands exchanging elites and blending P rows.
 	islands        int
@@ -105,8 +102,6 @@ func main() {
 	flag.IntVar(&cfg.minCoarse, "min-coarse", 0, "multilevel: coarsest instance size (default 128)")
 	flag.Float64Var(&cfg.coarsenRatio, "coarsen-ratio", 0, "multilevel: abort coarsening when a step keeps more than this vertex fraction (default 0.95)")
 	flag.IntVar(&cfg.refinePasses, "refine-passes", 0, "multilevel: refinement passes per level (default 8)")
-	flag.Float64Var(&cfg.sparseEps, "sparse-eps", 0, "sparse-row update: truncate row entries below this fraction of the row maximum (0 = dense update)")
-	flag.IntVar(&cfg.sparseCut, "sparse-cut", 0, "sparse-row update: max tracked row support (default max(16, n/4); negative disables tracking)")
 	flag.IntVar(&cfg.islands, "islands", 0, "island-model ensemble size I (match solver; 0/1 = single population)")
 	flag.StringVar(&cfg.islandTopology, "island-topology", "", "island exchange topology: ring | all (default ring)")
 	flag.IntVar(&cfg.migrateEvery, "migrate-every", 0, "islands: exchange interval in CE iterations (default 10)")
@@ -275,7 +270,6 @@ func runMatch(problem *matchsim.Problem, cfg config, progress func(matchsim.Iter
 	opts := matchsim.MaTCHOptions{
 		SampleSize: cfg.samples, Rho: cfg.rho, Zeta: cfg.zeta,
 		MaxIterations: cfg.maxIters, Seed: cfg.seed, OnIteration: progress,
-		SparseEps: cfg.sparseEps, SparseCut: cfg.sparseCut,
 	}
 	if cfg.multilevel {
 		opts.Multilevel = &matchsim.MultilevelOptions{

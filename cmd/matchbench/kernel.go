@@ -28,9 +28,6 @@ type benchRecord struct {
 	NsPerOp     int64   `json:"ns_per_op,omitempty"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
-	// SpeedupVsBaseline is NsPerOp of the -baseline reference divided by
-	// this record's NsPerOp; only set when -baseline is given.
-	SpeedupVsBaseline float64 `json:"speedup_vs_baseline,omitempty"`
 	// Iterations and ReachedTarget are set by the island time-to-target
 	// study: iterations consumed, and whether the arm met the
 	// single-island reference ET (NsPerOp is then the time to reach it).
@@ -73,10 +70,10 @@ type kernelBench struct {
 // runKernel benchmarks the hot-path kernels — the alias-table GenPerm
 // draw, its table rebuild, the draw scored by Evaluator.ExecInto, elite
 // selection and the 2-swap delta — plus an end-to-end Solve at n=64,
-// printing a table and — with -json — writing BENCH_kernel.json (micro)
-// and BENCH_fused.json (end-to-end). baselineNs, when non-zero, is a
-// reference ns/op (e.g. an earlier end-to-end measurement) used to
-// annotate the end-to-end record with a speedup.
+// printing a table and — with -json — writing the micro records to
+// BENCH_kernel.json. baselineNs, when non-zero, is a reference ns/op
+// (e.g. an earlier end-to-end measurement) printed beside the end-to-end
+// Solve with the speedup against it.
 func runKernel(seed uint64, quick, jsonOut bool, baselineNs int64, quiet bool, compare string) error {
 	const n = 64
 	inst, err := gen.PaperInstance(seed, n, gen.DefaultPaperConfig())
@@ -103,22 +100,6 @@ func runKernel(seed uint64, quick, jsonOut bool, baselineNs int64, quiet bool, c
 			}
 		}},
 		{"alias-rebuild", func(b *testing.B) {
-			// Alternate two distinct source matrices so every Rebuild sees a
-			// new source identity and reconstructs all n rows — without the
-			// alternation, the dirty-row tracking would skip every row and
-			// this would measure the skip path (recorded separately below).
-			b.ReportAllocs()
-			other := stochmat.NewUniform(n, n)
-			at := stochmat.NewAliasTable(uniform)
-			srcs := [2]*stochmat.Matrix{other, uniform}
-			for i := 0; i < b.N; i++ {
-				at.Rebuild(srcs[i&1])
-			}
-		}},
-		{"alias-rebuild-skip", func(b *testing.B) {
-			// Rebuild from an unchanged matrix: every row version matches,
-			// so the whole call is n version compares — the fast path a
-			// converged sparse-row run hits almost every iteration.
 			b.ReportAllocs()
 			at := stochmat.NewAliasTable(uniform)
 			for i := 0; i < b.N; i++ {
@@ -233,9 +214,6 @@ func runKernel(seed uint64, quick, jsonOut bool, baselineNs int64, quiet bool, c
 		BytesPerOp:  res.AllocedBytesPerOp(),
 		AllocsPerOp: res.AllocsPerOp(),
 	}
-	if baselineNs > 0 {
-		solveRec.SpeedupVsBaseline = float64(baselineNs) / float64(res.NsPerOp())
-	}
 	solveRecs := []benchRecord{solveRec}
 	if !quiet {
 		fmt.Fprintf(os.Stderr, "solve  %-20s %12d ns/op (n=%d, %d iters)\n",
@@ -251,14 +229,12 @@ func runKernel(seed uint64, quick, jsonOut bool, baselineNs int64, quiet bool, c
 	for _, r := range append(append([]benchRecord{}, kernelRecs...), solveRecs...) {
 		fmt.Printf("%-22s %14d %10d %8d\n", r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
 	}
+	if baselineNs > 0 {
+		fmt.Printf("solve speedup vs baseline: %.2fx\n", float64(baselineNs)/float64(res.NsPerOp()))
+	}
 
 	if jsonOut {
-		if err := writeBenchJSON("kernel", kernelRecs); err != nil {
-			return err
-		}
-		if err := writeBenchJSON("fused", solveRecs); err != nil {
-			return err
-		}
+		return writeBenchJSON("kernel", kernelRecs)
 	}
 	return nil
 }

@@ -12,12 +12,10 @@
 //	matchbench -exp table1 -quick # reduced budgets for smoke runs
 //	matchbench -exp table1 -csv   # machine-readable output
 //	matchbench -exp table1 -json  # also write BENCH_table1.json
-//	matchbench -exp kernel -json  # hot-path micro-benchmarks -> BENCH_kernel.json + BENCH_fused.json
-//	matchbench -exp scale -json   # large-n wall-clock scaling  -> BENCH_scale.json
+//	matchbench -exp kernel -json  # hot-path micro-benchmarks -> BENCH_kernel.json
 //	matchbench -exp multilevel -json  # multilevel vs single-level CE -> BENCH_multilevel.json
 //	matchbench -exp island -json  # island-model time-to-target -> BENCH_island.json
 //	matchbench -exp kernel -compare BENCH_kernel.json  # CI regression guard
-//	matchbench -exp serve -json   # open-loop load replay against a live matchd -> BENCH_serve.json
 //	matchbench -exp trace-overhead  # traced vs untraced solve; exit 1 above -max-overhead
 //
 // Experiments: table1, table2, table3 (with post-hoc Welch tests; -size
@@ -25,8 +23,7 @@
 // scaling, simcheck, overset, kernel (sample-and-score micro-benchmarks
 // plus an end-to-end Solve; -baseline annotates a speedup against a
 // reference ns/op; -compare regression-checks the micros against a
-// committed baseline), scale (end-to-end Solve wall clock at n =
-// 64/128/256 against the recorded pre-optimisation baseline), multilevel (coarsen/solve/refine pipeline
+// committed baseline), multilevel (coarsen/solve/refine pipeline
 // vs single-level CE at n = 256..10240; -compare regression-checks the
 // quick records against a committed BENCH_multilevel.json), island
 // (island-model ensembles at I = 1/2/4/8: wall time to reach the
@@ -44,9 +41,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
-	"time"
 
 	"matchsim/internal/core"
 	"matchsim/internal/exp"
@@ -55,45 +50,21 @@ import (
 
 func main() {
 	var (
-		expName    = flag.String("exp", "all", "experiment to run")
-		seed       = flag.Uint64("seed", 2005, "master seed")
-		size       = flag.Int("size", 0, "instance size override for table3 (paper: 10)")
-		quick      = flag.Bool("quick", false, "reduced budgets (seconds instead of minutes)")
-		csv        = flag.Bool("csv", false, "emit CSV instead of formatted tables")
-		jsonOut    = flag.Bool("json", false, "also write BENCH_<name>.json artefacts (table1, kernel, scale)")
-		baseline   = flag.Int64("baseline", 0, "reference ns/op for kernel speedup annotations (e.g. a pre-optimisation end-to-end run)")
-		quiet      = flag.Bool("q", false, "suppress progress output")
-		compare    = flag.String("compare", "", "BENCH_kernel.json baseline to regression-check the kernel micro-benchmarks against (exit 1 on >25% ns/op regression; silently skipped when the file is missing)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
-		// serve knobs (the open-loop load replay against a live matchd).
-		serveRPS      = flag.Float64("serve-rps", 20, "serve: open-loop arrival rate (requests/second)")
-		serveDuration = flag.Duration("serve-duration", 20*time.Second, "serve: load replay length")
-		serveDeadline = flag.Duration("serve-deadline", time.Second, "serve: per-request completion deadline (misses are reported)")
-		serveSizes    = flag.String("serve-sizes", "8,12,16", "serve: comma-separated instance sizes cycled across requests")
-		maxOverhead   = flag.Float64("max-overhead", 0.02, "trace-overhead: fail above this fractional wall-clock overhead (0 disables the check)")
+		expName     = flag.String("exp", "all", "experiment to run")
+		seed        = flag.Uint64("seed", 2005, "master seed")
+		size        = flag.Int("size", 0, "instance size override for table3 (paper: 10)")
+		quick       = flag.Bool("quick", false, "reduced budgets (seconds instead of minutes)")
+		csv         = flag.Bool("csv", false, "emit CSV instead of formatted tables")
+		jsonOut     = flag.Bool("json", false, "also write BENCH_<name>.json artefacts (table1, kernel, multilevel, island)")
+		baseline    = flag.Int64("baseline", 0, "reference ns/op for kernel speedup annotations (e.g. a pre-optimisation end-to-end run)")
+		quiet       = flag.Bool("q", false, "suppress progress output")
+		compare     = flag.String("compare", "", "BENCH_kernel.json baseline to regression-check the kernel micro-benchmarks against (exit 1 on >25% ns/op regression; silently skipped when the file is missing)")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProfile  = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		maxOverhead = flag.Float64("max-overhead", 0.02, "trace-overhead: fail above this fractional wall-clock overhead (0 disables the check)")
 	)
 	flag.Parse()
 
-	if *expName == "serve" {
-		sizes, err := parseSizes(*serveSizes)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "matchbench: %v\n", err)
-			os.Exit(1)
-		}
-		cfg := serveConfig{
-			seed: *seed, rps: *serveRPS, duration: *serveDuration,
-			deadline: *serveDeadline, sizes: sizes, quiet: *quiet, jsonOut: *jsonOut,
-		}
-		if *quick {
-			cfg.rps, cfg.duration = 10, 3*time.Second
-		}
-		if err := runServe(cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "matchbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *expName == "trace-overhead" {
 		if err := runTraceOverhead(*seed, *quick, *jsonOut, *quiet, *maxOverhead); err != nil {
 			fmt.Fprintf(os.Stderr, "matchbench: %v\n", err)
@@ -164,9 +135,6 @@ func run(expName string, seed uint64, size int, quick, csv, jsonOut bool, baseli
 
 	if expName == "kernel" {
 		return runKernel(seed, quick, jsonOut, baseline, quiet, compare)
-	}
-	if expName == "scale" {
-		return runScale(seed, quick, jsonOut, quiet)
 	}
 	if expName == "multilevel" {
 		return runMultilevel(seed, quick, jsonOut, quiet, compare)
@@ -383,28 +351,8 @@ func run(expName string, seed uint64, size int, quick, csv, jsonOut bool, baseli
 		ran = true
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q (want one of table1 table2 table3 fig3 fig7 fig8 fig9 kernel scale multilevel island serve trace-overhead %s baselines overset simcheck scaling convergence all)",
+		return fmt.Errorf("unknown experiment %q (want one of table1 table2 table3 fig3 fig7 fig8 fig9 kernel multilevel island trace-overhead %s baselines overset simcheck scaling convergence all)",
 			expName, strings.Join([]string{"ablation-rho", "ablation-zeta", "ablation-samples", "ablation-workers", "ablation-selection", "ablation-warmstart"}, " "))
 	}
 	return nil
-}
-
-// parseSizes parses the -serve-sizes list ("8,12,16").
-func parseSizes(s string) ([]int, error) {
-	var sizes []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("invalid -serve-sizes entry %q", part)
-		}
-		sizes = append(sizes, n)
-	}
-	if len(sizes) == 0 {
-		return nil, fmt.Errorf("-serve-sizes is empty")
-	}
-	return sizes, nil
 }

@@ -41,17 +41,6 @@ func TestRunQuickSweepTables(t *testing.T) {
 	}
 }
 
-// TestRunQuickScale exercises the scale experiment end to end at reduced
-// sizes.
-func TestRunQuickScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scale runs two full solves per size")
-	}
-	if err := run("scale", 1, 0, true, false, false, 0, true, ""); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCompareKernel covers the CI regression guard: a missing baseline
 // skips, a within-tolerance measurement passes, a >25% regression fails
 // with the offending kernel named, and sub-microsecond kernels get the

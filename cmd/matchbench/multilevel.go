@@ -13,13 +13,12 @@ import (
 )
 
 // The documented large-n configuration every multilevel arm uses:
-// sparse-row truncation at 1e-4, coarsen down to 64 vertices (the paper
+// coarsen down to 64 vertices (the paper
 // TIG stays ~75% dense under heavy-edge contraction, so the coarse CE
 // solve costs O(m*n^2) and n=128 coarse solves are ~8x slower than
 // n=64 ones for no measurable quality gain after refinement), and a
 // 200-iteration cap on the coarse solve.
 const (
-	mlSparseEps  = 1e-4
 	mlMinCoarse  = 64
 	mlCoarseIter = 200
 )
@@ -29,7 +28,6 @@ func mlOptions(seed uint64) core.Options {
 	return core.Options{
 		Seed:          seed,
 		MaxIterations: mlCoarseIter,
-		SparseEps:     mlSparseEps,
 		Multilevel:    &core.MultilevelOptions{MinCoarse: mlMinCoarse},
 	}
 }

@@ -69,7 +69,6 @@ type Problem[S any] interface {
 // SampleStats aggregates per-iteration sampling telemetry a Problem may
 // expose: rejection-sampling behaviour — the acceptance diagnostics De
 // Boer et al.'s CE tutorial watches alongside the gamma trajectory.
-// (Lookup-table rebuild work arrives through BuildStatsProvider.)
 type SampleStats struct {
 	// RejectTries counts fast-path draws rejected because they landed on
 	// an already-assigned column.
@@ -87,14 +86,6 @@ type SampleStats struct {
 // on Take.
 type SampleStatsProvider interface {
 	TakeSampleStats() SampleStats
-}
-
-// BuildStatsProvider is an optional Problem extension. When implemented,
-// Run calls TakeBuildStats once per iteration — right after the Update
-// step, from the coordinator goroutine — and records how many lookup-table
-// rows the update rebuilt vs skipped via dirty-row tracking.
-type BuildStatsProvider interface {
-	TakeBuildStats() (rebuilt, skipped uint64)
 }
 
 // Config tunes one CE run. Zero-valued fields take the documented
@@ -234,8 +225,6 @@ type IterStats struct {
 	// the problem does not implement it).
 	RejectTries   uint64
 	FallbackDraws uint64
-	RebuiltRows   uint64
-	SkippedRows   uint64
 
 	// Phase timings: the sample/score barrier, selection (quantile
 	// extraction and aggregation), and the distribution update (eq. 13
@@ -386,7 +375,6 @@ func run[S any](p Problem[S], cfg Config, start State[S], exchangeEvery int, exc
 	}
 
 	statsProvider, _ := any(p).(SampleStatsProvider)
-	buildProvider, _ := any(p).(BuildStatsProvider)
 
 	ctx := cfg.Context
 	if ctx == nil {
@@ -484,9 +472,6 @@ func run[S any](p Problem[S], cfg Config, start State[S], exchangeEvery int, exc
 			return zero, fmt.Errorf("ce: parameter update failed at iteration %d: %w", iter, err)
 		}
 		stats.UpdateNs = time.Since(updateStart).Nanoseconds()
-		if buildProvider != nil {
-			stats.RebuiltRows, stats.SkippedRows = buildProvider.TakeBuildStats()
-		}
 
 		// Island exchange: after the local Update (peers receive this
 		// iteration's elite and post-update P) and before the stop checks

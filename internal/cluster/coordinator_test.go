@@ -142,7 +142,9 @@ func coordinatorMetrics(t *testing.T, co *Coordinator) string {
 // TestCoordinatorDeterminism: a coordinator-routed solve is bit-identical
 // to the same submission on a standalone daemon, for both the plain CE
 // path and the island ensemble — the routing tier observes, never
-// perturbs. Also pins routing to the ring and the Worker status field.
+// perturbs. Options the solver ignores (sparse_eps and sparse_cut) are
+// left out of the standalone submission, which must give the same bits.
+// Also pins routing to the ring and the Worker status field.
 func TestCoordinatorDeterminism(t *testing.T) {
 	ws := startWorkers(t, 2)
 	co := newTestCoordinator(t, ws, Options{CheckpointEvery: 1})
@@ -156,6 +158,7 @@ func TestCoordinatorDeterminism(t *testing.T) {
 	}{
 		{"plain", api.SolverOptions{Seed: 42, Workers: 2}},
 		{"islands", api.SolverOptions{Seed: 42, Workers: 2, Islands: 3, MigrateEvery: 4}},
+		{"sparse options ignored", api.SolverOptions{Seed: 43, Workers: 2, SparseEps: 1e-4, SparseCut: 64}},
 	}
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
@@ -180,7 +183,9 @@ func TestCoordinatorDeterminism(t *testing.T) {
 				t.Fatalf("coordinator Result: %v", err)
 			}
 
-			sinfo, err := standalone.Submit(req)
+			sreq := req
+			sreq.Options.SparseEps, sreq.Options.SparseCut = 0, 0
+			sinfo, err := standalone.Submit(sreq)
 			if err != nil {
 				t.Fatalf("standalone Submit: %v", err)
 			}
@@ -305,12 +310,15 @@ func TestCoordinatorCache(t *testing.T) {
 
 	legacy := req
 	legacy.Options.UnprunedScoring = true
+	sparse := req
+	sparse.Options.SparseEps, sparse.Options.SparseCut = 1e-4, 64
 	repeats := []struct {
 		name string
 		req  api.SubmitRequest
 	}{
 		{"identical", req},
 		{"unpruned_scoring is ignored", legacy},
+		{"sparse_eps and sparse_cut are ignored", sparse},
 	}
 	for _, r := range repeats {
 		info2, err := co.Submit(r.req)

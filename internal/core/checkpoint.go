@@ -127,12 +127,9 @@ func (c *Checkpoint) Verify(eval *cost.Evaluator) error {
 	return nil
 }
 
-// restore loads the checkpoint into a fresh problem, keeping the
-// problem's sparse-row support tracking.
+// restore loads the checkpoint into a fresh problem.
 func (pr *problem) restore(c *Checkpoint) {
-	cut := pr.p.SupportCut()
 	pr.p = c.Matrix.Clone()
-	pr.p.TrackSupport(cut)
 	pr.alias.Rebuild(pr.p)
 	copy(pr.prevArgmax, c.PrevArgmax)
 	pr.stableRuns = c.StableRuns

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"testing"
 
 	"matchsim/internal/ce"
@@ -289,66 +290,66 @@ func TestDecodeCheckpointTruncatedJSON(t *testing.T) {
 func TestResumeIsExact(t *testing.T) {
 	for _, seed := range []uint64{33, 34, 35} {
 		for _, workers := range []int{1, 4} {
-			for _, sparse := range []float64{0, 1e-4} {
-				seed, workers, sparse := seed, workers, sparse
-				t.Run(fmt.Sprintf("seed%d/w%d/sparse%g", seed, workers, sparse), func(t *testing.T) {
-					t.Parallel()
-					e := paperEval(t, seed, 12)
-					opts := Options{Seed: seed, Workers: workers, SparseEps: sparse, MaxIterations: 200}
-					switch seed {
-					case 34:
-						opts.Polish = true
-					case 35:
-						opts.StallC, opts.GammaStallWindow = 50, 3
+			seed, workers := seed, workers
+			// The trailing "sparse0" is historical and keeps subtest IDs
+			// stable.
+			t.Run(fmt.Sprintf("seed%d/w%d/sparse0", seed, workers), func(t *testing.T) {
+				t.Parallel()
+				e := paperEval(t, seed, 12)
+				opts := Options{Seed: seed, Workers: workers, MaxIterations: 200}
+				switch seed {
+				case 34:
+					opts.Polish = true
+				case 35:
+					opts.StallC, opts.GammaStallWindow = 50, 3
+				}
+				exported := map[int][]byte{}
+				full := opts
+				full.CheckpointEvery = 1
+				full.OnCheckpoint = func(c *Checkpoint) {
+					data, err := c.Encode()
+					if err != nil {
+						t.Error(err)
 					}
-					exported := map[int][]byte{}
-					full := opts
-					full.CheckpointEvery = 1
-					full.OnCheckpoint = func(c *Checkpoint) {
-						data, err := c.Encode()
-						if err != nil {
-							t.Error(err)
-						}
-						exported[c.Iterations] = data
-					}
-					ref, err := Solve(e, full)
+					exported[c.Iterations] = data
+				}
+				ref, err := Solve(e, full)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref.Iterations < 3 {
+					t.Fatalf("uninterrupted run stopped after %d iterations; too short to test", ref.Iterations)
+				}
+				if seed == 35 && ref.StopReason != ce.StopGammaStall {
+					t.Fatalf("seed 35 stopped on %s, want a gamma stall", ref.StopReason)
+				}
+				for k := 1; k < ref.Iterations; k++ {
+					short := opts
+					short.MaxIterations = k
+					first, err := Solve(e, short)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if ref.Iterations < 3 {
-						t.Fatalf("uninterrupted run stopped after %d iterations; too short to test", ref.Iterations)
+					data, err := CheckpointFrom(first).Encode()
+					if err != nil {
+						t.Fatal(err)
 					}
-					if seed == 35 && ref.StopReason != ce.StopGammaStall {
-						t.Fatalf("seed 35 stopped on %s, want a gamma stall", ref.StopReason)
+					if !bytes.Equal(data, exported[k]) {
+						t.Fatalf("k=%d: solve-to-k checkpoint differs from the mid-run export", k)
 					}
-					for k := 1; k < ref.Iterations; k++ {
-						short := opts
-						short.MaxIterations = k
-						first, err := Solve(e, short)
-						if err != nil {
-							t.Fatal(err)
-						}
-						data, err := CheckpointFrom(first).Encode()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !bytes.Equal(data, exported[k]) {
-							t.Fatalf("k=%d: solve-to-k checkpoint differs from the mid-run export", k)
-						}
-						cp, err := DecodeCheckpoint(data)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := Resume(e, cp, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := sameRun(got, ref, k); err != nil {
-							t.Fatalf("k=%d: %v", k, err)
-						}
+					cp, err := DecodeCheckpoint(data)
+					if err != nil {
+						t.Fatal(err)
 					}
-				})
-			}
+					got, err := Resume(e, cp, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sameRun(got, ref, k); err != nil {
+						t.Fatalf("k=%d: %v", k, err)
+					}
+				}
+			})
 		}
 	}
 }
@@ -392,6 +393,46 @@ func TestResumeRejectsForgedBestExec(t *testing.T) {
 	cp.BestExec = math.Nextafter(e.Exec(cp.Best), math.Inf(1))
 	if _, err := Resume(e, cp, Options{Seed: 1, Workers: 1}); err == nil {
 		t.Fatal("best_exec one ulp off accepted")
+	}
+}
+
+// TestResumeFromSparseCheckpoint: testdata/sparse-checkpoint.json was
+// written at iteration 25 by a run of the since-deleted sparse-row
+// update, whose truncation left exact zeros in P. Such checkpoints must
+// still decode, verify and resume, now under the eq. (13) update.
+func TestResumeFromSparseCheckpoint(t *testing.T) {
+	data, err := os.ReadFile("testdata/sparse-checkpoint.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatalf("sparse-run checkpoint rejected by the decoder: %v", err)
+	}
+	zeros := 0
+	for i := 0; i < cp.Matrix.Rows(); i++ {
+		for _, v := range cp.Matrix.Row(i) {
+			if v == 0 {
+				zeros++
+			}
+		}
+	}
+	if zeros == 0 {
+		t.Fatal("fixture matrix has no exact zeros; it is not a sparse-run checkpoint")
+	}
+	e := paperEval(t, 33, 12)
+	if err := cp.Verify(e); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	res, err := Resume(e, cp, Options{Seed: 33, Workers: 1, MaxIterations: 60})
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	if res.Iterations <= cp.Iterations || !res.Mapping.IsPermutation() {
+		t.Fatalf("resumed run: %d iterations (checkpoint at %d), mapping %v", res.Iterations, cp.Iterations, res.Mapping)
+	}
+	if res.Exec > cp.BestExec || e.Exec(res.Mapping) != res.Exec {
+		t.Fatalf("resumed exec %v: checkpoint best %v, evaluated %v", res.Exec, cp.BestExec, e.Exec(res.Mapping))
 	}
 }
 

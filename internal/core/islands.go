@@ -269,7 +269,6 @@ func solveIslands(eval *cost.Evaluator, opts Options) (*Result, error) {
 				Island:        g,
 			},
 		}
-		pr.alias.TakeBuildStats()
 	}
 
 	start := time.Now()

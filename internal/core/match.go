@@ -29,7 +29,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,21 +107,6 @@ type Options struct {
 	// the value (all state is cloned) and runs on the solver goroutine
 	// between iterations, so it should return quickly.
 	OnCheckpoint func(*Checkpoint)
-	// SparseEps > 0 switches the distribution update to the fused
-	// sparse-row kernel (stochmat.EliteUpdateRow): eq. (11) + eq. (13) in
-	// one pass with entries below SparseEps times the row maximum
-	// truncated to exact zero and the row renormalised. Truncation turns
-	// converged near-one-hot rows into exact fixed points, so their
-	// lookup-table rebuilds are skipped and their alias draws cost O(nnz).
-	// 0 (the default) keeps the paper's pure smoothing update,
-	// bit-identical to all previous releases.
-	SparseEps float64
-	// SparseCut is the nonzero-count threshold under which a row keeps an
-	// explicit support list (only meaningful with SparseEps > 0): 0 picks
-	// a default of max(16, n/4); < 0 disables support tracking, forcing
-	// the dense evaluation of the same update — the A/B arm of the
-	// sparse-vs-dense differential suite, bit-identical by construction.
-	SparseCut int
 	// Multilevel, when non-nil, solves through the multilevel pipeline —
 	// coarsen the TIG and platform by heavy-edge matching, run CE at the
 	// coarse size, then project and refine level by level — instead of
@@ -157,12 +141,6 @@ func (o Options) withDefaults(n int) Options {
 	}
 	if o.WarmStartBias == 0 {
 		o.WarmStartBias = 0.5
-	}
-	if o.SparseEps > 0 && o.SparseCut == 0 {
-		o.SparseCut = n / 4
-		if o.SparseCut < 16 {
-			o.SparseCut = 16
-		}
 	}
 	return o
 }
@@ -222,13 +200,6 @@ type problem struct {
 
 	counts []float64 // Update scratch: elite assignment frequencies
 
-	// Sparse update state (Options.SparseEps > 0): per-row ascending
-	// support lists of the counts buffer, collected while counting so the
-	// fused EliteUpdateRow kernel can run over O(nnz) columns.
-	sparseEps   float64
-	countSupIdx []int32
-	countSupLen []int32
-
 	scratch sync.Pool // *drawScratch, one per sampling goroutine
 
 	// Sampling telemetry, accumulated by the workers and drained once per
@@ -267,14 +238,6 @@ func newProblem(eval *cost.Evaluator, opts Options) *problem {
 		snapshotEvery: opts.SnapshotEvery,
 		prevArgmax:    make([]int, n),
 		counts:        make([]float64, n*n),
-	}
-	if opts.SparseEps > 0 {
-		pr.sparseEps = opts.SparseEps
-		pr.countSupIdx = make([]int32, n*n)
-		pr.countSupLen = make([]int32, n)
-		if opts.SparseCut > 0 {
-			pr.p.TrackSupport(opts.SparseCut)
-		}
 	}
 	pr.alias = stochmat.NewAliasTable(pr.p)
 	for i := range pr.prevArgmax {
@@ -363,13 +326,6 @@ func (pr *problem) TakeSampleStats() ce.SampleStats {
 	}
 }
 
-// TakeBuildStats implements ce.BuildStatsProvider: per-iteration
-// lookup-table rebuild counters from the alias table's dirty-row
-// tracking. Called from the CE loop's single-threaded update phase.
-func (pr *problem) TakeBuildStats() (rebuilt, skipped uint64) {
-	return pr.alias.TakeBuildStats()
-}
-
 // Update implements ce.Problem: eq. (11) re-estimation + eq. (13)
 // smoothing, plus the eq. (12) stability bookkeeping and Fig. 3
 // snapshotting.
@@ -387,43 +343,18 @@ func (pr *problem) Update(elite [][]int, zeta float64) error {
 		counts[i] = 0
 	}
 	inv := 1 / float64(len(elite))
-	useSparse := pr.sparseEps > 0
-	if useSparse {
-		for i := range pr.countSupLen {
-			pr.countSupLen[i] = 0
-		}
-	}
 	for _, m := range elite {
 		for task, res := range m {
-			idx := task*pr.n + res
-			if useSparse && counts[idx] == 0 {
-				pr.countSupIdx[task*pr.n+int(pr.countSupLen[task])] = int32(res)
-				pr.countSupLen[task]++
-			}
-			counts[idx] += inv
+			counts[task*pr.n+res] += inv
 		}
 	}
-	if useSparse {
-		// Fused eq. (11)+(13) with truncation: each row updates over the
-		// union of its own support and the elite count support — O(nnz)
-		// for converged rows — and rows the update leaves bit-identical
-		// keep their version, so the alias rebuild below skips them.
-		for i := 0; i < pr.n; i++ {
-			sup := pr.countSupIdx[i*pr.n : i*pr.n+int(pr.countSupLen[i])]
-			slices.Sort(sup)
-			if _, err := pr.p.EliteUpdateRow(i, counts[i*pr.n:(i+1)*pr.n], sup, zeta, pr.sparseEps); err != nil {
-				return fmt.Errorf("core: sparse update row %d: %w", i, err)
-			}
+	for i := 0; i < pr.n; i++ {
+		if err := pr.q.SetRow(i, counts[i*pr.n:(i+1)*pr.n]); err != nil {
+			return fmt.Errorf("core: update row %d: %w", i, err)
 		}
-	} else {
-		for i := 0; i < pr.n; i++ {
-			if err := pr.q.SetRow(i, counts[i*pr.n:(i+1)*pr.n]); err != nil {
-				return fmt.Errorf("core: update row %d: %w", i, err)
-			}
-		}
-		if err := pr.p.Smooth(pr.q, zeta); err != nil {
-			return err
-		}
+	}
+	if err := pr.p.Smooth(pr.q, zeta); err != nil {
+		return err
 	}
 	pr.alias.Rebuild(pr.p)
 
@@ -512,11 +443,6 @@ func solveFromProblem(eval *cost.Evaluator, opts Options, start ce.State[[]int],
 			}
 		}
 	}
-
-	// Initial table construction (and any warm-start/restore refresh) is
-	// not iteration work: drain the build counters so iteration 1 reports
-	// only its own rebuilds.
-	pr.alias.TakeBuildStats()
 
 	began := time.Now()
 	ceRes, err := ce.RunFrom[[]int](pr, cfg, start, onState)

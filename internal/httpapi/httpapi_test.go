@@ -49,22 +49,51 @@ func instanceJSON(t *testing.T, seed uint64, n int) []byte {
 // answer with the same result and content address as a submission
 // without it.
 func TestSubmitAcceptsUnprunedScoring(t *testing.T) {
+	checkIgnoredOptions(t, func(o *api.SolverOptions) { o.UnprunedScoring = true })
+}
+
+// TestSubmitAcceptsSparseOptions: older clients may still send
+// "sparse_eps" and "sparse_cut", the knobs of the deleted sparse-row
+// update. The daemon must accept them and solve as if they were absent.
+func TestSubmitAcceptsSparseOptions(t *testing.T) {
+	checkIgnoredOptions(t, func(o *api.SolverOptions) { o.SparseEps, o.SparseCut = 1e-4, 64 })
+}
+
+// checkIgnoredOptions submits a job carrying options the solver ignores
+// (set by legacy) and asserts it completes with the bits of a direct
+// library solve without them, and that the plain submission shares its
+// content address and is answered from the cache.
+func checkIgnoredOptions(t *testing.T, legacy func(*api.SolverOptions)) {
+	t.Helper()
 	c, m := newTestServer(t, jobs.Options{Workers: 1})
 	ctx := context.Background()
 	inst := instanceJSON(t, 6, 10)
-	legacy, err := c.Submit(ctx, api.SubmitRequest{
-		Instance: inst, Solver: api.SolverMaTCH,
-		Options: api.SolverOptions{Seed: 3, Workers: 1, UnprunedScoring: true},
-	})
+	opts := api.SolverOptions{Seed: 3, Workers: 1}
+	legacy(&opts)
+	old, err := c.Submit(ctx, api.SubmitRequest{Instance: inst, Solver: api.SolverMaTCH, Options: opts})
 	if err != nil {
-		t.Fatalf("Submit with unpruned_scoring: %v", err)
+		t.Fatalf("Submit with legacy options: %v", err)
 	}
-	final, err := c.Wait(ctx, legacy.ID, 5*time.Millisecond)
+	final, err := c.Wait(ctx, old.ID, 5*time.Millisecond)
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
 	if final.State != api.StateDone {
 		t.Fatalf("job ended %q (error %q), want done", final.State, final.Error)
+	}
+	res, err := c.Result(ctx, old.ID)
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	p, _ := matchsim.ReadProblem(bytes.NewReader(inst))
+	direct, err := matchsim.SolveMaTCH(p, matchsim.MaTCHOptions{Seed: 3, Workers: 1})
+	if err != nil {
+		t.Fatalf("SolveMaTCH: %v", err)
+	}
+	if !reflect.DeepEqual(res.Mapping, direct.Mapping) || res.Exec != direct.Exec ||
+		res.Iterations != direct.Iterations || res.Evaluations != direct.Evaluations {
+		t.Fatalf("legacy-options result (%v, %v, %d iters) != direct (%v, %v, %d iters)",
+			res.Mapping, res.Exec, res.Iterations, direct.Mapping, direct.Exec, direct.Iterations)
 	}
 	plain, err := c.Submit(ctx, api.SubmitRequest{
 		Instance: inst, Solver: api.SolverMaTCH,
@@ -73,9 +102,9 @@ func TestSubmitAcceptsUnprunedScoring(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if plain.Key != legacy.Key || !plain.CacheHit {
+	if plain.Key != old.Key || !plain.CacheHit {
 		t.Fatalf("plain resubmission key=%s cacheHit=%v, want key %s and a cache hit",
-			plain.Key, plain.CacheHit, legacy.Key)
+			plain.Key, plain.CacheHit, old.Key)
 	}
 	if got := m.Stats().SolvesTotal; got != 1 {
 		t.Fatalf("solver ran %d times, want 1", got)

@@ -203,8 +203,6 @@ type managerMetrics struct {
 	draws         *telemetry.Counter
 	rejectTries   *telemetry.Counter
 	fallbackDraws *telemetry.Counter
-	rebuiltRows   *telemetry.Counter
-	skippedRows   *telemetry.Counter
 	stealUnits    *telemetry.Counter
 	idleSeconds   *telemetry.Counter
 	samplePhase   *telemetry.Histogram
@@ -238,8 +236,6 @@ func newManagerMetrics(reg *telemetry.Registry) *managerMetrics {
 		draws:         reg.Counter("matchd_solver_draws_total", "Solution samples drawn by the CE solvers."),
 		rejectTries:   reg.Counter("matchd_solver_reject_tries_total", "GenPerm rejection-sampling misses."),
 		fallbackDraws: reg.Counter("matchd_solver_fallback_draws_total", "GenPerm draws resolved through the compact fallback."),
-		rebuiltRows:   reg.Counter("matchd_solver_rebuilt_rows_total", "Sampling-table rows rebuilt by distribution updates."),
-		skippedRows:   reg.Counter("matchd_solver_skipped_rows_total", "Sampling-table row rebuilds skipped because the row was unchanged."),
 		stealUnits:    reg.Counter("matchd_solver_steal_units_total", "Sampling work units claimed beyond an even per-worker share."),
 		idleSeconds:   reg.Counter("matchd_solver_idle_seconds_total", "Worker time spent waiting at sampling iteration barriers."),
 		samplePhase:   reg.Histogram("matchd_solver_sample_phase_seconds", "Per-iteration sample/score barrier time.", phaseBuckets),
@@ -265,8 +261,6 @@ func (m *Manager) observeIteration(e api.Event, traceID string) {
 	mm.draws.AddUint(uint64(e.Draws))
 	mm.rejectTries.AddUint(e.RejectTries)
 	mm.fallbackDraws.AddUint(e.FallbackDraws)
-	mm.rebuiltRows.AddUint(e.RebuiltRows)
-	mm.skippedRows.AddUint(e.SkippedRows)
 	mm.stealUnits.AddUint(uint64(e.StealUnits))
 	mm.idleSeconds.Add(float64(e.IdleNs) / 1e9)
 	mm.migrantsIn.AddUint(uint64(e.MigrantsIn))
@@ -353,10 +347,12 @@ func buildRevision() string {
 // options document and, for a submission that resumes from one (see
 // ResumeFrom), the checkpoint bytes, so an outside checkpoint gets its own
 // address. Options that no longer affect the solve (UnprunedScoring,
-// accepted on the wire and ignored) are cleared first, so submissions
-// differing only in them share one cache entry and route.
+// SparseEps and SparseCut, accepted on the wire and ignored) are cleared
+// first, so submissions differing only in them share one cache entry and
+// route.
 func Key(p *matchsim.Problem, solver string, opts api.SolverOptions, checkpoint []byte) (string, error) {
 	opts.UnprunedScoring = false
+	opts.SparseEps, opts.SparseCut = 0, 0
 	var canonical bytes.Buffer
 	if err := p.WriteInstance(&canonical); err != nil {
 		return "", err

@@ -120,8 +120,8 @@ func TestSubmitSolveAndDeterminism(t *testing.T) {
 
 // TestKeyOptions pins which option differences change a submission's
 // content address: real solver knobs and a checkpoint do, options the
-// solver ignores (unpruned_scoring, accepted on the wire for older
-// clients) do not. The checkpoint-free address is pinned to its recorded
+// solver ignores (unpruned_scoring, sparse_eps and sparse_cut, accepted
+// on the wire for older clients) do not. The checkpoint-free address is pinned to its recorded
 // bytes, so caches and ring routes survive upgrades.
 func TestKeyOptions(t *testing.T) {
 	p, err := matchsim.ReadProblem(bytes.NewReader(instanceJSON(t, 3, 10)))
@@ -150,6 +150,7 @@ func TestKeyOptions(t *testing.T) {
 	}{
 		{"identical", func(*api.SolverOptions) {}, true},
 		{"unpruned_scoring is ignored", func(o *api.SolverOptions) { o.UnprunedScoring = true }, true},
+		{"sparse_eps and sparse_cut are ignored", func(o *api.SolverOptions) { o.SparseEps, o.SparseCut = 1e-4, 64 }, true},
 		{"seed changes the key", func(o *api.SolverOptions) { o.Seed = 10 }, false},
 		{"iteration cap changes the key", func(o *api.SolverOptions) { o.MaxIterations = 5 }, false},
 	} {

@@ -31,8 +31,6 @@ func (m *Manager) solve(ctx context.Context, j *job, onIter func(matchsim.Iterat
 			Workers:          o.Workers,
 			Seed:             o.Seed,
 			Polish:           o.Polish,
-			SparseEps:        o.SparseEps,
-			SparseCut:        o.SparseCut,
 			Context:          ctx,
 			OnIteration:      onIter,
 		}

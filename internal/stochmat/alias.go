@@ -14,20 +14,12 @@ import (
 // concurrently by every sampling worker; the per-row build is amortised
 // over the N = 2n^2 draws of the iteration.
 //
-// Two optimisations keep the rebuild off the large-n critical path:
-//
-//   - Dirty-row skip: the table remembers the matrix identity and per-row
-//     versions it was built from (Matrix.ID, Matrix.RowVersion) and
-//     rebuilds only rows whose bits actually changed — after the eq. (13)
-//     update has converged most rows, an iteration rebuilds a handful of
-//     rows instead of all n.
-//   - Support compaction: a row with nnz nonzero columns builds only nnz
-//     live slots (slot j stores its column explicitly), so draws from a
-//     converged near-one-hot row touch O(nnz) state. The slot storage
-//     keeps the fixed i*cols stride, so no reallocation ever happens at a
-//     fixed shape. For strictly positive rows the compacted table is
-//     slot-for-slot identical to the uncompacted one (nnz == cols and
-//     slot columns equal slot indices), so draw streams are unchanged.
+// The table is support-compacted: a row with nnz nonzero columns builds
+// only nnz live slots (slot j stores its column explicitly). The slot
+// storage keeps the fixed i*cols stride, so no reallocation ever happens
+// at a fixed shape. For strictly positive rows the compacted table is
+// slot-for-slot identical to the uncompacted one (nnz == cols and slot
+// columns equal slot indices), so draw streams are unchanged.
 //
 // Each draw consumes exactly one uniform variate: the integer part of
 // u = U[0,1) * nSup picks a live slot, the fractional part decides between
@@ -39,16 +31,6 @@ type AliasTable struct {
 	slots      []aliasSlot // slots[i*cols+j]: live slot j of row i
 	supLen     []int32     // live slots per row (cols for degenerate rows)
 	total      []float64   // per-row weight totals (for degenerate-row detection)
-
-	// Dirty-row bookkeeping: srcID is the Matrix.ID the table mirrors,
-	// built[i] the Matrix.RowVersion row i was last built from. A Rebuild
-	// against a different matrix identity refreshes every row.
-	srcID uint64
-	built []uint64
-
-	// Cumulative row-build counters, drained by TakeBuildStats.
-	rebuiltRows uint64
-	skippedRows uint64
 
 	// build scratch, reused across Rebuild calls.
 	scaled     []float64
@@ -85,68 +67,38 @@ func (a *AliasTable) Cols() int { return a.cols }
 // build (a left-to-right sum), used to detect (numerically) empty rows.
 func (a *AliasTable) RowTotal(i int) float64 { return a.total[i] }
 
-// TakeBuildStats returns the number of rows rebuilt and skipped by
-// Rebuild since the last call and resets the counters. Like Rebuild it
-// must be called from single-threaded code.
-func (a *AliasTable) TakeBuildStats() (rebuilt, skipped uint64) {
-	rebuilt, skipped = a.rebuiltRows, a.skippedRows
-	a.rebuiltRows, a.skippedRows = 0, 0
-	return rebuilt, skipped
-}
-
-// Rebuild refreshes the table from m, reallocating only on shape change
-// and rebuilding only rows whose version changed since the last Rebuild
-// from the same matrix. It must not run concurrently with readers; the CE
-// loop calls it from the single-threaded Update step. Rebuild reads m.ID,
-// whose lazy assignment is not goroutine-safe, so only the goroutine that
-// owns m may call it.
+// Rebuild refreshes every row of the table from m, reallocating only on
+// shape change. It must not run concurrently with readers; the CE loop
+// calls it from the single-threaded Update step.
 func (a *AliasTable) Rebuild(m *Matrix) {
-	fresh := false
 	if a.rows != m.rows || a.cols != m.cols {
 		a.rows, a.cols = m.rows, m.cols
 		a.slots = make([]aliasSlot, m.rows*m.cols)
 		a.supLen = make([]int32, m.rows)
 		a.total = make([]float64, m.rows)
-		a.built = make([]uint64, m.rows)
 		a.scaled = make([]float64, m.cols)
 		a.small = make([]int32, 0, m.cols)
 		a.large = make([]int32, 0, m.cols)
 		a.supScratch = make([]int32, m.cols)
-		fresh = true
-	}
-	if id := m.ID(); id != a.srcID {
-		a.srcID = id
-		fresh = true
 	}
 	for i := 0; i < m.rows; i++ {
-		v := m.RowVersion(i)
-		if !fresh && a.built[i] == v {
-			a.skippedRows++
-			continue
-		}
 		a.buildRow(i, m)
-		a.built[i] = v
-		a.rebuiltRows++
 	}
 }
 
-// buildRow runs Vose's construction for one row over the row's support —
-// the tracked nonzero-column list when the matrix provides one, otherwise
-// a scan. The small/large worklists are processed in ascending-column
-// order, so the table (and therefore every draw stream) is deterministic
-// for given row data.
+// buildRow runs Vose's construction for one row over the row's support,
+// found by a scan for its nonzero columns. The small/large worklists are
+// processed in ascending-column order, so the table (and therefore every
+// draw stream) is deterministic for given row data.
 func (a *AliasTable) buildRow(i int, m *Matrix) {
 	n := a.cols
 	row := m.Row(i)
 	slots := a.slots[i*n : (i+1)*n]
 
-	sup, tracked := m.RowSupport(i)
-	if !tracked {
-		sup = a.supScratch[:0]
-		for j, v := range row {
-			if v != 0 {
-				sup = append(sup, int32(j))
-			}
+	sup := a.supScratch[:0]
+	for j, v := range row {
+		if v != 0 {
+			sup = append(sup, int32(j))
 		}
 	}
 	// The support-only sum adds the same nonzero terms in the same order

@@ -129,3 +129,47 @@ func TestAliasRebuildNoAllocSameShape(t *testing.T) {
 		t.Fatalf("Rebuild allocates %.1f objects/op at fixed shape, want 0", allocs)
 	}
 }
+
+// TestAliasRebuildDetectsMatrixSwap: a table rebuilt against a different
+// matrix of the same shape must follow the new matrix — the
+// checkpoint-restore scenario.
+func TestAliasRebuildDetectsMatrixSwap(t *testing.T) {
+	a := NewUniform(6, 6)
+	at := NewAliasTable(a)
+
+	b := NewUniform(6, 6)
+	row := make([]float64, 6)
+	row[2] = 1
+	if err := b.SetRow(0, row); err != nil {
+		t.Fatal(err)
+	}
+	at.Rebuild(b)
+	rng := xrand.New(1)
+	for i := 0; i < 200; i++ {
+		if c := at.Sample(0, rng); c != 2 {
+			t.Fatalf("sample from swapped one-hot row returned %d, want 2", c)
+		}
+	}
+}
+
+// TestAliasCompactedZeroRows: a row with zeros draws only from its
+// support, and the support-compacted table matches the row distribution.
+func TestAliasCompactedZeroRows(t *testing.T) {
+	m := NewUniform(5, 5)
+	if err := m.SetRow(1, []float64{0, 3, 0, 1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	at := NewAliasTable(m)
+	rng := xrand.New(7)
+	counts := map[int]int{}
+	for i := 0; i < 4000; i++ {
+		counts[at.Sample(1, rng)]++
+	}
+	if counts[0]+counts[2]+counts[4] != 0 {
+		t.Fatalf("zero-weight columns drawn: %v", counts)
+	}
+	ratio := float64(counts[1]) / float64(counts[3])
+	if ratio < 2.5 || ratio > 3.6 {
+		t.Fatalf("draw ratio %v for 3:1 row", ratio)
+	}
+}

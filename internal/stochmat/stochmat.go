@@ -18,13 +18,9 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 
 	"matchsim/internal/xrand"
 )
-
-// matrixIDSeq hands out process-unique matrix identities; see Matrix.ID.
-var matrixIDSeq atomic.Uint64
 
 // Matrix is a dense row-major row-stochastic matrix. Rows index tasks,
 // columns index resources. Matrices are square in the paper's experiments
@@ -33,125 +29,6 @@ var matrixIDSeq atomic.Uint64
 type Matrix struct {
 	rows, cols int
 	p          []float64
-
-	// id and version implement the change tracking that lets the
-	// per-iteration alias-table rebuilds (AliasTable) skip rows
-	// the eq. (13) update left bit-identical. id is assigned lazily (see
-	// ID); version is allocated lazily on first mutation, every row
-	// implicitly at version 1 until then.
-	id      uint64
-	version []uint64
-
-	// Sparse-row support tracking (TrackSupport): supLen[i] >= 0 records
-	// the number of nonzero columns of row i, listed ascending in
-	// supIdx[i*cols : i*cols+supLen[i]]; supLen[i] == -1 marks a row whose
-	// nonzero count exceeded the cut (dense fallback). supCut == 0
-	// disables tracking entirely — the default, and the only mode the
-	// pure eq. (13) path ever needs (smoothing never creates exact
-	// zeros; only EliteUpdateRow's truncation does).
-	supCut int
-	supIdx []int32
-	supLen []int32
-
-	// EliteUpdateRow staging buffers, reused across rows. The CE loop
-	// calls the update from its single-threaded phase, so one set per
-	// matrix suffices.
-	scratchVal []float64
-	scratchIdx []int32
-}
-
-// ID returns a process-unique identity for this matrix, assigned lazily
-// on first use. Lookup tables remember the id of the matrix they were
-// built from so a Rebuild against a *different* matrix can never be
-// confused with an incremental refresh. Lazy assignment is not
-// goroutine-safe; like Rebuild itself it must be called from code that
-// holds the matrix exclusively.
-func (m *Matrix) ID() uint64 {
-	if m.id == 0 {
-		m.id = matrixIDSeq.Add(1)
-	}
-	return m.id
-}
-
-// RowVersion returns row i's change counter. It starts at 1 and bumps on
-// every mutation that actually changes the row's bits; mutations that
-// rewrite a row with identical values do not bump it.
-func (m *Matrix) RowVersion(i int) uint64 {
-	if m.version == nil {
-		return 1
-	}
-	return m.version[i]
-}
-
-// bumpRow records a real change to row i.
-func (m *Matrix) bumpRow(i int) {
-	if m.version == nil {
-		m.version = make([]uint64, m.rows)
-		for j := range m.version {
-			m.version[j] = 1
-		}
-	}
-	m.version[i]++
-}
-
-// TrackSupport enables sparse-row support tracking with the given nonzero
-// cut: rows whose nonzero count is at most cut keep an explicit ascending
-// column list, which the alias-table rebuild consumes to run in O(nnz)
-// instead of O(cols), and which EliteUpdateRow uses to update converged
-// rows in O(nnz). Rows above the cut fall back to dense handling. A cut
-// <= 0 disables tracking. Tracking changes no row values — sparse and
-// dense handling are bit-identical by construction (see EliteUpdateRow).
-func (m *Matrix) TrackSupport(cut int) {
-	if cut <= 0 {
-		m.supCut, m.supIdx, m.supLen = 0, nil, nil
-		return
-	}
-	if cut > m.cols {
-		cut = m.cols
-	}
-	m.supCut = cut
-	if m.supIdx == nil {
-		m.supIdx = make([]int32, m.rows*m.cols)
-		m.supLen = make([]int32, m.rows)
-	}
-	for i := 0; i < m.rows; i++ {
-		m.rescanSupport(i)
-	}
-}
-
-// SupportCut returns the active tracking cut (0 = tracking disabled).
-func (m *Matrix) SupportCut() int { return m.supCut }
-
-// RowSupport returns row i's ascending nonzero-column list and true when
-// tracking is enabled and the row is under the cut; (nil, false)
-// otherwise. The slice aliases internal storage.
-func (m *Matrix) RowSupport(i int) ([]int32, bool) {
-	if m.supCut == 0 {
-		return nil, false
-	}
-	k := m.supLen[i]
-	if k < 0 {
-		return nil, false
-	}
-	return m.supIdx[i*m.cols : i*m.cols+int(k)], true
-}
-
-// rescanSupport refreshes row i's support list with a full-row scan.
-func (m *Matrix) rescanSupport(i int) {
-	row := m.Row(i)
-	dst := m.supIdx[i*m.cols:]
-	k := 0
-	for j, v := range row {
-		if v != 0 {
-			if k >= m.supCut {
-				m.supLen[i] = -1
-				return
-			}
-			dst[k] = int32(j)
-			k++
-		}
-	}
-	m.supLen[i] = int32(k)
 }
 
 // NewUniform returns the rows x cols matrix with every entry 1/cols — the
@@ -210,19 +87,9 @@ func (m *Matrix) At(i, j int) float64 { return m.p[i*m.cols+j] }
 // treat it as read-only.
 func (m *Matrix) Row(i int) []float64 { return m.p[i*m.cols : (i+1)*m.cols] }
 
-// Clone returns a deep copy. The copy gets its own identity (see ID) so
-// lookup tables built from the original never treat the clone as an
-// incremental refresh.
+// Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
-	c := &Matrix{rows: m.rows, cols: m.cols, p: append([]float64(nil), m.p...), supCut: m.supCut}
-	if m.version != nil {
-		c.version = append([]uint64(nil), m.version...)
-	}
-	if m.supIdx != nil {
-		c.supIdx = append([]int32(nil), m.supIdx...)
-		c.supLen = append([]int32(nil), m.supLen...)
-	}
-	return c
+	return &Matrix{rows: m.rows, cols: m.cols, p: append([]float64(nil), m.p...)}
 }
 
 // Validate checks the stochastic invariants: entries in [0,1] and every
@@ -311,27 +178,14 @@ func (m *Matrix) Smooth(q *Matrix, zeta float64) error {
 	if zeta < 0 || zeta > 1 {
 		return fmt.Errorf("stochmat: smoothing factor %v outside [0,1]", zeta)
 	}
-	for i := 0; i < m.rows; i++ {
-		base := i * m.cols
-		changed := false
-		for j := base; j < base+m.cols; j++ {
-			// Two explicit roundings (assignments) rather than one fused
-			// expression: keeps the result bit-identical across architectures
-			// (Go may contract a*b + c into an FMA on arm64/ppc64), which the
-			// determinism regression tests rely on.
-			a := zeta * q.p[j]
-			b := (1 - zeta) * m.p[j]
-			if v := a + b; v != m.p[j] {
-				m.p[j] = v
-				changed = true
-			}
-		}
-		if changed {
-			m.bumpRow(i)
-			if m.supCut > 0 {
-				m.rescanSupport(i)
-			}
-		}
+	for j := range m.p {
+		// Two explicit roundings (assignments) rather than one fused
+		// expression: keeps the result bit-identical across architectures
+		// (Go may contract a*b + c into an FMA on arm64/ppc64), which the
+		// determinism regression tests rely on.
+		a := zeta * q.p[j]
+		b := (1 - zeta) * m.p[j]
+		m.p[j] = a + b
 	}
 	return nil
 }
@@ -352,157 +206,10 @@ func (m *Matrix) SetRow(i int, row []float64) error {
 		return fmt.Errorf("stochmat: SetRow with zero mass")
 	}
 	dst := m.p[i*m.cols : (i+1)*m.cols]
-	changed := false
 	for j, v := range row {
-		if nv := v / total; nv != dst[j] {
-			dst[j] = nv
-			changed = true
-		}
-	}
-	if changed {
-		m.bumpRow(i)
-		if m.supCut > 0 {
-			m.rescanSupport(i)
-		}
+		dst[j] = v / total
 	}
 	return nil
-}
-
-// EliteUpdateRow applies one row of the CE update in a single fused step:
-// q_j = counts[j] / sum(counts) (eq. 11), smoothed into the row as
-// zeta*q + (1-zeta)*p with the same two-rounding arithmetic as Smooth
-// (eq. 13), then truncated — entries below eps times the row's new
-// maximum become exactly zero — and renormalised so the row sums to one.
-//
-// counts holds the raw elite assignment frequencies of this row.
-// countSup, when non-nil, lists the ascending columns with nonzero counts
-// so a tracked row's update runs over the union of the row's support and
-// countSup in O(nnz) instead of O(cols). A nil countSup (or an untracked
-// row) evaluates every column and produces the same bits: outside the
-// union both the row and the counts are exactly zero, every such term
-// contributes exactly 0.0 to the sums, and its updated value is again
-// exactly zero.
-//
-// Truncation is what creates exact zeros (pure eq. (13) smoothing only
-// decays entries geometrically), and renormalisation makes a fully
-// converged one-hot row an exact fixed point; since the row version only
-// bumps on a real change, downstream table rebuilds then skip converged
-// rows entirely.
-//
-// Returns whether the row actually changed. eps must be in [0,1); eps = 0
-// disables truncation (the result then matches SetRow+Smooth exactly).
-func (m *Matrix) EliteUpdateRow(i int, counts []float64, countSup []int32, zeta, eps float64) (bool, error) {
-	if len(counts) != m.cols {
-		return false, fmt.Errorf("stochmat: EliteUpdateRow with %d counts, want %d", len(counts), m.cols)
-	}
-	if zeta < 0 || zeta > 1 {
-		return false, fmt.Errorf("stochmat: smoothing factor %v outside [0,1]", zeta)
-	}
-	if eps < 0 || eps >= 1 {
-		return false, fmt.Errorf("stochmat: truncation eps %v outside [0,1)", eps)
-	}
-	row := m.Row(i)
-	if m.scratchVal == nil {
-		m.scratchVal = make([]float64, 0, m.cols)
-		m.scratchIdx = make([]int32, 0, m.cols)
-	}
-	// Columns that can be nonzero after the update: union of the row's
-	// tracked support and the count support, or every column.
-	idx := m.scratchIdx[:0]
-	if sup, ok := m.RowSupport(i); ok && countSup != nil {
-		x, y := 0, 0
-		for x < len(sup) || y < len(countSup) {
-			switch {
-			case y == len(countSup) || (x < len(sup) && sup[x] < countSup[y]):
-				idx = append(idx, sup[x])
-				x++
-			case x == len(sup) || countSup[y] < sup[x]:
-				idx = append(idx, countSup[y])
-				y++
-			default: // equal
-				idx = append(idx, sup[x])
-				x, y = x+1, y+1
-			}
-		}
-	} else {
-		for j := 0; j < m.cols; j++ {
-			idx = append(idx, int32(j))
-		}
-	}
-	// eq. (11) normaliser; columns outside idx hold zero counts.
-	ctotal := 0.0
-	for _, j := range idx {
-		c := counts[j]
-		if c < 0 || math.IsNaN(c) {
-			return false, fmt.Errorf("stochmat: EliteUpdateRow with invalid count %v", c)
-		}
-		ctotal += c
-	}
-	if ctotal <= 0 {
-		return false, fmt.Errorf("stochmat: EliteUpdateRow with zero count mass")
-	}
-	vals := m.scratchVal[:0]
-	maxV := 0.0
-	for _, j := range idx {
-		a := zeta * (counts[j] / ctotal)
-		b := (1 - zeta) * row[j]
-		v := a + b
-		vals = append(vals, v)
-		if v > maxV {
-			maxV = v
-		}
-	}
-	cut := eps * maxV
-	total := 0.0
-	for k, v := range vals {
-		if v < cut {
-			vals[k] = 0
-		} else {
-			total += v
-		}
-	}
-	// total > 0 always: the row maximum survives its own cut (eps < 1).
-	// With eps = 0 nothing is truncated and the renormalising division is
-	// skipped, so the row bits match the legacy SetRow+Smooth path exactly
-	// (Smooth does not renormalise either).
-	if eps == 0 {
-		total = 1
-	}
-	changed := false
-	for k, j := range idx {
-		if nv := vals[k] / total; nv != row[j] {
-			row[j] = nv
-			changed = true
-		}
-	}
-	if changed {
-		m.bumpRow(i)
-		if m.supCut > 0 {
-			// The new support is a subset of idx (all row nonzeros were in
-			// the union), and idx is ascending — no full-row rescan needed.
-			dst := m.supIdx[i*m.cols:]
-			k := 0
-			over := false
-			for _, j := range idx {
-				if row[j] != 0 {
-					if k >= m.supCut {
-						over = true
-						break
-					}
-					dst[k] = j
-					k++
-				}
-			}
-			if over {
-				m.supLen[i] = -1
-			} else {
-				m.supLen[i] = int32(k)
-			}
-		}
-	}
-	m.scratchVal = vals[:0]
-	m.scratchIdx = idx[:0]
-	return changed, nil
 }
 
 // Sampler draws GenPerm permutations (paper Fig. 4) from a Matrix through
@@ -625,8 +332,8 @@ func (s *Sampler) SamplePermutation(m *Matrix, at *AliasTable, rng *xrand.RNG, d
 			// — the alias table gives zero-weight columns no slot mass, so
 			// they are never drawn, and re-reading the row would cost an
 			// extra random access per try. The table is support-compacted:
-			// nSup live slots covering the row's nonzero columns, so
-			// converged rows draw from O(nnz) slots. For strictly positive
+			// nSup live slots covering the row's nonzero columns, so rows
+			// with exact zeros draw from O(nnz) slots. For strictly positive
 			// rows nSup == cols and the slot columns are the slot indices,
 			// so the draw stream is bit-identical to the uncompacted
 			// table's.

@@ -44,8 +44,6 @@ func IterEvent(tr matchsim.IterationTrace) api.Event {
 		UpdateNs:      tr.UpdateNs,
 		StealUnits:    tr.StealUnits,
 		IdleNs:        tr.IdleNs,
-		RebuiltRows:   tr.RebuiltRows,
-		SkippedRows:   tr.SkippedRows,
 		Island:        tr.Island,
 		MigrantsIn:    tr.MigrantsIn,
 		MigrantsOut:   tr.MigrantsOut,

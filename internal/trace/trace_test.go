@@ -362,12 +362,12 @@ func TestConcurrentEmit(t *testing.T) {
 }
 
 // TestReadLegacySolverInternals: traces written by older builds carry
-// pruned, rescored and skipped_edges on iteration events. This build no
-// longer defines them; such files must still replay, every current field
+// pruned, rescored, skipped_edges, rebuilt_rows and skipped_rows on
+// iteration events. This build no longer defines them; such files must still replay, every current field
 // intact.
 func TestReadLegacySolverInternals(t *testing.T) {
 	input := `{"kind":"start","solver":"MaTCH","tasks":16,"seed":3,"iter":0}
-{"kind":"iter","seed":0,"iter":4,"gamma":55,"best":50,"worst":80,"mean":60,"best_so_far":48,"elite":15,"draws":512,"pruned":300,"rescored":7,"reject_tries":1234,"fallback_draws":56,"skipped_edges":7890,"sample_ns":150000}
+{"kind":"iter","seed":0,"iter":4,"gamma":55,"best":50,"worst":80,"mean":60,"best_so_far":48,"elite":15,"draws":512,"pruned":300,"rescored":7,"reject_tries":1234,"fallback_draws":56,"skipped_edges":7890,"sample_ns":150000,"rebuilt_rows":16,"skipped_rows":3}
 {"kind":"end","seed":0,"iter":0,"exec":48,"iterations":4,"stop_reason":"max-iterations"}
 `
 	runs, err := Read(strings.NewReader(input))
@@ -392,7 +392,8 @@ func TestReadLegacySolverInternals(t *testing.T) {
 // silently dropped on the way to the wire.
 func TestIterEventCarriesEveryField(t *testing.T) {
 	renamed := map[string]string{"Iteration": "Iter", "EliteCount": "Elite"}
-	deprecated := map[string]bool{"Pruned": true, "Rescored": true, "SkippedEdges": true}
+	deprecated := map[string]bool{"Pruned": true, "Rescored": true, "SkippedEdges": true,
+		"RebuiltRows": true, "SkippedRows": true}
 
 	var tr matchsim.IterationTrace
 	in := reflect.ValueOf(&tr).Elem()

@@ -7,8 +7,6 @@ import (
 	"matchsim/internal/cost"
 	"matchsim/internal/gen"
 	"matchsim/internal/graph"
-	"matchsim/internal/stochmat"
-	"matchsim/internal/xrand"
 )
 
 // TestCheckContractionOnLadder coarsens paper instances level by level
@@ -122,40 +120,5 @@ func TestCheckProjectionBasics(t *testing.T) {
 	}
 	if err := CheckProjection(tmap[:3], rmap, good, 100, 90, 1e-9); err == nil {
 		t.Fatalf("mismatched map sizes accepted")
-	}
-}
-
-// TestCheckSparseDenseUpdateClean: the production kernel passes its own
-// differential check across shapes and truncation strengths.
-func TestCheckSparseDenseUpdateClean(t *testing.T) {
-	for _, n := range []int{8, 24, 64} {
-		for _, eps := range []float64{0, 1e-4, 1e-2} {
-			if err := CheckSparseDenseUpdate(uint64(n)+7, n, 200, 0.3, eps); err != nil {
-				t.Fatalf("n=%d eps=%g: %v", n, eps, err)
-			}
-		}
-	}
-}
-
-// TestCheckSparseSamplingClean: compacted sampling matches full-width
-// sampling on strictly positive rows and respects supports on sparse
-// ones.
-func TestCheckSparseSamplingClean(t *testing.T) {
-	rng := xrand.New(31)
-	m := stochmat.NewUniform(12, 12)
-	row := make([]float64, 12)
-	for i := 0; i < 6; i++ { // sparsify half the rows
-		for j := range row {
-			row[j] = 0
-		}
-		for _, c := range rng.SampleWithoutReplacement(12, 3) {
-			row[c] = float64(rng.IntRange(1, 9))
-		}
-		if err := m.SetRow(i*2, row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := CheckSparseSampling(m, 77, 500); err != nil {
-		t.Fatal(err)
 	}
 }

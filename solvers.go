@@ -110,9 +110,9 @@ type IterationTrace struct {
 	// time at the iteration barrier.
 	StealUnits int
 	IdleNs     int64
-	// RebuiltRows and SkippedRows count the distribution-table rows the
-	// iteration's update actually rebuilt versus skipped because the row
-	// had not changed (sparse-row runs; both 0 on the dense path).
+	// Deprecated: RebuiltRows and SkippedRows counted the sampling-table
+	// row rebuilds of the sparse-row update, which no longer exists; they
+	// are always 0 and remain only so existing readers keep compiling.
 	RebuiltRows, SkippedRows uint64
 	// Island labels which island of an island-model run produced this
 	// iteration (0 outside island runs); MigrantsIn/MigrantsOut count the
@@ -189,18 +189,10 @@ type MaTCHOptions struct {
 	// Islands, when non-nil with Count > 1, runs the island-model
 	// ensemble; see IslandOptions. Mutually exclusive with Multilevel.
 	Islands *IslandOptions
-	// SparseEps enables the sparse-row distribution update: after each
-	// eq. (13) smoothing step, row entries below SparseEps times the row
-	// maximum are truncated to exactly zero and the row renormalised, so
-	// converged rows become exact fixed points whose sampling tables are
-	// never rebuilt. 0 keeps the bit-exact legacy update; 1e-4 is a
-	// reasonable strength for large instances.
+	// Deprecated: SparseEps selected the sparse-row distribution update,
+	// which no longer exists; it is ignored and remains only so existing
+	// callers keep compiling.
 	SparseEps float64
-	// SparseCut bounds the per-row support size the sparse path tracks:
-	// rows with more nonzeros than this fall back to dense handling.
-	// 0 derives max(16, n/4); negative disables support tracking while
-	// keeping the SparseEps truncation (a differential-testing arm).
-	SparseCut int
 	// Context, when non-nil, cancels the run: the solver stops within at
 	// most one iteration. A run with at least one completed iteration
 	// returns its best-so-far Solution with StopReason "cancelled" (and,
@@ -297,8 +289,6 @@ func coreOptions(opts MaTCHOptions) core.Options {
 		Seed:             opts.Seed,
 		WarmStart:        opts.WarmStart,
 		Polish:           opts.Polish,
-		SparseEps:        opts.SparseEps,
-		SparseCut:        opts.SparseCut,
 		Context:          opts.Context,
 		CheckpointEvery:  opts.CheckpointEvery,
 		OnCheckpoint:     opts.OnCheckpoint,
@@ -324,8 +314,6 @@ func coreOptions(opts MaTCHOptions) core.Options {
 				UpdateNs:      st.UpdateNs,
 				StealUnits:    st.StealUnits,
 				IdleNs:        st.IdleNs,
-				RebuiltRows:   st.RebuiltRows,
-				SkippedRows:   st.SkippedRows,
 				Island:        st.Island,
 				MigrantsIn:    st.MigrantsIn,
 				MigrantsOut:   st.MigrantsOut,
