@@ -162,8 +162,9 @@ func (pr *manyToOneProblem) Copy(dst, src []int) { copy(dst, src) }
 
 // Sample implements ce.Problem: each task's resource is drawn
 // independently from its row — the unconstrained generation of eq. (8) —
-// as one O(1) alias-table draw per task (one uniform variate each; no
-// search, no clamping: zero-weight columns carry no slot mass, and a
+// as one O(1) alias-table draw per task (one 64-bit variate each, split
+// by a 64x64->128-bit multiply into the slot index and the accept test;
+// no search, no clamping: zero-weight columns carry no slot mass, and a
 // degenerate zero-mass row degrades to a uniform draw by the table's
 // construction). The draw is scored by the application execution time.
 func (pr *manyToOneProblem) Sample(rng *xrand.RNG, dst []int) (float64, error) {

@@ -288,7 +288,10 @@ const maxRejects = 3
 // to m); dst must have length m.Rows() and receives the draw.
 //
 // Each task first tries rejection from its full-row distribution — an
-// O(1) alias draw, redrawn when the sampled column is already assigned.
+// O(1) alias draw from one 64-bit variate, whose 128-bit product with the
+// row's live-slot count picks the slot (high word) and decides between
+// the slot's column and its alias (low word against the slot's
+// threshold) — redrawn when the sampled column is already assigned.
 // After maxRejects misses it switches to the exact masked draw, evaluated
 // compactly over the unassigned columns only — O(remaining) via a
 // swap-removed free list, not O(n) over the full row. A near-degenerate
@@ -327,30 +330,19 @@ func (s *Sampler) SamplePermutation(m *Matrix, at *AliasTable, rng *xrand.RNG, d
 	for _, task := range s.order {
 		choice := -1
 		if at.total[task] > 1e-300 {
-			// Alias draws inlined: one uniform variate and at most two
-			// (adjacent-index) table reads per try. No row[j] > 0 re-check
-			// — the alias table gives zero-weight columns no slot mass, so
-			// they are never drawn, and re-reading the row would cost an
-			// extra random access per try. The table is support-compacted:
-			// nSup live slots covering the row's nonzero columns, so rows
-			// with exact zeros draw from O(nnz) slots. For strictly positive
-			// rows nSup == cols and the slot columns are the slot indices,
-			// so the draw stream is bit-identical to the uncompacted
-			// table's.
-			base := task * m.cols
-			nSup := int(at.supLen[task])
-			slots := at.slots[base : base+nSup]
+			// One alias draw per try: one 64-bit variate and one table
+			// read (see pick). No row[j] > 0 re-check — the alias table
+			// gives zero-weight columns no slot mass, so they are never
+			// drawn, and re-reading the row would cost an extra random
+			// access per try. The table is support-compacted: the row's
+			// live slots cover its nonzero columns, so rows with exact
+			// zeros draw from O(nnz) slots. For strictly positive rows
+			// there is one slot per column and the slot columns are the
+			// slot indices, so the draw stream is identical to the
+			// uncompacted table's.
+			slots := at.rowSlots(task)
 			for try := 0; try < budget; try++ {
-				u := rng.Float64() * float64(nSup)
-				j := int(u)
-				if j >= nSup { // unreachable for nSup < 2^52
-					j = nSup - 1
-				}
-				slot := slots[j]
-				col := int(slot.col)
-				if u-float64(j) >= slot.prob {
-					col = int(slot.alias)
-				}
+				col := pick(slots, rng.Uint64())
 				if !s.masked[col] {
 					choice = col
 					break
