@@ -11,6 +11,7 @@
 package matchsim
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -19,6 +20,7 @@ import (
 	"matchsim/internal/exp"
 	"matchsim/internal/ga"
 	"matchsim/internal/gen"
+	"matchsim/internal/graph"
 	"matchsim/internal/heuristics"
 	"matchsim/internal/stochmat"
 	"matchsim/internal/xrand"
@@ -227,6 +229,36 @@ func benchPeakedMatrix(b *testing.B, n int) *stochmat.Matrix {
 		}
 	}
 	return m
+}
+
+// --- Instance decode --------------------------------------------------------
+
+// benchProblem keeps BenchmarkReadProblem's result live.
+var benchProblem *Problem
+
+// BenchmarkReadProblem decodes the fixed-seed n=1024 gen.LargeInstance
+// document (about 10.8 MB, almost all of it the dense link matrix) into a
+// Problem: the set-up every solve of a multilevel-sized submission pays
+// before its first iteration.
+func BenchmarkReadProblem(b *testing.B) {
+	inst, err := gen.LargeInstance(2005, 1024, gen.LargeConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := graph.WriteInstance(&doc, inst); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(doc.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := ReadProblem(bytes.NewReader(doc.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchProblem = p
+	}
 }
 
 // --- Ablation benches (design choices called out in DESIGN.md) ------------

@@ -5,51 +5,76 @@ import (
 	"testing"
 )
 
-// FuzzTIGUnmarshal asserts the JSON decoder never panics and never
-// accepts a structurally invalid TIG, for arbitrary inputs.
+// FuzzTIGUnmarshal holds TIG.UnmarshalJSON to the reference decoder: it
+// accepts exactly the inputs the reference accepts and then builds the
+// same TIG, floats compared by bits and edges in order. An accepted TIG
+// must also survive a marshal round trip unchanged.
 func FuzzTIGUnmarshal(f *testing.F) {
-	f.Add([]byte(`{"kind":"tig","n":2,"weights":[1,2],"edges":[{"u":0,"v":1,"w":5}]}`))
-	f.Add([]byte(`{"kind":"tig","n":0,"weights":[],"edges":[]}`))
-	f.Add([]byte(`{"kind":"tig","n":2,"weights":[1],"edges":[]}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`garbage`))
+	for _, c := range tigCases {
+		f.Add([]byte(c.doc))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var tig TIG
-		if err := json.Unmarshal(data, &tig); err != nil {
-			return // rejected input is fine
+		want, wantErr := refUnmarshalTIG(data)
+		var got TIG
+		gotErr := got.UnmarshalJSON(data)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("reader error %v, reference error %v", gotErr, wantErr)
 		}
-		// Accepted input must be fully valid.
-		if err := tig.Validate(); err != nil {
-			t.Fatalf("decoder accepted invalid TIG: %v", err)
+		if gotErr != nil {
+			return
 		}
-		// And must round-trip.
-		out, err := json.Marshal(&tig)
+		if d := diffTIG(&got, want); d != "" {
+			t.Fatal(d)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("accepted an invalid TIG: %v", err)
+		}
+		out, err := json.Marshal(&got)
 		if err != nil {
 			t.Fatalf("re-marshal failed: %v", err)
 		}
 		var back TIG
-		if err := json.Unmarshal(out, &back); err != nil {
+		if err := back.UnmarshalJSON(out); err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
-		if back.N() != tig.N() || back.M() != tig.M() {
-			t.Fatalf("round trip changed shape")
+		if d := diffTIG(&back, &got); d != "" {
+			t.Fatalf("round trip changed the TIG: %s", d)
 		}
 	})
 }
 
 // FuzzResourceUnmarshal is the platform counterpart.
 func FuzzResourceUnmarshal(f *testing.F) {
-	f.Add([]byte(`{"kind":"resource","n":2,"costs":[1,2],"links":[{"u":0,"v":1,"w":5}]}`))
-	f.Add([]byte(`{"kind":"resource","n":3,"costs":[1,2,3],"links":[{"u":0,"v":1,"w":5}],"closed":true}`))
-	f.Add([]byte(`{"kind":"resource","n":1,"costs":[-1],"links":[]}`))
+	for _, c := range platformCases {
+		f.Add([]byte(c.doc))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var r ResourceGraph
-		if err := json.Unmarshal(data, &r); err != nil {
+		want, wantErr := refUnmarshalResource(data)
+		var got ResourceGraph
+		gotErr := got.UnmarshalJSON(data)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("reader error %v, reference error %v", gotErr, wantErr)
+		}
+		if gotErr != nil {
 			return
 		}
-		if err := r.Validate(); err != nil {
-			t.Fatalf("decoder accepted invalid platform: %v", err)
+		if d := diffResource(&got, want); d != "" {
+			t.Fatal(d)
 		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("accepted an invalid platform: %v", err)
+		}
+	})
+}
+
+// FuzzReadInstance holds ReadInstance to the reference encoding/json
+// Decoder on whole documents, read at once and one byte per Read.
+func FuzzReadInstance(f *testing.F) {
+	for _, c := range instanceCases {
+		f.Add([]byte(c.doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkReadInstance(t, data)
 	})
 }
 

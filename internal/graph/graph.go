@@ -12,8 +12,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Edge is one undirected weighted edge between vertices U and V (U < V is
@@ -35,6 +36,11 @@ type Neighbor struct {
 type Undirected struct {
 	n     int
 	edges []Edge
+	// seen holds every edge's canonical endpoints while a graph of at
+	// least scanEdges edges is under construction (until its adjacency is
+	// built or its decode ends), so AddEdge's duplicate check and HasEdge
+	// are O(1).
+	seen map[[2]int]struct{}
 	// CSR adjacency: neighbours of v are adj[offsets[v]:offsets[v+1]].
 	offsets []int
 	adj     []Neighbor
@@ -68,14 +74,58 @@ func (g *Undirected) AddEdge(u, v int, weight float64) error {
 	if weight < 0 {
 		return fmt.Errorf("graph: negative edge weight %v on (%d,%d)", weight, u, v)
 	}
+	if g.seen == nil && len(g.edges) >= scanEdges {
+		g.seen = make(map[[2]int]struct{}, 2*len(g.edges))
+		for _, e := range g.edges {
+			g.seen[edgeKey(e.U, e.V)] = struct{}{}
+		}
+	}
 	if g.HasEdge(u, v) {
 		return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
 	}
-	if u > v {
-		u, v = v, u
+	key := edgeKey(u, v)
+	if g.seen != nil {
+		g.seen[key] = struct{}{}
 	}
-	g.edges = append(g.edges, Edge{U: u, V: v, Weight: weight})
+	g.edges = append(g.edges, Edge{U: key[0], V: key[1], Weight: weight})
 	g.dirty = true
+	return nil
+}
+
+// scanEdges is the edge count up to which AddEdge finds duplicates by
+// scanning the edge list. A scan that long takes about a microsecond,
+// while a hash set would about double the memory of a graph under
+// construction, so graphs this small, the common case, carry none.
+const scanEdges = 1024
+
+// edgeKey returns the canonical (smaller first) endpoints of (u, v).
+func edgeKey(u, v int) [2]int {
+	if u > v {
+		return [2]int{v, u}
+	}
+	return [2]int{u, v}
+}
+
+// adoptEdges makes edges the edge list of g, which has none yet, adding
+// them in order through add (g's AddEdge, or a wrapper of it such as
+// ResourceGraph.AddLink) and so with AddEdge's checks. It takes ownership
+// of edges: add appends edge i at index i of the same backing array,
+// after edge i has been read. The graph is then complete, so the
+// duplicate set is dropped rather than kept alive with it.
+func (g *Undirected) adoptEdges(edges []Edge, add func(u, v int, weight float64) error) error {
+	if len(edges) == 0 {
+		return nil
+	}
+	g.edges = edges[:0]
+	if len(edges) >= scanEdges {
+		g.seen = make(map[[2]int]struct{}, len(edges))
+	}
+	for _, e := range edges {
+		if err := add(e.U, e.V, e.Weight); err != nil {
+			return err
+		}
+	}
+	g.seen = nil
 	return nil
 }
 
@@ -91,6 +141,10 @@ func (g *Undirected) MustAddEdge(u, v int, weight float64) {
 func (g *Undirected) HasEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n || u == v {
 		return false
+	}
+	if g.seen != nil {
+		_, ok := g.seen[edgeKey(u, v)]
+		return ok
 	}
 	if !g.dirty && g.offsets != nil {
 		for _, nb := range g.Neighbors(u) {
@@ -193,9 +247,10 @@ func (g *Undirected) ensureAdjacency() {
 	// runs and platforms.
 	for v := 0; v < g.n; v++ {
 		nbs := g.adj[g.offsets[v]:g.offsets[v+1]]
-		sort.Slice(nbs, func(i, j int) bool { return nbs[i].To < nbs[j].To })
+		slices.SortFunc(nbs, func(a, b Neighbor) int { return cmp.Compare(a.To, b.To) })
 	}
 	g.dirty = false
+	g.seen = nil
 }
 
 // Clone returns a deep copy of g.

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -46,6 +48,113 @@ func TestAddEdgeRejections(t *testing.T) {
 	g.MustAddEdge(0, 1, 1)
 	if err := g.AddEdge(1, 0, 2); err == nil {
 		t.Fatal("duplicate (reversed) edge accepted")
+	}
+}
+
+// TestAddEdgeDuplicatesAcrossAdjacency checks that duplicates are
+// rejected both while the graph is under construction and after its
+// adjacency is built, that HasEdge agrees at each stage, and that the
+// edge list keeps insertion order in canonical form.
+func TestAddEdgeDuplicatesAcrossAdjacency(t *testing.T) {
+	g := NewUndirected(4)
+	g.MustAddEdge(1, 0, 1)
+	g.MustAddEdge(2, 1, 2)
+	if err := g.AddEdge(0, 1, 3); err == nil {
+		t.Fatal("duplicate accepted before the adjacency was built")
+	}
+	if !g.HasEdge(1, 2) || !g.HasEdge(2, 1) || g.HasEdge(0, 2) {
+		t.Fatal("HasEdge wrong before the adjacency was built")
+	}
+	g.BuildAdjacency()
+	if err := g.AddEdge(1, 2, 3); err == nil {
+		t.Fatal("duplicate accepted after the adjacency was built")
+	}
+	if !g.HasEdge(0, 1) || g.HasEdge(0, 3) {
+		t.Fatal("HasEdge wrong after the adjacency was built")
+	}
+	g.MustAddEdge(3, 0, 4)
+	if err := g.AddEdge(0, 3, 5); err == nil {
+		t.Fatal("duplicate of an edge added after the build accepted")
+	}
+	if !g.HasEdge(3, 0) || !g.HasEdge(2, 1) || g.HasEdge(2, 3) {
+		t.Fatal("HasEdge wrong after adding to a built graph")
+	}
+	c := g.Clone()
+	if err := c.AddEdge(2, 1, 6); err == nil {
+		t.Fatal("clone accepted a duplicate of a copied edge")
+	}
+	want := []Edge{{0, 1, 1}, {1, 2, 2}, {0, 3, 4}}
+	for _, h := range []*Undirected{g, c} {
+		if fmt.Sprint(h.Edges()) != fmt.Sprint(want) {
+			t.Fatalf("edges %v, want %v", h.Edges(), want)
+		}
+	}
+	if err := g.AddEdge(2, 2, 1); err == nil || !strings.Contains(err.Error(), "self-loop") {
+		t.Fatalf("self-loop error %v", err)
+	}
+	if err := g.AddEdge(1, 0, 1); err == nil || err.Error() != "graph: duplicate edge (1,0)" {
+		t.Fatalf("duplicate error %v", err)
+	}
+
+	// Past scanEdges edges the duplicate set takes over from the scan.
+	const n = 256
+	rng := xrand.New(3)
+	big := NewUndirected(n)
+	present := map[[2]int]bool{}
+	var order []Edge
+	for step := 0; len(order) < 4*scanEdges; step++ {
+		if step == 3*scanEdges {
+			big.BuildAdjacency()
+		}
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u == v {
+			continue
+		}
+		key := [2]int{min(u, v), max(u, v)}
+		if got := big.HasEdge(v, u); got != present[key] {
+			t.Fatalf("step %d: HasEdge(%d,%d) = %t, want %t", step, v, u, got, present[key])
+		}
+		err := big.AddEdge(u, v, float64(step))
+		if present[key] != (err != nil) {
+			t.Fatalf("step %d: AddEdge(%d,%d) error %v with the edge present %t", step, u, v, err, present[key])
+		}
+		if err == nil {
+			present[key] = true
+			order = append(order, Edge{key[0], key[1], float64(step)})
+		}
+	}
+	if fmt.Sprint(big.Edges()) != fmt.Sprint(order) {
+		t.Fatal("edge list lost insertion order")
+	}
+}
+
+// BenchmarkAddEdge builds a graph of m distinct random edges on m/4
+// vertices through AddEdge. The duplicate check is O(1), so the time per
+// edge should not grow with m.
+func BenchmarkAddEdge(b *testing.B) {
+	for _, m := range []int{4096, 16384} {
+		n := m / 4
+		rng := xrand.New(uint64(m))
+		seen := make(map[[2]int]bool, m)
+		var edges [][2]int
+		for len(edges) < m {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if key := [2]int{min(u, v), max(u, v)}; u != v && !seen[key] {
+				seen[key] = true
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g := NewUndirected(n)
+				for _, e := range edges {
+					if err := g.AddEdge(e[0], e[1], 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

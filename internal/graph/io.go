@@ -49,26 +49,16 @@ func (t *TIG) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler for TIG and validates the
-// decoded instance.
+// decoded instance. data must hold one TIG object (or null, which gives an
+// empty TIG) and nothing but whitespace besides; ReadInstance's doc
+// comment states the rules for the object.
 func (t *TIG) UnmarshalJSON(data []byte) error {
-	var in tigJSON
-	if err := json.Unmarshal(data, &in); err != nil {
+	var d tigDoc
+	if err := readWhole(data, "tig", func(r *docReader) error { return r.tig(&d) }); err != nil {
 		return err
 	}
-	if in.Kind != "" && in.Kind != "tig" {
-		return fmt.Errorf("graph: expected kind \"tig\", got %q", in.Kind)
-	}
-	if len(in.Weights) != in.N {
-		return fmt.Errorf("graph: TIG JSON has %d weights for n=%d", len(in.Weights), in.N)
-	}
-	decoded := NewTIGWithWeights(in.Weights)
-	decoded.Name = in.Name
-	for _, e := range in.Edges {
-		if err := decoded.AddEdge(e.U, e.V, e.Weight); err != nil {
-			return err
-		}
-	}
-	if err := decoded.Validate(); err != nil {
+	decoded, err := d.build()
+	if err != nil {
 		return err
 	}
 	*t = *decoded
@@ -94,41 +84,15 @@ func (r *ResourceGraph) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON implements json.Unmarshaler for ResourceGraph.
+// UnmarshalJSON implements json.Unmarshaler for ResourceGraph, with
+// the rules of TIG.UnmarshalJSON.
 func (r *ResourceGraph) UnmarshalJSON(data []byte) error {
-	var in resourceJSON
-	if err := json.Unmarshal(data, &in); err != nil {
+	var d platformDoc
+	if err := readWhole(data, "platform", func(dr *docReader) error { return dr.platform(&d) }); err != nil {
 		return err
 	}
-	if in.Kind != "" && in.Kind != "resource" {
-		return fmt.Errorf("graph: expected kind \"resource\", got %q", in.Kind)
-	}
-	if len(in.Costs) != in.N {
-		return fmt.Errorf("graph: resource JSON has %d costs for n=%d", len(in.Costs), in.N)
-	}
-	var decoded *ResourceGraph
-	if in.DenseLink != nil {
-		var err error
-		decoded, err = NewResourceGraphDense(in.Costs, in.DenseLink)
-		if err != nil {
-			return err
-		}
-		decoded.Name = in.Name
-	} else {
-		decoded = NewResourceGraphWithCosts(in.Costs)
-		decoded.Name = in.Name
-		for _, e := range in.Links {
-			if err := decoded.AddLink(e.U, e.V, e.Weight); err != nil {
-				return err
-			}
-		}
-		if in.Closed {
-			if err := decoded.CloseLinks(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := decoded.Validate(); err != nil {
+	decoded, err := d.build()
+	if err != nil {
 		return err
 	}
 	*r = *decoded
@@ -166,16 +130,45 @@ func WriteInstance(w io.Writer, in *Instance) error {
 	return enc.Encode(in)
 }
 
-// ReadInstance parses and validates an instance from JSON.
+// ReadInstance parses and validates an instance from JSON. It reads rd
+// once through a fixed-size buffer and decodes values straight into the
+// graphs' arrays; no allocation is sized from a declared n, so arrays
+// grow from the values actually read. A dense_link matrix becomes the
+// platform's link matrix without a copy.
+//
+// It accepts exactly the documents encoding/json's Decoder accepts for
+// Instance, and builds the same graphs from them:
+//   - The document is one JSON object; bytes after its closing brace are
+//     not read. Whitespace may precede it, a byte-order mark may not.
+//   - Keys match the field names of Instance, the TIG and the platform
+//     (see WriteInstance's output) exactly or under bytes.EqualFold, so
+//     "TIG" and "ſeed" are the tig and the seed. Other keys are skipped,
+//     but their values must be valid JSON within encoding/json's nesting
+//     limit of 10000.
+//   - When a key repeats, the last value wins. Each tig and platform
+//     value is built and validated as it is read, so an invalid one is
+//     rejected even if a valid one follows. A repeated array key reuses
+//     the earlier array's storage, as encoding/json does: a null element
+//     keeps what an earlier value put at its index, or 0.
+//   - Numbers follow JSON's grammar. Floats parse as strconv.ParseFloat
+//     parses them (-0 stays -0, 1e999 is rejected); integers and the
+//     seed as ParseInt and ParseUint do, so 2.0 or a negative seed is
+//     rejected.
+//   - null leaves a string, number or bool as it was and sets a tig,
+//     platform or array to nil. Any other value of the wrong JSON type
+//     is rejected.
+//   - Strings unescape as in encoding/json; invalid UTF-8 and unpaired
+//     surrogate escapes become U+FFFD.
 func ReadInstance(rd io.Reader) (*Instance, error) {
-	var in Instance
-	if err := json.NewDecoder(rd).Decode(&in); err != nil {
+	r := docReader{src: rd, buf: make([]byte, 0, minReadBuf)}
+	in, err := r.instance()
+	if err != nil {
 		return nil, err
 	}
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	return &in, nil
+	return in, nil
 }
 
 // DOT renders the graph in Graphviz DOT syntax. Vertex labels carry the

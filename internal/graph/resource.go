@@ -32,11 +32,14 @@ type ResourceGraph struct {
 // NewResourceGraph returns a platform on n resources with all processing
 // costs zero and no links.
 func NewResourceGraph(n int) *ResourceGraph {
-	r := &ResourceGraph{
-		Undirected: NewUndirected(n),
-		Costs:      make([]float64, n),
-		link:       make([]float64, n*n),
-	}
+	return newResourceGraph(make([]float64, n))
+}
+
+// newResourceGraph returns a platform with no links that takes ownership
+// of costs.
+func newResourceGraph(costs []float64) *ResourceGraph {
+	n := len(costs)
+	r := denseGraph(costs, make([]float64, n*n))
 	for i := range r.link {
 		r.link[i] = math.Inf(1)
 	}
@@ -46,8 +49,14 @@ func NewResourceGraph(n int) *ResourceGraph {
 	return r
 }
 
+// denseGraph returns a platform with no topology that takes ownership of
+// costs and of link as its link matrix.
+func denseGraph(costs, link []float64) *ResourceGraph {
+	return &ResourceGraph{Undirected: NewUndirected(len(costs)), Costs: costs, link: link}
+}
+
 // NewResourceGraphWithCosts returns a platform whose processing costs are
-// the given slice (taken by reference).
+// a copy of the given slice.
 func NewResourceGraphWithCosts(costs []float64) *ResourceGraph {
 	r := NewResourceGraph(len(costs))
 	copy(r.Costs, costs)
@@ -63,30 +72,36 @@ func NewResourceGraphWithCosts(costs []float64) *ResourceGraph {
 // empty, which the cost model never observes: it reads only the closed
 // link matrix. Both slices are copied.
 func NewResourceGraphDense(costs, link []float64) (*ResourceGraph, error) {
+	if err := checkDense(costs, link); err != nil {
+		return nil, err
+	}
+	return denseGraph(append(make([]float64, 0, len(costs)), costs...), append(make([]float64, 0, len(link)), link...)), nil
+}
+
+// checkDense checks NewResourceGraphDense's arguments.
+func checkDense(costs, link []float64) error {
 	n := len(costs)
 	if len(link) != n*n {
-		return nil, fmt.Errorf("graph: dense link matrix has %d entries for %d resources", len(link), n)
+		return fmt.Errorf("graph: dense link matrix has %d entries for %d resources", len(link), n)
 	}
 	for s := 0; s < n; s++ {
 		if costs[s] < 0 || math.IsNaN(costs[s]) || math.IsInf(costs[s], 0) {
-			return nil, fmt.Errorf("graph: resource %d has invalid cost %v", s, costs[s])
+			return fmt.Errorf("graph: resource %d has invalid cost %v", s, costs[s])
 		}
 		if link[s*n+s] != 0 {
-			return nil, fmt.Errorf("graph: link matrix diagonal (%d,%d) = %v, want 0", s, s, link[s*n+s])
+			return fmt.Errorf("graph: link matrix diagonal (%d,%d) = %v, want 0", s, s, link[s*n+s])
 		}
 		for b := s + 1; b < n; b++ {
 			v := link[s*n+b]
 			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("graph: link (%d,%d) has invalid cost %v", s, b, v)
+				return fmt.Errorf("graph: link (%d,%d) has invalid cost %v", s, b, v)
 			}
 			if link[b*n+s] != v {
-				return nil, fmt.Errorf("graph: link matrix asymmetric at (%d,%d): %v vs %v", s, b, v, link[b*n+s])
+				return fmt.Errorf("graph: link matrix asymmetric at (%d,%d): %v vs %v", s, b, v, link[b*n+s])
 			}
 		}
 	}
-	r := NewResourceGraphWithCosts(costs)
-	copy(r.link, link)
-	return r, nil
+	return nil
 }
 
 // NumResources returns |Vr|.

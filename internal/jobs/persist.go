@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -161,7 +162,7 @@ func (m *Manager) restoreOne(p *persistedJob, path string) error {
 	if err := ValidSolver(p.Request.Solver); err != nil {
 		return err
 	}
-	problem, err := matchsim.ReadProblem(strings.NewReader(string(p.Request.Instance)))
+	problem, err := matchsim.ReadProblem(bytes.NewReader(p.Request.Instance))
 	if err != nil {
 		return fmt.Errorf("invalid instance: %w", err)
 	}
