@@ -20,8 +20,9 @@
 //	       [-cluster-state DIR] [-cache 256] [-poll-interval 200ms]
 //	       [-checkpoint-every 5]
 //
-// The coordinator serves the same job API (plus GET /v1/cluster and
-// POST /v1/cluster/drain), consistent-hash routes each submission's
+// The coordinator serves the same HTTP surface (package httpapi) less the
+// worker-only SSE, checkpoint and island routes, plus GET /v1/cluster and
+// POST /v1/cluster/drain. It consistent-hash routes each submission's
 // content address to a worker, collapses identical concurrent
 // submissions, and hands a dead or draining worker's solves off to the
 // survivors from their freshest checkpoints. -cluster-state journals
@@ -154,82 +155,6 @@ func run(args []string, stdout io.Writer) error {
 		Log:      spanLog,
 	})
 
-	if *coordinator {
-		urls := splitWorkerURLs(*workers)
-		if len(urls) == 0 {
-			return fmt.Errorf("-coordinator requires -workers=<url>[,<url>...]")
-		}
-		co, err := cluster.New(cluster.Options{
-			Workers:         urls,
-			CacheCapacity:   *cache,
-			StateDir:        *clusterState,
-			CheckpointEvery: *ckptEvery,
-			PollInterval:    *pollInterval,
-			Tracer:          tracer,
-			Logger:          logger,
-		})
-		if err != nil {
-			return err
-		}
-		if restored, err := co.Restore(); err != nil {
-			logger.Warn("cluster restore failed", "error", err)
-		} else if restored > 0 {
-			logger.Info("re-attached journalled flights", "count", restored, "dir", *clusterState)
-		}
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "matchd listening on http://%s\n", ln.Addr())
-		server := &http.Server{Handler: cluster.NewServer(co)}
-		errCh := make(chan error, 1)
-		go func() { errCh <- server.Serve(ln) }()
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		select {
-		case <-ctx.Done():
-			logger.Info("signal received; draining", "timeout", *drainTimeout)
-		case err := <-errCh:
-			return err
-		}
-		drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := server.Shutdown(drainCtx); err != nil {
-			logger.Warn("http shutdown", "error", err)
-		}
-		if err := co.Shutdown(drainCtx); err != nil {
-			return err
-		}
-		if serveErr := <-errCh; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {
-			return serveErr
-		}
-		logger.Info("drained cleanly")
-		return nil
-	}
-
-	solverWorkers := 0
-	if *workers != "" {
-		n, err := strconv.Atoi(*workers)
-		if err != nil || n < 0 {
-			return fmt.Errorf("invalid -workers %q (worker mode takes a job count)", *workers)
-		}
-		solverWorkers = n
-	}
-	manager := jobs.New(jobs.Options{
-		QueueCapacity: *queue,
-		Workers:       solverWorkers,
-		CacheCapacity: *cache,
-		CheckpointDir: *checkpointDir,
-		TraceWriter:   tw,
-		Tracer:        tracer,
-		Logger:        logger,
-	})
-	if restored, err := manager.Restore(); err != nil {
-		logger.Warn("restore failed", "error", err, "restored", restored)
-	} else if restored > 0 {
-		logger.Info("restored checkpointed jobs", "count", restored, "dir", *checkpointDir)
-	}
-
 	if *pprofAddr != "" {
 		// The profiler gets its own listener and mux so the job API's
 		// handler (and its auth posture) never exposes the debug
@@ -254,16 +179,71 @@ func run(args []string, stdout io.Writer) error {
 		defer pln.Close()
 	}
 
+	if *coordinator {
+		urls := splitWorkerURLs(*workers)
+		if len(urls) == 0 {
+			return fmt.Errorf("-coordinator requires -workers=<url>[,<url>...]")
+		}
+		co, err := cluster.New(cluster.Options{
+			Workers:         urls,
+			CacheCapacity:   *cache,
+			StateDir:        *clusterState,
+			CheckpointEvery: *ckptEvery,
+			PollInterval:    *pollInterval,
+			Tracer:          tracer,
+			Logger:          logger,
+		})
+		if err != nil {
+			return err
+		}
+		if restored, err := co.Restore(); err != nil {
+			logger.Warn("cluster restore failed", "error", err)
+		} else if restored > 0 {
+			logger.Info("re-attached journalled flights", "count", restored, "dir", *clusterState)
+		}
+		return serve(*listen, cluster.NewServer(co), co.Shutdown, *drainTimeout, stdout, logger)
+	}
+
+	solverWorkers := 0
+	if *workers != "" {
+		n, err := strconv.Atoi(*workers)
+		if err != nil || n < 0 {
+			return fmt.Errorf("invalid -workers %q (worker mode takes a job count)", *workers)
+		}
+		solverWorkers = n
+	}
+	manager := jobs.New(jobs.Options{
+		QueueCapacity: *queue,
+		Workers:       solverWorkers,
+		CacheCapacity: *cache,
+		CheckpointDir: *checkpointDir,
+		TraceWriter:   tw,
+		Tracer:        tracer,
+		Logger:        logger,
+	})
+	if restored, err := manager.Restore(); err != nil {
+		logger.Warn("restore failed", "error", err, "restored", restored)
+	} else if restored > 0 {
+		logger.Info("restored checkpointed jobs", "count", restored, "dir", *checkpointDir)
+	}
+	return serve(*listen, httpapi.New(manager), manager.Shutdown, *drainTimeout, stdout, logger)
+}
+
+// serve listens on addr, announces it, and serves handler until SIGINT or
+// SIGTERM; it then stops the listener and drains the backend through
+// shutdown, both within drainTimeout.
+func serve(addr string, handler http.Handler, shutdown func(context.Context) error,
+	drainTimeout time.Duration, stdout io.Writer, logger *slog.Logger) error {
 	// Listen before announcing readiness so -listen :0 reports the real
 	// port. The announcement is a plain line, not a structured record: it
 	// is the daemon's readiness contract (the e2e tests parse it).
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "matchd listening on http://%s\n", ln.Addr())
 
-	server := &http.Server{Handler: httpapi.New(manager)}
+	server := &http.Server{Handler: handler}
 	errCh := make(chan error, 1)
 	go func() { errCh <- server.Serve(ln) }()
 
@@ -271,17 +251,17 @@ func run(args []string, stdout io.Writer) error {
 	defer stop()
 	select {
 	case <-ctx.Done():
-		logger.Info("signal received; draining", "timeout", *drainTimeout)
+		logger.Info("signal received; draining", "timeout", drainTimeout)
 	case err := <-errCh:
 		return err
 	}
 
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := server.Shutdown(drainCtx); err != nil {
 		logger.Warn("http shutdown", "error", err)
 	}
-	if err := manager.Shutdown(drainCtx); err != nil {
+	if err := shutdown(drainCtx); err != nil {
 		return err
 	}
 	if serveErr := <-errCh; serveErr != nil && !errors.Is(serveErr, http.ErrServerClosed) {

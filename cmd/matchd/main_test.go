@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -38,6 +39,13 @@ func buildDaemon(t *testing.T) string {
 // the "listening on" line, plus the running process.
 func startDaemon(t *testing.T, bin string, extraArgs ...string) (*exec.Cmd, string) {
 	t.Helper()
+	return startDaemonUntil(t, bin, "listening on ", extraArgs...)
+}
+
+// startDaemonUntil launches the binary and returns the running process
+// and the rest of the first stdout line after marker.
+func startDaemonUntil(t *testing.T, bin, marker string, extraArgs ...string) (*exec.Cmd, string) {
+	t.Helper()
 	args := append([]string{"-listen", "127.0.0.1:0"}, extraArgs...)
 	cmd := exec.Command(bin, args...)
 	stdout, err := cmd.StdoutPipe()
@@ -60,8 +68,8 @@ func startDaemon(t *testing.T, bin string, extraArgs ...string) (*exec.Cmd, stri
 		scanner := bufio.NewScanner(stdout)
 		for scanner.Scan() {
 			line := scanner.Text()
-			if i := strings.Index(line, "listening on "); i >= 0 {
-				urlCh <- strings.TrimSpace(line[i+len("listening on "):])
+			if i := strings.Index(line, marker); i >= 0 {
+				urlCh <- strings.TrimSpace(line[i+len(marker):])
 			}
 		}
 	}()
@@ -69,8 +77,27 @@ func startDaemon(t *testing.T, bin string, extraArgs ...string) (*exec.Cmd, stri
 	case base := <-urlCh:
 		return cmd, base
 	case <-time.After(30 * time.Second):
-		t.Fatal("matchd never announced its listen address")
+		t.Fatalf("matchd never printed %q", marker)
 		return nil, ""
+	}
+}
+
+// TestPprofBothModes: -pprof serves the profiler in worker mode and in
+// coordinator mode alike.
+func TestPprofBothModes(t *testing.T) {
+	bin := buildDaemon(t)
+	_, worker := startDaemon(t, bin)
+	for _, mode := range [][]string{nil, {"-coordinator", "-workers", worker}} {
+		args := append([]string{"-pprof", "127.0.0.1:0"}, mode...)
+		_, url := startDaemonUntil(t, bin, `msg="pprof enabled" url=`, args...)
+		resp, err := http.Get(url + "cmdline")
+		if err != nil {
+			t.Fatalf("%v: GET pprof: %v", mode, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%v: pprof answered %d", mode, resp.StatusCode)
+		}
 	}
 }
 

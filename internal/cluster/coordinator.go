@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -21,14 +20,11 @@ import (
 	"matchsim/internal/telemetry"
 )
 
-// Submission and lookup errors. The HTTP layer maps them to the same
-// statuses as the worker-side equivalents in package jobs.
-var (
-	ErrShuttingDown  = errors.New("cluster: coordinator shutting down")
-	ErrUnknownJob    = errors.New("cluster: unknown job id")
-	ErrNotDone       = errors.New("cluster: job has no result yet")
-	ErrUnknownWorker = errors.New("cluster: unknown worker")
-)
+// ErrUnknownWorker reports a drain request naming a worker the
+// coordinator does not route to. Job lookups and submissions fail with
+// the package jobs sentinels, so both tiers share one HTTP status
+// mapping.
+var ErrUnknownWorker = errors.New("cluster: unknown worker")
 
 // Options tunes a Coordinator. Zero values take the documented defaults.
 type Options struct {
@@ -317,23 +313,10 @@ func (co *Coordinator) Submit(req api.SubmitRequest) (api.JobInfo, error) {
 // SubmitCtx is Submit with a caller context, used only for trace
 // propagation (the HTTP layer puts the request's server span there).
 func (co *Coordinator) SubmitCtx(ctx context.Context, req api.SubmitRequest) (api.JobInfo, error) {
-	if err := jobs.ValidSolver(req.Solver); err != nil {
-		return api.JobInfo{}, err
-	}
-	if len(req.Instance) == 0 {
-		return api.JobInfo{}, fmt.Errorf("cluster: submission carries no instance")
-	}
-	problem, err := matchsim.ReadProblem(bytes.NewReader(req.Instance))
-	if err != nil {
-		return api.JobInfo{}, fmt.Errorf("cluster: invalid instance: %w", err)
-	}
-	// Same rule as a worker's front door, so a bad handoff document is a
-	// 400 here rather than a failed flight later, and a dropped checkpoint
-	// never reaches the worker.
-	if _, err := jobs.ResumeFrom(problem, &req, co.log); err != nil {
-		return api.JobInfo{}, err
-	}
-	key, err := jobs.Key(problem, req.Solver, req.Options, req.Checkpoint)
+	// The worker's front door, so a bad handoff document is a 400 here
+	// rather than a failed flight later, and a dropped checkpoint never
+	// reaches the worker.
+	problem, _, key, err := jobs.Admit(&req, co.log)
 	if err != nil {
 		return api.JobInfo{}, err
 	}
@@ -341,7 +324,7 @@ func (co *Coordinator) SubmitCtx(ctx context.Context, req api.SubmitRequest) (ap
 	co.mu.Lock()
 	if co.closed {
 		co.mu.Unlock()
-		return api.JobInfo{}, ErrShuttingDown
+		return api.JobInfo{}, jobs.ErrShuttingDown
 	}
 	j := &cjob{id: newCJobID(), key: key, solver: req.Solver, state: api.StateQueued, created: time.Now()}
 	for co.jobs[j.id] != nil {
@@ -500,9 +483,16 @@ func (co *Coordinator) Info(id string) (api.JobInfo, error) {
 	defer co.mu.Unlock()
 	j := co.jobs[id]
 	if j == nil {
-		return api.JobInfo{}, ErrUnknownJob
+		return api.JobInfo{}, jobs.ErrUnknownJob
 	}
 	return co.infoLocked(j), nil
+}
+
+// WaitInfo is Info: the coordinator answers a long-poll status request at
+// once. The hold happens on the workers, which the coordinator itself
+// long-polls.
+func (co *Coordinator) WaitInfo(_ context.Context, id, _ string) (api.JobInfo, error) {
+	return co.Info(id)
 }
 
 // Result returns a finished job's result.
@@ -511,10 +501,10 @@ func (co *Coordinator) Result(id string) (api.JobResult, error) {
 	defer co.mu.Unlock()
 	j := co.jobs[id]
 	if j == nil {
-		return api.JobResult{}, ErrUnknownJob
+		return api.JobResult{}, jobs.ErrUnknownJob
 	}
 	if j.result == nil || j.state != api.StateDone {
-		return api.JobResult{}, fmt.Errorf("%w (state %s)", ErrNotDone, j.state)
+		return api.JobResult{}, fmt.Errorf("%w (state %s)", jobs.ErrNotDone, j.state)
 	}
 	return *j.result, nil
 }
@@ -527,7 +517,7 @@ func (co *Coordinator) Cancel(id string) (api.JobInfo, error) {
 	j := co.jobs[id]
 	if j == nil {
 		co.mu.Unlock()
-		return api.JobInfo{}, ErrUnknownJob
+		return api.JobInfo{}, jobs.ErrUnknownJob
 	}
 	if api.TerminalState(j.state) {
 		info := co.infoLocked(j)

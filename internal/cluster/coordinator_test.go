@@ -416,7 +416,8 @@ func TestClusterServerBatch(t *testing.T) {
 }
 
 // TestCoordinatorRejectsBadSubmissions: validation failures are local
-// synchronous errors, never a spun-up flight.
+// synchronous errors, never a spun-up flight. jobs.Admit, the one front
+// door both tiers share, and the worker tier reject the same cases.
 func TestCoordinatorRejectsBadSubmissions(t *testing.T) {
 	ws := startWorkers(t, 1)
 	co := newTestCoordinator(t, ws, Options{})
@@ -446,12 +447,22 @@ func TestCoordinatorRejectsBadSubmissions(t *testing.T) {
 		{Instance: instanceJSON(t, 1, 8), Solver: api.SolverMaTCH, Checkpoint: forgedDoc}, // forged best_exec
 	}
 	for i, req := range cases {
+		admitted := req
+		if _, _, _, err := jobs.Admit(&admitted, co.Logger()); err == nil {
+			t.Errorf("case %d: Admit accepted a bad submission", i)
+		}
+		if _, err := ws[0].m.Submit(req); err == nil {
+			t.Errorf("case %d: worker accepted a bad submission", i)
+		}
 		if _, err := co.Submit(req); err == nil {
-			t.Fatalf("case %d: bad submission accepted", i)
+			t.Errorf("case %d: coordinator accepted a bad submission", i)
 		}
 	}
 	if st := co.Status(); st.Flights != 0 {
 		t.Fatalf("%d flights left behind by rejected submissions", st.Flights)
+	}
+	if n := ws[0].m.Stats().Submitted; n != 0 {
+		t.Fatalf("worker counted %d submissions from rejected requests", n)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"matchsim/api"
+	"matchsim/internal/jobs"
 )
 
 // journalFlight is the on-disk record of one in-flight solve: enough to
@@ -225,7 +226,7 @@ func (co *Coordinator) restoreFlight(doc journalFlight) error {
 	co.mu.Lock()
 	if co.closed {
 		co.mu.Unlock()
-		return ErrShuttingDown
+		return jobs.ErrShuttingDown
 	}
 	if co.flights[f.id] != nil {
 		co.mu.Unlock()

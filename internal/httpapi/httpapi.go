@@ -1,28 +1,41 @@
-// Package httpapi exposes a jobs.Manager over HTTP/JSON — the serving
-// surface of the matchd daemon:
+// Package httpapi is the one HTTP/JSON surface of matchd, for both
+// serving tiers: a worker daemon (New, over a jobs.Manager) and a cluster
+// coordinator (package cluster's NewServer, which is NewServer over the
+// coordinator plus two routes of its own).
+//
+// Both tiers (NewServer):
 //
 //	POST   /v1/jobs             submit a job            → 202 JobInfo (200 on cache hit)
 //	POST   /v1/jobs:batch       submit many jobs        → 200 BatchSubmitResponse (per-item statuses)
 //	GET    /v1/jobs/{id}        job status              → 200 JobInfo
 //	GET    /v1/jobs/{id}?state=S&wait=D  long-poll: status once it leaves S, or after D → 200 JobInfo
 //	GET    /v1/jobs/{id}/result finished job's mapping  → 200 JobResult
-//	GET    /v1/jobs/{id}/checkpoint latest resumable checkpoint → 200 CheckpointDoc
 //	DELETE /v1/jobs/{id}        cancel a job            → 200 JobInfo
-//	GET    /v1/jobs/{id}/events live progress (SSE)     → text/event-stream
-//	POST   /v1/islands/{session}/packets  island-exchange packet from a peer node → 204
-//	GET    /v1/islands/{session}          island session status     → 200
 //	GET    /v1/traces           recent trace summaries  → 200 [TraceSummary]
 //	GET    /v1/traces/{id}      one trace's span tree   → 200 TraceDoc
 //	GET    /healthz             liveness                → 200 {"status":"ok"}
 //	GET    /readyz              readiness checks        → 200/503 ReadyStatus
 //	GET    /metrics             Prometheus text format  → 200
 //
+// Worker only (New):
+//
+//	GET    /v1/jobs/{id}/checkpoint latest resumable checkpoint → 200 CheckpointDoc
+//	GET    /v1/jobs/{id}/events live progress (SSE)     → text/event-stream
+//	POST   /v1/islands/{session}/packets  island-exchange packet from a peer node → 204
+//	GET    /v1/islands/{session}          island session status     → 200
+//
+// Coordinator only (package cluster):
+//
+//	GET    /v1/cluster          topology + routing status → 200 ClusterStatus
+//	POST   /v1/cluster/drain    drain a worker's solves   → 200 ClusterStatus
+//
 // Every non-2xx response body is an api.Error document. The long-poll
 // status form holds the request until the job's state differs from
 // ?state= or the ?wait= duration (Go syntax, e.g. "200ms"; capped at
 // MaxStatusWait) runs out, then answers the current JobInfo either way. A
 // cluster coordinator learns of a routed job's completion this way
-// instead of polling on a timer. The SSE stream
+// instead of polling on a timer. A coordinator validates ?wait= the same
+// way but answers at once: the hold lives on its workers. The SSE stream
 // replays the job's event history, then follows it live (an optional
 // ?from=N query resumes the replay at event index N, so a reconnecting
 // client skips what it already saw); each `data:` payload is one
@@ -34,13 +47,14 @@
 // nodes running the peer islands, which file them on the local board for
 // their islands to consume.
 //
-// Tracing: when the manager carries a tracer, the middleware opens a
+// Tracing: when the backend carries a tracer, the middleware opens a
 // server span per request — continuing the trace named by an incoming
 // W3C `traceparent` header, or rooting a new one on routes that always
 // trace (job submission) — and puts it in the request context, where the
-// jobs layer parents the job's root span under it. Island packet posts
-// carry the sending daemon's exchange-span traceparent, which is how one
-// trace ID ends up covering every cooperating node. /metrics honours an
+// backend parents the job's root span under it. Probes, scrapes and trace
+// reads are never traced. Island packet posts carry the sending daemon's
+// exchange-span traceparent, which is how one trace ID ends up covering
+// every cooperating node. /metrics honours an
 // `Accept: application/openmetrics-text` header (or `?exemplars=1`) by
 // rendering the OpenMetrics flavour with trace-ID exemplars on histogram
 // buckets; the default output stays plain text-format 0.0.4.
@@ -51,6 +65,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -68,8 +83,27 @@ import (
 // request always answers before the caller gives up on it.
 const MaxStatusWait = 5 * time.Second
 
-// Server adapts a jobs.Manager to net/http. Every route is wrapped in RED
-// middleware feeding the manager's telemetry registry: request count by
+// Backend is what the routes both tiers serve need: a worker's
+// jobs.Manager, or a cluster coordinator. Submission and lookup errors
+// are the package jobs sentinels (ErrQueueFull, ErrShuttingDown,
+// ErrUnknownJob, ErrNotDone), so one status mapping serves both.
+type Backend interface {
+	SubmitCtx(ctx context.Context, req api.SubmitRequest) (api.JobInfo, error)
+	Info(id string) (api.JobInfo, error)
+	// WaitInfo answers once the job's state differs from state or ctx
+	// ends; a backend may also answer at once.
+	WaitInfo(ctx context.Context, id, state string) (api.JobInfo, error)
+	Result(id string) (api.JobResult, error)
+	Cancel(id string) (api.JobInfo, error)
+	Readiness() (bool, []api.ReadyCheck)
+	Closed() bool
+	Registry() *telemetry.Registry
+	Tracer() *telemetry.Tracer
+	Logger() *slog.Logger
+}
+
+// Server adapts a Backend to net/http. Every route is wrapped in RED
+// middleware feeding the backend's telemetry registry: request count by
 // (route, method, code), error count, and a latency histogram per route
 // with trace-ID exemplars. Streaming routes (SSE) record time-to-first-
 // byte in the request-latency histogram — stream lifetime would poison
@@ -78,7 +112,7 @@ const MaxStatusWait = 5 * time.Second
 // stream histogram: its first byte is its last, so its hold time would
 // read as the route's latency.
 type Server struct {
-	manager *jobs.Manager
+	backend Backend
 	mux     *http.ServeMux
 	tracer  *telemetry.Tracer
 	maxWait time.Duration // MaxStatusWait; tests shorten it
@@ -115,14 +149,16 @@ type routeOpts struct {
 	longPoll bool
 }
 
-// New builds the HTTP surface over m, instrumenting m.Registry() and
-// tracing with m.Tracer() (nil tracer = tracing off everywhere).
-func New(m *jobs.Manager) *Server {
-	reg := m.Registry()
+// NewServer builds the routes both tiers serve over b, instrumenting
+// b.Registry() and tracing with b.Tracer() (nil tracer = tracing off
+// everywhere). Tier-specific routes are added with Handle (package
+// cluster) or by New.
+func NewServer(b Backend) *Server {
+	reg := b.Registry()
 	s := &Server{
-		manager: m,
+		backend: b,
 		mux:     http.NewServeMux(),
-		tracer:  m.Tracer(),
+		tracer:  b.Tracer(),
 		maxWait: MaxStatusWait,
 		requests: reg.CounterVec("matchd_http_requests_total",
 			"HTTP requests served, by route pattern, method and status code.",
@@ -141,11 +177,7 @@ func New(m *jobs.Manager) *Server {
 	s.handle("POST /v1/jobs:batch", s.submitBatch, routeOpts{trace: traceAlways})
 	s.handle("GET /v1/jobs/{id}", s.status, routeOpts{trace: traceOnHeader, longPoll: true})
 	s.handle("GET /v1/jobs/{id}/result", s.result, routeOpts{trace: traceOnHeader})
-	s.handle("GET /v1/jobs/{id}/checkpoint", s.checkpoint, routeOpts{trace: traceOnHeader})
 	s.handle("DELETE /v1/jobs/{id}", s.cancel, routeOpts{trace: traceOnHeader})
-	s.handle("GET /v1/jobs/{id}/events", s.events, routeOpts{trace: traceOnHeader, streaming: true})
-	s.handle("POST /v1/islands/{session}/packets", s.islandPost, routeOpts{trace: traceOnHeader})
-	s.handle("GET /v1/islands/{session}", s.islandStatus, routeOpts{trace: traceOnHeader})
 	s.handle("GET /v1/traces", s.traces, routeOpts{trace: traceOff})
 	s.handle("GET /v1/traces/{id}", s.traceByID, routeOpts{trace: traceOff})
 	s.handle("GET /healthz", s.healthz, routeOpts{trace: traceOff})
@@ -154,11 +186,29 @@ func New(m *jobs.Manager) *Server {
 	return s
 }
 
+// New builds a worker daemon's HTTP surface: the shared routes over m
+// plus the worker-only checkpoint, SSE and island routes.
+func New(m *jobs.Manager) *Server {
+	s := NewServer(m)
+	wr := workerRoutes{m}
+	s.handle("GET /v1/jobs/{id}/checkpoint", wr.checkpoint, routeOpts{trace: traceOnHeader})
+	s.handle("GET /v1/jobs/{id}/events", wr.events, routeOpts{trace: traceOnHeader, streaming: true})
+	s.handle("POST /v1/islands/{session}/packets", wr.islandPost, routeOpts{trace: traceOnHeader})
+	s.handle("GET /v1/islands/{session}", wr.islandStatus, routeOpts{trace: traceOnHeader})
+	return s
+}
+
+// Handle registers a tier-specific route under the same middleware as
+// the shared ones. It joins an incoming trace but never roots one.
+func (s *Server) Handle(pattern string, h http.HandlerFunc) {
+	s.handle(pattern, h, routeOpts{trace: traceOnHeader})
+}
+
 // handle registers h under the mux pattern, wrapped in the RED/tracing
 // middleware. The route label is the pattern itself — a bounded set,
 // immune to the path-cardinality explosion raw URLs would cause.
 func (s *Server) handle(pattern string, h http.HandlerFunc, opts routeOpts) {
-	log := s.manager.Logger()
+	log := s.backend.Logger()
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
@@ -251,7 +301,8 @@ func (fr *flushingRecorder) Flush() { fr.flusher.Flush() }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v as an indented JSON document.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -259,32 +310,34 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, api.Error{Status: status, Message: fmt.Sprintf(format, args...)})
+// WriteError answers with status and an api.Error document whose message
+// is the formatted text.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, api.Error{Status: status, Message: fmt.Sprintf(format, args...)})
 }
 
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var req api.SubmitRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
-	info, err := s.manager.SubmitCtx(r.Context(), req)
+	info, err := s.backend.SubmitCtx(r.Context(), req)
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrShuttingDown):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	status := http.StatusAccepted
 	if info.State == api.StateDone { // answered from the result cache
 		status = http.StatusOK
 	}
-	writeJSON(w, status, info)
+	WriteJSON(w, status, info)
 }
 
 // submitBatch amortises per-request overhead for bulk submitters: every
@@ -297,16 +350,16 @@ func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.BatchSubmitRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 256<<20))
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid batch body: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid batch body: %v", err)
 		return
 	}
 	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "batch carries no jobs")
+		WriteError(w, http.StatusBadRequest, "batch carries no jobs")
 		return
 	}
 	resp := api.BatchSubmitResponse{Items: make([]api.BatchSubmitItem, len(req.Jobs))}
 	for i := range req.Jobs {
-		info, err := s.manager.SubmitCtx(r.Context(), req.Jobs[i])
+		info, err := s.backend.SubmitCtx(r.Context(), req.Jobs[i])
 		item := &resp.Items[i]
 		switch {
 		case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrShuttingDown):
@@ -322,7 +375,7 @@ func (s *Server) submitBatch(w http.ResponseWriter, r *http.Request) {
 			item.Info = &cp
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // status serves a job's JobInfo. With ?wait=D it long-polls: the answer
@@ -339,87 +392,91 @@ func (s *Server) status(w http.ResponseWriter, r *http.Request) {
 	if q.Has("wait") {
 		wait, perr := time.ParseDuration(q.Get("wait"))
 		if perr != nil || wait < 0 {
-			writeError(w, http.StatusBadRequest, "invalid wait %q: want a non-negative duration such as 200ms", q.Get("wait"))
+			WriteError(w, http.StatusBadRequest, "invalid wait %q: want a non-negative duration such as 200ms", q.Get("wait"))
 			return
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), min(wait, s.maxWait))
-		info, err = s.manager.WaitInfo(ctx, id, q.Get("state"))
+		info, err = s.backend.WaitInfo(ctx, id, q.Get("state"))
 		cancel()
 	} else {
-		info, err = s.manager.Info(id)
+		info, err = s.backend.Info(id)
 	}
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) result(w http.ResponseWriter, r *http.Request) {
-	res, err := s.manager.Result(r.PathValue("id"))
+	res, err := s.backend.Result(r.PathValue("id"))
 	switch {
 	case errors.Is(err, jobs.ErrUnknownJob):
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	case errors.Is(err, jobs.ErrNotDone):
-		writeError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
+
+func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
+	info, err := s.backend.Cancel(r.PathValue("id"))
+	if err != nil {
+		WriteError(w, http.StatusNotFound, "%v", err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, info)
+}
+
+// workerRoutes serves the routes only a worker daemon has: they reach
+// into the jobs.Manager beyond the Backend interface.
+type workerRoutes struct{ m *jobs.Manager }
 
 // checkpoint serves a job's latest resumable checkpoint — the handoff
 // document a coordinator resubmits (SubmitRequest.Checkpoint) to resume
 // the job on another worker. 404 both for unknown jobs and for jobs that
 // have not exported one.
-func (s *Server) checkpoint(w http.ResponseWriter, r *http.Request) {
-	doc, err := s.manager.Checkpoint(r.PathValue("id"))
+func (wr workerRoutes) checkpoint(w http.ResponseWriter, r *http.Request) {
+	doc, err := wr.m.Checkpoint(r.PathValue("id"))
 	switch {
 	case errors.Is(err, jobs.ErrUnknownJob), errors.Is(err, jobs.ErrNoCheckpoint):
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
-}
-
-func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
-	info, err := s.manager.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, doc)
 }
 
 // events streams a job's progress as server-sent events: the buffered
 // history first, then live events until the job ends or the client goes
 // away. Terminal jobs get their full history and an immediate close.
 // ?from=N skips the first N buffered events, resuming a dropped stream.
-func (s *Server) events(w http.ResponseWriter, r *http.Request) {
+func (wr workerRoutes) events(w http.ResponseWriter, r *http.Request) {
 	from := 0
 	if q := r.URL.Query().Get("from"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "invalid from index %q", q)
+			WriteError(w, http.StatusBadRequest, "invalid from index %q", q)
 			return
 		}
 		from = n
 	}
-	ch, detach, err := s.manager.SubscribeFrom(r.PathValue("id"), from)
+	ch, detach, err := wr.m.SubscribeFrom(r.PathValue("id"), from)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	defer detach()
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "response writer does not support streaming")
+		WriteError(w, http.StatusInternalServerError, "response writer does not support streaming")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -453,28 +510,28 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 // node on the local board, where the islands of the shared session wait
 // for it. Malformed packets and count mismatches are 400s (the peer will
 // not succeed by retrying); an accepted packet is a 204.
-func (s *Server) islandPost(w http.ResponseWriter, r *http.Request) {
+func (wr workerRoutes) islandPost(w http.ResponseWriter, r *http.Request) {
 	var req island.PostRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid packet body: %v", err)
+		WriteError(w, http.StatusBadRequest, "invalid packet body: %v", err)
 		return
 	}
-	if err := s.manager.Board().Post(r.PathValue("session"), req.Count, req.Packet); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := wr.m.Board().Post(r.PathValue("session"), req.Count, req.Packet); err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
 // islandStatus reports an island session's exchange progress.
-func (s *Server) islandStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.manager.Board().Status(r.PathValue("session"))
+func (wr workerRoutes) islandStatus(w http.ResponseWriter, r *http.Request) {
+	st, ok := wr.m.Board().Status(r.PathValue("session"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown island session %q", r.PathValue("session"))
+		WriteError(w, http.StatusNotFound, "unknown island session %q", r.PathValue("session"))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // healthz is the liveness probe: the process is up and serving. It stays
@@ -482,11 +539,11 @@ func (s *Server) islandStatus(w http.ResponseWriter, r *http.Request) {
 // (/readyz) — and flips to 503 only during shutdown, when the listener
 // is about to go away.
 func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
-	if s.manager.Closed() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "shutting down"})
+	if s.backend.Closed() {
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "shutting down"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // readyz is the readiness probe: 200 with the individual check results
@@ -494,28 +551,28 @@ func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
 // writable, island board reachable), 503 with the failing checks
 // otherwise — load balancers should stop routing, not restart.
 func (s *Server) readyz(w http.ResponseWriter, _ *http.Request) {
-	ready, checks := s.manager.Readiness()
+	ready, checks := s.backend.Readiness()
 	doc := api.ReadyStatus{Status: "ready", Checks: checks}
 	status := http.StatusOK
 	if !ready {
 		doc.Status = "unready"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, doc)
+	WriteJSON(w, status, doc)
 }
 
 // traces lists the tracer's retained traces, most recent first.
 // ?limit=N bounds the listing (default 100).
 func (s *Server) traces(w http.ResponseWriter, r *http.Request) {
 	if s.tracer == nil {
-		writeJSON(w, http.StatusOK, []api.TraceSummary{})
+		WriteJSON(w, http.StatusOK, []api.TraceSummary{})
 		return
 	}
 	limit := 100
 	if q := r.URL.Query().Get("limit"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 1 {
-			writeError(w, http.StatusBadRequest, "invalid limit %q", q)
+			WriteError(w, http.StatusBadRequest, "invalid limit %q", q)
 			return
 		}
 		limit = n
@@ -525,28 +582,22 @@ func (s *Server) traces(w http.ResponseWriter, r *http.Request) {
 	for i, g := range sums {
 		out[i] = api.TraceSummary(g)
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // traceByID serves one trace's retained spans as a parent/child tree.
 func (s *Server) traceByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if s.tracer == nil {
-		writeError(w, http.StatusNotFound, "tracing disabled")
+		WriteError(w, http.StatusNotFound, "tracing disabled")
 		return
 	}
 	spans := s.tracer.Trace(id)
 	if len(spans) == 0 {
-		writeError(w, http.StatusNotFound, "unknown trace %q", id)
+		WriteError(w, http.StatusNotFound, "unknown trace %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, buildTraceDoc(id, spans))
-}
-
-// BuildTraceDoc assembles a tracer's flat span records into the public
-// trace document; shared with the cluster coordinator's trace routes.
-func BuildTraceDoc(traceID string, spans []telemetry.SpanData) api.TraceDoc {
-	return buildTraceDoc(traceID, spans)
+	WriteJSON(w, http.StatusOK, buildTraceDoc(id, spans))
 }
 
 // buildTraceDoc assembles flat span records into nested trees. A span
@@ -609,7 +660,7 @@ func buildTraceDoc(traceID string, spans []telemetry.SpanData) api.TraceDoc {
 	return doc
 }
 
-// metrics renders the manager's telemetry registry — service gauges and
+// metrics renders the backend's telemetry registry — service gauges and
 // counters, solver internals, and the HTTP RED series — in the Prometheus
 // text exposition format (zero-dependency; see internal/telemetry). A
 // scraper that negotiates `Accept: application/openmetrics-text` (or
@@ -620,10 +671,10 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		r.URL.Query().Get("exemplars") == "1" {
 		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		_ = s.manager.Registry().WriteOpenMetrics(w)
+		_ = s.backend.Registry().WriteOpenMetrics(w)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	w.WriteHeader(http.StatusOK)
-	_ = s.manager.Registry().WritePrometheus(w)
+	_ = s.backend.Registry().WritePrometheus(w)
 }

@@ -345,7 +345,7 @@ func buildRevision() string {
 // canonical re-marshalled instance (so formatting and field-order noise in
 // the client's JSON does not defeat caching), the solver name, the
 // options document and, for a submission that resumes from one (see
-// ResumeFrom), the checkpoint bytes, so an outside checkpoint gets its own
+// Admit), the checkpoint bytes, so an outside checkpoint gets its own
 // address. Options that no longer affect the solve (UnprunedScoring,
 // SparseEps and SparseCut, accepted on the wire and ignored) are cleared
 // first, so submissions differing only in them share one cache entry and
@@ -374,14 +374,42 @@ func Key(p *matchsim.Problem, solver string, opts api.SolverOptions, checkpoint 
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// ResumeFrom is both serving tiers' one rule for a submission's
-// checkpoint: it returns the checkpoint to resume from, or nil to solve
-// fresh from (spec, seed). A checkpoint that cannot resume exactly (older
-// than matchsim.CheckpointVersion, or options asking for multilevel or
+// Admit is both serving tiers' one front door for a submission: it
+// checks the solver name and that an instance is present, decodes the
+// instance, settles the checkpoint (see decodeResume; a checkpoint that
+// cannot resume exactly is cleared from req) and computes the content
+// address. It returns the problem, the checkpoint to resume from (nil to
+// solve fresh) and the key. Every error is an invalid submission.
+func Admit(req *api.SubmitRequest, log *slog.Logger) (*matchsim.Problem, *matchsim.Checkpoint, string, error) {
+	if err := validSolver(req.Solver); err != nil {
+		return nil, nil, "", err
+	}
+	if len(req.Instance) == 0 {
+		return nil, nil, "", fmt.Errorf("jobs: submission carries no instance")
+	}
+	problem, err := matchsim.ReadProblem(bytes.NewReader(req.Instance))
+	if err != nil {
+		return nil, nil, "", fmt.Errorf("jobs: invalid instance: %w", err)
+	}
+	resume, err := decodeResume(problem, req, log)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	key, err := Key(problem, req.Solver, req.Options, req.Checkpoint)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	return problem, resume, key, nil
+}
+
+// decodeResume is the one rule for a submission's checkpoint: it returns
+// the checkpoint to resume from, or nil to solve fresh from (spec, seed).
+// A checkpoint that cannot resume exactly (older than
+// matchsim.CheckpointVersion, or options asking for multilevel or
 // islands) is logged and cleared from req. Either way the result is the
 // uninterrupted run's. An undecodable, ill-fitting or forged checkpoint,
 // or one sent to a solver other than match, is an error.
-func ResumeFrom(problem *matchsim.Problem, req *api.SubmitRequest, log *slog.Logger) (*matchsim.Checkpoint, error) {
+func decodeResume(problem *matchsim.Problem, req *api.SubmitRequest, log *slog.Logger) (*matchsim.Checkpoint, error) {
 	if len(req.Checkpoint) == 0 {
 		return nil, nil
 	}
@@ -429,21 +457,7 @@ func (m *Manager) Submit(req api.SubmitRequest) (api.JobInfo, error) {
 // context is used only for trace propagation; cancelling it does not
 // cancel the job (use Cancel).
 func (m *Manager) SubmitCtx(ctx context.Context, req api.SubmitRequest) (api.JobInfo, error) {
-	if err := ValidSolver(req.Solver); err != nil {
-		return api.JobInfo{}, err
-	}
-	if len(req.Instance) == 0 {
-		return api.JobInfo{}, fmt.Errorf("jobs: submission carries no instance")
-	}
-	problem, err := matchsim.ReadProblem(bytes.NewReader(req.Instance))
-	if err != nil {
-		return api.JobInfo{}, fmt.Errorf("jobs: invalid instance: %w", err)
-	}
-	resumeFrom, err := ResumeFrom(problem, &req, m.log)
-	if err != nil {
-		return api.JobInfo{}, err
-	}
-	key, err := Key(problem, req.Solver, req.Options, req.Checkpoint)
+	problem, resumeFrom, key, err := Admit(&req, m.log)
 	if err != nil {
 		return api.JobInfo{}, err
 	}
@@ -528,10 +542,8 @@ func (m *Manager) startJobSpan(ctx context.Context, j *job) {
 	j.traceID = span.TraceID()
 }
 
-// ValidSolver reports whether a submission names a known solver; shared
-// with the cluster coordinator so a bad name is a local 400 on either
-// front door.
-func ValidSolver(s string) error {
+// validSolver reports whether a submission names a known solver.
+func validSolver(s string) error {
 	switch s {
 	case api.SolverMaTCH, api.SolverManyToOne, api.SolverGA, api.SolverDistributed,
 		api.SolverRandom, api.SolverGreedy, api.SolverLocal, api.SolverAnneal:

@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"matchsim"
 	"matchsim/api"
 )
 
@@ -159,31 +157,20 @@ func (m *Manager) restoreOne(p *persistedJob, path string) error {
 	if p.ID == "" {
 		return fmt.Errorf("persisted job without id")
 	}
-	if err := ValidSolver(p.Request.Solver); err != nil {
-		return err
-	}
-	problem, err := matchsim.ReadProblem(bytes.NewReader(p.Request.Instance))
-	if err != nil {
-		return fmt.Errorf("invalid instance: %w", err)
-	}
 	// The job keeps its original request's identity; the persisted
 	// checkpoint, when there is one, is the later state to resume from.
 	req := p.Request
 	log := m.log.With("id", p.ID)
-	resumeFrom, err := ResumeFrom(problem, &req, log)
+	problem, resumeFrom, key, err := Admit(&req, log)
 	if err != nil {
 		return err
 	}
 	if len(p.Checkpoint) > 0 {
 		later := req
 		later.Checkpoint = p.Checkpoint
-		if resumeFrom, err = ResumeFrom(problem, &later, log); err != nil {
+		if resumeFrom, err = decodeResume(problem, &later, log); err != nil {
 			return err
 		}
-	}
-	key, err := Key(problem, req.Solver, req.Options, req.Checkpoint)
-	if err != nil {
-		return err
 	}
 	j := &job{
 		id:          p.ID,
