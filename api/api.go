@@ -446,7 +446,16 @@ type ReadyStatus struct {
 type Error struct {
 	Status  int    `json:"-"`
 	Message string `json:"error"`
+	// Code, when set, names the condition for programs; Message stays
+	// the human text. See CodeJobRetired.
+	Code string `json:"code,omitempty"`
 }
+
+// CodeJobRetired marks the 404 for a job that finished and was then
+// retired from the daemon's store (it keeps the newest 1,024 finished
+// jobs, each for at most an hour). A plain 404 without it means the id
+// was never issued, or was retired long enough ago to be forgotten.
+const CodeJobRetired = "job_retired"
 
 // Error implements the error interface.
 func (e *Error) Error() string {

@@ -110,6 +110,7 @@ type clusterMetrics struct {
 	rebalance      *telemetry.Counter
 	workerUp       *telemetry.GaugeVec
 	jobsByState    *telemetry.GaugeVec
+	retired        *telemetry.Counter
 	jobSeconds     *telemetry.HistogramVec
 }
 
@@ -126,7 +127,7 @@ func newClusterMetrics(reg *telemetry.Registry) *clusterMetrics {
 		cacheMisses: reg.Counter("matchd_cluster_cache_misses_total",
 			"Submissions that missed the coordinator result cache."),
 		handoffs: reg.CounterVec("matchd_cluster_handoffs_total",
-			"Solve re-routes away from a worker, by reason (worker-down, worker-restart, drain, worker-removed).", "reason"),
+			"Solve re-routes away from a worker, by reason (worker-down, worker-restart, worker-retired, drain, worker-removed).", "reason"),
 		handoffSeconds: reg.Histogram("matchd_cluster_handoff_seconds",
 			"Latency from deciding to hand a solve off to its acceptance by the replacement worker.",
 			telemetry.ExpBuckets(1e-3, 4, 8)),
@@ -136,6 +137,8 @@ func newClusterMetrics(reg *telemetry.Registry) *clusterMetrics {
 			"1 while the coordinator routes to the worker, 0 while it is marked down.", "worker"),
 		jobsByState: reg.GaugeVec("matchd_cluster_jobs",
 			"Coordinator jobs by lifecycle state.", "state"),
+		retired: reg.Counter("matchd_cluster_jobs_retired_total",
+			"Finished coordinator jobs retired from the store."),
 		jobSeconds: reg.HistogramVec("matchd_cluster_job_seconds",
 			"Submit-to-finish coordinator job latency by terminal state.",
 			telemetry.ExpBuckets(1e-3, 4, 10), "state"),
@@ -209,6 +212,7 @@ type Coordinator struct {
 	down       map[string]bool
 	failures   map[string]int
 	cache      *jobs.ResultCache
+	retire     *jobs.Retirer
 	stateCount map[string]int
 	handoffs   uint64
 
@@ -240,6 +244,7 @@ func New(opts Options) (*Coordinator, error) {
 		down:       make(map[string]bool),
 		failures:   make(map[string]int),
 		cache:      jobs.NewResultCache(opts.CacheCapacity),
+		retire:     jobs.NewRetirer(jobs.RetainFinished, jobs.RetainFor),
 		stateCount: make(map[string]int),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -346,6 +351,7 @@ func (co *Coordinator) SubmitCtx(ctx context.Context, req api.SubmitRequest) (ap
 		j.span.SetStatus("ok")
 		j.span.End()
 		co.metrics.jobSeconds.With(j.state).ObserveExemplar(0, j.traceID)
+		co.retireLocked(j)
 		info := co.infoLocked(j)
 		co.mu.Unlock()
 		co.log.Info("cluster job served from cache", "id", j.id, "key", key)
@@ -429,8 +435,8 @@ func (co *Coordinator) setStateLocked(j *cjob, state string) {
 	co.metrics.jobsByState.With(state).Add(1)
 }
 
-// finalizeJobLocked moves a job into a terminal state and closes its
-// span. Caller holds mu.
+// finalizeJobLocked moves a job into a terminal state, closes its span
+// and files it for retirement. Caller holds mu.
 func (co *Coordinator) finalizeJobLocked(j *cjob, state string) {
 	if api.TerminalState(j.state) {
 		return
@@ -454,6 +460,41 @@ func (co *Coordinator) finalizeJobLocked(j *cjob, state string) {
 	j.span.SetStatus(status)
 	j.span.End()
 	co.metrics.jobSeconds.With(state).ObserveExemplar(j.finished.Sub(j.created).Seconds(), j.traceID)
+	co.retireLocked(j)
+}
+
+// retireLocked drops a finished job's ended span and retires whichever
+// finished jobs the retention rule no longer keeps. Caller holds mu.
+func (co *Coordinator) retireLocked(j *cjob) {
+	j.span = nil
+	co.retire.Finished(j.id, j.finished)
+	co.expireLocked(j.finished)
+}
+
+// expireLocked removes the finished jobs the retention rule retires at
+// now. Caller holds mu.
+func (co *Coordinator) expireLocked(now time.Time) {
+	co.retire.Expire(now, func(id string) {
+		j := co.jobs[id]
+		delete(co.jobs, id)
+		co.stateCount[j.state]--
+		co.metrics.jobsByState.With(j.state).Add(-1)
+		co.metrics.retired.Inc()
+	})
+}
+
+// lookupLocked finds a job, first retiring the finished jobs past the
+// age cap; a missing id is jobs.ErrRetiredJob when it was retired
+// recently, else jobs.ErrUnknownJob. Caller holds mu.
+func (co *Coordinator) lookupLocked(id string) (*cjob, error) {
+	co.expireLocked(time.Now())
+	if j := co.jobs[id]; j != nil {
+		return j, nil
+	}
+	if co.retire.Retired(id) {
+		return nil, jobs.ErrRetiredJob
+	}
+	return nil, jobs.ErrUnknownJob
 }
 
 func (co *Coordinator) infoLocked(j *cjob) api.JobInfo {
@@ -481,9 +522,9 @@ func (co *Coordinator) infoLocked(j *cjob) api.JobInfo {
 func (co *Coordinator) Info(id string) (api.JobInfo, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	j := co.jobs[id]
-	if j == nil {
-		return api.JobInfo{}, jobs.ErrUnknownJob
+	j, err := co.lookupLocked(id)
+	if err != nil {
+		return api.JobInfo{}, err
 	}
 	return co.infoLocked(j), nil
 }
@@ -499,9 +540,9 @@ func (co *Coordinator) WaitInfo(_ context.Context, id, _ string) (api.JobInfo, e
 func (co *Coordinator) Result(id string) (api.JobResult, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	j := co.jobs[id]
-	if j == nil {
-		return api.JobResult{}, jobs.ErrUnknownJob
+	j, err := co.lookupLocked(id)
+	if err != nil {
+		return api.JobResult{}, err
 	}
 	if j.result == nil || j.state != api.StateDone {
 		return api.JobResult{}, fmt.Errorf("%w (state %s)", jobs.ErrNotDone, j.state)
@@ -514,10 +555,10 @@ func (co *Coordinator) Result(id string) (api.JobResult, error) {
 // riding the same flight keep their answer.
 func (co *Coordinator) Cancel(id string) (api.JobInfo, error) {
 	co.mu.Lock()
-	j := co.jobs[id]
-	if j == nil {
+	j, err := co.lookupLocked(id)
+	if err != nil {
 		co.mu.Unlock()
-		return api.JobInfo{}, jobs.ErrUnknownJob
+		return api.JobInfo{}, err
 	}
 	if api.TerminalState(j.state) {
 		info := co.infoLocked(j)
@@ -939,6 +980,12 @@ func (co *Coordinator) pollFlight(f *flight) (flightOutcome, string) {
 				}
 			} else {
 				co.noteSuccess(worker)
+				if apiErr.Code == api.CodeJobRetired {
+					// The worker finished the job and retired it before
+					// this flight saw the result. Resubmit: the worker's
+					// result cache normally answers at once.
+					return flightRescue, "worker-retired"
+				}
 				if apiErr.Status == http.StatusNotFound {
 					// The worker is up but no longer knows the job: it
 					// restarted and lost its store. Resubmit (with the
@@ -1055,7 +1102,6 @@ func (co *Coordinator) fetchResult(cl *client.Client, f *flight) (api.JobResult,
 // flight's result is the fresh solve's and is cached like any other.
 func (co *Coordinator) completeFlight(f *flight, info api.JobInfo, res api.JobResult) {
 	co.mu.Lock()
-	f.finished = true
 	co.cache.Put(f.key, res)
 	for _, j := range f.attached {
 		r := res
@@ -1065,10 +1111,7 @@ func (co *Coordinator) completeFlight(f *flight, info api.JobInfo, res api.JobRe
 		j.resumed = info.Resumed
 		co.finalizeJobLocked(j, api.StateDone)
 	}
-	delete(co.flights, f.id)
-	if co.byKey[f.key] == f {
-		delete(co.byKey, f.key)
-	}
+	co.endFlightLocked(f)
 	co.mu.Unlock()
 	co.removeJournal(f)
 	co.log.Info("flight done", "flight", f.id, "worker", f.worker,
@@ -1078,16 +1121,12 @@ func (co *Coordinator) completeFlight(f *flight, info api.JobInfo, res api.JobRe
 // failFlight finalises every attached job as failed.
 func (co *Coordinator) failFlight(f *flight, msg string) {
 	co.mu.Lock()
-	f.finished = true
 	for _, j := range f.attached {
 		j.errMsg = msg
 		j.worker = f.worker
 		co.finalizeJobLocked(j, api.StateFailed)
 	}
-	delete(co.flights, f.id)
-	if co.byKey[f.key] == f {
-		delete(co.byKey, f.key)
-	}
+	co.endFlightLocked(f)
 	co.mu.Unlock()
 	co.removeJournal(f)
 	co.log.Error("flight failed", "flight", f.id, "error", msg)
@@ -1097,12 +1136,8 @@ func (co *Coordinator) failFlight(f *flight, msg string) {
 // cancelled), cancelling the worker-side solve when one is assigned.
 func (co *Coordinator) discardFlight(f *flight) {
 	co.mu.Lock()
-	f.finished = true
 	worker, id := f.worker, f.workerJobID
-	delete(co.flights, f.id)
-	if co.byKey[f.key] == f {
-		delete(co.byKey, f.key)
-	}
+	co.endFlightLocked(f)
 	co.mu.Unlock()
 	if worker != "" && id != "" {
 		if cl := co.clients[worker]; cl != nil {
@@ -1113,6 +1148,21 @@ func (co *Coordinator) discardFlight(f *flight) {
 	}
 	co.removeJournal(f)
 	co.log.Info("flight discarded", "flight", f.id)
+}
+
+// endFlightLocked marks a flight finished and drops it from the routing
+// maps. Its finished jobs keep pointing at it for their worker, so it
+// lets go of the submitted instance, the checkpoint bytes and the
+// attached jobs. Runs on the flight's watcher, the only other reader of
+// f.req. Caller holds mu.
+func (co *Coordinator) endFlightLocked(f *flight) {
+	f.finished = true
+	delete(co.flights, f.id)
+	if co.byKey[f.key] == f {
+		delete(co.byKey, f.key)
+	}
+	f.req.Instance, f.req.Checkpoint, f.checkpoint = nil, nil, nil
+	f.attached = nil
 }
 
 // ---- worker health ----

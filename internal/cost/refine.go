@@ -27,8 +27,9 @@ type RefineStats struct {
 	Passes int
 	// Swaps applied across all passes.
 	Swaps int
-	// Probes is the number of ExecAfterSwap evaluations — the
-	// search-effort unit comparable to solver Evaluations.
+	// Probes is the number of ExecAfterSwap evaluations actually run
+	// (screened-out edges are not probed) — the search-effort unit
+	// comparable to solver Evaluations.
 	Probes int64
 }
 
@@ -41,6 +42,14 @@ type RefineStats struct {
 //     communication volume between links), and
 //   - the task on the busiest resource paired with every other task
 //     (directly attacking the makespan's argmax term).
+//
+// An edge is screened before it is probed. A swap leaves the load of
+// every resource it does not touch unchanged, so its makespan is at
+// least the busiest resource's load — the current makespan — unless it
+// touches that resource: one of its endpoints is hosted there or is a
+// TIG neighbour of a task hosted there. Every other edge has no gain and
+// is skipped without a probe, which leaves the candidates, and so the
+// result, exactly those of probing every edge.
 //
 // Positive-gain candidates are applied best-gain-first, each re-validated
 // against the current state before committing (earlier swaps in the pass
@@ -58,6 +67,9 @@ func RefineSwaps(st *State, opts RefineOptions) RefineStats {
 		gain float64
 	}
 	cands := make([]cand, 0, len(st.eval.edges)+n)
+	// near[t] == pass+1 marks task t as hosted on this pass's busiest
+	// resource or adjacent to a task that is.
+	near := make([]int, n)
 	for pass := 0; pass < opts.MaxPasses; pass++ {
 		stats.Passes++
 		cur := st.Exec()
@@ -71,16 +83,26 @@ func RefineSwaps(st *State, opts RefineOptions) RefineStats {
 			}
 		}
 		hot := -1
+		mark := pass + 1
 		for t, s := range st.mapping {
-			if s == busiest {
+			if s != busiest {
+				continue
+			}
+			if hot < 0 {
 				hot = t
-				break
+			}
+			near[t] = mark
+			for _, nb := range st.eval.tig.Neighbors(t) {
+				near[nb.To] = mark
 			}
 		}
 
 		cands = cands[:0]
 		for _, e := range st.eval.edges {
 			i, j := int(e.u), int(e.v)
+			if near[i] != mark && near[j] != mark {
+				continue // touches neither the busiest resource nor its tasks' links
+			}
 			stats.Probes++
 			if g := cur - st.ExecAfterSwap(i, j); g > opts.MinGain {
 				cands = append(cands, cand{i, j, g})

@@ -29,7 +29,11 @@
 //	GET    /v1/cluster          topology + routing status → 200 ClusterStatus
 //	POST   /v1/cluster/drain    drain a worker's solves   → 200 ClusterStatus
 //
-// Every non-2xx response body is an api.Error document. The long-poll
+// Every non-2xx response body is an api.Error document. Both tiers keep
+// the newest 1,024 finished jobs, each for at most an hour (package jobs,
+// RetainFinished and RetainFor); a lookup of a retired job's id (status,
+// result, cancel, checkpoint, events) is a 404 whose document carries
+// code "job_retired" (api.CodeJobRetired). The long-poll
 // status form holds the request until the job's state differs from
 // ?state= or the ?wait= duration (Go syntax, e.g. "200ms"; capped at
 // MaxStatusWait) runs out, then answers the current JobInfo either way. A
@@ -316,6 +320,17 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, api.Error{Status: status, Message: fmt.Sprintf(format, args...)})
 }
 
+// writeJobError answers a failed job lookup with status and an api.Error
+// document: the one place a backend error gains its api code (a retired
+// job's api.CodeJobRetired).
+func writeJobError(w http.ResponseWriter, status int, err error) {
+	doc := api.Error{Status: status, Message: err.Error()}
+	if errors.Is(err, jobs.ErrRetiredJob) {
+		doc.Code = api.CodeJobRetired
+	}
+	WriteJSON(w, status, doc)
+}
+
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var req api.SubmitRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
@@ -402,7 +417,7 @@ func (s *Server) status(w http.ResponseWriter, r *http.Request) {
 		info, err = s.backend.Info(id)
 	}
 	if err != nil {
-		WriteError(w, http.StatusNotFound, "%v", err)
+		writeJobError(w, http.StatusNotFound, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, info)
@@ -412,7 +427,7 @@ func (s *Server) result(w http.ResponseWriter, r *http.Request) {
 	res, err := s.backend.Result(r.PathValue("id"))
 	switch {
 	case errors.Is(err, jobs.ErrUnknownJob):
-		WriteError(w, http.StatusNotFound, "%v", err)
+		writeJobError(w, http.StatusNotFound, err)
 		return
 	case errors.Is(err, jobs.ErrNotDone):
 		WriteError(w, http.StatusConflict, "%v", err)
@@ -427,7 +442,7 @@ func (s *Server) result(w http.ResponseWriter, r *http.Request) {
 func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
 	info, err := s.backend.Cancel(r.PathValue("id"))
 	if err != nil {
-		WriteError(w, http.StatusNotFound, "%v", err)
+		writeJobError(w, http.StatusNotFound, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, info)
@@ -445,7 +460,7 @@ func (wr workerRoutes) checkpoint(w http.ResponseWriter, r *http.Request) {
 	doc, err := wr.m.Checkpoint(r.PathValue("id"))
 	switch {
 	case errors.Is(err, jobs.ErrUnknownJob), errors.Is(err, jobs.ErrNoCheckpoint):
-		WriteError(w, http.StatusNotFound, "%v", err)
+		writeJobError(w, http.StatusNotFound, err)
 		return
 	case err != nil:
 		WriteError(w, http.StatusInternalServerError, "%v", err)
@@ -470,7 +485,7 @@ func (wr workerRoutes) events(w http.ResponseWriter, r *http.Request) {
 	}
 	ch, detach, err := wr.m.SubscribeFrom(r.PathValue("id"), from)
 	if err != nil {
-		WriteError(w, http.StatusNotFound, "%v", err)
+		writeJobError(w, http.StatusNotFound, err)
 		return
 	}
 	defer detach()

@@ -25,6 +25,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -108,6 +109,7 @@ func (o Options) withDefaults() Options {
 
 // job is the manager-internal lifecycle record. All fields are guarded by
 // Manager.mu except the immutable identity fields set before registration.
+// A finished job keeps only what can still be read (see releaseLocked).
 type job struct {
 	id     string
 	key    string
@@ -168,6 +170,9 @@ type Manager struct {
 
 	cache *ResultCache
 
+	// retire decides which finished jobs leave the store.
+	retire *Retirer
+
 	// board is the island-exchange rendezvous store shared by every
 	// island-model job this daemon runs; the HTTP layer posts packets
 	// arriving from cooperating nodes into it.
@@ -198,6 +203,7 @@ type managerMetrics struct {
 	solves       *telemetry.Counter
 	solveSeconds *telemetry.Counter
 	jobsByState  *telemetry.GaugeVec
+	retired      *telemetry.Counter
 
 	iterations    *telemetry.Counter
 	draws         *telemetry.Counter
@@ -231,6 +237,7 @@ func newManagerMetrics(reg *telemetry.Registry) *managerMetrics {
 		solves:       reg.Counter("matchd_solves_total", "Solver runs completed successfully."),
 		solveSeconds: reg.Counter("matchd_solve_seconds_total", "Wall-clock seconds spent in successful solver runs."),
 		jobsByState:  reg.GaugeVec("matchd_jobs", "Jobs in the store by lifecycle state.", "state"),
+		retired:      reg.Counter("matchd_jobs_retired_total", "Finished jobs retired from the store."),
 
 		iterations:    reg.Counter("matchd_solver_iterations_total", "CE iterations / GA generations executed."),
 		draws:         reg.Counter("matchd_solver_draws_total", "Solution samples drawn by the CE solvers."),
@@ -284,6 +291,7 @@ func New(opts Options) *Manager {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		cache:      NewResultCache(opts.CacheCapacity),
+		retire:     NewRetirer(RetainFinished, RetainFor),
 		stateCount: make(map[string]int),
 		board:      island.NewBoard(),
 		metrics:    newManagerMetrics(opts.Metrics),
@@ -503,6 +511,7 @@ func (m *Manager) SubmitCtx(ctx context.Context, req api.SubmitRequest) (api.Job
 		j.span.SetStatus("ok")
 		j.span.End()
 		m.metrics.jobSeconds.With(j.state).ObserveExemplar(0, j.traceID)
+		m.retireLocked(j)
 		m.log.Info("job served from cache", "id", j.id, "solver", j.solver, "key", j.key)
 		return m.infoLocked(j), nil
 	}
@@ -559,6 +568,71 @@ func (m *Manager) register(j *job) {
 	m.metrics.jobsByState.With(j.state).Add(1)
 }
 
+// lookupLocked finds a job in the store, first retiring the finished
+// jobs past the age cap. An id that is not there answers ErrRetiredJob
+// when it was retired recently and ErrUnknownJob otherwise. Caller
+// holds mu.
+func (m *Manager) lookupLocked(id string) (*job, error) {
+	m.expireLocked(time.Now())
+	if j := m.jobs[id]; j != nil {
+		return j, nil
+	}
+	if m.retire.Retired(id) {
+		return nil, ErrRetiredJob
+	}
+	return nil, ErrUnknownJob
+}
+
+// retireLocked files a job that just reached a terminal state for
+// retirement: it drops the job's spent state and retires whichever
+// finished jobs the retention rule no longer keeps. Caller holds mu.
+func (m *Manager) retireLocked(j *job) {
+	m.releaseLocked(j)
+	m.retire.Finished(j.id, j.finished)
+	m.expireLocked(j.finished)
+}
+
+// expireLocked removes the finished jobs the retention rule retires at
+// now. Nothing is retired once Shutdown has begun: the shutdown-
+// interrupted jobs must stay for persistInterrupted. Caller holds mu.
+func (m *Manager) expireLocked(now time.Time) {
+	if m.closed {
+		return
+	}
+	m.retire.Expire(now, func(id string) {
+		j := m.jobs[id]
+		delete(m.jobs, id)
+		m.stateCount[j.state]--
+		m.metrics.jobsByState.With(j.state).Add(-1)
+		m.metrics.retired.Inc()
+	})
+}
+
+// releaseLocked drops every piece of a finished job's state that nothing
+// can read any more: the parsed problem, the submitted instance and
+// checkpoint documents, the resume state, the mid-run export, spent
+// spans, and the slack of the event history. A done or failed job keeps
+// no checkpoint; a user-cancelled one keeps the resumable checkpoint
+// Checkpoint serves (the final interrupted state, else the last export).
+// A job that Shutdown interrupted keeps everything, because
+// persistInterrupted writes its request and checkpoint to disk. Caller
+// holds mu.
+func (m *Manager) releaseLocked(j *job) {
+	if j.state == api.StateCancelled && !j.userCancelled && m.closed {
+		return
+	}
+	if j.state != api.StateCancelled {
+		j.checkpoint = nil
+	} else if j.checkpoint == nil {
+		j.checkpoint = j.exported
+	}
+	j.exported, j.resumeFrom, j.problem = nil, nil, nil
+	j.req.Instance, j.req.Checkpoint = nil, nil
+	j.span, j.queueSpan, j.solveSpan = nil, nil, nil
+	j.subs = nil
+	j.events = slices.Clone(j.events)
+}
+
 // setState moves a job between lifecycle states. Caller holds mu.
 func (m *Manager) setState(j *job, state string) {
 	m.stateCount[j.state]--
@@ -592,9 +666,9 @@ func (m *Manager) Logger() *slog.Logger { return m.log }
 func (m *Manager) Info(id string) (api.JobInfo, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j := m.jobs[id]
-	if j == nil {
-		return api.JobInfo{}, ErrUnknownJob
+	j, err := m.lookupLocked(id)
+	if err != nil {
+		return api.JobInfo{}, err
 	}
 	return m.infoLocked(j), nil
 }
@@ -606,9 +680,9 @@ func (m *Manager) Info(id string) (api.JobInfo, error) {
 func (m *Manager) WaitInfo(ctx context.Context, id, state string) (api.JobInfo, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j := m.jobs[id]
-	if j == nil {
-		return api.JobInfo{}, ErrUnknownJob
+	j, err := m.lookupLocked(id)
+	if err != nil {
+		return api.JobInfo{}, err
 	}
 	for j.state == state && !api.TerminalState(state) {
 		if j.changed == nil {
@@ -655,9 +729,9 @@ func (m *Manager) infoLocked(j *job) api.JobInfo {
 func (m *Manager) Result(id string) (api.JobResult, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j := m.jobs[id]
-	if j == nil {
-		return api.JobResult{}, ErrUnknownJob
+	j, err := m.lookupLocked(id)
+	if err != nil {
+		return api.JobResult{}, err
 	}
 	if j.result == nil || j.state != api.StateDone {
 		return api.JobResult{}, fmt.Errorf("%w (state %s)", ErrNotDone, j.state)
@@ -670,10 +744,10 @@ func (m *Manager) Result(id string) (api.JobResult, error) {
 // the final interrupted-state checkpoint of a cancelled run. A
 // coordinator resubmits the document verbatim (SubmitRequest.Checkpoint)
 // to hand the job off to another node. ErrNoCheckpoint when the job has
-// produced none.
+// produced none, and for a done or failed job, which keeps none.
 func (m *Manager) Checkpoint(id string) (api.CheckpointDoc, error) {
 	m.mu.Lock()
-	j := m.jobs[id]
+	j, err := m.lookupLocked(id)
 	var c *matchsim.Checkpoint
 	if j != nil {
 		c = j.exported
@@ -684,8 +758,8 @@ func (m *Manager) Checkpoint(id string) (api.CheckpointDoc, error) {
 		}
 	}
 	m.mu.Unlock()
-	if j == nil {
-		return api.CheckpointDoc{}, ErrUnknownJob
+	if err != nil {
+		return api.CheckpointDoc{}, err
 	}
 	if c == nil {
 		return api.CheckpointDoc{}, ErrNoCheckpoint
@@ -704,9 +778,9 @@ func (m *Manager) Checkpoint(id string) (api.CheckpointDoc, error) {
 func (m *Manager) Cancel(id string) (api.JobInfo, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j := m.jobs[id]
-	if j == nil {
-		return api.JobInfo{}, ErrUnknownJob
+	j, err := m.lookupLocked(id)
+	if err != nil {
+		return api.JobInfo{}, err
 	}
 	switch j.state {
 	case api.StateQueued:
@@ -739,9 +813,9 @@ func (m *Manager) Subscribe(id string) (<-chan api.Event, func(), error) {
 func (m *Manager) SubscribeFrom(id string, from int) (<-chan api.Event, func(), error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j := m.jobs[id]
-	if j == nil {
-		return nil, nil, ErrUnknownJob
+	j, err := m.lookupLocked(id)
+	if err != nil {
+		return nil, nil, err
 	}
 	if from < 0 {
 		from = 0
@@ -794,8 +868,8 @@ func (m *Manager) emitLocked(j *job, e api.Event) {
 }
 
 // finalizeLocked moves a job into a terminal state, emits the end event,
-// closes every subscriber, ends the job's spans and records its latency.
-// Caller holds mu.
+// closes every subscriber, ends the job's spans, records its latency and
+// files it for retirement. Caller holds mu.
 func (m *Manager) finalizeLocked(j *job, state, stopReason string) {
 	m.setState(j, state)
 	j.finished = time.Now()
@@ -815,6 +889,7 @@ func (m *Manager) finalizeLocked(j *job, state, stopReason string) {
 	}
 	m.endSpansLocked(j, state, stopReason)
 	m.metrics.jobSeconds.With(state).ObserveExemplar(j.finished.Sub(j.created).Seconds(), j.traceID)
+	m.retireLocked(j)
 }
 
 // endSpansLocked closes whichever of the job's spans are still open

@@ -12,6 +12,7 @@ import (
 	"matchsim"
 	"matchsim/api"
 	"matchsim/internal/jobs"
+	"matchsim/internal/memcheck"
 	"matchsim/internal/telemetry"
 	"matchsim/internal/xrand"
 )
@@ -47,6 +48,11 @@ type FaultSimConfig struct {
 	Timeout time.Duration
 }
 
+// faultSimHeapPerJob bounds the live heap, after GC, that the final
+// epoch's manager may have grown by once its jobs finish, per job it
+// holds. The check is skipped under the race detector.
+const faultSimHeapPerJob = 64 << 10
+
 // FaultSimStats counts what the simulation observed — tests assert the
 // interesting faults actually fired.
 type FaultSimStats struct {
@@ -65,6 +71,9 @@ type FaultSimStats struct {
 	StreamsChecked int // subscriber event streams validated
 	ResultsChecked int // results validated against the oracle and cache
 	TracesChecked  int // span trees validated after each epoch's shutdown
+	// HeapPerJob is the final epoch's heap growth after GC per job its
+	// manager held once every job finished (0 under the race detector).
+	HeapPerJob int64
 }
 
 func (c FaultSimConfig) withDefaults() FaultSimConfig {
@@ -132,7 +141,9 @@ type stalledSub struct {
 //   - resumable state: a job interrupted mid-run resumes past its
 //     checkpointed iteration after Restore;
 //   - well-formed streams: every subscriber channel closes, events are in
-//     order, and nothing follows an end event.
+//     order, and nothing follows an end event;
+//   - bounded memory: once the final epoch's jobs have all finished, the
+//     live heap has grown by at most 64 KB per job the manager holds.
 func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 	cfg = cfg.withDefaults()
 	var st FaultSimStats
@@ -363,7 +374,11 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 	var longID string // the job deliberately interrupted mid-run by shutdown
 	var longIters int // iterations its shutdown checkpoint banked
 
+	var heapBase uint64 // live heap at the start of the final epoch
 	for epoch := 0; epoch < epochs; epoch++ {
+		if epoch == epochs-1 && !memcheck.RaceEnabled {
+			heapBase = memcheck.HeapAfterGC()
+		}
 		m = jobs.New(mgrOpts())
 		if epoch > 0 {
 			restored, err := m.Restore()
@@ -662,6 +677,24 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 		}
 		if err := drainSubs(subs); err != nil {
 			return st, err
+		}
+		subs = nil // their buffered events were the sim's, not the manager's
+
+		if epoch == epochs-1 && !memcheck.RaceEnabled {
+			// Every job has finished and the manager has stopped: what
+			// it still holds is its finished jobs' info, results and
+			// event histories, its result cache and its trace ring.
+			held := 0
+			for _, n := range m.Stats().JobsByState {
+				held += n
+			}
+			if held > 0 {
+				st.HeapPerJob = (int64(memcheck.HeapAfterGC()) - int64(heapBase)) / int64(held)
+				if st.HeapPerJob > faultSimHeapPerJob {
+					return st, fmt.Errorf("verify: faultsim heap grew %d bytes per finished job, want at most %d",
+						st.HeapPerJob, faultSimHeapPerJob)
+				}
+			}
 		}
 
 		// The drained manager must have ended every span it started —

@@ -1,6 +1,10 @@
 package verify
 
-import "testing"
+import (
+	"testing"
+
+	"matchsim/internal/memcheck"
+)
 
 // TestFaultSimWithRestarts is the full gauntlet: two SIGTERM-style
 // restart cycles with checkpoint persistence, tiny queue and cache, and
@@ -56,5 +60,22 @@ func TestFaultSimSingleEpoch(t *testing.T) {
 	t.Logf("fault sim stats: %+v", st)
 	if st.Accepted == 0 || st.Done == 0 {
 		t.Errorf("sim did no work: %+v", st)
+	}
+}
+
+// TestFaultSimHeapBound runs the schedule on instances large enough that
+// finished jobs holding their instance documents and parsed problems
+// (about 116 KB a job at n=48) break the 64 KB per-job heap bound.
+func TestFaultSimHeapBound(t *testing.T) {
+	if memcheck.RaceEnabled {
+		t.Skip("the race detector distorts heap figures")
+	}
+	st, err := RunFaultSim(FaultSimConfig{Seed: 3, Ops: 40, Tasks: 48})
+	if err != nil {
+		t.Fatalf("fault sim failed: %v\nstats: %+v", err, st)
+	}
+	t.Logf("fault sim stats: %+v", st)
+	if st.HeapPerJob == 0 {
+		t.Error("the heap bound was never checked")
 	}
 }
