@@ -395,7 +395,7 @@ func agentLoop(cfg agentConfig) {
 				row := myRows[i]
 				bestJ, bestP := 0, -1.0
 				for j := range row {
-					row[j] = cfg.zeta*counts[i][j] + (1-cfg.zeta)*row[j]
+					row[j] = float64(cfg.zeta*counts[i][j]) + float64((1-cfg.zeta)*row[j])
 					if row[j] > bestP {
 						bestP, bestJ = row[j], j
 					}

@@ -72,7 +72,7 @@ func (b *BernoulliProblem) Update(elite [][]bool, zeta float64) error {
 			}
 		}
 		q := float64(count) * inv
-		b.p[i] = zeta*q + (1-zeta)*b.p[i]
+		b.p[i] = float64(zeta*q) + float64((1-zeta)*b.p[i])
 	}
 	return nil
 }

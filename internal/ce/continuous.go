@@ -74,7 +74,7 @@ func (g *GaussianProblem) Copy(dst, src []float64) { copy(dst, src) }
 // Sample implements Problem: independent clamped normal draws, scored.
 func (g *GaussianProblem) Sample(rng *xrand.RNG, dst []float64) (float64, error) {
 	for i := range dst {
-		v := g.mu[i] + g.sigma[i]*rng.NormFloat64()
+		v := g.mu[i] + float64(g.sigma[i]*rng.NormFloat64())
 		if v < g.lo {
 			v = g.lo
 		} else if v > g.hi {
@@ -96,19 +96,19 @@ func (g *GaussianProblem) Update(elite [][]float64, zeta float64) error {
 		for _, e := range elite {
 			mean += e[i]
 		}
-		mean *= inv
+		mean = float64(mean * inv)
 		variance := 0.0
 		for _, e := range elite {
 			d := e[i] - mean
-			variance += d * d
+			variance += float64(d * d)
 		}
 		variance *= inv
 		sd := math.Sqrt(variance)
 		if sd < g.SigmaFloor {
 			sd = g.SigmaFloor
 		}
-		g.mu[i] = zeta*mean + (1-zeta)*g.mu[i]
-		g.sigma[i] = zeta*sd + (1-zeta)*g.sigma[i]
+		g.mu[i] = float64(zeta*mean) + float64((1-zeta)*g.mu[i])
+		g.sigma[i] = float64(zeta*sd) + float64((1-zeta)*g.sigma[i])
 	}
 	return nil
 }
@@ -129,7 +129,7 @@ func (g *GaussianProblem) Converged() bool {
 func Rastrigin(x []float64) float64 {
 	total := 10 * float64(len(x))
 	for _, v := range x {
-		total += v*v - 10*math.Cos(2*math.Pi*v)
+		total += float64(v*v) - float64(10*math.Cos(2*math.Pi*v))
 	}
 	return total
 }
@@ -138,7 +138,7 @@ func Rastrigin(x []float64) float64 {
 func Sphere(x []float64) float64 {
 	total := 0.0
 	for _, v := range x {
-		total += v * v
+		total += float64(v * v)
 	}
 	return total
 }

@@ -19,7 +19,6 @@ import (
 type PermutationProblem struct {
 	n        int
 	p        *stochmat.Matrix
-	q        *stochmat.Matrix
 	alias    *stochmat.AliasTable // O(1) row draws for the GenPerm sampler
 	counts   []float64            // Update scratch: elite assignment frequencies
 	score    func([]int) float64
@@ -46,7 +45,6 @@ func NewPermutationProblem(n int, score func([]int) float64) (*PermutationProble
 	pp := &PermutationProblem{
 		n:                n,
 		p:                stochmat.NewUniform(n, n),
-		q:                stochmat.NewUniform(n, n),
 		score:            score,
 		DegenerateThresh: 0.95,
 	}
@@ -100,22 +98,7 @@ func (pp *PermutationProblem) Update(elite [][]int, zeta float64) error {
 	if len(elite) == 0 {
 		return fmt.Errorf("ce: empty elite set")
 	}
-	counts := pp.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	inv := 1 / float64(len(elite))
-	for _, perm := range elite {
-		for i, j := range perm {
-			counts[i*pp.n+j] += inv
-		}
-	}
-	for i := 0; i < pp.n; i++ {
-		if err := pp.q.SetRow(i, counts[i*pp.n:(i+1)*pp.n]); err != nil {
-			return err
-		}
-	}
-	if err := pp.p.Smooth(pp.q, zeta); err != nil {
+	if err := pp.p.SmoothElite(elite, pp.counts, zeta); err != nil {
 		return err
 	}
 	pp.alias.Rebuild(pp.p)

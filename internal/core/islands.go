@@ -115,11 +115,6 @@ func (pr *problem) injectElite(migrants [][]int, zeta float64) error {
 	if len(migrants) == 0 {
 		return nil
 	}
-	counts := pr.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	inv := 1 / float64(len(migrants))
 	for _, m := range migrants {
 		if len(m) != pr.n {
 			return fmt.Errorf("core: migrant of length %d for %d tasks", len(m), pr.n)
@@ -127,17 +122,9 @@ func (pr *problem) injectElite(migrants [][]int, zeta float64) error {
 		if !cost.Mapping(m).IsPermutation() {
 			return fmt.Errorf("core: migrant %v is not a permutation", m)
 		}
-		for task, res := range m {
-			counts[task*pr.n+res] += inv
-		}
 	}
-	for i := 0; i < pr.n; i++ {
-		if err := pr.q.SetRow(i, counts[i*pr.n:(i+1)*pr.n]); err != nil {
-			return fmt.Errorf("core: migrant injection row %d: %w", i, err)
-		}
-	}
-	if err := pr.p.Smooth(pr.q, zeta); err != nil {
-		return err
+	if err := pr.p.SmoothElite(migrants, pr.counts, zeta); err != nil {
+		return fmt.Errorf("core: migrant injection: %w", err)
 	}
 	pr.alias.Rebuild(pr.p)
 	return nil
@@ -165,11 +152,9 @@ func (pr *problem) blendRows(peers [][][]float64, alpha float64) error {
 			for _, rows := range peers {
 				acc += rows[i][j]
 			}
-			// Two explicit roundings, mirroring stochmat.Smooth: no fused
-			// multiply-add may sneak in on FMA-capable architectures.
-			a := (1 - alpha) * own[j]
-			b := w * acc
-			buf[j] = a + b
+			// Each product rounded on its own, as in stochmat.Smooth:
+			// no fused multiply-add on FMA-capable architectures.
+			buf[j] = float64((1-alpha)*own[j]) + float64(w*acc)
 		}
 		if err := pr.p.SetRow(i, buf); err != nil {
 			return fmt.Errorf("core: blend row %d: %w", i, err)

@@ -85,7 +85,6 @@ type manyToOneProblem struct {
 	tasks     int
 	resources int
 	p         *stochmat.Matrix
-	q         *stochmat.Matrix
 	alias     *stochmat.AliasTable // O(1) row draws, rebuilt with p
 	counts    []float64            // Update scratch: elite assignment frequencies
 	scratch   sync.Pool            // *[]float64 load buffers for ExecInto
@@ -106,7 +105,6 @@ func newManyToOneProblem(eval *cost.Evaluator, stallC, snapshotEvery int) *manyT
 		tasks:         tasks,
 		resources:     resources,
 		p:             stochmat.NewUniform(tasks, resources),
-		q:             stochmat.NewUniform(tasks, resources),
 		stallC:        stallC,
 		snapshotEvery: snapshotEvery,
 		prevArgmax:    make([]int, tasks),
@@ -182,23 +180,8 @@ func (pr *manyToOneProblem) Update(elite [][]int, zeta float64) error {
 		return fmt.Errorf("core: empty elite set")
 	}
 	pr.iter++
-	counts := pr.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	inv := 1 / float64(len(elite))
-	for _, m := range elite {
-		for task, res := range m {
-			counts[task*pr.resources+res] += inv
-		}
-	}
-	for i := 0; i < pr.tasks; i++ {
-		if err := pr.q.SetRow(i, counts[i*pr.resources:(i+1)*pr.resources]); err != nil {
-			return fmt.Errorf("core: many-to-one update row %d: %w", i, err)
-		}
-	}
-	if err := pr.p.Smooth(pr.q, zeta); err != nil {
-		return err
+	if err := pr.p.SmoothElite(elite, pr.counts, zeta); err != nil {
+		return fmt.Errorf("core: many-to-one update: %w", err)
 	}
 	pr.alias.Rebuild(pr.p)
 	stable := true

@@ -190,7 +190,6 @@ type problem struct {
 	eval *cost.Evaluator
 	n    int
 	p    *stochmat.Matrix
-	q    *stochmat.Matrix // elite counts buffer, reused each iteration
 
 	// alias caches the per-row alias tables of p for the GenPerm sampler.
 	// It is rebuilt after every mutation of p (all of which happen on a
@@ -233,7 +232,6 @@ func newProblem(eval *cost.Evaluator, opts Options) *problem {
 		eval:          eval,
 		n:             n,
 		p:             stochmat.NewUniform(n, n),
-		q:             stochmat.NewUniform(n, n),
 		stallC:        opts.StallC,
 		snapshotEvery: opts.SnapshotEvery,
 		prevArgmax:    make([]int, n),
@@ -334,27 +332,11 @@ func (pr *problem) Update(elite [][]int, zeta float64) error {
 		return fmt.Errorf("core: empty elite set")
 	}
 	pr.iter++
-	// q_ij = (# elite with X_i = j) / |elite|. Each elite mapping assigns
-	// every task exactly once, so rows of Q sum to 1 by construction. The
-	// counts buffer is reused across iterations; at n = 256 the old
-	// per-iteration allocation was a 512 KiB garbage churn per update.
-	counts := pr.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	inv := 1 / float64(len(elite))
-	for _, m := range elite {
-		for task, res := range m {
-			counts[task*pr.n+res] += inv
-		}
-	}
-	for i := 0; i < pr.n; i++ {
-		if err := pr.q.SetRow(i, counts[i*pr.n:(i+1)*pr.n]); err != nil {
-			return fmt.Errorf("core: update row %d: %w", i, err)
-		}
-	}
-	if err := pr.p.Smooth(pr.q, zeta); err != nil {
-		return err
+	// q_ij = (# elite with X_i = j) / |elite|. The counts buffer is
+	// reused across iterations; at n = 256 a per-iteration allocation
+	// would be 512 KiB of garbage per update.
+	if err := pr.p.SmoothElite(elite, pr.counts, zeta); err != nil {
+		return fmt.Errorf("core: update: %w", err)
 	}
 	pr.alias.Rebuild(pr.p)
 

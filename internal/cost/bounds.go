@@ -57,7 +57,7 @@ func LowerBound(e *Evaluator) float64 {
 		if !math.IsInf(cMin, 1) {
 			for _, edge := range e.tig.Edges() {
 				endpointFloor := math.Max(minCompute[edge.U], minCompute[edge.V])
-				if v := edge.Weight*cMin + endpointFloor; v > lb3 {
+				if v := float64(edge.Weight*cMin) + endpointFloor; v > lb3 {
 					lb3 = v
 				}
 			}
@@ -75,7 +75,7 @@ func perTaskMinCompute(e *Evaluator) []float64 {
 	for t := 0; t < e.n; t++ {
 		best := math.Inf(1)
 		for s := 0; s < e.r; s++ {
-			if v := e.tcp[t*e.r+s]; v < best {
+			if v := e.ComputeTime(t, s); v < best {
 				best = v
 			}
 		}
@@ -93,13 +93,7 @@ func ManyToOneLowerBound(e *Evaluator) float64 {
 	}
 	lb1 := 0.0
 	lb2 := 0.0
-	for t := 0; t < e.n; t++ {
-		best := math.Inf(1)
-		for s := 0; s < e.r; s++ {
-			if v := e.tcp[t*e.r+s]; v < best {
-				best = v
-			}
-		}
+	for _, best := range perTaskMinCompute(e) {
 		lb1 += best
 		if best > lb2 {
 			lb2 = best

@@ -12,12 +12,12 @@
 //
 //	Exec(M) = max_s Exec_s(M).
 //
-// Evaluator precomputes the compute-cost table Tcp[t][s] = W^t * w_s and
-// evaluates mappings either from scratch (Exec / Loads) or incrementally
-// (DeltaSwap and the mutation-sized DeltaMove helpers used by the local
-// search baselines). The incremental path recomputes only the affected
-// resources' loads, which turns a full O(n + |Et|) evaluation into an
-// O(deg) update for neighbourhood moves.
+// Evaluator scores mappings from scratch (Exec / Loads) or incrementally
+// (State), recomputing only the affected resources' loads: O(deg) per
+// neighbourhood move instead of O(n + |Et|). It forms W^t * w_s where it
+// is used instead of storing an n x r table, and rounds every product on
+// its own (float64(...)), so no architecture fuses a multiply-add into a
+// load and moves it off amd64's bits.
 package cost
 
 import (
@@ -78,8 +78,8 @@ type Evaluator struct {
 	platform *graph.ResourceGraph
 	n        int // tasks
 	r        int // resources
-	// tcp[t*r+s] = W^t * w_s, the processing time of task t on resource s.
-	tcp []float64
+	// weights (W^t) and costs (w_s) alias the TIG's and the platform's.
+	weights, costs []float64
 	// link is the platform's dense link-cost matrix, aliased.
 	link []float64
 	// edges is the TIG edge list packed to 16 bytes per edge (int32
@@ -118,14 +118,9 @@ func NewEvaluator(tig *graph.TIG, platform *graph.ResourceGraph) (*Evaluator, er
 		platform: platform,
 		n:        n,
 		r:        r,
-		tcp:      make([]float64, n*r),
+		weights:  tig.Weights,
+		costs:    platform.Costs,
 		link:     platform.LinkMatrix(),
-	}
-	for t := 0; t < n; t++ {
-		wt := tig.Weights[t]
-		for s := 0; s < r; s++ {
-			e.tcp[t*r+s] = wt * platform.Costs[s]
-		}
 	}
 	e.edges = make([]packedEdge, 0, len(tig.Edges()))
 	for _, edge := range tig.Edges() {
@@ -147,7 +142,7 @@ func (e *Evaluator) TIG() *graph.TIG { return e.tig }
 func (e *Evaluator) Platform() *graph.ResourceGraph { return e.platform }
 
 // ComputeTime returns Tcp[t][s] = W^t * w_s.
-func (e *Evaluator) ComputeTime(t, s int) float64 { return e.tcp[t*e.r+s] }
+func (e *Evaluator) ComputeTime(t, s int) float64 { return float64(e.weights[t] * e.costs[s]) }
 
 // CommTime returns Tcm[t] for task t under mapping m: the communication
 // time charged to t's resource for t's edges whose far endpoint lives on
@@ -157,7 +152,7 @@ func (e *Evaluator) CommTime(t int, m Mapping) float64 {
 	total := 0.0
 	for _, nb := range e.tig.Neighbors(t) {
 		if b := m[nb.To]; b != s {
-			total += nb.Weight * e.link[s*e.r+b]
+			total += float64(nb.Weight * e.link[s*e.r+b])
 		}
 	}
 	return total
@@ -180,15 +175,15 @@ func (e *Evaluator) Loads(m Mapping, dst []float64) []float64 {
 	for i := range dst {
 		dst[i] = 0
 	}
-	r := e.r
-	for t := 0; t < e.n; t++ {
+	r, costs := e.r, e.costs
+	for t, w := range e.weights {
 		s := m[t]
-		dst[s] += e.tcp[t*r+s]
+		dst[s] += float64(w * costs[s])
 	}
 	link := e.link
 	for _, edge := range e.edges {
 		su, sv := m[edge.u], m[edge.v]
-		c := edge.w * link[su*r+sv]
+		c := float64(edge.w * link[su*r+sv])
 		dst[su] += c
 		dst[sv] += c
 	}
@@ -239,14 +234,14 @@ func (e *Evaluator) Explain(m Mapping) Breakdown {
 	}
 	for t := 0; t < e.n; t++ {
 		s := m[t]
-		b.Compute[s] += e.tcp[t*e.r+s]
+		b.Compute[s] += e.ComputeTime(t, s)
 	}
 	for _, edge := range e.tig.Edges() {
 		su, sv := m[edge.U], m[edge.V]
 		if su == sv {
 			continue
 		}
-		c := edge.Weight * e.link[su*e.r+sv]
+		c := float64(edge.Weight * e.link[su*e.r+sv])
 		b.Comm[su] += c
 		b.Comm[sv] += c
 	}

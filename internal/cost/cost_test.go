@@ -2,11 +2,13 @@ package cost
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"matchsim/internal/gen"
 	"matchsim/internal/graph"
+	"matchsim/internal/memcheck"
 	"matchsim/internal/xrand"
 )
 
@@ -195,6 +197,34 @@ func randomEvaluator(t *testing.T, seed uint64, n int) *Evaluator {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// TestEvaluatorHeapBound: an evaluator for n = r = 1024 (mean TIG degree
+// 8) retains under 1 MB beyond the TIG and the platform it scores, whose
+// 8 MB link matrix it aliases. A precomputed n x r compute table alone
+// would be 8 MB.
+func TestEvaluatorHeapBound(t *testing.T) {
+	if memcheck.RaceEnabled {
+		t.Skip("the race detector distorts heap figures")
+	}
+	const n, limit = 1024, 1 << 20
+	inst, err := gen.LargeInstance(2005, n, gen.LargeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.TIG.BuildAdjacency() // the TIG's own state, built before the baseline
+	before := memcheck.HeapAfterGC()
+	e, err := NewEvaluator(inst.TIG, inst.Platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := memcheck.HeapAfterGC()
+	runtime.KeepAlive(e)
+	held := int64(after) - int64(before)
+	t.Logf("n=%d, %d TIG edges: evaluator holds %d bytes", n, len(inst.TIG.Edges()), held)
+	if held > limit {
+		t.Errorf("evaluator holds %d bytes at n=%d, want under %d", held, n, limit)
+	}
 }
 
 func TestIncrementalSwapMatchesFull(t *testing.T) {

@@ -79,13 +79,13 @@ func (s *State) Exec() float64 {
 func (s *State) removeTask(t int) {
 	e := s.eval
 	rs := s.mapping[t]
-	s.loads[rs] -= e.tcp[t*e.r+rs]
+	s.loads[rs] -= e.ComputeTime(t, rs)
 	for _, nb := range e.tig.Neighbors(t) {
 		b := s.mapping[nb.To]
 		if b == rs {
 			continue
 		}
-		c := nb.Weight * e.link[rs*e.r+b]
+		c := float64(nb.Weight * e.link[rs*e.r+b])
 		s.loads[rs] -= c
 		s.loads[b] -= c
 	}
@@ -95,13 +95,13 @@ func (s *State) removeTask(t int) {
 func (s *State) addTask(t int) {
 	e := s.eval
 	rs := s.mapping[t]
-	s.loads[rs] += e.tcp[t*e.r+rs]
+	s.loads[rs] += e.ComputeTime(t, rs)
 	for _, nb := range e.tig.Neighbors(t) {
 		b := s.mapping[nb.To]
 		if b == rs {
 			continue
 		}
-		c := nb.Weight * e.link[rs*e.r+b]
+		c := float64(nb.Weight * e.link[rs*e.r+b])
 		s.loads[rs] += c
 		s.loads[b] += c
 	}
@@ -239,20 +239,20 @@ func (s *State) probeDelta(r int, v float64) {
 // cost and is skipped). Other tasks' placements are unchanged.
 func (s *State) probeMove(t, other, from, to int) {
 	e := s.eval
-	s.probeDelta(from, -e.tcp[t*e.r+from])
-	s.probeDelta(to, e.tcp[t*e.r+to])
+	s.probeDelta(from, -e.ComputeTime(t, from))
+	s.probeDelta(to, e.ComputeTime(t, to))
 	for _, nb := range e.tig.Neighbors(t) {
 		if nb.To == other {
 			continue
 		}
 		b := s.mapping[nb.To]
 		if b != from {
-			c := nb.Weight * e.link[from*e.r+b]
+			c := float64(nb.Weight * e.link[from*e.r+b])
 			s.probeDelta(from, -c)
 			s.probeDelta(b, -c)
 		}
 		if b != to {
-			c := nb.Weight * e.link[to*e.r+b]
+			c := float64(nb.Weight * e.link[to*e.r+b])
 			s.probeDelta(to, c)
 			s.probeDelta(b, c)
 		}

@@ -25,7 +25,7 @@ func DefaultProfile() HeterogeneityProfile {
 func drawCosts(rng *xrand.RNG, n int, p HeterogeneityProfile) []float64 {
 	costs := make([]float64, n)
 	for i := range costs {
-		costs[i] = p.CostLo + (p.CostHi-p.CostLo)*rng.Float64()
+		costs[i] = p.CostLo + float64((p.CostHi-p.CostLo)*rng.Float64())
 	}
 	return costs
 }
@@ -143,7 +143,7 @@ func ClusteredPlatform(rng *xrand.RNG, clusters, perCluster int, intraLo, intraH
 	if prof.Clustered {
 		costs = make([]float64, n)
 		for c := 0; c < clusters; c++ {
-			cost := prof.CostLo + (prof.CostHi-prof.CostLo)*rng.Float64()
+			cost := prof.CostLo + float64((prof.CostHi-prof.CostLo)*rng.Float64())
 			for k := 0; k < perCluster; k++ {
 				costs[c*perCluster+k] = cost
 			}
@@ -200,14 +200,14 @@ func GeometricTIG(rng *xrand.RNG, n int, radius, wLo, wHi float64) (*graph.TIG, 
 	}
 	dist := func(a, b pt) float64 {
 		dx, dy := a.x-b.x, a.y-b.y
-		return dx*dx + dy*dy
+		return float64(dx*dx) + float64(dy*dy)
 	}
 	r2 := radius * radius
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if d2 := dist(pts[u], pts[v]); d2 < r2 {
 				// Overlap grows as the grids get closer.
-				w := 1 + 99*(1-d2/r2)
+				w := 1 + float64(99*(1-d2/r2))
 				t.MustAddEdge(u, v, w)
 			}
 		}

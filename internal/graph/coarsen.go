@@ -186,6 +186,11 @@ func ContractTIG(t *TIG, c Contraction) (*TIG, error) {
 // coarse link cost is the mean link cost over all fine cross pairs. The
 // platform must be fully linked (finite dense matrix — CloseLinks first
 // for sparse topologies); the coarse platform is returned dense.
+//
+// The coarse link matrix is the only cN^2 buffer: the upper triangle
+// accumulates each coarse pair's fine link sums, which are then divided
+// in place by the pair count (clusters a and b have |a|*|b| cross pairs)
+// and mirrored into the lower triangle. The platform adopts the matrix.
 func ContractPlatform(r *ResourceGraph, c Contraction) (*ResourceGraph, error) {
 	n := r.N()
 	if len(c.Map) != n {
@@ -195,23 +200,22 @@ func ContractPlatform(r *ResourceGraph, c Contraction) (*ResourceGraph, error) {
 		return nil, fmt.Errorf("graph: platform must be fully linked before coarsening (call CloseLinks)")
 	}
 	cN := c.CoarseN
-	costSum := make([]float64, cN)
-	costCnt := make([]int, cN)
+	costs := make([]float64, cN)
+	size := make([]int, cN)
 	for s, cs := range c.Map {
 		if cs < 0 || cs >= cN {
 			return nil, fmt.Errorf("graph: contraction maps resource %d to %d outside [0,%d)", s, cs, cN)
 		}
-		costSum[cs] += r.Costs[s]
-		costCnt[cs]++
+		costs[cs] += r.Costs[s]
+		size[cs]++
 	}
-	costs := make([]float64, cN)
 	for s := range costs {
-		costs[s] = costSum[s] / float64(costCnt[s])
+		costs[s] /= float64(size[s])
 	}
-	linkSum := make([]float64, cN*cN)
-	linkCnt := make([]int, cN*cN)
+	link := make([]float64, cN*cN)
 	for i := 0; i < n; i++ {
 		ci := c.Map[i]
+		fine := r.link[i*n : (i+1)*n]
 		for j := i + 1; j < n; j++ {
 			cj := c.Map[j]
 			if ci == cj {
@@ -221,22 +225,20 @@ func ContractPlatform(r *ResourceGraph, c Contraction) (*ResourceGraph, error) {
 			if a > b {
 				a, b = b, a
 			}
-			linkSum[a*cN+b] += r.LinkCost(i, j)
-			linkCnt[a*cN+b]++
+			link[a*cN+b] += fine[j]
 		}
 	}
-	link := make([]float64, cN*cN)
 	for a := 0; a < cN; a++ {
 		for b := a + 1; b < cN; b++ {
-			mean := linkSum[a*cN+b] / float64(linkCnt[a*cN+b])
+			mean := link[a*cN+b] / float64(size[a]*size[b])
 			link[a*cN+b] = mean
 			link[b*cN+a] = mean
 		}
 	}
-	out, err := NewResourceGraphDense(costs, link)
-	if err != nil {
+	if err := checkDense(costs, link); err != nil {
 		return nil, err
 	}
+	out := denseGraph(costs, link)
 	out.Name = r.Name
 	return out, nil
 }

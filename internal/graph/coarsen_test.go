@@ -2,8 +2,10 @@ package graph
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"matchsim/internal/memcheck"
 	"matchsim/internal/xrand"
 )
 
@@ -273,5 +275,159 @@ func TestCoarsenLadderConservesWeight(t *testing.T) {
 			t.Fatalf("level %d: invalid coarse TIG: %v", level, err)
 		}
 		cur = next
+	}
+}
+
+// contractPlatformFourBuffers is the four-buffer ContractPlatform that the
+// one-buffer build replaced (separate sum, count and mean matrices, then
+// a NewResourceGraphDense copy), kept as the reference the differential
+// test holds the production build to, bit for bit.
+func contractPlatformFourBuffers(r *ResourceGraph, c Contraction) (*ResourceGraph, error) {
+	n := r.N()
+	cN := c.CoarseN
+	costSum := make([]float64, cN)
+	costCnt := make([]int, cN)
+	for s, cs := range c.Map {
+		costSum[cs] += r.Costs[s]
+		costCnt[cs]++
+	}
+	costs := make([]float64, cN)
+	for s := range costs {
+		costs[s] = costSum[s] / float64(costCnt[s])
+	}
+	linkSum := make([]float64, cN*cN)
+	linkCnt := make([]int, cN*cN)
+	for i := 0; i < n; i++ {
+		ci := c.Map[i]
+		for j := i + 1; j < n; j++ {
+			cj := c.Map[j]
+			if ci == cj {
+				continue
+			}
+			a, b := ci, cj
+			if a > b {
+				a, b = b, a
+			}
+			linkSum[a*cN+b] += r.LinkCost(i, j)
+			linkCnt[a*cN+b]++
+		}
+	}
+	link := make([]float64, cN*cN)
+	for a := 0; a < cN; a++ {
+		for b := a + 1; b < cN; b++ {
+			mean := linkSum[a*cN+b] / float64(linkCnt[a*cN+b])
+			link[a*cN+b] = mean
+			link[b*cN+a] = mean
+		}
+	}
+	out, err := NewResourceGraphDense(costs, link)
+	if err != nil {
+		return nil, err
+	}
+	out.Name = r.Name
+	return out, nil
+}
+
+// randomDensePlatform returns an n-resource platform with random
+// processing costs in [1, 5) and symmetric link costs in [1, 10).
+func randomDensePlatform(t testing.TB, rng *xrand.RNG, n int) *ResourceGraph {
+	t.Helper()
+	costs := make([]float64, n)
+	for s := range costs {
+		costs[s] = rng.Float64Range(1, 5)
+	}
+	link := make([]float64, n*n)
+	for s := 0; s < n; s++ {
+		for b := s + 1; b < n; b++ {
+			v := rng.Float64Range(1, 10)
+			link[s*n+b], link[b*n+s] = v, v
+		}
+	}
+	r, err := NewResourceGraphDense(costs, link)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestContractPlatformMatchesFourBufferBuild: on random platforms, under
+// both cheapest-link pair contractions and contractions with clusters of
+// up to five resources, ContractPlatform gives the reference build's
+// costs and link matrix bit for bit.
+func TestContractPlatformMatchesFourBufferBuild(t *testing.T) {
+	rng := xrand.New(23)
+	for trial := 0; trial < 40; trial++ {
+		n := rng.IntRange(2, 90)
+		r := randomDensePlatform(t, rng, n)
+		var c Contraction
+		if trial%2 == 0 {
+			var err error
+			if c, err = ContractionFromPairs(n, CheapestLinkMatching(r)); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			// Consecutive runs of 1-5 resources form one cluster each,
+			// visited in a shuffled order.
+			perm := make([]int, n)
+			rng.PermInto(perm)
+			c.Map = make([]int, n)
+			for i := 0; i < n; {
+				k := rng.IntRange(1, 5)
+				for ; k > 0 && i < n; k-- {
+					c.Map[perm[i]] = c.CoarseN
+					i++
+				}
+				c.CoarseN++
+			}
+		}
+		got, err := ContractPlatform(r, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := contractPlatformFourBuffers(r, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffFloats("costs", got.Costs, want.Costs) + diffFloats("link", got.LinkMatrix(), want.LinkMatrix()); d != "" {
+			t.Fatalf("trial %d (n=%d, cN=%d): differs from the reference build: %s", trial, n, c.CoarseN, d)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// TestContractPlatformHeapBound: contracting a 1,140-resource platform by
+// its cheapest-link matching (cN = 570) allocates at most 1.25 cN^2
+// floats — the coarse link matrix plus O(n) bookkeeping. The four-buffer
+// build allocated four cN^2 buffers.
+func TestContractPlatformHeapBound(t *testing.T) {
+	if memcheck.RaceEnabled {
+		t.Skip("the race detector distorts heap figures")
+	}
+	const n = 1140
+	r := randomDensePlatform(t, xrand.New(29), n)
+	c, err := ContractionFromPairs(n, CheapestLinkMatching(r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cN := c.CoarseN
+	if cN != n/2 {
+		t.Fatalf("coarse n = %d, want %d", cN, n/2)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	cr, err := ContractPlatform(r, c)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(cr)
+	got := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(1.25 * float64(cN*cN*8))
+	t.Logf("cN=%d: allocated %d bytes (%.2f cN^2 floats)", cN, got, float64(got)/float64(cN*cN*8))
+	if got > limit {
+		t.Errorf("ContractPlatform allocated %d bytes at cN=%d, want at most %d", got, cN, limit)
 	}
 }

@@ -135,7 +135,7 @@ func Greedy(eval *cost.Evaluator) (*Result, error) {
 				if b < 0 || b == res {
 					continue
 				}
-				c := nb.Weight * link[res*n+b]
+				c := float64(nb.Weight * link[res*n+b])
 				addSelf += c
 				if l := loads[b] + c; l > peak {
 					peak = l
@@ -163,7 +163,7 @@ func Greedy(eval *cost.Evaluator) (*Result, error) {
 			if b < 0 || b == bestRes {
 				continue
 			}
-			c := nb.Weight * link[bestRes*n+b]
+			c := float64(nb.Weight * link[bestRes*n+b])
 			loads[bestRes] += c
 			loads[b] += c
 		}

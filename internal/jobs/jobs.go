@@ -798,9 +798,10 @@ func (m *Manager) Cancel(id string) (api.JobInfo, error) {
 // Subscribe attaches a live event stream to a job: buffered history is
 // replayed first, then events arrive as the solver emits them, and the
 // channel closes when the job reaches a terminal state. The returned
-// cancel function detaches the subscriber (safe to call twice). A slow
-// subscriber that fills its buffer loses intermediate events rather than
-// stalling the solver.
+// cancel function detaches the subscriber (safe to call twice). Past the
+// replayed history a subscriber has room for liveMargin events; one that
+// falls further behind loses intermediate events rather than stalling
+// the solver.
 func (m *Manager) Subscribe(id string) (<-chan api.Event, func(), error) {
 	return m.SubscribeFrom(id, 0)
 }
@@ -824,7 +825,7 @@ func (m *Manager) SubscribeFrom(id string, from int) (<-chan api.Event, func(), 
 		from = len(j.events)
 	}
 	replay := j.events[from:]
-	ch := make(chan api.Event, len(replay)+256)
+	ch := make(chan api.Event, len(replay)+liveMargin)
 	for _, e := range replay {
 		ch <- e
 	}
@@ -851,6 +852,10 @@ func (m *Manager) SubscribeFrom(id string, from int) (<-chan api.Event, func(), 
 	}
 	return ch, cancel, nil
 }
+
+// liveMargin is a subscriber's room for live events past its replay:
+// about 16 KB for a client that never reads.
+const liveMargin = 64
 
 // emit buffers an event, fans it out to subscribers and mirrors it to the
 // shared trace stream. Caller holds mu.

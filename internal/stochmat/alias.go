@@ -147,7 +147,7 @@ func (a *AliasTable) buildRow(i int, m *Matrix) {
 	large := a.large[:0]
 	scale := float64(k) / total
 	for s, c := range sup {
-		scaled[s] = row[c] * scale
+		scaled[s] = float64(row[c] * scale)
 		if scaled[s] < 1 {
 			small = append(small, int32(s))
 		} else {
@@ -160,7 +160,7 @@ func (a *AliasTable) buildRow(i int, m *Matrix) {
 		l := large[len(large)-1]
 		// scaled[s] is in [0, 1) here, so scaled[s] * 2^64 is exact and
 		// below 2^64: the threshold never wraps.
-		slots[s] = aliasSlot{thresh: uint64(scaled[s] * 0x1p64), col: sup[s], alias: sup[l]}
+		slots[s] = aliasSlot{thresh: uint64(float64(scaled[s] * 0x1p64)), col: sup[s], alias: sup[l]}
 		scaled[l] -= 1 - scaled[s]
 		if scaled[l] < 1 {
 			large = large[:len(large)-1]

@@ -179,15 +179,56 @@ func (m *Matrix) Smooth(q *Matrix, zeta float64) error {
 		return fmt.Errorf("stochmat: smoothing factor %v outside [0,1]", zeta)
 	}
 	for j := range m.p {
-		// Two explicit roundings (assignments) rather than one fused
-		// expression: keeps the result bit-identical across architectures
-		// (Go may contract a*b + c into an FMA on arm64/ppc64), which the
-		// determinism regression tests rely on.
-		a := zeta * q.p[j]
-		b := (1 - zeta) * m.p[j]
-		m.p[j] = a + b
+		m.p[j] = smooth(zeta, q.p[j], m.p[j])
 	}
 	return nil
+}
+
+// SmoothElite is the CE update, eq. (11) and eq. (13) in one pass: with
+// q_ij the share of the elite mappings that assign row i to column j,
+// row i of m becomes zeta*q_i + (1-zeta)*m_i. counts is scratch of m's
+// size. Each elite assignment adds 1/|elite| to it, in elite order, and
+// each row is divided by its total, so q has the bits SetRow would give
+// the counts, without a Q matrix. Each elite mapping must assign every
+// row one column.
+func (m *Matrix) SmoothElite(elite [][]int, counts []float64, zeta float64) error {
+	if len(elite) == 0 || len(counts) != len(m.p) || zeta < 0 || zeta > 1 {
+		return fmt.Errorf("stochmat: smoothing %dx%d with %d elite, %d counts, factor %v",
+			m.rows, m.cols, len(elite), len(counts), zeta)
+	}
+	clear(counts)
+	inv := 1 / float64(len(elite))
+	for _, x := range elite {
+		if len(x) != m.rows {
+			return fmt.Errorf("stochmat: elite mapping of length %d for %d rows", len(x), m.rows)
+		}
+		for i, j := range x {
+			if j < 0 || j >= m.cols {
+				return fmt.Errorf("stochmat: elite maps row %d to column %d outside [0,%d)", i, j, m.cols)
+			}
+			counts[i*m.cols+j] += inv
+		}
+	}
+	for i := 0; i < m.rows; i++ {
+		row := counts[i*m.cols : (i+1)*m.cols]
+		total := 0.0
+		for _, v := range row {
+			total += v
+		}
+		dst := m.Row(i)
+		for j, v := range row {
+			dst[j] = smooth(zeta, v/total, dst[j])
+		}
+	}
+	return nil
+}
+
+// smooth returns zeta*q + (1-zeta)*p with each product rounded on its
+// own: the conversions forbid the fused multiply-add Go may otherwise
+// emit on arm64, ppc64le, s390x, riscv64 and loong64, even across
+// statements.
+func smooth(zeta, q, p float64) float64 {
+	return float64(zeta*q) + float64((1-zeta)*p)
 }
 
 // SetRow overwrites row i with the normalised values of row (copied).

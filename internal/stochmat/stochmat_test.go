@@ -157,6 +157,83 @@ func TestSmoothRejections(t *testing.T) {
 	}
 }
 
+// TestSmoothEliteMatchesSetRowThenSmooth: the one-pass update gives the
+// bits of the two-step update it replaced — elite frequencies counted
+// into a scratch Q by SetRow, then Smooth — on square and rectangular
+// matrices with many-to-one elite mappings.
+func TestSmoothEliteMatchesSetRowThenSmooth(t *testing.T) {
+	rng := xrand.New(41)
+	for trial := 0; trial < 200; trial++ {
+		rows, cols := 1+rng.Intn(12), 1+rng.Intn(12)
+		elite := make([][]int, 1+rng.Intn(20))
+		for k := range elite {
+			elite[k] = make([]int, rows)
+			for i := range elite[k] {
+				elite[k][i] = rng.Intn(cols)
+			}
+		}
+		zeta := rng.Float64()
+		p := NewUniform(rows, cols)
+		for i := 0; i < rows; i++ {
+			row := make([]float64, cols)
+			for j := range row {
+				row[j] = rng.Float64() + 1e-3
+			}
+			if err := p.SetRow(i, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := p.Clone()
+		counts := make([]float64, rows*cols)
+		inv := 1 / float64(len(elite))
+		for _, x := range elite {
+			for i, j := range x {
+				counts[i*cols+j] += inv
+			}
+		}
+		q := NewUniform(rows, cols)
+		for i := 0; i < rows; i++ {
+			if err := q.SetRow(i, counts[i*cols:(i+1)*cols]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := want.Smooth(q, zeta); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.SmoothElite(elite, make([]float64, rows*cols), zeta); err != nil {
+			t.Fatal(err)
+		}
+		for k := range p.p {
+			if math.Float64bits(p.p[k]) != math.Float64bits(want.p[k]) {
+				t.Fatalf("trial %d (%dx%d, %d elite): entry %d = %v, two-step update gives %v",
+					trial, rows, cols, len(elite), k, p.p[k], want.p[k])
+			}
+		}
+	}
+}
+
+func TestSmoothEliteRejections(t *testing.T) {
+	p := NewUniform(2, 3)
+	counts := make([]float64, 6)
+	for name, tc := range map[string]struct {
+		elite  [][]int
+		counts []float64
+		zeta   float64
+	}{
+		"empty elite":     {nil, counts, 0.5},
+		"short counts":    {[][]int{{0, 1}}, counts[:5], 0.5},
+		"zeta > 1":        {[][]int{{0, 1}}, counts, 1.5},
+		"zeta < 0":        {[][]int{{0, 1}}, counts, -0.1},
+		"short mapping":   {[][]int{{0}}, counts, 0.5},
+		"column too high": {[][]int{{0, 3}}, counts, 0.5},
+		"negative column": {[][]int{{-1, 0}}, counts, 0.5},
+	} {
+		if err := p.SmoothElite(tc.elite, tc.counts, tc.zeta); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
 // Property: smoothing two valid stochastic matrices yields a valid one.
 func TestSmoothPreservesStochasticity(t *testing.T) {
 	rng := xrand.New(1)

@@ -54,11 +54,9 @@ func CheckBlend(own [][]float64, peers [][][]float64, alpha float64, blended *st
 			for _, rows := range peers {
 				acc += rows[i][j]
 			}
-			// The exact expression order of core's blendRows: two separate
-			// roundings, then the sum.
-			a := (1 - alpha) * own[i][j]
-			b := w * acc
-			want[j] = a + b
+			// The exact expression of core's blendRows: each product
+			// rounded on its own, then the sum.
+			want[j] = float64((1-alpha)*own[i][j]) + float64(w*acc)
 			total += want[j]
 		}
 		if total <= 0 {
@@ -78,12 +76,12 @@ func CheckBlend(own [][]float64, peers [][][]float64, alpha float64, blended *st
 // CheckInjection verifies an elite-migration injection against an
 // independent recomputation of its eq. (11) + eq. (13) composition: the
 // migrant frequency matrix q_ij = (#migrants mapping i to j)/M (built by
-// accumulating 1/M per migrant in migrant order, then SetRow-normalised),
-// smoothed into the prior as zeta*q + (1-zeta)*prior with the same two
-// explicit roundings stochmat.Smooth uses. Every migrant must be a valid
-// permutation and the updated matrix must remain row-stochastic. prior is
-// the matrix before the exchange; updated is the matrix after core's
-// injectElite applied the migrants.
+// accumulating 1/M per migrant in migrant order, then normalised by the
+// row total), smoothed into the prior as zeta*q + (1-zeta)*prior with
+// each product rounded on its own, as stochmat.SmoothElite does. Every
+// migrant must be a valid permutation and the updated matrix must remain
+// row-stochastic. prior is the matrix before the exchange; updated is the
+// matrix after core's injectElite applied the migrants.
 func CheckInjection(prior [][]float64, migrants [][]int, zeta float64, updated *stochmat.Matrix) error {
 	if updated == nil {
 		return fmt.Errorf("verify: nil updated matrix")
@@ -136,10 +134,8 @@ func CheckInjection(prior [][]float64, migrants [][]int, zeta float64, updated *
 		got := updated.Row(i)
 		for j := 0; j < cols; j++ {
 			q := row[j] / total
-			// stochmat.Smooth's exact expression order.
-			a := zeta * q
-			b := (1 - zeta) * prior[i][j]
-			if v := a + b; math.Float64bits(got[j]) != math.Float64bits(v) {
+			// stochmat.Smooth's exact expression.
+			if v := float64(zeta*q) + float64((1-zeta)*prior[i][j]); math.Float64bits(got[j]) != math.Float64bits(v) {
 				return fmt.Errorf("verify: injected row %d col %d = %v, recomputation gives %v",
 					i, j, got[j], v)
 			}

@@ -30,8 +30,8 @@ func CheckPermutation(m []int) error {
 
 // CheckRowStochastic reports whether every row of p is a probability
 // distribution: entries finite, non-negative, rows summing to 1 within
-// tol. stochmat.Update (SetRow + Smooth) must preserve this after every
-// CE iteration.
+// tol. The CE update (stochmat's SmoothElite) must preserve this after
+// every iteration.
 func CheckRowStochastic(p *stochmat.Matrix, tol float64) error {
 	if p == nil {
 		return fmt.Errorf("verify: nil matrix")

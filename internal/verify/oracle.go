@@ -25,14 +25,14 @@ func RefLoads(tig *graph.TIG, platform *graph.ResourceGraph, m []int) ([]float64
 	}
 	loads := make([]float64, r)
 	for t := 0; t < n; t++ {
-		loads[m[t]] += tig.Weights[t] * platform.Costs[m[t]]
+		loads[m[t]] += float64(tig.Weights[t] * platform.Costs[m[t]])
 	}
 	for _, e := range tig.Edges() {
 		a, b := m[e.U], m[e.V]
 		if a == b {
 			continue // co-located tasks communicate for free (c_{s,s} = 0)
 		}
-		comm := e.Weight * platform.LinkCost(a, b)
+		comm := float64(e.Weight * platform.LinkCost(a, b))
 		loads[a] += comm
 		loads[b] += comm
 	}

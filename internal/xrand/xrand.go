@@ -180,7 +180,7 @@ func (r *RNG) IntRange(lo, hi int) int {
 
 // Float64Range returns a uniform float64 in [lo, hi).
 func (r *RNG) Float64Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Bool returns true with probability p. Values of p outside [0,1] clamp to
@@ -195,7 +195,7 @@ func (r *RNG) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
