@@ -215,6 +215,10 @@ type JobInfo struct {
 	// Worker is the base URL of the worker node a coordinator routed this
 	// job to. Empty on standalone daemons.
 	Worker string `json:"worker,omitempty"`
+	// DroppedEvents counts the iteration events the job emitted past its
+	// event history's cap: they went to live subscribers but are not
+	// replayed to later ones.
+	DroppedEvents int `json:"dropped_events,omitempty"`
 }
 
 // JobResult is the document returned by GET /v1/jobs/{id}/result.

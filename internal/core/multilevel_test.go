@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,10 +14,13 @@ import (
 // checks the structural postconditions: valid permutation, a real ladder,
 // per-level sizes strictly decreasing, refinement never worsening the
 // projected mapping, and a final Exec in the same quality class as the
-// single-level solver.
+// single-level solver. Both solves use every CPU: results do not depend
+// on the worker count (ce.TestRunIdenticalAcrossWorkerCounts), and the
+// single-level n=64 solve dominates the package's time under the race
+// detector.
 func TestMultilevelSolveSmall(t *testing.T) {
 	eval := paperEval(t, 42, 64)
-	opts := Options{Seed: 7, Workers: 1, MaxIterations: 200,
+	opts := Options{Seed: 7, Workers: runtime.GOMAXPROCS(0), MaxIterations: 200,
 		Multilevel: &MultilevelOptions{MinCoarse: 16}}
 	res, err := Solve(eval, opts)
 	if err != nil {
@@ -57,7 +61,7 @@ func TestMultilevelSolveSmall(t *testing.T) {
 	// Quality: within 2x of the single-level solver on the same instance
 	// (typically within a few percent; the loose bound keeps the test
 	// robust across seeds).
-	single, err := Solve(paperEval(t, 42, 64), Options{Seed: 7, Workers: 1, MaxIterations: 200})
+	single, err := Solve(paperEval(t, 42, 64), Options{Seed: 7, Workers: runtime.GOMAXPROCS(0), MaxIterations: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

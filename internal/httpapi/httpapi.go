@@ -40,9 +40,12 @@
 // cluster coordinator learns of a routed job's completion this way
 // instead of polling on a timer. A coordinator validates ?wait= the same
 // way but answers at once: the hold lives on its workers. The SSE stream
-// replays the job's event history, then follows it live (an optional
-// ?from=N query resumes the replay at event index N, so a reconnecting
-// client skips what it already saw); each `data:` payload is one
+// replays the job's event history (the start event, at most
+// jobs.MaxHistoryIters iteration events and the end event), then follows
+// it live (an optional ?from=N query, counted over every emitted event,
+// resumes the replay at event index N, so a reconnecting client skips
+// what it already saw; a finished job always sends its end event); each
+// `data:` payload is one
 // api.Event JSON document (the internal trace schema), so concatenating
 // them yields a valid trace stream.
 //
@@ -471,8 +474,8 @@ func (wr workerRoutes) checkpoint(w http.ResponseWriter, r *http.Request) {
 
 // events streams a job's progress as server-sent events: the buffered
 // history first, then live events until the job ends or the client goes
-// away. Terminal jobs get their full history and an immediate close.
-// ?from=N skips the first N buffered events, resuming a dropped stream.
+// away. Terminal jobs get their retained history and an immediate close.
+// ?from=N skips the first N emitted events, resuming a dropped stream.
 func (wr workerRoutes) events(w http.ResponseWriter, r *http.Request) {
 	from := 0
 	if q := r.URL.Query().Get("from"); q != "" {
@@ -653,7 +656,7 @@ func buildTraceDoc(traceID string, spans []telemetry.SpanData) api.TraceDoc {
 		if len(sd.Events) > 0 {
 			out.Events = make([]api.SpanEvent, len(sd.Events))
 			for k, ev := range sd.Events {
-				out.Events[k] = api.SpanEvent(ev)
+				out.Events[k] = api.SpanEvent{Name: ev.Name, OffsetNs: ev.OffsetNs, Attrs: ev.Attrs}
 			}
 		}
 		kids := children[sd.SpanID]

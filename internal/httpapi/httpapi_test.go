@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -595,6 +596,69 @@ func TestTraceEndToEnd(t *testing.T) {
 
 	if open := m.Tracer().OpenSpans(); open != 0 {
 		t.Errorf("%d spans still open after job finished", open)
+	}
+}
+
+// TestTraceIterEventsMatchSSE: every "iter" event of a job's solve span,
+// as GET /v1/traces/{id} serves it, carries the same iteration index,
+// gamma, best-so-far, draws and phase times as that iteration's SSE
+// event, rendered as the span attributes always were.
+func TestTraceIterEventsMatchSSE(t *testing.T) {
+	const iters = 20
+	c, _, _ := newTracedServer(t, jobs.Options{Workers: 1})
+	ctx := context.Background()
+	info, err := c.Submit(ctx, api.SubmitRequest{
+		Instance: instanceJSON(t, 44, 12), Solver: api.SolverMaTCH,
+		Options: api.SolverOptions{Seed: 9, Workers: 1, MaxIterations: iters, StallC: 100000, GammaStallWindow: 100000},
+	})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if _, err := c.Wait(ctx, info.ID, 5*time.Millisecond); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	sse := map[string]api.Event{}
+	if err := c.Events(ctx, info.ID, func(e api.Event) {
+		if e.Kind == api.KindIteration {
+			sse[strconv.Itoa(e.Iter)] = e
+		}
+	}); err != nil {
+		t.Fatalf("Events: %v", err)
+	}
+	doc, err := c.Trace(ctx, info.TraceID)
+	if err != nil {
+		t.Fatalf("Trace: %v", err)
+	}
+	solve := findSpan(doc.Spans, "solve")
+	if solve == nil {
+		t.Fatalf("trace has no solve span: %+v", doc)
+	}
+	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	n := 0
+	for _, ev := range solve.Events {
+		if ev.Name != "iter" {
+			continue
+		}
+		n++
+		e, ok := sse[ev.Attrs["i"]]
+		if !ok {
+			t.Fatalf("span event for iteration %q has no SSE event", ev.Attrs["i"])
+		}
+		want := map[string]string{
+			"i":           strconv.Itoa(e.Iter),
+			"gamma":       f(e.Gamma),
+			"best_so_far": f(e.BestSoFar),
+			"draws":       strconv.Itoa(e.Draws),
+			"sample_ns":   strconv.FormatInt(e.SampleNs, 10),
+			"select_ns":   strconv.FormatInt(e.SelectNs, 10),
+			"update_ns":   strconv.FormatInt(e.UpdateNs, 10),
+		}
+		if !reflect.DeepEqual(ev.Attrs, want) {
+			t.Errorf("iteration %d: span attrs %v, SSE fields %v", e.Iter, ev.Attrs, want)
+		}
+	}
+	if n != iters || len(sse) != iters {
+		t.Fatalf("%d span iteration events and %d SSE iteration events, want %d each", n, len(sse), iters)
 	}
 }
 

@@ -143,9 +143,14 @@ type job struct {
 	queueSpan *telemetry.Span
 	solveSpan *telemetry.Span
 
-	events []api.Event
-	subs   map[int]chan api.Event
-	subCtr int
+	// events is the replayable history: the start event, the first
+	// MaxHistoryIters iteration events and the end event. dropped counts
+	// the iteration events emitted past the cap, which all fall between
+	// the last retained iteration and the end event.
+	events  []api.Event
+	dropped int
+	subs    map[int]chan api.Event
+	subCtr  int
 
 	// changed is closed by the next state change and then cleared. It
 	// exists only while WaitInfo callers are blocked on the job (counted
@@ -720,6 +725,8 @@ func (m *Manager) infoLocked(j *job) api.JobInfo {
 		CacheHit: j.cacheHit,
 		Resumed:  j.resumed,
 		TraceID:  j.traceID,
+
+		DroppedEvents: j.dropped,
 	}
 }
 
@@ -806,11 +813,13 @@ func (m *Manager) Subscribe(id string) (<-chan api.Event, func(), error) {
 	return m.SubscribeFrom(id, 0)
 }
 
-// SubscribeFrom is Subscribe starting at event index from: already-
-// buffered events before it are skipped, so a reconnecting client that
-// saw the first from events resumes exactly where its stream dropped. A
-// from beyond the buffered history replays nothing and streams only new
-// events.
+// SubscribeFrom is Subscribe starting at event index from, counted over
+// every event the job emitted: already-buffered events before it are
+// skipped, so a reconnecting client that saw the first from events
+// resumes where its stream dropped. Iteration events past the history
+// cap (MaxHistoryIters) are not buffered, so a from at or beyond the
+// retained history replays nothing and streams only new events. A
+// finished job always sends its end event, whatever from is.
 func (m *Manager) SubscribeFrom(id string, from int) (<-chan api.Event, func(), error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -818,18 +827,19 @@ func (m *Manager) SubscribeFrom(id string, from int) (<-chan api.Event, func(), 
 	if err != nil {
 		return nil, nil, err
 	}
-	if from < 0 {
-		from = 0
+	history := j.events
+	terminal := api.TerminalState(j.state)
+	if terminal {
+		history = history[:len(history)-1] // the end event goes out whatever from is
 	}
-	if from > len(j.events) {
-		from = len(j.events)
-	}
-	replay := j.events[from:]
-	ch := make(chan api.Event, len(replay)+liveMargin)
+	from = min(max(from, 0), len(history))
+	replay := history[from:]
+	ch := make(chan api.Event, len(replay)+1+liveMargin)
 	for _, e := range replay {
 		ch <- e
 	}
-	if api.TerminalState(j.state) {
+	if terminal {
+		ch <- j.events[len(j.events)-1]
 		close(ch)
 		return ch, func() {}, nil
 	}
@@ -857,10 +867,21 @@ func (m *Manager) SubscribeFrom(id string, from int) (<-chan api.Event, func(), 
 // about 16 KB for a client that never reads.
 const liveMargin = 64
 
-// emit buffers an event, fans it out to subscribers and mirrors it to the
-// shared trace stream. Caller holds mu.
+// MaxHistoryIters caps the iteration events a job's history keeps for
+// replay, the tracer's default per-span event cap. With the start and end
+// events a history holds at most MaxHistoryIters+2 events (about 127 KB),
+// however long the solve runs.
+const MaxHistoryIters = 512
+
+// emit buffers an event (iteration events only up to MaxHistoryIters),
+// fans it out to subscribers and mirrors it to the shared trace stream.
+// Caller holds mu.
 func (m *Manager) emitLocked(j *job, e api.Event) {
-	j.events = append(j.events, e)
+	if e.Kind == api.KindIteration && len(j.events) > MaxHistoryIters {
+		j.dropped++
+	} else {
+		j.events = append(j.events, e)
+	}
 	for _, ch := range j.subs {
 		select {
 		case ch <- e:
@@ -981,18 +1002,8 @@ func (m *Manager) runJob(j *job) {
 	onIter := func(tr matchsim.IterationTrace) {
 		e := trace.IterEvent(tr)
 		m.observeIteration(e, traceID)
-		// Guarded so the tracing-off path never pays the attribute
-		// formatting, only a nil test.
-		if solveSpan != nil {
-			solveSpan.Event("iter",
-				"i", strconv.Itoa(e.Iter),
-				"gamma", telemetryFloat(e.Gamma),
-				"best_so_far", telemetryFloat(e.BestSoFar),
-				"draws", strconv.Itoa(e.Draws),
-				"sample_ns", strconv.FormatInt(e.SampleNs, 10),
-				"select_ns", strconv.FormatInt(e.SelectNs, 10),
-				"update_ns", strconv.FormatInt(e.UpdateNs, 10))
-		}
+		solveSpan.IterEvent(telemetry.Iter{I: e.Iter, Gamma: e.Gamma, BestSoFar: e.BestSoFar,
+			Draws: e.Draws, SampleNs: e.SampleNs, SelectNs: e.SelectNs, UpdateNs: e.UpdateNs})
 		m.mu.Lock()
 		m.emitLocked(j, e)
 		m.mu.Unlock()

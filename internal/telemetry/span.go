@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -31,11 +32,44 @@ import (
 )
 
 // SpanEvent is one timestamped annotation inside a span. OffsetNs is
-// measured monotonically from the span start.
+// measured monotonically from the span start. A CE-iteration event
+// (Span.IterEvent) keeps its payload as an Iter record and has no Attrs
+// while it is retained; the read paths (Tracer.Trace and the span log)
+// render them.
 type SpanEvent struct {
 	Name     string            `json:"name"`
 	OffsetNs int64             `json:"offset_ns"`
 	Attrs    map[string]string `json:"attrs,omitempty"`
+
+	iter    Iter
+	hasIter bool
+}
+
+// Iter is the payload of one CE-iteration span event: the iteration
+// index, the γ quantile of eq. (10), the best score so far, the samples
+// drawn and the sample/select/update phase times. It is held as numbers
+// and rendered as string attributes only when the span is read.
+type Iter struct {
+	I         int
+	Gamma     float64
+	BestSoFar float64
+	Draws     int
+	SampleNs  int64
+	SelectNs  int64
+	UpdateNs  int64
+}
+
+// attrs renders the record as the event's string attributes.
+func (it *Iter) attrs() map[string]string {
+	return map[string]string{
+		"i":           strconv.Itoa(it.I),
+		"gamma":       strconv.FormatFloat(it.Gamma, 'g', -1, 64),
+		"best_so_far": strconv.FormatFloat(it.BestSoFar, 'g', -1, 64),
+		"draws":       strconv.Itoa(it.Draws),
+		"sample_ns":   strconv.FormatInt(it.SampleNs, 10),
+		"select_ns":   strconv.FormatInt(it.SelectNs, 10),
+		"update_ns":   strconv.FormatInt(it.UpdateNs, 10),
+	}
 }
 
 // SpanData is the immutable record of a finished span — the unit stored
@@ -307,7 +341,27 @@ func (s *Span) Event(name string, kv ...string) {
 	if s == nil {
 		return
 	}
-	offset := time.Since(s.start).Nanoseconds()
+	ev := SpanEvent{Name: name}
+	if len(kv) >= 2 {
+		ev.Attrs = make(map[string]string, len(kv)/2)
+		for i := 0; i+1 < len(kv); i += 2 {
+			ev.Attrs[kv[i]] = kv[i+1]
+		}
+	}
+	s.addEvent(ev)
+}
+
+// IterEvent appends one CE-iteration event, named "iter". The record is
+// stored as numbers; no string is formatted until the span is read.
+func (s *Span) IterEvent(it Iter) {
+	if s == nil {
+		return
+	}
+	s.addEvent(SpanEvent{Name: "iter", iter: it, hasIter: true})
+}
+
+func (s *Span) addEvent(ev SpanEvent) {
+	ev.OffsetNs = time.Since(s.start).Nanoseconds()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ended {
@@ -316,13 +370,6 @@ func (s *Span) Event(name string, kv ...string) {
 	if len(s.data.Events) >= s.tracer.maxEvents {
 		s.data.DroppedEvents++
 		return
-	}
-	ev := SpanEvent{Name: name, OffsetNs: offset}
-	if len(kv) >= 2 {
-		ev.Attrs = make(map[string]string, len(kv)/2)
-		for i := 0; i+1 < len(kv); i += 2 {
-			ev.Attrs[kv[i]] = kv[i+1]
-		}
 	}
 	s.data.Events = append(s.data.Events, ev)
 }
@@ -342,6 +389,11 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	s.data.DurationNs = elapsed
+	if evs := s.data.Events; cap(evs) > len(evs) {
+		// The ring keeps the span for its lifetime: drop append's slack.
+		s.data.Events = make([]SpanEvent, len(evs))
+		copy(s.data.Events, evs)
+	}
 	sd := s.data
 	s.mu.Unlock()
 
@@ -356,13 +408,32 @@ func (s *Span) End() {
 	}
 	t.mu.Unlock()
 	if t.log != nil {
-		t.log.Write(sd) // sticky error surfaces on Close
+		t.log.Write(sd.rendered()) // sticky error surfaces on Close
 	}
 }
 
+// rendered returns sd with the Attrs of its CE-iteration events filled
+// in. The events slice is copied when any needs rendering, so a span
+// retained in the ring never shares a mutable map with a reader.
+func (sd SpanData) rendered() SpanData {
+	i := slices.IndexFunc(sd.Events, func(ev SpanEvent) bool { return ev.hasIter })
+	if i < 0 {
+		return sd
+	}
+	evs := slices.Clone(sd.Events)
+	for ; i < len(evs); i++ {
+		if evs[i].hasIter {
+			evs[i].Attrs = evs[i].iter.attrs()
+		}
+	}
+	sd.Events = evs
+	return sd
+}
+
 // Trace returns every retained finished span of the given trace, sorted
-// by start time (span ID breaking ties). Spans evicted from the ring or
-// still open are not included.
+// by start time (span ID breaking ties), with CE-iteration events
+// rendered into Attrs. Spans evicted from the ring or still open are not
+// included.
 func (t *Tracer) Trace(traceID string) []SpanData {
 	if t == nil || traceID == "" {
 		return nil
@@ -375,6 +446,9 @@ func (t *Tracer) Trace(traceID string) []SpanData {
 		}
 	}
 	t.mu.Unlock()
+	for i := range out {
+		out[i] = out[i].rendered()
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].Start.Equal(out[j].Start) {
 			return out[i].Start.Before(out[j].Start)
