@@ -131,6 +131,10 @@ type Config struct {
 	Context context.Context
 	// OnIteration, when non-nil, receives telemetry after each iteration.
 	OnIteration func(IterStats)
+	// DiscardHistory leaves Result.History empty, for a caller that reads
+	// iterations through OnIteration only: the slice otherwise grows by
+	// one IterStats per iteration for as long as the run lasts.
+	DiscardHistory bool
 
 	// Island labels this run's IterStats.Island — the index of this run
 	// within an island-model ensemble (see RunIslands). Purely a label;
@@ -510,7 +514,9 @@ func run[S any](p Problem[S], cfg Config, start State[S], exchangeEvery int, exc
 		}
 		res.Gamma = gamma
 		res.Iterations = iter
-		res.History = append(res.History, stats)
+		if !cfg.DiscardHistory {
+			res.History = append(res.History, stats)
+		}
 
 		if cfg.OnIteration != nil {
 			cfg.OnIteration(stats)

@@ -242,16 +242,17 @@ func solveIslands(eval *cost.Evaluator, opts Options) (*Result, error) {
 				return nil
 			},
 			Config: ce.Config{
-				SampleSize:    perIsland,
-				Rho:           opts.Rho,
-				Zeta:          opts.Zeta,
-				StallWindow:   opts.GammaStallWindow,
-				MaxIterations: opts.MaxIterations,
-				Workers:       opts.Workers,
-				Seed:          xrand.SeedKeyed(opts.Seed, uint64(g)),
-				Minimize:      true,
-				OnIteration:   forward,
-				Island:        g,
+				SampleSize:     perIsland,
+				Rho:            opts.Rho,
+				Zeta:           opts.Zeta,
+				StallWindow:    opts.GammaStallWindow,
+				MaxIterations:  opts.MaxIterations,
+				Workers:        opts.Workers,
+				Seed:           xrand.SeedKeyed(opts.Seed, uint64(g)),
+				Minimize:       true,
+				OnIteration:    forward,
+				DiscardHistory: opts.DiscardHistory,
+				Island:         g,
 			},
 		}
 	}

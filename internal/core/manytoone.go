@@ -39,16 +39,17 @@ func ManyToOne(eval *cost.Evaluator, opts Options) (*Result, error) {
 		}
 	}
 	cfg := ce.Config{
-		SampleSize:    opts.SampleSize,
-		Rho:           opts.Rho,
-		Zeta:          opts.Zeta,
-		StallWindow:   opts.GammaStallWindow,
-		MaxIterations: opts.MaxIterations,
-		Workers:       opts.Workers,
-		Seed:          opts.Seed,
-		Minimize:      true,
-		Context:       opts.Context,
-		OnIteration:   opts.OnIteration,
+		SampleSize:     opts.SampleSize,
+		Rho:            opts.Rho,
+		Zeta:           opts.Zeta,
+		StallWindow:    opts.GammaStallWindow,
+		MaxIterations:  opts.MaxIterations,
+		Workers:        opts.Workers,
+		Seed:           opts.Seed,
+		Minimize:       true,
+		Context:        opts.Context,
+		OnIteration:    opts.OnIteration,
+		DiscardHistory: opts.DiscardHistory,
 	}
 
 	start := time.Now()

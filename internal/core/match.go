@@ -94,6 +94,10 @@ type Options struct {
 	Context context.Context
 	// OnIteration, when non-nil, receives telemetry each iteration.
 	OnIteration func(ce.IterStats)
+	// DiscardHistory leaves Result.History empty (see
+	// ce.Config.DiscardHistory), for callers that read iterations through
+	// OnIteration only.
+	DiscardHistory bool
 	// CheckpointEvery > 0, together with OnCheckpoint, exports a resumable
 	// Checkpoint every that-many iterations while the run is in flight —
 	// the state a supervisor needs to rescue a job whose process dies
@@ -403,16 +407,17 @@ func solveFromProblem(eval *cost.Evaluator, opts Options, start ce.State[[]int],
 		}
 	}
 	cfg := ce.Config{
-		SampleSize:    opts.SampleSize,
-		Rho:           opts.Rho,
-		Zeta:          opts.Zeta,
-		StallWindow:   opts.GammaStallWindow,
-		MaxIterations: opts.MaxIterations,
-		Workers:       opts.Workers,
-		Seed:          opts.Seed,
-		Minimize:      true,
-		Context:       opts.Context,
-		OnIteration:   opts.OnIteration,
+		SampleSize:     opts.SampleSize,
+		Rho:            opts.Rho,
+		Zeta:           opts.Zeta,
+		StallWindow:    opts.GammaStallWindow,
+		MaxIterations:  opts.MaxIterations,
+		Workers:        opts.Workers,
+		Seed:           opts.Seed,
+		Minimize:       true,
+		Context:        opts.Context,
+		OnIteration:    opts.OnIteration,
+		DiscardHistory: opts.DiscardHistory,
 	}
 
 	// Periodic checkpoint export, after the iteration's Update, so the

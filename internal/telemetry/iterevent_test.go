@@ -8,7 +8,9 @@ import (
 	"io"
 	"math"
 	"regexp"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +32,13 @@ func referenceIterEvent(s *Span, it Iter) {
 		"update_ns", strconv.FormatInt(it.UpdateNs, 10))
 }
 
+// appendIter records an iteration the way a job does: into the
+// iteration log the span renders its "iter" events from.
+func appendIter(s *Span, it Iter) {
+	it.OffsetNs = s.Elapsed()
+	s.rec.iters.Append(it)
+}
+
 // edgeIters covers integral floats, extreme magnitudes, negative zero,
 // values that need all 17 significant digits, and extreme integers.
 var edgeIters = []Iter{
@@ -45,14 +54,26 @@ var edgeIters = []Iter{
 
 // pinSpan gives a span fixed identity, start and event offsets, so two
 // spans that recorded the same events marshal to the same bytes apart
-// from their duration.
+// from their duration. An event's offset is its place in the order the
+// span recorded its events and iterations.
 func pinSpan(s *Span) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.data.TraceID, s.data.SpanID = "4bf92f3577b34da6a3ce929d0e0e4736", "00f067aa0ba902b7"
-	s.data.Start = time.Date(2005, 4, 4, 0, 0, 0, 0, time.UTC)
-	for k := range s.data.Events {
-		s.data.Events[k].OffsetNs = int64(k)
+	s.rec.traceID, s.rec.spanID = "4bf92f3577b34da6a3ce929d0e0e4736", "00f067aa0ba902b7"
+	s.rec.start = time.Date(2005, 4, 4, 0, 0, 0, 0, time.UTC)
+	evs := s.rec.events
+	for k := range evs {
+		evs[k].offsetNs = int64(evs[k].at + k)
+	}
+	recs, _ := s.rec.iters.Records()
+	for i := range recs {
+		before := 0
+		for _, ev := range evs {
+			if ev.at <= i {
+				before++
+			}
+		}
+		recs[i].OffsetNs = int64(i + before)
 	}
 }
 
@@ -69,6 +90,7 @@ func TestIterEventWireMatchesReference(t *testing.T) {
 	tr := NewTracer(TracerOptions{Node: "n", Capacity: 8, MaxEventsPerSpan: len(edgeIters), Log: log})
 	record := func(iter func(*Span, Iter)) {
 		_, s := tr.StartSpan(context.Background(), "solve")
+		s.SetIterLog(NewIterLog(len(edgeIters)))
 		s.SetAttr("k", "v")
 		for k, it := range edgeIters {
 			if k == 2 {
@@ -79,7 +101,7 @@ func TestIterEventWireMatchesReference(t *testing.T) {
 		pinSpan(s)
 		s.End()
 	}
-	record((*Span).IterEvent)
+	record(appendIter)
 	record(referenceIterEvent)
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
@@ -123,28 +145,49 @@ func TestIterEventWireMatchesReference(t *testing.T) {
 }
 
 // TestEndClipsEventSlack: a finished span holds no append slack in its
-// events slice.
+// events and attributes, which stay sorted by key with one value a key,
+// nor a clipped iteration log in its records.
 func TestEndClipsEventSlack(t *testing.T) {
 	tr := NewTracer(TracerOptions{Capacity: 4})
 	_, s := tr.StartSpan(context.Background(), "solve")
+	l := NewIterLog(512)
+	s.SetIterLog(l)
 	for i := 0; i < 5; i++ {
-		s.IterEvent(Iter{I: i})
+		s.Event("tick", "i", strconv.Itoa(i))
+		s.SetAttr(strconv.Itoa(4-i), "v")
+		appendIter(s, Iter{I: i})
 	}
+	s.SetAttr("2", "w")
 	s.End()
-	evs := tr.ring[0].Events
-	if len(evs) != 5 || cap(evs) > 5 {
-		t.Fatalf("ring span holds %d events with capacity %d, want 5 and no slack", len(evs), cap(evs))
+	l.Clip()
+	r := tr.ring[0]
+	if len(r.events) != 5 || cap(r.events) > 5 {
+		t.Errorf("ring span holds %d events with capacity %d, want 5 and no slack", len(r.events), cap(r.events))
+	}
+	if len(r.attrs) != 5 || cap(r.attrs) > 5 {
+		t.Errorf("ring span holds %d attributes with capacity %d, want 5 and no slack", len(r.attrs), cap(r.attrs))
+	}
+	if !slices.IsSortedFunc(r.attrs, func(a, b attr) int { return strings.Compare(a.key, b.key) }) {
+		t.Errorf("ring span attributes %v are not sorted by key", r.attrs)
+	}
+	if recs, n := l.Records(); len(recs) != 5 || n != 5 || cap(l.recs) > 5 {
+		t.Errorf("clipped log holds %d of %d records with capacity %d, want 5 of 5 and no slack", len(recs), n, cap(l.recs))
+	}
+	if sd := tr.Trace(s.TraceID())[0]; len(sd.Events) != 10 || sd.DroppedEvents != 0 {
+		t.Errorf("span renders %d events, %d dropped; want 10 and 0", len(sd.Events), sd.DroppedEvents)
 	}
 }
 
-// TestIterEventConcurrentReads records iteration events on spans from
-// several goroutines while others read and render them through Trace and
-// the span log; under -race it checks the read paths share nothing
-// mutable with the ring.
+// TestIterEventConcurrentReads appends iteration records from several
+// goroutines to logs that spans read, finished ones included, while
+// others read and render the spans through Trace and the span log; under
+// -race it checks the read paths share nothing mutable with the ring.
 func TestIterEventConcurrentReads(t *testing.T) {
 	log := NewSpanLog(io.Discard)
 	tr := NewTracer(TracerOptions{Capacity: 16, Log: log})
 	ctx, root := tr.StartSpan(context.Background(), "root")
+	root.SetIterLog(NewIterLog(512))
+	shared := NewIterLog(64) // outlives the spans that read it
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(2)
@@ -152,8 +195,10 @@ func TestIterEventConcurrentReads(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				_, s := tr.StartSpan(ctx, "solve")
-				s.IterEvent(Iter{I: i, Gamma: float64(i) / 3})
-				root.IterEvent(Iter{I: i})
+				s.SetIterLog(shared)
+				appendIter(s, Iter{I: i, Gamma: float64(i) / 3})
+				appendIter(root, Iter{I: i})
+				s.Event("tick", "k", "v")
 				s.End()
 			}
 		}()

@@ -294,6 +294,9 @@ func coreOptions(opts MaTCHOptions) core.Options {
 		OnCheckpoint:     opts.OnCheckpoint,
 		Multilevel:       opts.Multilevel,
 		Islands:          opts.Islands,
+		// A Solution exposes no per-iteration history: OnIteration is the
+		// only way to read iterations, so the solver keeps none.
+		DiscardHistory: true,
 	}
 	if opts.OnIteration != nil {
 		cb := opts.OnIteration
