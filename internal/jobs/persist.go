@@ -178,6 +178,7 @@ func (m *Manager) restoreOne(p *persistedJob, path string) error {
 		solver:      req.Solver,
 		req:         req,
 		problem:     problem,
+		tasks:       problem.NumTasks(),
 		created:     p.Created,
 		resumed:     true,
 		resumeFrom:  resumeFrom,
