@@ -49,7 +49,7 @@ func LowerBound(e *Evaluator) float64 {
 				if s == b {
 					continue
 				}
-				if v := e.link[s*e.r+b]; v < cMin {
+				if v := e.links.Cost(s, b); v < cMin {
 					cMin = v
 				}
 			}

@@ -80,8 +80,9 @@ type Evaluator struct {
 	r        int // resources
 	// weights (W^t) and costs (w_s) alias the TIG's and the platform's.
 	weights, costs []float64
-	// link is the platform's dense link-cost matrix, aliased.
-	link []float64
+	// links is the platform's link table, aliased; every lookup goes
+	// through links.Cost.
+	links graph.LinkTable
 	// edges is the TIG edge list packed to 16 bytes per edge (int32
 	// endpoints beside the weight): Loads streams it once per draw, so
 	// halving its footprint against graph.Edge's 24 bytes cuts the cache
@@ -120,7 +121,7 @@ func NewEvaluator(tig *graph.TIG, platform *graph.ResourceGraph) (*Evaluator, er
 		r:        r,
 		weights:  tig.Weights,
 		costs:    platform.Costs,
-		link:     platform.LinkMatrix(),
+		links:    platform.LinkTable(),
 	}
 	e.edges = make([]packedEdge, 0, len(tig.Edges()))
 	for _, edge := range tig.Edges() {
@@ -152,7 +153,7 @@ func (e *Evaluator) CommTime(t int, m Mapping) float64 {
 	total := 0.0
 	for _, nb := range e.tig.Neighbors(t) {
 		if b := m[nb.To]; b != s {
-			total += float64(nb.Weight * e.link[s*e.r+b])
+			total += float64(nb.Weight * e.links.Cost(s, b))
 		}
 	}
 	return total
@@ -163,10 +164,11 @@ func (e *Evaluator) CommTime(t int, m Mapping) float64 {
 // cost is charged to both endpoints' resources, exactly as eq. (1) sums
 // over the tasks assigned to each resource.
 //
-// The edge sweep is branch-free: a co-located edge multiplies by the link
-// matrix's zero diagonal, so both of its adds are exact no-ops — the same
-// sums as skipping it, without the data-dependent branch that mispredicts
-// on randomly drawn mappings (the CE hot path scores every draw here).
+// The edge sweep is branch-free: a co-located edge multiplies by the zero
+// that LinkTable.Cost gives for su == sv, so both of its adds are exact
+// no-ops — the same sums as skipping it, without the data-dependent
+// branch that mispredicts on randomly drawn mappings (the CE hot path
+// scores every draw here).
 func (e *Evaluator) Loads(m Mapping, dst []float64) []float64 {
 	if cap(dst) < e.r {
 		dst = make([]float64, e.r)
@@ -175,15 +177,27 @@ func (e *Evaluator) Loads(m Mapping, dst []float64) []float64 {
 	for i := range dst {
 		dst[i] = 0
 	}
-	r, costs := e.r, e.costs
+	costs := e.costs
 	for t, w := range e.weights {
 		s := m[t]
 		dst[s] += float64(w * costs[s])
 	}
-	link := e.link
+	if e.links.Labels == nil {
+		// A dense platform, the CE kernel's case: the matrix read
+		// directly, its zero diagonal doing what Cost's su == sv test does.
+		link, r := e.links.Block, e.r
+		for _, edge := range e.edges {
+			su, sv := m[edge.u], m[edge.v]
+			c := float64(edge.w * link[su*r+sv])
+			dst[su] += c
+			dst[sv] += c
+		}
+		return dst
+	}
+	links := &e.links
 	for _, edge := range e.edges {
 		su, sv := m[edge.u], m[edge.v]
-		c := float64(edge.w * link[su*r+sv])
+		c := float64(edge.w * links.Cost(su, sv))
 		dst[su] += c
 		dst[sv] += c
 	}
@@ -241,7 +255,7 @@ func (e *Evaluator) Explain(m Mapping) Breakdown {
 		if su == sv {
 			continue
 		}
-		c := float64(edge.Weight * e.link[su*e.r+sv])
+		c := float64(edge.Weight * e.links.Cost(su, sv))
 		b.Comm[su] += c
 		b.Comm[sv] += c
 	}

@@ -201,8 +201,8 @@ func randomEvaluator(t *testing.T, seed uint64, n int) *Evaluator {
 
 // TestEvaluatorHeapBound: an evaluator for n = r = 1024 (mean TIG degree
 // 8) retains under 1 MB beyond the TIG and the platform it scores, whose
-// 8 MB link matrix it aliases. A precomputed n x r compute table alone
-// would be 8 MB.
+// link table it aliases. A precomputed n x r compute table alone would
+// be 8 MB.
 func TestEvaluatorHeapBound(t *testing.T) {
 	if memcheck.RaceEnabled {
 		t.Skip("the race detector distorts heap figures")

@@ -85,7 +85,7 @@ func (s *State) removeTask(t int) {
 		if b == rs {
 			continue
 		}
-		c := float64(nb.Weight * e.link[rs*e.r+b])
+		c := float64(nb.Weight * e.links.Cost(rs, b))
 		s.loads[rs] -= c
 		s.loads[b] -= c
 	}
@@ -101,7 +101,7 @@ func (s *State) addTask(t int) {
 		if b == rs {
 			continue
 		}
-		c := float64(nb.Weight * e.link[rs*e.r+b])
+		c := float64(nb.Weight * e.links.Cost(rs, b))
 		s.loads[rs] += c
 		s.loads[b] += c
 	}
@@ -247,12 +247,12 @@ func (s *State) probeMove(t, other, from, to int) {
 		}
 		b := s.mapping[nb.To]
 		if b != from {
-			c := float64(nb.Weight * e.link[from*e.r+b])
+			c := float64(nb.Weight * e.links.Cost(from, b))
 			s.probeDelta(from, -c)
 			s.probeDelta(b, -c)
 		}
 		if b != to {
-			c := float64(nb.Weight * e.link[to*e.r+b])
+			c := float64(nb.Weight * e.links.Cost(to, b))
 			s.probeDelta(to, c)
 			s.probeDelta(b, c)
 		}

@@ -4,8 +4,9 @@
 // Floyd-Warshall (O(n^3)). The constructors here keep the paper's weight
 // ranges but build sparse bounded-degree TIGs with an O(M) duplicate
 // check and hierarchical cluster platforms (cf. the hierarchical platform
-// models of Glantz et al.) whose dense link matrix is filled directly in
-// O(n^2), making n in the tens of thousands generatable in milliseconds.
+// models of Glantz et al.) stored as cluster labels plus a cluster-pair
+// cost table in O(n + k^2), making n in the tens of thousands
+// generatable in milliseconds.
 
 package gen
 
@@ -116,9 +117,14 @@ func SparseTIG(rng *xrand.RNG, n int, cfg LargeConfig) (*graph.TIG, error) {
 // link cost drawn from the paper's [LinkCostLo, LinkCostHi] range, and
 // each cluster pair communicates at one expensive cost — InterFactor
 // times a draw from the same range — shared by all its resource pairs
-// (messages cross one aggregated uplink). The dense link matrix is
-// filled directly, so no O(n^3) closure is needed; the topology graph is
-// left empty (see graph.NewResourceGraphDense).
+// (messages cross one aggregated uplink). The platform is a block
+// platform (see graph.NewResourceGraphBlocks): resource s carries its
+// cluster label s*k/n (contiguous, near-equal cluster sizes), and the
+// k x k table holds each cluster's intra-cluster cost on its diagonal and
+// each cluster pair's cost off it, so the platform takes O(n + k^2)
+// memory and no O(n^2) matrix or O(n^3) closure is built. The draws are
+// the processing costs in resource order, then per cluster a its intra
+// cost followed by the costs of pairs (a, b) for b > a.
 func HierarchicalPlatform(rng *xrand.RNG, n int, cfg LargeConfig) (*graph.ResourceGraph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gen: platform size %d < 1", n)
@@ -135,37 +141,21 @@ func HierarchicalPlatform(rng *xrand.RNG, n int, cfg LargeConfig) (*graph.Resour
 		return nil, fmt.Errorf("gen: inter-cluster factor %v < 1", cfg.InterFactor)
 	}
 	costs := make([]float64, n)
-	cluster := make([]int, n)
+	labels := make([]int32, n)
 	for s := 0; s < n; s++ {
 		costs[s] = float64(rng.IntRange(cfg.Paper.ResourceCostLo, cfg.Paper.ResourceCostHi))
-		cluster[s] = s * k / n // contiguous, near-equal cluster sizes
+		labels[s] = int32(s * k / n)
 	}
-	// One link cost per cluster and per cluster pair, drawn in a fixed
-	// order for determinism.
-	intra := make([]float64, k)
-	inter := make([]float64, k*k)
+	block := make([]float64, k*k)
 	for a := 0; a < k; a++ {
-		intra[a] = float64(rng.IntRange(cfg.Paper.LinkCostLo, cfg.Paper.LinkCostHi))
+		block[a*k+a] = float64(rng.IntRange(cfg.Paper.LinkCostLo, cfg.Paper.LinkCostHi))
 		for b := a + 1; b < k; b++ {
 			c := cfg.InterFactor * float64(rng.IntRange(cfg.Paper.LinkCostLo, cfg.Paper.LinkCostHi))
-			inter[a*k+b] = c
-			inter[b*k+a] = c
+			block[a*k+b] = c
+			block[b*k+a] = c
 		}
 	}
-	link := make([]float64, n*n)
-	for s := 0; s < n; s++ {
-		for b := s + 1; b < n; b++ {
-			var c float64
-			if cluster[s] == cluster[b] {
-				c = intra[cluster[s]]
-			} else {
-				c = inter[cluster[s]*k+cluster[b]]
-			}
-			link[s*n+b] = c
-			link[b*n+s] = c
-		}
-	}
-	r, err := graph.NewResourceGraphDense(costs, link)
+	r, err := graph.NewResourceGraphBlocks(costs, labels, block)
 	if err != nil {
 		return nil, err
 	}

@@ -44,12 +44,12 @@ func HeavyEdgeMatching(g *Undirected) [][2]int {
 }
 
 // CheapestLinkMatching returns a maximal matching over the platform's
-// dense link-cost matrix that prefers cheap links, pairing resources
-// whose merger least distorts the communication model. Each unmatched
-// resource (ascending id) greedily grabs its cheapest unmatched partner
-// (ties to the lowest id); the chosen pairs are then ordered cheapest
-// first so any prefix is a cheapest-first partial matching. O(n^2) — it
-// scans matrix rows instead of sorting all n^2/2 pairs.
+// link costs that prefers cheap links, pairing resources whose merger
+// least distorts the communication model. Each unmatched resource
+// (ascending id) greedily grabs its cheapest unmatched partner (ties to
+// the lowest id); the chosen pairs are then ordered cheapest first so any
+// prefix is a cheapest-first partial matching. O(n^2) — it scans each
+// resource's costs instead of sorting all n^2/2 pairs.
 func CheapestLinkMatching(r *ResourceGraph) [][2]int {
 	n := r.N()
 	matched := make([]bool, n)
@@ -184,8 +184,10 @@ func ContractTIG(t *TIG, c Contraction) (*TIG, error) {
 // resource's processing cost is the mean of its members' costs (merging
 // two resources models spreading the cluster's work over both), and each
 // coarse link cost is the mean link cost over all fine cross pairs. The
-// platform must be fully linked (finite dense matrix — CloseLinks first
-// for sparse topologies); the coarse platform is returned dense.
+// platform must be fully linked (CloseLinks first for sparse topologies);
+// a block platform's fine costs are read through its labels, in the same
+// order, so it gives the same coarse platform as its dense expansion. The
+// coarse platform is returned dense.
 //
 // The coarse link matrix is the only cN^2 buffer: the upper triangle
 // accumulates each coarse pair's fine link sums, which are then divided
@@ -213,9 +215,16 @@ func ContractPlatform(r *ResourceGraph, c Contraction) (*ResourceGraph, error) {
 		costs[s] /= float64(size[s])
 	}
 	link := make([]float64, cN*cN)
+	fine := r.links
 	for i := 0; i < n; i++ {
 		ci := c.Map[i]
-		fine := r.link[i*n : (i+1)*n]
+		// Fine row i: c_{i,j} = row[j] on a dense platform and
+		// row[labels[j]] on a block platform, for j != i.
+		li := i
+		if fine.Labels != nil {
+			li = int(fine.Labels[i])
+		}
+		row := fine.Block[li*fine.K : (li+1)*fine.K]
 		for j := i + 1; j < n; j++ {
 			cj := c.Map[j]
 			if ci == cj {
@@ -225,7 +234,11 @@ func ContractPlatform(r *ResourceGraph, c Contraction) (*ResourceGraph, error) {
 			if a > b {
 				a, b = b, a
 			}
-			link[a*cN+b] += fine[j]
+			lj := j
+			if fine.Labels != nil {
+				lj = int(fine.Labels[j])
+			}
+			link[a*cN+b] += row[lj]
 		}
 	}
 	for a := 0; a < cN; a++ {

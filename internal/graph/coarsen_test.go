@@ -388,7 +388,7 @@ func TestContractPlatformMatchesFourBufferBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := diffFloats("costs", got.Costs, want.Costs) + diffFloats("link", got.LinkMatrix(), want.LinkMatrix()); d != "" {
+		if d := diffFloats("costs", got.Costs, want.Costs) + diffLinks("coarse", got.LinkTable(), want.LinkTable()); d != "" {
 			t.Fatalf("trial %d (n=%d, cN=%d): differs from the reference build: %s", trial, n, c.CoarseN, d)
 		}
 		if err := got.Validate(); err != nil {

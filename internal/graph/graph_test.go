@@ -354,7 +354,7 @@ func TestCloseLinksDisconnected(t *testing.T) {
 func TestResourceValidateCatchesAsymmetry(t *testing.T) {
 	r := NewResourceGraphWithCosts([]float64{1, 1})
 	r.MustAddLink(0, 1, 3)
-	r.link[0*2+1] = 5 // corrupt one direction
+	r.links.Block[0*2+1] = 5 // corrupt one direction
 	if err := r.Validate(); err == nil {
 		t.Fatal("asymmetric link matrix accepted")
 	}
@@ -365,7 +365,7 @@ func TestResourceClone(t *testing.T) {
 	r.MustAddLink(0, 1, 3)
 	c := r.Clone()
 	c.Costs[0] = 50
-	c.link[1] = 99
+	c.links.Block[1] = 99
 	if r.Costs[0] != 1 || r.LinkCost(0, 1) != 3 {
 		t.Fatal("clone aliases platform state")
 	}
@@ -405,5 +405,58 @@ func TestCloseLinksPropertyTriangleInequality(t *testing.T) {
 	}
 	if err := quick.Check(func(s uint64) bool { return f(rng.Uint64() ^ s) }, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBlockPlatform: a block platform charges the diagonal entry between
+// two resources of one block, the off-diagonal entry across blocks and 0
+// from a resource to itself; it is fully linked, takes no links, is left
+// as it is by CloseLinks, and clones deeply.
+func TestBlockPlatform(t *testing.T) {
+	r, err := NewResourceGraphBlocks([]float64{1, 2, 3}, []int32{0, 0, 1}, []float64{5, 9, 9, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [3][3]float64{{0, 5, 9}, {5, 0, 9}, {9, 9, 0}}
+	for s := 0; s < 3; s++ {
+		for b := 0; b < 3; b++ {
+			if got := r.LinkCost(s, b); got != want[s][b] {
+				t.Fatalf("LinkCost(%d,%d) = %v, want %v", s, b, got, want[s][b])
+			}
+		}
+	}
+	if !r.IsBlock() || !r.FullyLinked() {
+		t.Fatal("block platform not reported as a fully linked block platform")
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddLink(0, 2, 1); err == nil {
+		t.Fatal("AddLink on a block platform succeeded")
+	}
+	if err := r.CloseLinks(); err != nil || r.LinkCost(0, 2) != 9 {
+		t.Fatalf("CloseLinks: %v, LinkCost(0,2) = %v", err, r.LinkCost(0, 2))
+	}
+	c := r.Clone()
+	c.links.Labels[2] = 0
+	c.links.Block[1] = 1
+	if r.LinkCost(0, 2) != 9 || c.LinkCost(0, 2) != 5 {
+		t.Fatal("clone aliases the link table")
+	}
+	for _, bad := range []struct {
+		labels []int32
+		block  []float64
+	}{
+		{[]int32{0, 0}, []float64{5, 9, 9, 7}},                        // label count
+		{[]int32{0, 0, 2}, []float64{5, 9, 9, 7}},                     // label out of range
+		{[]int32{0, 0, -1}, []float64{5, 9, 9, 7}},                    // negative label
+		{[]int32{0, 0, 0}, []float64{5, 9, 9}},                        // table not k*k
+		{[]int32{0, 0, 1}, []float64{5, 9, 8, 7}},                     // asymmetric
+		{[]int32{0, 0, 1}, []float64{-5, 9, 9, 7}},                    // negative
+		{[]int32{0, 0, 1}, []float64{5, math.Inf(1), math.Inf(1), 7}}, // infinite
+	} {
+		if _, err := NewResourceGraphBlocks([]float64{1, 2, 3}, bad.labels, bad.block); err == nil {
+			t.Errorf("labels %v, table %v accepted", bad.labels, bad.block)
+		}
 	}
 }

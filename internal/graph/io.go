@@ -29,6 +29,7 @@ type tigJSON struct {
 // serialised; CloseLinks state is recomputed on load when closed is true.
 // Platforms built from a dense link matrix with no topology (see
 // NewResourceGraphDense) serialise the matrix itself in DenseLink instead.
+// Block platforms are written as blockJSON.
 type resourceJSON struct {
 	Kind      string     `json:"kind"`
 	Name      string     `json:"name,omitempty"`
@@ -37,6 +38,18 @@ type resourceJSON struct {
 	Links     []edgeJSON `json:"links"`
 	Closed    bool       `json:"closed"`
 	DenseLink []float64  `json:"dense_link,omitempty"`
+}
+
+// blockJSON is the wire form of a block platform (see
+// NewResourceGraphBlocks): its labels and k x k link table, and no
+// topology.
+type blockJSON struct {
+	Kind      string    `json:"kind"`
+	Name      string    `json:"name,omitempty"`
+	N         int       `json:"n"`
+	Costs     []float64 `json:"costs"`
+	Labels    []int32   `json:"labels"`
+	BlockLink []float64 `json:"block_link"`
 }
 
 // MarshalJSON implements json.Marshaler for TIG.
@@ -67,6 +80,10 @@ func (t *TIG) UnmarshalJSON(data []byte) error {
 
 // MarshalJSON implements json.Marshaler for ResourceGraph.
 func (r *ResourceGraph) MarshalJSON() ([]byte, error) {
+	if r.IsBlock() {
+		return json.Marshal(blockJSON{Kind: "resource", Name: r.Name, N: r.N(), Costs: r.Costs,
+			Labels: r.links.Labels, BlockLink: r.links.Block})
+	}
 	out := resourceJSON{Kind: "resource", Name: r.Name, N: r.N(), Costs: r.Costs}
 	for _, e := range r.Edges() {
 		out.Links = append(out.Links, edgeJSON{U: e.U, V: e.V, Weight: e.Weight})
@@ -79,7 +96,7 @@ func (r *ResourceGraph) MarshalJSON() ([]byte, error) {
 		// Dense-constructed platform: no topology to rebuild the matrix
 		// from, so ship the matrix itself.
 		out.Closed = false
-		out.DenseLink = r.link
+		out.DenseLink = r.links.Block
 	}
 	return json.Marshal(out)
 }
@@ -134,7 +151,8 @@ func WriteInstance(w io.Writer, in *Instance) error {
 // once through a fixed-size buffer and decodes values straight into the
 // graphs' arrays; no allocation is sized from a declared n, so arrays
 // grow from the values actually read. A dense_link matrix becomes the
-// platform's link matrix without a copy.
+// platform's link matrix, and labels and block_link its link table,
+// without a copy.
 //
 // It accepts exactly the documents encoding/json's Decoder accepts for
 // Instance, and builds the same graphs from them:
@@ -159,6 +177,17 @@ func WriteInstance(w io.Writer, in *Instance) error {
 //     is rejected.
 //   - Strings unescape as in encoding/json; invalid UTF-8 and unpaired
 //     surrogate escapes become U+FFFD.
+//
+// A platform takes one of three forms, decided by which members are
+// non-null once the object is read:
+//   - Block: labels (n integers in [0, k)) and block_link (k*k floats,
+//     symmetric, finite, non-negative) together, as
+//     NewResourceGraphBlocks takes them. Either without the other is
+//     rejected, and so is a block platform that also carries dense_link
+//     or links. closed is ignored.
+//   - Dense: dense_link, the n*n matrix NewResourceGraphDense takes;
+//     links and closed are ignored.
+//   - Topology: links, closed over shortest paths when closed is true.
 func ReadInstance(rd io.Reader) (*Instance, error) {
 	r := docReader{src: rd, buf: make([]byte, 0, minReadBuf)}
 	in, err := r.instance()

@@ -556,6 +556,19 @@ func (r *docReader) intValue(dst *int, what string) error {
 	return nil
 }
 
+func (r *docReader) int32Value(dst *int32, what string) error {
+	b, err := r.numberValue(what)
+	if b == nil {
+		return err
+	}
+	v, err := strconv.ParseInt(string(b), 10, 32)
+	if err != nil {
+		return typeError(what, "a 32-bit integer")
+	}
+	*dst = int32(v)
+	return nil
+}
+
 func (r *docReader) uint64Value(dst *uint64, what string) error {
 	b, err := r.numberValue(what)
 	if b == nil {
@@ -623,6 +636,25 @@ func (r *docReader) floats(s []float64, what string) ([]float64, error) {
 	count, err := r.array(func(i int) error {
 		s = extend(s, i)
 		return r.floatValue(&s[i], what)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return reuse(s, count), nil
+}
+
+// int32s is floats for an array of 32-bit integers.
+func (r *docReader) int32s(s []int32, what string) ([]int32, error) {
+	switch r.peek() {
+	case 'n':
+		return nil, r.literal("null")
+	case '[':
+	default:
+		return nil, typeError(what, "an array")
+	}
+	count, err := r.array(func(i int) error {
+		s = extend(s, i)
+		return r.int32Value(&s[i], what)
 	})
 	if err != nil {
 		return nil, err
@@ -726,9 +758,11 @@ type platformDoc struct {
 	links      []Edge
 	closed     bool
 	dense      []float64
+	labels     []int32
+	block      []float64
 }
 
-var platformKeys = []string{"kind", "name", "n", "costs", "links", "closed", "dense_link"}
+var platformKeys = []string{"kind", "name", "n", "costs", "links", "closed", "dense_link", "labels", "block_link"}
 
 // platform consumes a platform object into d, the next byte being its '{'.
 func (r *docReader) platform(d *platformDoc) error {
@@ -746,17 +780,23 @@ func (r *docReader) platform(d *platformDoc) error {
 			d.links, err = r.edges(d.links, "platform links")
 		case 5:
 			return r.boolValue(&d.closed, "platform closed")
-		default:
+		case 6:
 			d.dense, err = r.floats(d.dense, "platform dense_link")
+		case 7:
+			d.labels, err = r.int32s(d.labels, "platform labels")
+		default:
+			d.block, err = r.floats(d.block, "platform block_link")
 		}
 		return err
 	})
 }
 
-// build makes the platform, which takes ownership of d's arrays. A
-// non-nil dense_link, even an empty one, is the link matrix and the links
-// and closed members are ignored; otherwise the links are added and, if
-// closed, closed over shortest paths.
+// build makes the platform, which takes ownership of d's arrays. Non-nil
+// labels and block_link, even empty ones, are the link table of a block
+// platform, which may carry neither dense_link nor links. Otherwise a
+// non-nil dense_link is the link matrix and the links and closed members
+// are ignored; failing both, the links are added and, if closed, closed
+// over shortest paths.
 func (d *platformDoc) build() (*ResourceGraph, error) {
 	if d.kind != "" && d.kind != "resource" {
 		return nil, fmt.Errorf("graph: expected kind \"resource\", got %q", d.kind)
@@ -769,7 +809,19 @@ func (d *platformDoc) build() (*ResourceGraph, error) {
 		costs = []float64{}
 	}
 	var p *ResourceGraph
-	if d.dense != nil {
+	if d.labels != nil || d.block != nil {
+		switch {
+		case d.labels == nil || d.block == nil:
+			return nil, errors.New("graph: a block platform needs both labels and block_link")
+		case d.dense != nil || d.links != nil:
+			return nil, errors.New("graph: a block platform cannot also carry dense_link or links")
+		}
+		if err := checkBlocks(costs, d.labels, d.block); err != nil {
+			return nil, err
+		}
+		p = blockGraph(costs, d.labels, d.block)
+		p.Name = d.name
+	} else if d.dense != nil {
 		if err := checkDense(costs, d.dense); err != nil {
 			return nil, err
 		}

@@ -108,6 +108,36 @@ var platformCases = []readCase{
 	{"negative cost", `{"n":1,"costs":[-1]}`, false},
 	{"link duplicate", `{"n":2,"costs":[1,1],"links":[{"u":0,"v":1,"w":1},{"u":0,"v":1,"w":1}]}`, false},
 	{"upper-case keys", `{"KIND":"resource","N":2,"COSTS":[1,2],"Dense_Link":[0,1,1,0]}`, true},
+	{"blocks", `{"kind":"resource","n":3,"costs":[1,2,3],"labels":[0,0,1],"block_link":[1,4,4,2]}`, true},
+	{"blocks one block", `{"n":2,"costs":[1,2],"labels":[0,0],"block_link":[5]}`, true},
+	{"blocks singleton", `{"n":1,"costs":[1],"labels":[0],"block_link":[7]}`, true},
+	{"blocks unused label", `{"n":2,"costs":[1,2],"labels":[1,1],"block_link":[0,2,2,3]}`, true},
+	{"blocks empty", `{"n":0,"costs":[],"labels":[],"block_link":[]}`, true},
+	{"blocks upper-case keys", `{"N":2,"Costs":[1,2],"LABELS":[0,0],"Block_Link":[5]}`, true},
+	{"blocks closed ignored", `{"n":2,"costs":[1,2],"labels":[0,0],"block_link":[5],"closed":true}`, true},
+	{"blocks null links and dense", `{"n":2,"costs":[1,2],"labels":[0,0],"block_link":[5],"links":null,"dense_link":null}`, true},
+	{"blocks dense then null", `{"n":2,"costs":[1,2],"dense_link":[0,3,3,0],"dense_link":null,"labels":[0,0],"block_link":[5]}`, true},
+	{"blocks label null keeps earlier", `{"n":2,"costs":[1,2],"labels":[1,1],"labels":[null,0],"block_link":[1,2,2,3]}`, true},
+	{"blocks negative zero", `{"n":2,"costs":[1,2],"labels":[-0,0],"block_link":[-0]}`, true},
+	{"blocks labels only", `{"n":2,"costs":[1,2],"labels":[0,0]}`, false},
+	{"blocks table only", `{"n":2,"costs":[1,2],"block_link":[5]}`, false},
+	{"blocks labels nulled", `{"n":2,"costs":[1,2],"labels":[0,0],"labels":null,"block_link":[5]}`, false},
+	{"blocks both nulled", `{"n":1,"costs":[1],"labels":[0],"block_link":[5],"labels":null,"block_link":null}`, true},
+	{"blocks with dense_link", `{"n":2,"costs":[1,2],"labels":[0,0],"block_link":[5],"dense_link":[0,3,3,0]}`, false},
+	{"blocks with links", `{"n":2,"costs":[1,2],"labels":[0,0],"block_link":[5],"links":[{"u":0,"v":1,"w":2}]}`, false},
+	{"blocks with empty links", `{"n":2,"costs":[1,2],"labels":[0,0],"block_link":[5],"links":[]}`, false},
+	{"blocks wrong label count", `{"n":3,"costs":[1,2,3],"labels":[0,0],"block_link":[5]}`, false},
+	{"blocks label out of range", `{"n":2,"costs":[1,2],"labels":[0,2],"block_link":[1,2,2,3]}`, false},
+	{"blocks negative label", `{"n":2,"costs":[1,2],"labels":[-1,0],"block_link":[1,2,2,3]}`, false},
+	{"blocks label past int32", `{"n":1,"costs":[1],"labels":[2147483648],"block_link":[5]}`, false},
+	{"blocks label float", `{"n":1,"costs":[1],"labels":[0.0],"block_link":[5]}`, false},
+	{"blocks label string", `{"n":1,"costs":[1],"labels":["0"],"block_link":[5]}`, false},
+	{"blocks labels object", `{"n":1,"costs":[1],"labels":{},"block_link":[5]}`, false},
+	{"blocks table not square", `{"n":2,"costs":[1,2],"labels":[0,0],"block_link":[1,2,2]}`, false},
+	{"blocks table asymmetric", `{"n":2,"costs":[1,2],"labels":[0,1],"block_link":[1,4,5,2]}`, false},
+	{"blocks negative link cost", `{"n":2,"costs":[1,2],"labels":[0,1],"block_link":[1,-4,-4,2]}`, false},
+	{"blocks negative diagonal", `{"n":2,"costs":[1,2],"labels":[0,0],"block_link":[-1]}`, false},
+	{"blocks negative cost", `{"n":2,"costs":[-1,2],"labels":[0,0],"block_link":[5]}`, false},
 }
 
 // instance assembles a document from its members.
@@ -275,7 +305,7 @@ func TestReadInstanceReadError(t *testing.T) {
 
 // TestReadInstanceGenerated compares the reader with the reference on
 // generated documents larger than the read buffer, with integer and
-// full-precision float values and both platform forms.
+// full-precision float values and all three platform forms.
 func TestReadInstanceGenerated(t *testing.T) {
 	rng := xrand.New(5)
 	for _, n := range []int{1, 17, 120} {
@@ -316,7 +346,22 @@ func TestReadInstanceGenerated(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for _, p := range []*ResourceGraph{dense, ring} {
+			k := rng.IntRange(1, n)
+			labels, table := make([]int32, n), make([]float64, k*k)
+			for s := range labels {
+				labels[s] = int32(rng.Intn(k))
+			}
+			for a := 0; a < k; a++ {
+				for b := a; b < k; b++ {
+					table[a*k+b] = value()
+					table[b*k+a] = table[a*k+b]
+				}
+			}
+			blocks, err := NewResourceGraphBlocks(costs, labels, table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []*ResourceGraph{dense, ring, blocks} {
 				var buf bytes.Buffer
 				if err := WriteInstance(&buf, &Instance{TIG: tig, Platform: p, Seed: uint64(n)}); err != nil {
 					t.Fatal(err)

@@ -36,9 +36,17 @@ func refUnmarshalTIG(data []byte) (*TIG, error) {
 	return decoded, nil
 }
 
+// refResourceJSON is every member a platform document may carry: the
+// topology and dense forms' resourceJSON and the block form's members.
+type refResourceJSON struct {
+	resourceJSON
+	Labels    []int32   `json:"labels"`
+	BlockLink []float64 `json:"block_link"`
+}
+
 // refUnmarshalResource is the reference ResourceGraph.UnmarshalJSON.
 func refUnmarshalResource(data []byte) (*ResourceGraph, error) {
-	var in resourceJSON
+	var in refResourceJSON
 	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, err
 	}
@@ -49,7 +57,20 @@ func refUnmarshalResource(data []byte) (*ResourceGraph, error) {
 		return nil, fmt.Errorf("graph: resource JSON has %d costs for n=%d", len(in.Costs), in.N)
 	}
 	var decoded *ResourceGraph
-	if in.DenseLink != nil {
+	if in.Labels != nil || in.BlockLink != nil {
+		if in.Labels == nil || in.BlockLink == nil {
+			return nil, fmt.Errorf("graph: labels without block_link or block_link without labels")
+		}
+		if in.DenseLink != nil || in.Links != nil {
+			return nil, fmt.Errorf("graph: block platform with dense_link or links")
+		}
+		var err error
+		decoded, err = NewResourceGraphBlocks(in.Costs, in.Labels, in.BlockLink)
+		if err != nil {
+			return nil, err
+		}
+		decoded.Name = in.Name
+	} else if in.DenseLink != nil {
 		var err error
 		decoded, err = NewResourceGraphDense(in.Costs, in.DenseLink)
 		if err != nil {
@@ -139,6 +160,20 @@ func diffFloats(what string, a, b []float64) string {
 	return ""
 }
 
+// diffLinks compares two link tables: labels (and their nil-ness), k and
+// the cost table's bits.
+func diffLinks(what string, a, b LinkTable) string {
+	if (a.Labels == nil) != (b.Labels == nil) || len(a.Labels) != len(b.Labels) || a.K != b.K {
+		return fmt.Sprintf("%s link table: labels %v k=%d vs labels %v k=%d", what, a.Labels, a.K, b.Labels, b.K)
+	}
+	for i := range a.Labels {
+		if a.Labels[i] != b.Labels[i] {
+			return fmt.Sprintf("%s label[%d]: %d vs %d", what, i, a.Labels[i], b.Labels[i])
+		}
+	}
+	return diffFloats(what+" link costs", a.Block, b.Block)
+}
+
 // diffEdges compares two graphs' edge lists in order.
 func diffEdges(what string, a, b *Undirected) string {
 	ea, eb := a.Edges(), b.Edges()
@@ -182,7 +217,7 @@ func diffResource(a, b *ResourceGraph) string {
 	if d := diffFloats("platform costs", a.Costs, b.Costs); d != "" {
 		return d
 	}
-	if d := diffFloats("platform links", a.LinkMatrix(), b.LinkMatrix()); d != "" {
+	if d := diffLinks("platform", a.LinkTable(), b.LinkTable()); d != "" {
 		return d
 	}
 	return diffEdges("platform", a.Undirected, b.Undirected)

@@ -52,12 +52,16 @@ func (g *Undirected) ShortestPathsFrom(src int) []float64 {
 // Dijkstra over the sparse topology instead of Floyd-Warshall over the
 // dense matrix: O(n * m log n) versus O(n^3), the right choice for large
 // sparse platforms. Both produce identical closures (verified against
-// each other in the tests).
+// each other in the tests). Like CloseLinks it leaves a block platform
+// as it is.
 func (r *ResourceGraph) CloseLinksDijkstra() error {
+	if r.IsBlock() {
+		return nil
+	}
 	n := r.N()
 	for s := 0; s < n; s++ {
 		dist := r.Undirected.ShortestPathsFrom(s)
-		row := r.link[s*n : (s+1)*n]
+		row := r.links.Block[s*n : (s+1)*n]
 		for b := 0; b < n; b++ {
 			// Keep a cheaper direct entry if one exists (it cannot: the
 			// direct link is a path too, so dist <= link always).

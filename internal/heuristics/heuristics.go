@@ -93,6 +93,13 @@ func RandomSearch(ctx context.Context, eval *cost.Evaluator, samples int, seed u
 // makespan given the assignments so far (compute plus communication to
 // already-placed neighbours). This adapts the min-min philosophy of the
 // independent-task literature to TIGs.
+//
+// A candidate's partial makespan is the largest of its own new load, its
+// placed neighbours' new loads and every other resource's current load.
+// Loads only grow, so the candidate's own new load is at least its
+// current one, and the last term may be taken over every resource: the
+// current largest load, which Greedy keeps as it commits, so the search
+// is O(n^2 + n*|Et|) rather than O(n^3).
 func Greedy(eval *cost.Evaluator) (*Result, error) {
 	if err := checkSquare(eval); err != nil {
 		return nil, err
@@ -100,7 +107,7 @@ func Greedy(eval *cost.Evaluator) (*Result, error) {
 	start := time.Now()
 	n := eval.NumTasks()
 	tig := eval.TIG()
-	link := eval.Platform().LinkMatrix()
+	platform := eval.Platform()
 
 	// Order tasks by decreasing weight (heaviest first), ties by index.
 	order := make([]int, n)
@@ -119,6 +126,7 @@ func Greedy(eval *cost.Evaluator) (*Result, error) {
 	}
 	loads := make([]float64, n)
 	taken := make([]bool, n)
+	maxLoad := 0.0
 	var evals int64
 	for _, task := range order {
 		bestRes, bestPeak := -1, math.Inf(1)
@@ -135,7 +143,7 @@ func Greedy(eval *cost.Evaluator) (*Result, error) {
 				if b < 0 || b == res {
 					continue
 				}
-				c := float64(nb.Weight * link[res*n+b])
+				c := float64(nb.Weight * platform.LinkCost(res, b))
 				addSelf += c
 				if l := loads[b] + c; l > peak {
 					peak = l
@@ -145,10 +153,8 @@ func Greedy(eval *cost.Evaluator) (*Result, error) {
 				peak = l
 			}
 			// Global partial makespan: untouched resources keep their load.
-			for s := 0; s < n; s++ {
-				if s != res && loads[s] > peak {
-					peak = loads[s]
-				}
+			if maxLoad > peak {
+				peak = maxLoad
 			}
 			if peak < bestPeak {
 				bestPeak, bestRes = peak, res
@@ -163,10 +169,12 @@ func Greedy(eval *cost.Evaluator) (*Result, error) {
 			if b < 0 || b == bestRes {
 				continue
 			}
-			c := float64(nb.Weight * link[bestRes*n+b])
+			c := float64(nb.Weight * platform.LinkCost(bestRes, b))
 			loads[bestRes] += c
 			loads[b] += c
+			maxLoad = max(maxLoad, loads[b])
 		}
+		maxLoad = max(maxLoad, loads[bestRes])
 	}
 	return finish(start, mapping, eval.Exec(mapping), evals)
 }

@@ -358,27 +358,25 @@ func buildRevision() string {
 }
 
 // Key computes the content address of a submission: a SHA-256 over the
-// canonical re-marshalled instance (so formatting and field-order noise in
-// the client's JSON does not defeat caching), the solver name, the
-// options document and, for a submission that resumes from one (see
-// Admit), the checkpoint bytes, so an outside checkpoint gets its own
-// address. Options that no longer affect the solve (UnprunedScoring,
+// canonical re-marshalled instance, written straight into the hash (so
+// formatting and field-order noise in the client's JSON does not defeat
+// caching), the solver name, the options document and, for a submission
+// that resumes from one (see Admit), the checkpoint bytes, so an outside
+// checkpoint gets its own address. Options that no longer affect the solve (UnprunedScoring,
 // SparseEps and SparseCut, accepted on the wire and ignored) are cleared
 // first, so submissions differing only in them share one cache entry and
 // route.
 func Key(p *matchsim.Problem, solver string, opts api.SolverOptions, checkpoint []byte) (string, error) {
 	opts.UnprunedScoring = false
 	opts.SparseEps, opts.SparseCut = 0, 0
-	var canonical bytes.Buffer
-	if err := p.WriteInstance(&canonical); err != nil {
-		return "", err
-	}
 	ob, err := json.Marshal(opts)
 	if err != nil {
 		return "", err
 	}
 	h := sha256.New()
-	h.Write(canonical.Bytes())
+	if err := p.WriteInstance(h); err != nil {
+		return "", err
+	}
 	h.Write([]byte{0})
 	h.Write([]byte(solver))
 	h.Write([]byte{0})

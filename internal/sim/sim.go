@@ -108,7 +108,7 @@ func Run(eval *cost.Evaluator, m cost.Mapping, supersteps int) (*Report, error) 
 	}
 
 	tig := eval.TIG()
-	link := eval.Platform().LinkMatrix()
+	platform := eval.Platform()
 	rep := &Report{
 		BusyTime:     make([]float64, r),
 		IdleTime:     make([]float64, r),
@@ -169,7 +169,7 @@ func Run(eval *cost.Evaluator, m cost.Mapping, supersteps int) (*Report, error) 
 					}
 					queues[s] = append(queues[s], job{
 						kind: jobSend, task: t, peer: nb.To,
-						duration: nb.Weight * link[s*r+b],
+						duration: nb.Weight * platform.LinkCost(s, b),
 					})
 				}
 			case jobSend:
