@@ -17,20 +17,17 @@ import (
 // platform was before it kept block labels.
 func denseExpansion(t *testing.T, p *graph.ResourceGraph) *graph.ResourceGraph {
 	t.Helper()
-	n := p.N()
-	link := make([]float64, n*n)
-	for s := 0; s < n; s++ {
-		for b := 0; b < n; b++ {
-			if s != b {
-				link[s*n+b] = p.LinkCost(s, b)
+	d := p.Dense()
+	if d.IsBlock() || d.N() != p.N() || !sameBits(d.Costs, p.Costs) || d.Name != p.Name {
+		t.Fatalf("dense expansion of %q is not a dense copy", p.Name)
+	}
+	for s := 0; s < p.N(); s++ {
+		for b := 0; b < p.N(); b++ {
+			if math.Float64bits(d.LinkCost(s, b)) != math.Float64bits(p.LinkCost(s, b)) {
+				t.Fatalf("dense expansion of %q: link (%d,%d) costs %v, want %v", p.Name, s, b, d.LinkCost(s, b), p.LinkCost(s, b))
 			}
 		}
 	}
-	d, err := graph.NewResourceGraphDense(p.Costs, link)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Name = p.Name
 	return d
 }
 
@@ -143,9 +140,15 @@ func TestBlockPlatformMatchesDenseExpansion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb, td := cb.LinkTable(), cd.LinkTable()
-		if cb.IsBlock() || !sameBits(cb.Costs, cd.Costs) || tb.K != td.K || !sameBits(tb.Block, td.Block) {
-			t.Fatalf("n=%d: coarse platforms differ", n)
+		if !cb.IsBlock() || !sameBits(cb.Costs, cd.Costs) || cb.N() != cd.N() {
+			t.Fatalf("n=%d: coarse platforms differ (block form %v)", n, cb.IsBlock())
+		}
+		for a := 0; a < cb.N(); a++ {
+			for b := 0; b < cb.N(); b++ {
+				if xb, xd := cb.LinkCost(a, b), cd.LinkCost(a, b); math.Float64bits(xb) != math.Float64bits(xd) {
+					t.Fatalf("n=%d: coarse link (%d,%d) costs %v on the block platform, %v on the dense one", n, a, b, xb, xd)
+				}
+			}
 		}
 
 		opts := MaTCHOptions{Seed: uint64(n), Workers: 2, MaxIterations: 8,

@@ -203,6 +203,21 @@ func buildLadder(eval *cost.Evaluator, mo MultilevelOptions) ([]mlLevel, []Level
 		levels = append(levels, mlLevel{eval: ceval})
 		stats = append(stats, LevelStats{Tasks: ceval.NumTasks(), Edges: len(ctig.Edges())})
 	}
+	// The coarse CE solve scores every sample on the coarsest level, and
+	// the dense edge sweep is faster than the labelled lookup there, so
+	// a block coarsest level is handed over as its dense expansion (64^2
+	// floats at MinCoarse 64). The levels above keep the block form and
+	// O(n + k^2) memory; the input level is never expanded.
+	if last := len(levels) - 1; last > 0 && levels[last].eval.Platform().IsBlock() {
+		expandStart := time.Now()
+		coarsest := levels[last].eval
+		dense, err := cost.NewEvaluator(coarsest.TIG(), coarsest.Platform().Dense())
+		if err != nil {
+			return nil, nil, err
+		}
+		levels[last].eval = dense
+		stats[last-1].CoarsenNs += time.Since(expandStart).Nanoseconds()
+	}
 	return levels, stats, nil
 }
 

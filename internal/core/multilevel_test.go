@@ -8,6 +8,7 @@ import (
 
 	"matchsim/internal/cost"
 	"matchsim/internal/gen"
+	"matchsim/internal/memcheck"
 )
 
 // TestMultilevelSolveSmall runs the full pipeline on a paper instance and
@@ -166,5 +167,46 @@ func TestMultilevelSmoke1k(t *testing.T) {
 	t.Logf("n=1024 multilevel: exec=%.0f levels=%d elapsed=%s", res.Exec, len(res.Levels), elapsed)
 	if elapsed > 50*time.Second {
 		t.Fatalf("n=1024 multilevel smoke took %s, want seconds", elapsed)
+	}
+}
+
+// TestMultilevelLadderHeapBound: the n=4096 LargeInstance ladder keeps
+// the block form on every level but the coarsest, which the coarse CE
+// solve gets as a dense matrix, and the whole ladder retains at most
+// ladderHeapBound bytes beyond the input instance. Dense coarse levels
+// held at least 40 MiB here (the first coarse level alone is 2261^2
+// floats).
+func TestMultilevelLadderHeapBound(t *testing.T) {
+	if memcheck.RaceEnabled {
+		t.Skip("the race detector distorts heap figures")
+	}
+	const ladderHeapBound = 8 << 20
+	inst, err := gen.LargeInstance(2005, 4096, gen.LargeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := cost.NewEvaluator(inst.TIG, inst.Platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := memcheck.HeapAfterGC()
+	levels, stats, err := buildLadder(eval, MultilevelOptions{MinCoarse: 64}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := memcheck.HeapAfterGC() - before
+	runtime.KeepAlive(levels)
+	last := len(levels) - 1
+	if last < 2 {
+		t.Fatalf("ladder has %d levels, want at least 3", len(levels))
+	}
+	for i, l := range levels {
+		if block := l.eval.Platform().IsBlock(); block != (i < last) {
+			t.Errorf("level %d (n=%d): block platform %v, want %v", i, stats[i].Tasks, block, i < last)
+		}
+	}
+	t.Logf("%d levels down to n=%d: %d bytes retained (%.2f MiB)", len(levels), stats[last].Tasks, held, float64(held)/(1<<20))
+	if held > ladderHeapBound {
+		t.Errorf("ladder retains %d bytes, want at most %d", held, ladderHeapBound)
 	}
 }

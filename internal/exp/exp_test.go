@@ -328,7 +328,7 @@ func TestRenderConvergenceAndHistoryCSV(t *testing.T) {
 }
 
 func TestRunScalingSmall(t *testing.T) {
-	res, err := RunScaling(11, []int{6, 9, 12}, 1)
+	res, err := RunScaling(11, []int{6, 9, 12}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

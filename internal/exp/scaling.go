@@ -17,7 +17,9 @@ import (
 // MT ~ c * n^k.
 type ScalingResult struct {
 	Sizes []int
-	// MatchMT and GAMT are mean mapping times per size.
+	// MatchMT and GAMT are the minimum mapping times over the repeats
+	// at each size: a load spike only ever lengthens a run, so the
+	// minimum is the run least disturbed by other work on the machine.
 	MatchMT, GAMT []time.Duration
 	// Match/GA exponents and fit quality from log-log regression.
 	MatchExponent, MatchR2 float64
@@ -54,15 +56,19 @@ func RunScaling(seed uint64, sizes []int, repeats int) (*ScalingResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			mMT += mRes.MappingTime
+			if rep == 0 || mRes.MappingTime < mMT {
+				mMT = mRes.MappingTime
+			}
 			gRes, err := ga.Solve(eval, ga.Options{PopulationSize: 200, Generations: 200, Seed: runSeed})
 			if err != nil {
 				return nil, err
 			}
-			gMT += gRes.MappingTime
+			if rep == 0 || gRes.MappingTime < gMT {
+				gMT = gRes.MappingTime
+			}
 		}
-		res.MatchMT = append(res.MatchMT, mMT/time.Duration(repeats))
-		res.GAMT = append(res.GAMT, gMT/time.Duration(repeats))
+		res.MatchMT = append(res.MatchMT, mMT)
+		res.GAMT = append(res.GAMT, gMT)
 	}
 
 	xs := make([]float64, len(sizes))

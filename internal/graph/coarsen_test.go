@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"matchsim/internal/memcheck"
@@ -429,5 +431,208 @@ func TestContractPlatformHeapBound(t *testing.T) {
 	t.Logf("cN=%d: allocated %d bytes (%.2f cN^2 floats)", cN, got, float64(got)/float64(cN*cN*8))
 	if got > limit {
 		t.Errorf("ContractPlatform allocated %d bytes at cN=%d, want at most %d", got, cN, limit)
+	}
+}
+
+// contractTIGWithMap is the ContractTIG that summed coarse edges in a
+// map and added them one AddEdge at a time, kept as the reference the
+// bucketed build is held to, bit for bit.
+func contractTIGWithMap(t *TIG, c Contraction) (*TIG, error) {
+	cw := make([]float64, c.CoarseN)
+	for v, cv := range c.Map {
+		cw[cv] += t.Weights[v]
+	}
+	acc := make(map[int64]float64, len(t.Edges()))
+	for _, e := range t.Edges() {
+		cu, cv := c.Map[e.U], c.Map[e.V]
+		if cu == cv {
+			continue
+		}
+		if cu > cv {
+			cu, cv = cv, cu
+		}
+		acc[int64(cu)*int64(c.CoarseN)+int64(cv)] += e.Weight
+	}
+	keys := make([]int64, 0, len(acc))
+	for k := range acc {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	out := NewTIGWithWeights(cw)
+	out.Name = t.Name
+	for _, k := range keys {
+		if err := out.AddEdge(int(k/int64(c.CoarseN)), int(k%int64(c.CoarseN)), acc[k]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// randomContraction returns a contraction of n vertices into clusters of
+// 1-5 vertices each, visited in a shuffled order.
+func randomContraction(rng *xrand.RNG, n int) Contraction {
+	perm := make([]int, n)
+	rng.PermInto(perm)
+	c := Contraction{Map: make([]int, n)}
+	for i := 0; i < n; {
+		for k := rng.IntRange(1, 5); k > 0 && i < n; k-- {
+			c.Map[perm[i]] = c.CoarseN
+			i++
+		}
+		c.CoarseN++
+	}
+	return c
+}
+
+// TestContractTIGMatchesMapBuild: on random TIGs with fractional weights
+// (so summation order shows in the bits), under heavy-edge pair
+// contractions and contractions with clusters of up to five vertices,
+// ContractTIG gives the map build's weights and edge list bit for bit,
+// with edges in ascending (u,v) order.
+func TestContractTIGMatchesMapBuild(t *testing.T) {
+	rng := xrand.New(43)
+	for trial := 0; trial < 60; trial++ {
+		n := rng.IntRange(2, 300)
+		tig := NewTIG(n)
+		for v := range tig.Weights {
+			tig.Weights[v] = rng.Float64Range(0, 10)
+		}
+		for m := rng.Intn(4 * n); m > 0; m-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v && !tig.HasEdge(u, v) {
+				tig.MustAddEdge(u, v, rng.Float64Range(0, 1))
+			}
+		}
+		c := randomContraction(rng, n)
+		if trial%2 == 0 {
+			var err error
+			if c, err = ContractionFromPairs(n, HeavyEdgeMatching(tig.Undirected)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := ContractTIG(tig, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := contractTIGWithMap(tig, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffTIG(got, want); d != "" {
+			t.Fatalf("trial %d (n=%d, cN=%d): %s", trial, n, c.CoarseN, d)
+		}
+		if cap(got.Edges()) != len(got.Edges()) {
+			t.Fatalf("trial %d: coarse edge list has capacity %d for %d edges", trial, cap(got.Edges()), len(got.Edges()))
+		}
+	}
+}
+
+// randomBlockPlatform returns an n-resource block platform with k blocks
+// in random order, integer processing costs and an integer table whose
+// diagonal is not always a block's cheapest link, so cheapest-link pairs
+// cross blocks.
+func randomBlockPlatform(t testing.TB, rng *xrand.RNG, n, k int) *ResourceGraph {
+	t.Helper()
+	costs := make([]float64, n)
+	labels := make([]int32, n)
+	for s := range costs {
+		costs[s] = float64(rng.IntRange(1, 9))
+		labels[s] = int32(rng.Intn(k))
+	}
+	block := make([]float64, k*k)
+	for a := 0; a < k; a++ {
+		block[a*k+a] = float64(rng.IntRange(1, 12))
+		for b := a + 1; b < k; b++ {
+			v := float64(rng.IntRange(4, 40))
+			block[a*k+b], block[b*k+a] = v, v
+		}
+	}
+	r, err := NewResourceGraphBlocks(costs, labels, block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// sameLinks reports the first resource pair whose link costs differ in
+// their bits between two platforms of equal size, or "".
+func sameLinks(a, b *ResourceGraph) string {
+	for s := 0; s < a.N(); s++ {
+		for v := 0; v < a.N(); v++ {
+			if x, y := a.LinkCost(s, v), b.LinkCost(s, v); math.Float64bits(x) != math.Float64bits(y) {
+				return fmt.Sprintf("link (%d,%d): %v vs %v", s, v, x, y)
+			}
+		}
+	}
+	return ""
+}
+
+// TestBlockLadderMatchesDense walks coarsening ladders of random block
+// platforms with integer tables, where some cheapest-link pairs cross
+// blocks, in lockstep with their dense expansions. At every level the
+// block platform's cheapest-link matching equals the dense scan's, and
+// its block contraction, under a truncated prefix of that matching, is a
+// block platform with the dense contraction's costs and links bit for
+// bit, with at most one block per coarse resource. One-level contractions
+// into clusters of up to five resources agree the same way.
+func TestBlockLadderMatchesDense(t *testing.T) {
+	rng := xrand.New(47)
+	crossed := 0
+	for trial := 0; trial < 30; trial++ {
+		n := rng.IntRange(2, 160)
+		block := randomBlockPlatform(t, rng, n, rng.IntRange(1, 12))
+		dense := block.Dense()
+		if d := sameLinks(block, dense); d != "" {
+			t.Fatalf("trial %d: dense expansion differs at %s", trial, d)
+		}
+		c := randomContraction(rng, n)
+		cb, err := ContractPlatform(block, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cd, err := ContractPlatform(dense, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffFloats("costs", cb.Costs, cd.Costs) + sameLinks(cb, cd); !cb.IsBlock() || d != "" {
+			t.Fatalf("trial %d (n=%d, cN=%d): clustered contraction differs (block %v): %s", trial, n, c.CoarseN, cb.IsBlock(), d)
+		}
+		for level := 0; block.N() > 2; level++ {
+			pairs := CheapestLinkMatching(block)
+			if want := CheapestLinkMatching(dense); !slices.Equal(pairs, want) {
+				t.Fatalf("trial %d level %d: matching %v, dense scan %v", trial, level, pairs, want)
+			}
+			lt := block.LinkTable()
+			for _, p := range pairs {
+				if lt.Labels[p[0]] != lt.Labels[p[1]] {
+					crossed++
+				}
+			}
+			if len(pairs) == 0 {
+				break
+			}
+			c, err := ContractionFromPairs(block.N(), pairs[:rng.IntRange(1, len(pairs))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if block, err = ContractPlatform(block, c); err != nil {
+				t.Fatal(err)
+			}
+			if dense, err = ContractPlatform(dense, c); err != nil {
+				t.Fatal(err)
+			}
+			if d := diffFloats("costs", block.Costs, dense.Costs) + sameLinks(block, dense); !block.IsBlock() || d != "" {
+				t.Fatalf("trial %d level %d (cN=%d): contraction differs (block %v): %s", trial, level, c.CoarseN, block.IsBlock(), d)
+			}
+			if k := block.LinkTable().K; k > block.N() && k > lt.K {
+				t.Fatalf("trial %d level %d: %d blocks for %d resources", trial, level, k, block.N())
+			}
+			if err := block.Validate(); err != nil {
+				t.Fatalf("trial %d level %d: %v", trial, level, err)
+			}
+		}
+	}
+	if crossed == 0 {
+		t.Fatal("no cheapest-link pair crossed blocks; the ladders never left the pure case")
 	}
 }

@@ -255,6 +255,34 @@ func (r *ResourceGraph) LinkCost(s, b int) float64 {
 	return r.links.Cost(s, b)
 }
 
+// Dense returns the platform with its link costs as an n x n matrix: r
+// itself when it is dense, and otherwise its dense expansion, a new
+// platform with a copy of r's processing costs, r's name, LinkCost(s, b)
+// for every pair and no topology. The expansion takes n^2 floats, so it
+// is meant for small platforms whose scorers run long enough for the
+// dense edge sweep to pay off, such as a multilevel solve's coarsest
+// level.
+func (r *ResourceGraph) Dense() *ResourceGraph {
+	if !r.IsBlock() {
+		return r
+	}
+	n := r.N()
+	t := r.links
+	link := make([]float64, n*n)
+	for s := 0; s < n; s++ {
+		row := link[s*n : (s+1)*n]
+		block := t.Block[int(t.Labels[s])*t.K : (int(t.Labels[s])+1)*t.K]
+		for b, lb := range t.Labels {
+			if b != s {
+				row[b] = block[lb]
+			}
+		}
+	}
+	out := denseGraph(append([]float64(nil), r.Costs...), link)
+	out.Name = r.Name
+	return out
+}
+
 // LinkTable exposes the platform's link costs. The cost evaluator looks
 // them up through LinkTable.Cost in its inner loop. Callers must not
 // mutate the table.
