@@ -13,7 +13,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 pkgs=(./internal/cost ./internal/stochmat ./internal/core ./internal/heuristics
-	./internal/verify ./internal/ce ./internal/agents ./internal/xrand ./internal/gen
+	./internal/verify ./internal/ce ./internal/xrand ./internal/gen
 	./internal/graph)
 allow='^(RowEntropy|CheckAliasRow)$'
 

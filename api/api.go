@@ -18,14 +18,18 @@ import (
 
 // Solver names accepted by SubmitRequest.Solver.
 const (
-	SolverMaTCH       = "match"       // the paper's CE heuristic (|Vt| = |Vr|)
-	SolverManyToOne   = "match-m2o"   // generalised CE (any |Vt|, |Vr|)
-	SolverGA          = "ga"          // FastMap-GA baseline
-	SolverDistributed = "distributed" // agent-based MaTCH
-	SolverRandom      = "random"      // uniform random search
-	SolverGreedy      = "greedy"      // constructive greedy
-	SolverLocal       = "local"       // 2-swap hill climbing
-	SolverAnneal      = "anneal"      // simulated annealing
+	SolverMaTCH     = "match"     // the paper's CE heuristic (|Vt| = |Vr|)
+	SolverManyToOne = "match-m2o" // generalised CE (any |Vt|, |Vr|)
+	SolverGA        = "ga"        // FastMap-GA baseline
+	SolverRandom    = "random"    // uniform random search
+	SolverGreedy    = "greedy"    // constructive greedy
+	SolverLocal     = "local"     // 2-swap hill climbing
+	SolverAnneal    = "anneal"    // simulated annealing
+
+	// Deprecated: SolverDistributed named the agent-based MaTCH, which is
+	// gone. It is accepted as an alias of SolverMaTCH: a job naming it
+	// runs MaTCH and shares the match job's content address.
+	SolverDistributed = "distributed"
 )
 
 // SolverOptions carries every tunable a job may set. Zero values take the
@@ -38,7 +42,7 @@ type SolverOptions struct {
 	Seed    uint64 `json:"seed,omitempty"`
 	Workers int    `json:"workers,omitempty"`
 
-	// CE (match, match-m2o, distributed) knobs.
+	// CE (match, match-m2o) knobs.
 	SampleSize int     `json:"sample_size,omitempty"`
 	Rho        float64 `json:"rho,omitempty"`
 	Zeta       float64 `json:"zeta,omitempty"`
@@ -54,7 +58,10 @@ type SolverOptions struct {
 	// clients and ignored — every draw is scored exactly, and the job's
 	// content address (cache key, coordinator route) does not include it.
 	UnprunedScoring bool `json:"unpruned_scoring,omitempty"`
-	NumAgents       int  `json:"num_agents,omitempty"` // distributed only
+	// Deprecated: NumAgents sized the agent-based MaTCH, which is gone;
+	// like UnprunedScoring it is accepted, ignored and left out of the
+	// content address.
+	NumAgents int `json:"num_agents,omitempty"`
 
 	// Multilevel routes a match job through the coarsen/solve/refine
 	// pipeline (large instances); the remaining fields tune it. Zero

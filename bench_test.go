@@ -352,13 +352,6 @@ func BenchmarkAblation_Baselines(b *testing.B) {
 			}
 		}
 	})
-	b.Run("Distributed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := SolveDistributed(p, DistributedOptions{Seed: uint64(i), MaxIterations: 60}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("GA", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := SolveGA(p, GAOptions{PopulationSize: 100, Generations: 100, Seed: uint64(i)}); err != nil {

@@ -7,7 +7,6 @@
 //	matchgen -n 20 -seed 7 -out inst.json
 //	match -in inst.json -solver match
 //	match -in inst.json -solver ga -pop 500 -gens 1000
-//	match -in inst.json -solver distributed -agents 4
 //	match -in inst.json -solver match -checkpoint run.ckpt
 //	match -in inst.json -solver match -islands 4 -migrate-every 10 -blend-alpha 0.2
 //	match -top -job j00000001 -daemon http://127.0.0.1:8080
@@ -15,7 +14,7 @@
 //	match -spans <trace-id or job-id> -daemon http://127.0.0.1:8080
 //
 // Solvers: match (default, the paper's CE heuristic), ga (FastMap-GA),
-// distributed (agent-based MaTCH), random, greedy, local, anneal.
+// random, greedy, local, anneal.
 //
 // With -checkpoint, a MaTCH run becomes interruptible: Ctrl-C (or
 // SIGTERM) stops the CE loop within one iteration and saves its state to
@@ -45,12 +44,11 @@ type config struct {
 	solver  string
 	seed    uint64
 	verbose bool
-	// MaTCH / distributed knobs.
+	// MaTCH knobs.
 	samples  int
 	rho      float64
 	zeta     float64
 	maxIters int
-	agentsN  int
 	// Large-instance knobs: the multilevel pipeline.
 	multilevel   bool
 	minCoarse    int
@@ -90,14 +88,13 @@ type config struct {
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.in, "in", "", "instance JSON file (default stdin)")
-	flag.StringVar(&cfg.solver, "solver", "match", "match | ga | distributed | random | greedy | local | anneal")
+	flag.StringVar(&cfg.solver, "solver", "match", "match | ga | random | greedy | local | anneal")
 	flag.Uint64Var(&cfg.seed, "seed", 1, "solver seed")
 	flag.BoolVar(&cfg.verbose, "v", false, "print per-iteration progress")
 	flag.IntVar(&cfg.samples, "samples", 0, "CE sample size N (default 2n^2)")
 	flag.Float64Var(&cfg.rho, "rho", 0, "CE focus parameter (default 0.05)")
 	flag.Float64Var(&cfg.zeta, "zeta", 0, "CE smoothing factor (default 0.3)")
 	flag.IntVar(&cfg.maxIters, "max-iters", 0, "CE iteration cap (default 1000)")
-	flag.IntVar(&cfg.agentsN, "agents", 0, "distributed agent count (default GOMAXPROCS)")
 	flag.BoolVar(&cfg.multilevel, "multilevel", false, "solve through the multilevel coarsen/solve/refine pipeline (large instances)")
 	flag.IntVar(&cfg.minCoarse, "min-coarse", 0, "multilevel: coarsest instance size (default 128)")
 	flag.Float64Var(&cfg.coarsenRatio, "coarsen-ratio", 0, "multilevel: abort coarsening when a step keeps more than this vertex fraction (default 0.95)")
@@ -191,11 +188,6 @@ func run(cfg config) error {
 	case "ga":
 		sol, err = matchsim.SolveGA(problem, matchsim.GAOptions{
 			PopulationSize: cfg.pop, Generations: cfg.gens, Seed: cfg.seed, OnGeneration: progress,
-		})
-	case "distributed":
-		sol, err = matchsim.SolveDistributed(problem, matchsim.DistributedOptions{
-			NumAgents: cfg.agentsN, SampleSize: cfg.samples, Rho: cfg.rho, Zeta: cfg.zeta,
-			MaxIterations: cfg.maxIters, Seed: cfg.seed,
 		})
 	case "random":
 		sol, err = matchsim.SolveRandom(problem, cfg.budget, cfg.seed)

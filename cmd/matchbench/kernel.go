@@ -258,7 +258,7 @@ func benchEliteSelect(b *testing.B, quickselect bool) {
 			order[j] = j
 		}
 		if quickselect {
-			ce.SelectElite(order, scores, k, true)
+			ce.SelectElite(order, scores, k)
 		} else {
 			sort.Slice(order, func(a, c int) bool {
 				sa, sc := scores[order[a]], scores[order[c]]

@@ -38,9 +38,6 @@ func main() {
 		{"MaTCH (CE heuristic)", func() (*matchsim.Solution, error) {
 			return matchsim.SolveMaTCH(problem, matchsim.MaTCHOptions{Seed: 1})
 		}},
-		{"MaTCH distributed (4 agents)", func() (*matchsim.Solution, error) {
-			return matchsim.SolveDistributed(problem, matchsim.DistributedOptions{Seed: 1, NumAgents: 4})
-		}},
 		{"FastMap-GA 500/1000", func() (*matchsim.Solution, error) {
 			return matchsim.SolveGA(problem, matchsim.GAOptions{Seed: 1})
 		}},

@@ -1,6 +1,7 @@
-// Package ce implements the generic Cross-Entropy method for combinatorial
-// optimisation — the algorithmic skeleton of the paper's Figure 2 that
-// MaTCH instantiates for the mapping problem.
+// Package ce implements the Cross-Entropy loop for minimisation over
+// integer-vector solutions — the algorithmic skeleton of the paper's
+// Figure 2 that MaTCH instantiates for the mapping problem (internal/core
+// holds its one-to-one and many-to-one problems).
 //
 // The CE method iterates two steps:
 //
@@ -34,36 +35,35 @@ package ce
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"time"
-)
-import "matchsim/internal/xrand"
 
-// Problem is one combinatorial optimisation problem expressed in CE form.
-// The type parameter S is the solution representation (e.g. []int for
-// mappings, []bool for cuts). Sample is called concurrently from multiple
-// workers and must not mutate shared problem state; Update is called from
-// a single goroutine between iterations.
-type Problem[S any] interface {
+	"matchsim/internal/xrand"
+)
+
+// Problem is one minimisation problem expressed in CE form. A solution is
+// an []int (a mapping: solution[task] = resource). Sample is called
+// concurrently from multiple workers and must not mutate shared problem
+// state; Update is called from a single goroutine between iterations.
+type Problem interface {
 	// NewSolution allocates one blank solution buffer. The framework
 	// allocates N of them once and reuses them every iteration.
-	NewSolution() S
+	NewSolution() []int
 	// Sample overwrites dst with one draw from the current distribution,
 	// using the provided per-worker RNG, and returns the draw's
 	// performance S(x) — one call per draw, the whole CE hot path.
-	Sample(rng *xrand.RNG, dst S) (score float64, err error)
+	Sample(rng *xrand.RNG, dst []int) (score float64, err error)
 	// Update re-estimates the sampling distribution from the elite
 	// solutions, applying smoothing factor zeta per eq. (13).
-	Update(elite []S, zeta float64) error
+	Update(elite [][]int, zeta float64) error
 	// Converged reports whether the sampling distribution has degenerated
 	// (problem-specific; return false to rely on the gamma stall alone).
 	Converged() bool
 	// Copy copies src into dst (both allocated by NewSolution); the
 	// framework uses it to keep the best-so-far solution.
-	Copy(dst, src S)
+	Copy(dst, src []int)
 }
 
 // SampleStats aggregates per-iteration sampling telemetry a Problem may
@@ -99,15 +99,6 @@ type Config struct {
 	// Zeta is the smoothing factor of eq. (13); default 0.3 (the paper's
 	// experimental setting). Zeta = 1 disables smoothing.
 	Zeta float64
-	// DynamicSmoothing, when true, replaces the constant Zeta with the
-	// iteration-dependent schedule zeta_k = Zeta * (1 - (1 - 1/k)^q)
-	// recommended by Rubinstein for avoiding premature convergence: early
-	// iterations smooth aggressively, later ones let the distribution
-	// settle. q is DynamicSmoothingQ.
-	DynamicSmoothing bool
-	// DynamicSmoothingQ is the schedule exponent (typical 5..10);
-	// default 7.
-	DynamicSmoothingQ float64
 	// StallWindow stops the run when gamma_k is unchanged for this many
 	// consecutive iterations; default 5 (the paper's c).
 	StallWindow int
@@ -120,8 +111,6 @@ type Config struct {
 	Workers int
 	// Seed makes the run deterministic (for any Workers value).
 	Seed uint64
-	// Minimize selects the optimisation direction; MaTCH minimises.
-	Minimize bool
 	// Context, when non-nil, cancels the run: workers poll it while
 	// sampling and the loop checks it at iteration boundaries, so a
 	// cancelled run stops within (at most) one iteration. If at least one
@@ -138,8 +127,7 @@ type Config struct {
 
 	// Island labels this run's IterStats.Island — the index of this run
 	// within an island-model ensemble (see RunIslands). Purely a label;
-	// the exchange hook itself rides on IslandRun (Config is not generic
-	// over the solution type).
+	// the exchange hook itself rides on IslandRun.
 	Island int
 }
 
@@ -154,14 +142,14 @@ type Config struct {
 // In/InScores better than the incumbent become the new best-so-far. An
 // error aborts the run unless ctx is already cancelled, in which case
 // the run finalises as cancelled with the incumbent result.
-type ExchangeFunc[S any] func(ctx context.Context, iter int, elite []S, scores []float64) (ExchangeResult[S], error)
+type ExchangeFunc func(ctx context.Context, iter int, elite [][]int, scores []float64) (ExchangeResult, error)
 
 // ExchangeResult is what an ExchangeFunc folded into the local search.
-type ExchangeResult[S any] struct {
+type ExchangeResult struct {
 	// In holds the immigrant solutions injected this round, with their
 	// scores in InScores (len(InScores) == len(In)); the framework only
 	// reads them to maintain best-so-far, ownership stays with the hook.
-	In       []S
+	In       [][]int
 	InScores []float64
 	// Out counts the elite solutions published to peers this round.
 	Out int
@@ -181,9 +169,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StallWindow == 0 {
 		c.StallWindow = 5
-	}
-	if c.DynamicSmoothingQ == 0 {
-		c.DynamicSmoothingQ = 7
 	}
 	if c.MaxIterations == 0 {
 		c.MaxIterations = 1000
@@ -278,10 +263,10 @@ const (
 )
 
 // State is what iteration k+1 depends on besides the problem's sampling
-// distribution: the iteration index (it keys the RNG streams and the
-// dynamic-smoothing schedule), the Fig. 2 stall window and the incumbent.
+// distribution: the iteration index (it keys the RNG streams), the Fig. 2
+// stall window and the incumbent.
 // The zero value is a fresh run.
-type State[S any] struct {
+type State struct {
 	// Iterations counts the completed iterations; the next is Iterations+1.
 	Iterations int
 	// Gamma is gamma_k of iteration Iterations, and GammaStallRuns the
@@ -289,20 +274,20 @@ type State[S any] struct {
 	Gamma          float64
 	GammaStallRuns int
 	// Best and BestScore are the incumbent (unused when Iterations == 0).
-	Best      S
+	Best      []int
 	BestScore float64
 }
 
 // StateFunc observes the loop state after every iteration, on the
 // coordinator goroutine right after OnIteration. st.Best is the reused
 // best-so-far buffer: copy what you keep, mutate nothing, use no RNG.
-type StateFunc[S any] func(st State[S])
+type StateFunc func(st State)
 
 // Result carries the outcome of one CE run.
-type Result[S any] struct {
+type Result struct {
 	// State is the loop state at exit — also on StopCancelled — so
 	// RunFrom(p, cfg, res.State, ...) continues the run exactly.
-	State[S]
+	State
 	// Evaluations counts the draws of every iteration, including those of
 	// the run a start state continues.
 	Evaluations int64
@@ -311,29 +296,27 @@ type Result[S any] struct {
 	History []IterStats
 }
 
-// ErrNoProgress reports a run whose sampler failed on every draw.
-var ErrNoProgress = errors.New("ce: sampler failed to produce any valid solution")
-
-// Run executes the CE loop on p under cfg and returns the best solution
-// found across all iterations (not merely the final distribution's mode).
-func Run[S any](p Problem[S], cfg Config) (Result[S], error) {
-	return run(p, cfg, State[S]{}, 0, nil, nil)
+// Run executes the CE loop on p under cfg and returns the lowest-scoring
+// solution found across all iterations (not merely the final
+// distribution's mode).
+func Run(p Problem, cfg Config) (Result, error) {
+	return run(p, cfg, State{}, 0, nil, nil)
 }
 
 // RunFrom continues the CE loop from start, an earlier run's State, with
 // p's distribution restored to where that run left it. Under the same
 // Config the result is bit-identical to the uninterrupted run, and
 // cfg.MaxIterations caps the whole chain. onState may be nil.
-func RunFrom[S any](p Problem[S], cfg Config, start State[S], onState StateFunc[S]) (Result[S], error) {
+func RunFrom(p Problem, cfg Config, start State, onState StateFunc) (Result, error) {
 	return run(p, cfg, start, 0, nil, onState)
 }
 
 // run is the CE loop shared by Run, RunFrom and RunIslands; exchange,
 // when non-nil, fires after the Update step of every exchangeEvery-th
 // iteration.
-func run[S any](p Problem[S], cfg Config, start State[S], exchangeEvery int, exchange ExchangeFunc[S], onState StateFunc[S]) (Result[S], error) {
+func run(p Problem, cfg Config, start State, exchangeEvery int, exchange ExchangeFunc, onState StateFunc) (Result, error) {
 	cfg = cfg.withDefaults()
-	var zero Result[S]
+	var zero Result
 	if err := cfg.validate(); err != nil {
 		return zero, err
 	}
@@ -342,13 +325,13 @@ func run[S any](p Problem[S], cfg Config, start State[S], exchangeEvery int, exc
 	}
 
 	n := cfg.SampleSize
-	solutions := make([]S, n)
+	solutions := make([][]int, n)
 	for i := range solutions {
 		solutions[i] = p.NewSolution()
 	}
 	scores := make([]float64, n)
 	order := make([]int, n)
-	elite := make([]S, 0, n)
+	elite := make([][]int, 0, n)
 	var eliteScores []float64
 	if exchange != nil {
 		eliteScores = make([]float64, 0, n)
@@ -359,23 +342,13 @@ func run[S any](p Problem[S], cfg Config, start State[S], exchangeEvery int, exc
 		eliteCount = 1
 	}
 
-	res := Result[S]{State: start}
+	res := Result{State: start}
 	res.Best = p.NewSolution()
 	res.Evaluations = int64(start.Iterations) * int64(n)
-	switch {
-	case start.Iterations > 0:
+	if start.Iterations > 0 {
 		p.Copy(res.Best, start.Best)
-	case cfg.Minimize:
+	} else {
 		res.BestScore = math.Inf(1)
-	default:
-		res.BestScore = math.Inf(-1)
-	}
-
-	better := func(a, b float64) bool {
-		if cfg.Minimize {
-			return a < b
-		}
-		return a > b
 	}
 
 	statsProvider, _ := any(p).(SampleStatsProvider)
@@ -387,7 +360,7 @@ func run[S any](p Problem[S], cfg Config, start State[S], exchangeEvery int, exc
 	done := ctx.Done()
 	// cancelled finalises a cut-short run: keep the incumbent when at
 	// least one full iteration backs it, otherwise surface the error.
-	cancelled := func() (Result[S], error) {
+	cancelled := func() (Result, error) {
 		if res.Iterations == 0 {
 			return zero, ctx.Err()
 		}
@@ -421,12 +394,12 @@ func run[S any](p Problem[S], cfg Config, start State[S], exchangeEvery int, exc
 		for i := range order {
 			order[i] = i
 		}
-		SelectElite(order, scores, eliteCount, cfg.Minimize)
+		SelectElite(order, scores, eliteCount)
 
 		worst := scores[order[0]]
 		total := 0.0
 		for _, s := range scores {
-			if better(worst, s) {
+			if worst < s {
 				worst = s
 			}
 			total += s
@@ -451,7 +424,7 @@ func run[S any](p Problem[S], cfg Config, start State[S], exchangeEvery int, exc
 			stats.FallbackDraws = ss.FallbackDraws
 		}
 
-		if better(scores[order[0]], res.BestScore) {
+		if scores[order[0]] < res.BestScore {
 			res.BestScore = scores[order[0]]
 			p.Copy(res.Best, solutions[order[0]])
 		}
@@ -463,16 +436,9 @@ func run[S any](p Problem[S], cfg Config, start State[S], exchangeEvery int, exc
 		for _, idx := range order[:eliteCount] {
 			elite = append(elite, solutions[idx])
 		}
-		zeta := cfg.Zeta
-		if cfg.DynamicSmoothing {
-			zeta = cfg.Zeta * (1 - math.Pow(1-1/float64(iter), cfg.DynamicSmoothingQ))
-			if zeta <= 0 {
-				zeta = cfg.Zeta // iter == 1 gives full Zeta; guard tiny tails
-			}
-		}
 		updateStart := time.Now()
 		stats.SelectNs = updateStart.Sub(selectStart).Nanoseconds()
-		if err := p.Update(elite, zeta); err != nil {
+		if err := p.Update(elite, cfg.Zeta); err != nil {
 			return zero, fmt.Errorf("ce: parameter update failed at iteration %d: %w", iter, err)
 		}
 		stats.UpdateNs = time.Since(updateStart).Nanoseconds()
@@ -499,7 +465,7 @@ func run[S any](p Problem[S], cfg Config, start State[S], exchangeEvery int, exc
 			stats.MigrantsOut = ex.Out
 			stats.BlendRounds = ex.BlendRounds
 			for i, m := range ex.In {
-				if better(ex.InScores[i], res.BestScore) {
+				if ex.InScores[i] < res.BestScore {
 					res.BestScore = ex.InScores[i]
 					p.Copy(res.Best, m)
 				}

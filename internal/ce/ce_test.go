@@ -3,28 +3,11 @@ package ce
 import (
 	"math"
 	"testing"
-
-	"matchsim/internal/xrand"
 )
 
-// onesScore counts set bits: the binary "OneMax" toy whose optimum is the
-// all-ones vector. CE must drive every Bernoulli parameter towards 1.
-func onesScore(s []bool) float64 {
-	c := 0
-	for _, v := range s {
-		if v {
-			c++
-		}
-	}
-	return float64(c)
-}
-
 func TestRunSolvesOneMax(t *testing.T) {
-	p, err := NewBernoulliProblem(30, onesScore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run[[]bool](p, Config{
+	p := newVectorProblem(30, 2, zerosScore)
+	res, err := Run(p, Config{
 		SampleSize: 400,
 		Rho:        0.1,
 		Zeta:       0.7,
@@ -34,12 +17,12 @@ func TestRunSolvesOneMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BestScore != 30 {
-		t.Fatalf("best score %v, want 30", res.BestScore)
+	if res.BestScore != 0 {
+		t.Fatalf("best score %v, want 0", res.BestScore)
 	}
 	for i, v := range res.Best {
-		if !v {
-			t.Fatalf("best solution bit %d unset", i)
+		if v != 1 {
+			t.Fatalf("best solution position %d is %d, want 1", i, v)
 		}
 	}
 	if res.Iterations == 0 || res.Evaluations == 0 {
@@ -50,19 +33,24 @@ func TestRunSolvesOneMax(t *testing.T) {
 	}
 }
 
+// TestRunMinimizeDirection: Run minimises. On a score that is lowest (0)
+// at the all-zeros vector and highest at the all-twos one, it must reach
+// 0, and every iteration's summary must order Best <= Gamma <= Worst.
 func TestRunMinimizeDirection(t *testing.T) {
-	// Minimising OneMax should find the all-zeros vector.
-	p, err := NewBernoulliProblem(20, onesScore)
-	if err != nil {
-		t.Fatal(err)
+	sum := func(s []int) float64 {
+		total := 0
+		for _, v := range s {
+			total += v
+		}
+		return float64(total)
 	}
-	res, err := Run[[]bool](p, Config{
+	p := newVectorProblem(20, 3, sum)
+	res, err := Run(p, Config{
 		SampleSize: 300,
 		Rho:        0.1,
 		Zeta:       0.7,
 		Seed:       2,
 		Workers:    1,
-		Minimize:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,15 +58,16 @@ func TestRunMinimizeDirection(t *testing.T) {
 	if res.BestScore != 0 {
 		t.Fatalf("minimised score %v, want 0", res.BestScore)
 	}
+	for _, st := range res.History {
+		if !(st.Best <= st.Gamma && st.Gamma <= st.Worst) {
+			t.Fatalf("iteration %d: best %v, gamma %v, worst %v out of order", st.Iter, st.Best, st.Gamma, st.Worst)
+		}
+	}
 }
 
 func TestRunDeterministicForFixedSeedAndWorkers(t *testing.T) {
-	run := func() Result[[]bool] {
-		p, err := NewBernoulliProblem(25, onesScore)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run[[]bool](p, Config{SampleSize: 200, Seed: 7, Workers: 2})
+	run := func() Result {
+		res, err := Run(newVectorProblem(25, 2, zerosScore), Config{SampleSize: 200, Seed: 7, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,43 +85,33 @@ func TestRunDeterministicForFixedSeedAndWorkers(t *testing.T) {
 }
 
 func TestRunParallelMatchesOwnSeed(t *testing.T) {
-	// Parallel runs are deterministic per (seed, workers); different
-	// worker counts may legitimately differ, but each must still solve
-	// the problem.
+	// Every worker count must solve the problem.
 	for _, workers := range []int{1, 2, 4, 8} {
-		p, err := NewBernoulliProblem(20, onesScore)
+		res, err := Run(newVectorProblem(20, 2, zerosScore), Config{SampleSize: 300, Rho: 0.1, Zeta: 0.7, Seed: 3, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run[[]bool](p, Config{SampleSize: 300, Rho: 0.1, Zeta: 0.7, Seed: 3, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.BestScore != 20 {
+		if res.BestScore != 0 {
 			t.Fatalf("workers=%d best %v", workers, res.BestScore)
 		}
 	}
 }
 
 func TestRunRecordsMonotoneBestSoFar(t *testing.T) {
-	p, err := NewBernoulliProblem(30, onesScore)
+	res, err := Run(newVectorProblem(30, 2, zerosScore), Config{SampleSize: 200, Seed: 4, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run[[]bool](p, Config{SampleSize: 200, Seed: 4, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := math.Inf(-1)
+	prev := math.Inf(1)
 	for _, st := range res.History {
-		if st.BestSoFar < prev {
+		if st.BestSoFar > prev {
 			t.Fatalf("BestSoFar regressed at iteration %d", st.Iter)
 		}
-		if st.Best > st.BestSoFar {
-			t.Fatalf("iteration best exceeds best-so-far at %d", st.Iter)
+		if st.Best < st.BestSoFar {
+			t.Fatalf("iteration best below best-so-far at %d", st.Iter)
 		}
-		if st.Worst > st.Best {
-			t.Fatalf("worst better than best at iteration %d (maximisation)", st.Iter)
+		if st.Worst < st.Best {
+			t.Fatalf("worst below best at iteration %d", st.Iter)
 		}
 		prev = st.BestSoFar
 	}
@@ -141,11 +120,8 @@ func TestRunRecordsMonotoneBestSoFar(t *testing.T) {
 func TestRunStopsOnMaxIterations(t *testing.T) {
 	// A constant score gives CE nothing to learn; with a huge stall
 	// window the cap must fire.
-	p, err := NewBernoulliProblem(10, func([]bool) float64 { return 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run[[]bool](p, Config{
+	p := newVectorProblem(10, 2, func([]int) float64 { return 1 })
+	res, err := Run(p, Config{
 		SampleSize:    50,
 		MaxIterations: 3,
 		StallWindow:   1000,
@@ -161,16 +137,11 @@ func TestRunStopsOnMaxIterations(t *testing.T) {
 }
 
 func TestRunStopsOnGammaStall(t *testing.T) {
-	p, err := NewBernoulliProblem(10, func([]bool) float64 { return 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Keep the distribution from converging by disabling the degeneracy
-	// threshold (score is constant so p stays at 0.5 under smoothing...
-	// actually elite fractions keep p near 0.5 only in expectation; use
-	// tiny zeta to hold it away from the threshold).
-	p.DegenerateThresh = 1.1 // unreachable
-	res, err := Run[[]bool](p, Config{
+	// A constant score repeats gamma every iteration; an unreachable
+	// degeneracy threshold keeps the convergence stop from firing first.
+	p := newVectorProblem(10, 2, func([]int) float64 { return 1 })
+	p.degenerate = 1.1
+	res, err := Run(p, Config{
 		SampleSize:  50,
 		StallWindow: 4,
 		Zeta:        0.01,
@@ -186,11 +157,8 @@ func TestRunStopsOnGammaStall(t *testing.T) {
 }
 
 func TestRunStopsOnConvergence(t *testing.T) {
-	p, err := NewBernoulliProblem(15, onesScore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run[[]bool](p, Config{
+	p := newVectorProblem(15, 2, zerosScore)
+	res, err := Run(p, Config{
 		SampleSize:  300,
 		Rho:         0.1,
 		Zeta:        0.9,
@@ -210,10 +178,7 @@ func TestRunStopsOnConvergence(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	p, err := NewBernoulliProblem(5, onesScore)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newVectorProblem(5, 2, zerosScore)
 	bad := []Config{
 		{SampleSize: -1},
 		{Rho: 0.9},
@@ -223,19 +188,15 @@ func TestConfigValidation(t *testing.T) {
 		{Workers: -3},
 	}
 	for i, cfg := range bad {
-		if _, err := Run[[]bool](p, cfg); err == nil {
+		if _, err := Run(p, cfg); err == nil {
 			t.Fatalf("bad config %d accepted", i)
 		}
 	}
 }
 
 func TestOnIterationCallback(t *testing.T) {
-	p, err := NewBernoulliProblem(10, onesScore)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var calls int
-	res, err := Run[[]bool](p, Config{
+	res, err := Run(newVectorProblem(10, 2, zerosScore), Config{
 		SampleSize: 100,
 		Seed:       9,
 		Workers:    1,
@@ -254,186 +215,46 @@ func TestOnIterationCallback(t *testing.T) {
 	}
 }
 
-func TestNewBernoulliRejections(t *testing.T) {
-	if _, err := NewBernoulliProblem(0, onesScore); err == nil {
-		t.Fatal("n=0 accepted")
-	}
-	if _, err := NewBernoulliProblem(5, nil); err == nil {
-		t.Fatal("nil score accepted")
-	}
-}
-
-func TestBernoulliUpdateEmptyElite(t *testing.T) {
-	p, err := NewBernoulliProblem(5, onesScore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Update(nil, 0.5); err == nil {
-		t.Fatal("empty elite accepted")
-	}
-}
-
-func TestBernoulliMode(t *testing.T) {
-	p, err := NewBernoulliProblem(3, onesScore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.p[0], p.p[1], p.p[2] = 0.9, 0.1, 0.5
-	mode := p.Mode()
-	if !mode[0] || mode[1] || !mode[2] {
-		t.Fatalf("mode %v", mode)
-	}
-}
-
-// plantedCut builds a max-cut instance with a known optimal bipartition:
-// heavy edges across the planted cut, light edges inside each side.
-func plantedCut(rng *xrand.RNG, n int) (edges []CutEdge, planted []bool) {
-	planted = make([]bool, n)
-	for i := n / 2; i < n; i++ {
-		planted[i] = true
-	}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if planted[u] != planted[v] {
-				edges = append(edges, CutEdge{U: u, V: v, Weight: 10 + rng.Float64()})
-			} else if rng.Bool(0.5) {
-				edges = append(edges, CutEdge{U: u, V: v, Weight: rng.Float64()})
-			}
-		}
-	}
-	return edges, planted
-}
-
-func TestCERecoversPlantedMaxCut(t *testing.T) {
-	rng := xrand.New(77)
-	edges, planted := plantedCut(rng, 16)
-	score := MaxCutScore(edges)
-	optimal := score(planted)
-
-	p, err := NewBernoulliProblem(16, score)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run[[]bool](p, Config{
-		SampleSize: 500,
-		Rho:        0.1,
-		Zeta:       0.7,
-		Seed:       10,
-		Workers:    2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestScore < optimal-1e-9 {
-		t.Fatalf("CE cut %v below planted optimum %v", res.BestScore, optimal)
-	}
-}
-
-func TestMaxCutScore(t *testing.T) {
-	edges := []CutEdge{{0, 1, 2}, {1, 2, 3}, {0, 2, 5}}
-	score := MaxCutScore(edges)
-	if got := score([]bool{false, false, false}); got != 0 {
-		t.Fatalf("empty cut %v", got)
-	}
-	if got := score([]bool{true, false, false}); got != 7 {
-		t.Fatalf("cut {0} = %v, want 7", got)
-	}
-	if got := score([]bool{true, false, true}); got != 5 {
-		t.Fatalf("cut {0,2} = %v, want 5", got)
-	}
-}
-
 func BenchmarkCEOneMaxIteration(b *testing.B) {
-	p, err := NewBernoulliProblem(50, onesScore)
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := newVectorProblem(50, 2, zerosScore)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := Run[[]bool](p, Config{SampleSize: 500, MaxIterations: 1, StallWindow: 100, Seed: uint64(i), Workers: 4})
+		_, err := Run(p, Config{SampleSize: 500, MaxIterations: 1, StallWindow: 100, Seed: uint64(i), Workers: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func TestDynamicSmoothingSchedule(t *testing.T) {
-	// The schedule starts at full Zeta and decays towards zero, so a
-	// dynamically smoothed run must still solve OneMax but typically
-	// takes a different (often longer, more careful) trajectory.
-	p, err := NewBernoulliProblem(20, onesScore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run[[]bool](p, Config{
-		SampleSize:       300,
-		Rho:              0.1,
-		Zeta:             0.9,
-		DynamicSmoothing: true,
-		Seed:             11,
-		Workers:          1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestScore != 20 {
-		t.Fatalf("dynamic smoothing best %v, want 20", res.BestScore)
-	}
-}
-
-func TestDynamicSmoothingZetaValues(t *testing.T) {
-	// Directly check the schedule arithmetic at a few iterations.
-	zeta := func(base float64, k int, q float64) float64 {
-		return base * (1 - math.Pow(1-1/float64(k), q))
-	}
-	if got := zeta(0.8, 1, 7); got != 0.8 {
-		t.Fatalf("k=1 zeta %v, want full base", got)
-	}
-	z2 := zeta(0.8, 2, 7)
-	z10 := zeta(0.8, 10, 7)
-	if !(z2 > z10 && z10 > 0) {
-		t.Fatalf("schedule not decaying: z2=%v z10=%v", z2, z10)
-	}
-}
-
 // TestRunFromIsExact: stopping a run after k iterations and continuing it
 // with RunFrom from the returned State (on the same problem, whose
 // distribution stayed at P_k) reproduces the uninterrupted run bit for
-// bit for every k — including the dynamic-smoothing schedule, which is
-// keyed by the iteration index, and the gamma-stall window, which OneMax's
+// bit for every k — including the gamma-stall window, which OneMax's
 // integer scores trip often.
 func TestRunFromIsExact(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		cfg := Config{
-			SampleSize:       100,
-			Rho:              0.1,
-			Zeta:             0.5,
-			DynamicSmoothing: true,
-			StallWindow:      3,
-			Seed:             21,
-			Workers:          workers,
+			SampleSize:  100,
+			Rho:         0.1,
+			Zeta:        0.5,
+			StallWindow: 3,
+			Seed:        21,
+			Workers:     workers,
 		}
-		fresh, err := NewBernoulliProblem(40, onesScore)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := Run[[]bool](fresh, cfg)
+		ref, err := Run(newVectorProblem(40, 2, zerosScore), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("workers=%d: %d iterations, %s", workers, ref.Iterations, ref.StopReason)
 		for k := 1; k < ref.Iterations; k++ {
-			p, err := NewBernoulliProblem(40, onesScore)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := newVectorProblem(40, 2, zerosScore)
 			short := cfg
 			short.MaxIterations = k
-			first, err := Run[[]bool](p, short)
+			first, err := Run(p, short)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunFrom[[]bool](p, cfg, first.State, nil)
+			got, err := RunFrom(p, cfg, first.State, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,14 +9,14 @@ import (
 // IslandRun is one island of an island-model ensemble: its problem
 // instance (each island owns a private distribution) and its config
 // (typically differing only in Seed, Island and the exchange hook).
-type IslandRun[S any] struct {
-	Problem Problem[S]
+type IslandRun struct {
+	Problem Problem
 	Config  Config
 	// ExchangeEvery fires Exchange after the Update step of every
 	// ExchangeEvery-th iteration; required positive when Exchange is set.
 	ExchangeEvery int
 	// Exchange is this island's exchange hook; see ExchangeFunc.
-	Exchange ExchangeFunc[S]
+	Exchange ExchangeFunc
 	// After, when non-nil, runs in the island's goroutine immediately
 	// after its CE loop returns successfully — before RunIslands waits on
 	// the other islands. The island orchestration uses it to publish the
@@ -25,7 +25,7 @@ type IslandRun[S any] struct {
 	// all goroutines joined would deadlock. An After error fails the
 	// ensemble unless ctx was already cancelled (a torn Finish on a
 	// cancelled run is expected, and the local result still stands).
-	After func(ctx context.Context, res *Result[S]) error
+	After func(ctx context.Context, res *Result) error
 }
 
 // RunIslands executes the runs concurrently under a shared context and
@@ -33,7 +33,7 @@ type IslandRun[S any] struct {
 // cancels the ensemble; the remaining islands finalise as cancelled runs
 // (keeping their incumbents) and the first real error is returned. On a
 // nil error every result is populated.
-func RunIslands[S any](ctx context.Context, runs []IslandRun[S]) ([]Result[S], error) {
+func RunIslands(ctx context.Context, runs []IslandRun) ([]Result, error) {
 	if len(runs) == 0 {
 		return nil, errors.New("ce: island ensemble with no islands")
 	}
@@ -43,7 +43,7 @@ func RunIslands[S any](ctx context.Context, runs []IslandRun[S]) ([]Result[S], e
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	results := make([]Result[S], len(runs))
+	results := make([]Result, len(runs))
 	errs := make([]error, len(runs))
 	var wg sync.WaitGroup
 	for g := range runs {
@@ -52,7 +52,7 @@ func RunIslands[S any](ctx context.Context, runs []IslandRun[S]) ([]Result[S], e
 			defer wg.Done()
 			cfg := runs[g].Config
 			cfg.Context = cctx
-			res, err := run(runs[g].Problem, cfg, State[S]{}, runs[g].ExchangeEvery, runs[g].Exchange, nil)
+			res, err := run(runs[g].Problem, cfg, State{}, runs[g].ExchangeEvery, runs[g].Exchange, nil)
 			if err == nil && runs[g].After != nil {
 				if aerr := runs[g].After(cctx, &res); aerr != nil && cctx.Err() == nil {
 					err = aerr

@@ -30,24 +30,24 @@ func islandConfig(g int) Config {
 func TestRunIslandsExchange(t *testing.T) {
 	const every = 3
 	var mu sync.Mutex
-	mailbox := make(map[int]map[int][]bool) // island -> iter -> its best elite
+	mailbox := make(map[int]map[int][]int) // island -> iter -> its best elite
 	score := make(map[int]map[int]float64)
 	exchanged := make(map[int]int)
 
-	hook := func(g int) ExchangeFunc[[]bool] {
+	hook := func(g int) ExchangeFunc {
 		peer := 1 - g
-		return func(ctx context.Context, iter int, elite [][]bool, scores []float64) (ExchangeResult[[]bool], error) {
+		return func(ctx context.Context, iter int, elite [][]int, scores []float64) (ExchangeResult, error) {
 			if iter%every != 0 {
 				t.Errorf("island %d exchange at iter %d, want multiples of %d", g, iter, every)
 			}
 			if len(elite) == 0 || len(elite) != len(scores) {
 				t.Errorf("island %d: %d elite, %d scores", g, len(elite), len(scores))
 			}
-			best := make([]bool, len(elite[0]))
+			best := make([]int, len(elite[0]))
 			copy(best, elite[0])
 			mu.Lock()
 			if mailbox[g] == nil {
-				mailbox[g] = make(map[int][]bool)
+				mailbox[g] = make(map[int][]int)
 				score[g] = make(map[int]float64)
 			}
 			mailbox[g][iter] = best
@@ -56,23 +56,20 @@ func TestRunIslandsExchange(t *testing.T) {
 			inScore := score[peer][iter]
 			exchanged[g]++
 			mu.Unlock()
-			var res ExchangeResult[[]bool]
+			var res ExchangeResult
 			res.Out = 1
 			if okIn {
-				res.In = [][]bool{in}
+				res.In = [][]int{in}
 				res.InScores = []float64{inScore}
 			}
 			return res, nil
 		}
 	}
 
-	var runs []IslandRun[[]bool]
+	var runs []IslandRun
 	for g := 0; g < 2; g++ {
-		p, err := NewBernoulliProblem(25, onesScore)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs = append(runs, IslandRun[[]bool]{
+		p := newVectorProblem(25, 2, zerosScore)
+		runs = append(runs, IslandRun{
 			Problem:       p,
 			Config:        islandConfig(g),
 			ExchangeEvery: every,
@@ -103,7 +100,7 @@ func TestRunIslandsExchange(t *testing.T) {
 			}
 			// An immigrant at least as good as the incumbent must be
 			// reflected in BestSoFar.
-			if st.MigrantsIn > 0 && st.BestSoFar < st.Best {
+			if st.MigrantsIn > 0 && st.BestSoFar > st.Best {
 				t.Fatalf("island %d iter %d: best-so-far %v < best %v", g, st.Iter, st.BestSoFar, st.Best)
 			}
 		}
@@ -116,20 +113,17 @@ func TestRunIslandsExchange(t *testing.T) {
 // TestRunIslandsDeterministic: identical ensembles produce bit-identical
 // search histories.
 func TestRunIslandsDeterministic(t *testing.T) {
-	runOnce := func() []Result[[]bool] {
-		var runs []IslandRun[[]bool]
+	runOnce := func() []Result {
+		var runs []IslandRun
 		for g := 0; g < 2; g++ {
-			p, err := NewBernoulliProblem(20, onesScore)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := newVectorProblem(20, 2, zerosScore)
 			g := g
-			runs = append(runs, IslandRun[[]bool]{
+			runs = append(runs, IslandRun{
 				Problem:       p,
 				Config:        islandConfig(g),
 				ExchangeEvery: 4,
-				Exchange: func(ctx context.Context, iter int, elite [][]bool, scores []float64) (ExchangeResult[[]bool], error) {
-					return ExchangeResult[[]bool]{Out: len(elite)}, nil
+				Exchange: func(ctx context.Context, iter int, elite [][]int, scores []float64) (ExchangeResult, error) {
+					return ExchangeResult{Out: len(elite)}, nil
 				},
 			})
 		}
@@ -159,22 +153,19 @@ func TestRunIslandsDeterministic(t *testing.T) {
 // cancels the peers.
 func TestRunIslandsExchangeError(t *testing.T) {
 	boom := errors.New("exchange exploded")
-	var runs []IslandRun[[]bool]
+	var runs []IslandRun
 	for g := 0; g < 2; g++ {
-		p, err := NewBernoulliProblem(20, onesScore)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := newVectorProblem(20, 2, zerosScore)
 		g := g
-		runs = append(runs, IslandRun[[]bool]{
+		runs = append(runs, IslandRun{
 			Problem:       p,
 			Config:        islandConfig(g),
 			ExchangeEvery: 2,
-			Exchange: func(ctx context.Context, iter int, elite [][]bool, scores []float64) (ExchangeResult[[]bool], error) {
+			Exchange: func(ctx context.Context, iter int, elite [][]int, scores []float64) (ExchangeResult, error) {
 				if g == 1 {
-					return ExchangeResult[[]bool]{}, boom
+					return ExchangeResult{}, boom
 				}
-				return ExchangeResult[[]bool]{}, nil
+				return ExchangeResult{}, nil
 			},
 		})
 	}
@@ -187,16 +178,16 @@ func TestRunIslandsExchangeError(t *testing.T) {
 func TestRunIslandsAfter(t *testing.T) {
 	var mu sync.Mutex
 	ran := 0
-	p1, _ := NewBernoulliProblem(10, onesScore)
-	p2, _ := NewBernoulliProblem(10, onesScore)
-	runs := []IslandRun[[]bool]{
-		{Problem: p1, Config: islandConfig(0), After: func(ctx context.Context, res *Result[[]bool]) error {
+	p1 := newVectorProblem(10, 2, zerosScore)
+	p2 := newVectorProblem(10, 2, zerosScore)
+	runs := []IslandRun{
+		{Problem: p1, Config: islandConfig(0), After: func(ctx context.Context, res *Result) error {
 			mu.Lock()
 			ran++
 			mu.Unlock()
 			return nil
 		}},
-		{Problem: p2, Config: islandConfig(1), After: func(ctx context.Context, res *Result[[]bool]) error {
+		{Problem: p2, Config: islandConfig(1), After: func(ctx context.Context, res *Result) error {
 			mu.Lock()
 			ran++
 			mu.Unlock()
@@ -211,8 +202,8 @@ func TestRunIslandsAfter(t *testing.T) {
 	}
 
 	afterErr := errors.New("finish failed")
-	p3, _ := NewBernoulliProblem(10, onesScore)
-	bad := []IslandRun[[]bool]{{Problem: p3, Config: islandConfig(0), After: func(ctx context.Context, res *Result[[]bool]) error {
+	p3 := newVectorProblem(10, 2, zerosScore)
+	bad := []IslandRun{{Problem: p3, Config: islandConfig(0), After: func(ctx context.Context, res *Result) error {
 		return afterErr
 	}}}
 	if _, err := RunIslands(context.Background(), bad); !errors.Is(err, afterErr) {
@@ -223,18 +214,18 @@ func TestRunIslandsAfter(t *testing.T) {
 // TestRunIslandsHookValidation: an exchange hook without a positive
 // interval is rejected.
 func TestRunIslandsHookValidation(t *testing.T) {
-	p, _ := NewBernoulliProblem(10, onesScore)
-	runs := []IslandRun[[]bool]{{
+	p := newVectorProblem(10, 2, zerosScore)
+	runs := []IslandRun{{
 		Problem: p,
 		Config:  islandConfig(0),
-		Exchange: func(ctx context.Context, iter int, elite [][]bool, scores []float64) (ExchangeResult[[]bool], error) {
-			return ExchangeResult[[]bool]{}, nil
+		Exchange: func(ctx context.Context, iter int, elite [][]int, scores []float64) (ExchangeResult, error) {
+			return ExchangeResult{}, nil
 		},
 	}}
 	if _, err := RunIslands(context.Background(), runs); err == nil {
 		t.Fatal("exchange hook without interval accepted")
 	}
-	if _, err := RunIslands[[]bool](context.Background(), nil); err == nil {
+	if _, err := RunIslands(context.Background(), nil); err == nil {
 		t.Fatal("empty ensemble accepted")
 	}
 }

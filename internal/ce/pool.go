@@ -31,10 +31,10 @@ const unitDraws = 32
 // samples, which also makes runs reproducible across *different* worker
 // counts — a strictly stronger guarantee than the per-(seed, workers)
 // reproducibility of the earlier static-chunk runtime.
-type samplePool[S any] struct {
-	problem   Problem[S]
+type samplePool struct {
+	problem   Problem
 	seed      uint64
-	solutions []S
+	solutions [][]int
 	scores    []float64
 	done      <-chan struct{}
 
@@ -61,9 +61,9 @@ type samplePool[S any] struct {
 
 // newSamplePool spawns the worker goroutines. Callers must stop the pool
 // with close() (idempotent via sync.Once is unnecessary — Run owns it).
-func newSamplePool[S any](p Problem[S], workers int, seed uint64, solutions []S, scores []float64, done <-chan struct{}) *samplePool[S] {
+func newSamplePool(p Problem, workers int, seed uint64, solutions [][]int, scores []float64, done <-chan struct{}) *samplePool {
 	n := len(scores)
-	pl := &samplePool[S]{
+	pl := &samplePool{
 		problem:   p,
 		seed:      seed,
 		solutions: solutions,
@@ -86,7 +86,7 @@ func newSamplePool[S any](p Problem[S], workers int, seed uint64, solutions []S,
 // worker consumes two of an iteration's tokens (its second admission finds
 // no units left) the WaitGroup still balances, so the barrier is correct
 // under any scheduling.
-func (pl *samplePool[S]) worker(w int) {
+func (pl *samplePool) worker(w int) {
 	rng := &xrand.RNG{} // reseeded per unit; zero state never drawn from
 	for range pl.tokens {
 		pl.drainIteration(w, rng)
@@ -97,7 +97,7 @@ func (pl *samplePool[S]) worker(w int) {
 
 // drainIteration claims and processes units until the iteration is done,
 // the context is cancelled, or sampling fails.
-func (pl *samplePool[S]) drainIteration(w int, rng *xrand.RNG) {
+func (pl *samplePool) drainIteration(w int, rng *xrand.RNG) {
 	n := len(pl.scores)
 	for {
 		u := pl.cursor.Add(1) - 1
@@ -131,7 +131,7 @@ func (pl *samplePool[S]) drainIteration(w int, rng *xrand.RNG) {
 // blocking until the barrier completes. The token sends happen-before the
 // workers' reads of pl.iter, and the workers' slot writes happen-before
 // wg.Wait returns, so no other synchronisation is needed.
-func (pl *samplePool[S]) runIteration(iter int) {
+func (pl *samplePool) runIteration(iter int) {
 	workers := cap(pl.tokens)
 	pl.iter = uint64(iter)
 	pl.cursor.Store(0)
@@ -169,12 +169,12 @@ func (pl *samplePool[S]) runIteration(iter int) {
 
 // lastIterStats reports the steal/idle telemetry of the most recent
 // iteration. Call between iterations (the pool must be at the barrier).
-func (pl *samplePool[S]) lastIterStats() (stealUnits int, idleNs int64) {
+func (pl *samplePool) lastIterStats() (stealUnits int, idleNs int64) {
 	return pl.stealUnits, pl.idleNs
 }
 
 // firstErr returns the first worker error of the last iteration, if any.
-func (pl *samplePool[S]) firstErr() error {
+func (pl *samplePool) firstErr() error {
 	for _, err := range pl.errs {
 		if err != nil {
 			return err
@@ -185,4 +185,4 @@ func (pl *samplePool[S]) firstErr() error {
 
 // close stops the worker goroutines. The pool must be idle (no iteration
 // in flight).
-func (pl *samplePool[S]) close() { close(pl.tokens) }
+func (pl *samplePool) close() { close(pl.tokens) }

@@ -4,32 +4,12 @@ import (
 	"testing"
 )
 
-// displacementScore is a deterministic permutation objective (sum of
-// |perm[i] - i|, minimised by the identity) used to exercise the runtime
-// without the noise of a real instance.
-func displacementScore(perm []int) float64 {
-	total := 0.0
-	for i, j := range perm {
-		d := float64(j - i)
-		if d < 0 {
-			d = -d
-		}
-		total += d
-	}
-	return total
-}
-
-func runPermutation(t *testing.T, sampleSize, workers int) Result[[]int] {
+func runDisplacement(t *testing.T, sampleSize, workers int) Result {
 	t.Helper()
-	p, err := NewPermutationProblem(12, displacementScore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run[[]int](p, Config{
+	res, err := Run(newVectorProblem(12, 12, displacementScore), Config{
 		SampleSize:    sampleSize,
 		Seed:          11,
 		Workers:       workers,
-		Minimize:      true,
 		MaxIterations: 30,
 	})
 	if err != nil {
@@ -44,9 +24,9 @@ func runPermutation(t *testing.T, sampleSize, workers int) Result[[]int] {
 // counts — any worker may claim any unit in any order and the samples are
 // the same.
 func TestRunIdenticalAcrossWorkerCounts(t *testing.T) {
-	ref := runPermutation(t, 300, 1)
+	ref := runDisplacement(t, 300, 1)
 	for _, workers := range []int{2, 3, 8} {
-		got := runPermutation(t, 300, workers)
+		got := runDisplacement(t, 300, workers)
 		if got.BestScore != ref.BestScore || got.Iterations != ref.Iterations || got.StopReason != ref.StopReason {
 			t.Fatalf("workers=%d: %v/%d/%s vs workers=1 %v/%d/%s",
 				workers, got.BestScore, got.Iterations, got.StopReason,
@@ -75,8 +55,8 @@ func TestRunWorkersExceedUnits(t *testing.T) {
 	if units := (40 + unitDraws - 1) / unitDraws; units >= 32 {
 		t.Fatalf("test premise broken: %d units not < 32 workers", units)
 	}
-	ref := runPermutation(t, 40, 1)
-	got := runPermutation(t, 40, 32)
+	ref := runDisplacement(t, 40, 1)
+	got := runDisplacement(t, 40, 32)
 	if got.BestScore != ref.BestScore || got.Iterations != ref.Iterations {
 		t.Fatalf("workers=32: %v/%d vs workers=1 %v/%d",
 			got.BestScore, got.Iterations, ref.BestScore, ref.Iterations)
@@ -85,32 +65,5 @@ func TestRunWorkersExceedUnits(t *testing.T) {
 		if got.History[i].Search() != ref.History[i].Search() {
 			t.Fatalf("history diverges at iteration %d", i)
 		}
-	}
-}
-
-// TestPermutationUpdateAllocFree: Update runs once per CE iteration on
-// the hot path; its counts scratch, the SetRow copies, the smoothing and
-// both sampler-table rebuilds must all reuse problem-owned buffers.
-func TestPermutationUpdateAllocFree(t *testing.T) {
-	const n = 32
-	p, err := NewPermutationProblem(n, displacementScore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elite := make([][]int, 40)
-	for k := range elite {
-		perm := make([]int, n)
-		for i := range perm {
-			perm[i] = (i + k) % n
-		}
-		elite[k] = perm
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := p.Update(elite, 0.3); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Update allocates %.1f objects/op, want 0", allocs)
 	}
 }

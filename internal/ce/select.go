@@ -7,9 +7,9 @@ import (
 
 // SelectElite partially orders order (a permutation of sample indices) so
 // that its first k entries are the k best samples under a strict total
-// order — score in the improving direction, ties broken by ascending
-// index — and those k entries are themselves sorted. Entries beyond k are
-// left in unspecified (but deterministic) arrangement.
+// order — ascending score, ties broken by ascending index — and those k
+// entries are themselves sorted. Entries beyond k are left in unspecified
+// (but deterministic) arrangement.
 //
 // This replaces the full O(N log N) sort of all N = 2n^2 scores per CE
 // iteration: the elite is only floor(rho*N) ≈ N/20 samples, so an O(N)
@@ -18,7 +18,7 @@ import (
 // just the threshold) independent of the partition path, so elite
 // membership — and therefore the whole run — is reproducible across both
 // this implementation and a reference full sort.
-func SelectElite(order []int, scores []float64, k int, minimize bool) {
+func SelectElite(order []int, scores []float64, k int) {
 	n := len(order)
 	if k <= 0 || n == 0 {
 		return
@@ -29,10 +29,7 @@ func SelectElite(order []int, scores []float64, k int, minimize bool) {
 	less := func(a, b int) bool {
 		sa, sb := scores[a], scores[b]
 		if sa != sb {
-			if minimize {
-				return sa < sb
-			}
-			return sa > sb
+			return sa < sb
 		}
 		return a < b
 	}

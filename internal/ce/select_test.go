@@ -8,7 +8,7 @@ import (
 )
 
 // refOrder returns the full ordering under SelectElite's total order.
-func refOrder(scores []float64, minimize bool) []int {
+func refOrder(scores []float64) []int {
 	order := make([]int, len(scores))
 	for i := range order {
 		order[i] = i
@@ -16,10 +16,7 @@ func refOrder(scores []float64, minimize bool) []int {
 	sort.Slice(order, func(a, b int) bool {
 		sa, sb := scores[order[a]], scores[order[b]]
 		if sa != sb {
-			if minimize {
-				return sa < sb
-			}
-			return sa > sb
+			return sa < sb
 		}
 		return order[a] < order[b]
 	})
@@ -41,35 +38,33 @@ func TestSelectEliteMatchesSortReference(t *testing.T) {
 					scores[i] = float64(rng.Intn(distinct))
 				}
 			}
-			for _, minimize := range []bool{true, false} {
-				want := refOrder(scores, minimize)
-				ks := []int{1, 2, n / 20, n / 2, n - 1, n}
-				for _, k := range ks {
-					if k < 1 {
-						continue
+			want := refOrder(scores)
+			ks := []int{1, 2, n / 20, n / 2, n - 1, n}
+			for _, k := range ks {
+				if k < 1 {
+					continue
+				}
+				order := make([]int, n)
+				for i := range order {
+					order[i] = i
+				}
+				SelectElite(order, scores, k)
+				if k > n {
+					k = n
+				}
+				for i := 0; i < k; i++ {
+					if order[i] != want[i] {
+						t.Fatalf("n=%d distinct=%d k=%d: order[%d]=%d, want %d",
+							n, distinct, k, i, order[i], want[i])
 					}
-					order := make([]int, n)
-					for i := range order {
-						order[i] = i
+				}
+				// The suffix must still be a permutation of the rest.
+				seen := make([]bool, n)
+				for _, v := range order {
+					if v < 0 || v >= n || seen[v] {
+						t.Fatalf("order corrupted: %v", order[:min(n, 20)])
 					}
-					SelectElite(order, scores, k, minimize)
-					if k > n {
-						k = n
-					}
-					for i := 0; i < k; i++ {
-						if order[i] != want[i] {
-							t.Fatalf("n=%d distinct=%d minimize=%v k=%d: order[%d]=%d, want %d",
-								n, distinct, minimize, k, i, order[i], want[i])
-						}
-					}
-					// The suffix must still be a permutation of the rest.
-					seen := make([]bool, n)
-					for _, v := range order {
-						if v < 0 || v >= n || seen[v] {
-							t.Fatalf("order corrupted: %v", order[:min(n, 20)])
-						}
-						seen[v] = true
-					}
+					seen[v] = true
 				}
 			}
 		}
@@ -79,22 +74,15 @@ func TestSelectEliteMatchesSortReference(t *testing.T) {
 func TestSelectEliteEdgeCases(t *testing.T) {
 	scores := []float64{3, 1, 2}
 	order := []int{0, 1, 2}
-	SelectElite(order, scores, 0, true) // no-op
+	SelectElite(order, scores, 0) // no-op
 	if order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("k=0 mutated order: %v", order)
 	}
-	SelectElite(order, scores, 10, true) // k > n clamps to n (full sort)
+	SelectElite(order, scores, 10) // k > n clamps to n (full sort)
 	if order[0] != 1 || order[1] != 2 || order[2] != 0 {
 		t.Fatalf("k>n: %v, want [1 2 0]", order)
 	}
-	SelectElite(nil, nil, 1, true) // empty input must not panic
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	SelectElite(nil, nil, 1) // empty input must not panic
 }
 
 func BenchmarkEliteSelect(b *testing.B) {
@@ -113,7 +101,7 @@ func BenchmarkEliteSelect(b *testing.B) {
 			for j := range order {
 				order[j] = j
 			}
-			SelectElite(order, scores, k, true)
+			SelectElite(order, scores, k)
 		}
 	})
 	b.Run("full-sort", func(b *testing.B) {

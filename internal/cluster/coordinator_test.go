@@ -288,7 +288,8 @@ func TestCoordinatorSingleflight(t *testing.T) {
 
 // TestCoordinatorCache: a repeat submission after completion is answered
 // from the coordinator cache without touching a worker again — including
-// a repeat that differs only in options the solver ignores.
+// a repeat that differs only in options the solver ignores or that names
+// the deprecated solver alias distributed.
 func TestCoordinatorCache(t *testing.T) {
 	ws := startWorkers(t, 2)
 	co := newTestCoordinator(t, ws, Options{CheckpointEvery: 1})
@@ -312,6 +313,8 @@ func TestCoordinatorCache(t *testing.T) {
 	legacy.Options.UnprunedScoring = true
 	sparse := req
 	sparse.Options.SparseEps, sparse.Options.SparseCut = 1e-4, 64
+	distributed := req
+	distributed.Solver, distributed.Options.NumAgents = api.SolverDistributed, 4
 	repeats := []struct {
 		name string
 		req  api.SubmitRequest
@@ -319,6 +322,7 @@ func TestCoordinatorCache(t *testing.T) {
 		{"identical", req},
 		{"unpruned_scoring is ignored", legacy},
 		{"sparse_eps and sparse_cut are ignored", sparse},
+		{"distributed with num_agents is match", distributed},
 	}
 	for _, r := range repeats {
 		info2, err := co.Submit(r.req)
@@ -467,14 +471,15 @@ func TestCoordinatorRejectsBadSubmissions(t *testing.T) {
 }
 
 // TestRestoreLegacyJournal: a journal written before exact resume (it
-// carries the retired "no_cache" field) still re-attaches; the flight
-// completes under its original job id and its result enters the cache.
+// carries the retired "no_cache" field) and naming the deprecated solver
+// alias distributed still re-attaches; the flight completes as a match
+// job under its original job id and its result enters the cache.
 func TestRestoreLegacyJournal(t *testing.T) {
 	ws := startWorkers(t, 1)
 	dir := t.TempDir()
 	req := api.SubmitRequest{
-		Instance: instanceJSON(t, 2, 8), Solver: api.SolverMaTCH,
-		Options: api.SolverOptions{Seed: 3, Workers: 1, MaxIterations: 10},
+		Instance: instanceJSON(t, 2, 8), Solver: api.SolverDistributed,
+		Options: api.SolverOptions{Seed: 3, Workers: 1, MaxIterations: 10, NumAgents: 4},
 	}
 	reqJSON, err := json.Marshal(req)
 	if err != nil {
@@ -491,8 +496,12 @@ func TestRestoreLegacyJournal(t *testing.T) {
 	if err != nil || restored != 1 {
 		t.Fatalf("Restore = %d, %v; want 1 flight", restored, err)
 	}
-	if final := waitDone(t, co, "clegacy01"); final.State != api.StateDone {
+	final := waitDone(t, co, "clegacy01")
+	if final.State != api.StateDone {
 		t.Fatalf("re-attached job ended %q (error %q)", final.State, final.Error)
+	}
+	if final.Solver != api.SolverMaTCH {
+		t.Errorf("re-attached job reports solver %q, want %q", final.Solver, api.SolverMaTCH)
 	}
 	if n := metricValue(t, coordinatorMetrics(t, co), "matchd_cluster_cache_entries"); n != 1 {
 		t.Errorf("cache entries after the re-attached flight = %v, want 1", n)

@@ -213,6 +213,9 @@ func (co *Coordinator) Restore() (int, error) {
 // restoreFlight rebuilds one flight and its attached jobs from a journal
 // record and hands it to a watcher goroutine.
 func (co *Coordinator) restoreFlight(doc journalFlight) error {
+	// A flight journalled under a deprecated solver alias keeps its key
+	// but runs, and reports, the solver the alias names.
+	doc.Request.Solver = jobs.CanonicalSolver(doc.Request.Solver)
 	f := &flight{
 		id:              doc.ID,
 		key:             doc.Key,

@@ -44,7 +44,7 @@ type Checkpoint struct {
 // newCheckpoint snapshots the problem state (P_k and the eq. 12 window)
 // together with the CE loop state st that pairs with it. Everything is
 // cloned.
-func newCheckpoint(p *stochmat.Matrix, argmax []int, stableRuns int, st ce.State[[]int]) *Checkpoint {
+func newCheckpoint(p *stochmat.Matrix, argmax []int, stableRuns int, st ce.State) *Checkpoint {
 	return &Checkpoint{
 		Version:        CheckpointVersion,
 		Iterations:     st.Iterations,
@@ -160,7 +160,7 @@ func Resume(eval *cost.Evaluator, c *Checkpoint, opts Options) (*Result, error) 
 	}
 	opts = opts.withDefaults(eval.NumTasks())
 	opts.WarmStart = nil // the checkpoint matrix IS the initialisation
-	start := ce.State[[]int]{
+	start := ce.State{
 		Iterations:     c.Iterations,
 		Gamma:          c.Gamma,
 		GammaStallRuns: c.GammaStallRuns,

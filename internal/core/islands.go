@@ -214,7 +214,7 @@ func solveIslands(eval *cost.Evaluator, opts Options) (*Result, error) {
 		mu.Unlock()
 	}
 
-	runs := make([]ce.IslandRun[[]int], len(locals))
+	runs := make([]ce.IslandRun, len(locals))
 	for li, g := range locals {
 		pr := newProblem(eval, opts)
 		if opts.WarmStart != nil {
@@ -223,11 +223,11 @@ func solveIslands(eval *cost.Evaluator, opts Options) (*Result, error) {
 			}
 		}
 		g := g
-		runs[li] = ce.IslandRun[[]int]{
+		runs[li] = ce.IslandRun{
 			Problem:       pr,
 			ExchangeEvery: iopts.MigrateEvery,
 			Exchange:      islandExchange(pr, g, tr, iopts, opts.Zeta),
-			After: func(ctx context.Context, res *ce.Result[[]int]) error {
+			After: func(ctx context.Context, res *ce.Result) error {
 				pkt := island.Packet{Island: g, Round: res.Iterations / iopts.MigrateEvery}
 				pkt.Best = &island.Migrant{Mapping: slices.Clone(res.Best), Exec: res.BestScore}
 				fs, err := tr.Finish(ctx, pkt)
@@ -249,7 +249,6 @@ func solveIslands(eval *cost.Evaluator, opts Options) (*Result, error) {
 				MaxIterations:  opts.MaxIterations,
 				Workers:        opts.Workers,
 				Seed:           xrand.SeedKeyed(opts.Seed, uint64(g)),
-				Minimize:       true,
 				OnIteration:    forward,
 				DiscardHistory: opts.DiscardHistory,
 				Island:         g,
@@ -350,12 +349,12 @@ func solveIslands(eval *cost.Evaluator, opts Options) (*Result, error) {
 // islandExchange builds island g's exchange hook: publish the top
 // MigrantCount elite (and, when blending, the full P), block for the
 // peers' round packets, then fold immigrants and peer rows in.
-func islandExchange(pr *problem, g int, tr island.Transport, iopts IslandOptions, zeta float64) ce.ExchangeFunc[[]int] {
+func islandExchange(pr *problem, g int, tr island.Transport, iopts IslandOptions, zeta float64) ce.ExchangeFunc {
 	if zeta == 0 {
 		zeta = 0.3 // mirror Options.withDefaults; injection reuses eq. (13)'s zeta
 	}
-	return func(ctx context.Context, iter int, elite [][]int, scores []float64) (ce.ExchangeResult[[]int], error) {
-		var out ce.ExchangeResult[[]int]
+	return func(ctx context.Context, iter int, elite [][]int, scores []float64) (ce.ExchangeResult, error) {
+		var out ce.ExchangeResult
 		pkt := island.Packet{Island: g, Round: iter / iopts.MigrateEvery}
 		if iopts.MigrantCount > 0 {
 			mc := iopts.MigrantCount

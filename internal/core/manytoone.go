@@ -46,14 +46,13 @@ func ManyToOne(eval *cost.Evaluator, opts Options) (*Result, error) {
 		MaxIterations:  opts.MaxIterations,
 		Workers:        opts.Workers,
 		Seed:           opts.Seed,
-		Minimize:       true,
 		Context:        opts.Context,
 		OnIteration:    opts.OnIteration,
 		DiscardHistory: opts.DiscardHistory,
 	}
 
 	start := time.Now()
-	ceRes, err := ce.Run[[]int](pr, cfg)
+	ceRes, err := ce.Run(pr, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +78,7 @@ func ManyToOne(eval *cost.Evaluator, opts Options) (*Result, error) {
 	}, nil
 }
 
-// manyToOneProblem implements ce.Problem[[]int] with independent row
+// manyToOneProblem implements ce.Problem with independent row
 // sampling (no permutation constraint).
 type manyToOneProblem struct {
 	eval      *cost.Evaluator

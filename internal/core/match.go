@@ -184,12 +184,12 @@ type Result struct {
 	Islands int
 
 	// Terminal CE loop and eq. 12 state, carried for CheckpointFrom.
-	loop            ce.State[[]int]
+	loop            ce.State
 	finalArgmax     []int
 	finalStableRuns int
 }
 
-// problem implements ce.Problem[[]int] for the mapping COP.
+// problem implements ce.Problem for the mapping COP.
 type problem struct {
 	eval *cost.Evaluator
 	n    int
@@ -388,7 +388,7 @@ func Solve(eval *cost.Evaluator, opts Options) (*Result, error) {
 		return solveMultilevel(eval, opts)
 	}
 	opts = opts.withDefaults(n)
-	return solveFromProblem(eval, opts, ce.State[[]int]{}, func(pr *problem) error {
+	return solveFromProblem(eval, opts, ce.State{}, func(pr *problem) error {
 		if opts.WarmStart != nil {
 			return pr.applyWarmStart(opts.WarmStart, opts.WarmStartBias)
 		}
@@ -399,7 +399,7 @@ func Solve(eval *cost.Evaluator, opts Options) (*Result, error) {
 // solveFromProblem builds the problem, applies init (warm start or
 // checkpoint restore) and runs the CE loop from start. opts must already
 // carry defaults.
-func solveFromProblem(eval *cost.Evaluator, opts Options, start ce.State[[]int], init func(*problem) error) (*Result, error) {
+func solveFromProblem(eval *cost.Evaluator, opts Options, start ce.State, init func(*problem) error) (*Result, error) {
 	pr := newProblem(eval, opts)
 	if init != nil {
 		if err := init(pr); err != nil {
@@ -414,7 +414,6 @@ func solveFromProblem(eval *cost.Evaluator, opts Options, start ce.State[[]int],
 		MaxIterations:  opts.MaxIterations,
 		Workers:        opts.Workers,
 		Seed:           opts.Seed,
-		Minimize:       true,
 		Context:        opts.Context,
 		OnIteration:    opts.OnIteration,
 		DiscardHistory: opts.DiscardHistory,
@@ -422,9 +421,9 @@ func solveFromProblem(eval *cost.Evaluator, opts Options, start ce.State[[]int],
 
 	// Periodic checkpoint export, after the iteration's Update, so the
 	// matrix and eq. 12 state are the post-iteration ones a resume wants.
-	var onState ce.StateFunc[[]int]
+	var onState ce.StateFunc
 	if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil {
-		onState = func(st ce.State[[]int]) {
+		onState = func(st ce.State) {
 			if st.Iterations%opts.CheckpointEvery == 0 {
 				opts.OnCheckpoint(newCheckpoint(pr.p, pr.prevArgmax, pr.stableRuns, st))
 			}
@@ -432,7 +431,7 @@ func solveFromProblem(eval *cost.Evaluator, opts Options, start ce.State[[]int],
 	}
 
 	began := time.Now()
-	ceRes, err := ce.RunFrom[[]int](pr, cfg, start, onState)
+	ceRes, err := ce.RunFrom(pr, cfg, start, onState)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"matchsim/internal/agents"
 	"matchsim/internal/core"
 	"matchsim/internal/cost"
 	"matchsim/internal/ga"
@@ -206,8 +205,8 @@ func AblateWorkers(cfg AblationConfig, workerCounts []int) (*Table, error) {
 }
 
 // CompareBaselines races every solver in the repository on one instance:
-// MaTCH, distributed MaTCH, FastMap-GA, random search, greedy, 2-swap
-// local search and simulated annealing.
+// MaTCH, FastMap-GA, random search, greedy, 2-swap local search and
+// simulated annealing.
 func CompareBaselines(cfg AblationConfig) (*Table, error) {
 	cfg = cfg.withDefaults()
 	eval, master, err := cfg.evaluator()
@@ -241,15 +240,6 @@ func CompareBaselines(cfg AblationConfig) (*Table, error) {
 
 	if err := run("MaTCH", func(seed uint64) (outcome, error) {
 		res, err := core.Solve(eval, core.Options{Seed: seed, MaxIterations: cfg.MaxIterations})
-		if err != nil {
-			return outcome{}, err
-		}
-		return outcome{res.Exec, res.MappingTime, res.Evaluations}, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := run("MaTCH-distributed", func(seed uint64) (outcome, error) {
-		res, err := agents.Solve(eval, agents.Options{Seed: seed, MaxIterations: cfg.MaxIterations})
 		if err != nil {
 			return outcome{}, err
 		}

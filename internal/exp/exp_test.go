@@ -231,7 +231,7 @@ func TestCompareBaselinesSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := tb.Render()
-	for _, solver := range []string{"MaTCH", "MaTCH-distributed", "FastMap-GA", "RandomSearch", "Greedy", "LocalSearch", "SimulatedAnnealing"} {
+	for _, solver := range []string{"MaTCH", "FastMap-GA", "RandomSearch", "Greedy", "LocalSearch", "SimulatedAnnealing"} {
 		if !strings.Contains(out, solver) {
 			t.Fatalf("baseline table missing %s:\n%s", solver, out)
 		}

@@ -22,21 +22,28 @@ import (
 // visit order, so any prefix of the result is a heaviest-first partial
 // matching — the truncation the lockstep-square coarsener relies on.
 // Isolated vertices and star centres that lose the greedy race simply
-// stay unmatched and survive as singletons.
+// stay unmatched and survive as singletons. The visit order is sorted as
+// a 4-byte index permutation, so the 24-byte edges are never copied.
 func HeavyEdgeMatching(g *Undirected) [][2]int {
-	edges := append([]Edge(nil), g.Edges()...)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Weight != edges[j].Weight {
-			return edges[i].Weight > edges[j].Weight
+	edges := g.Edges()
+	order := make([]int32, len(edges))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := &edges[order[i]], &edges[order[j]]
+		if a.Weight != b.Weight {
+			return a.Weight > b.Weight
 		}
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
+		if a.U != b.U {
+			return a.U < b.U
 		}
-		return edges[i].V < edges[j].V
+		return a.V < b.V
 	})
 	matched := make([]bool, g.N())
 	pairs := make([][2]int, 0, g.N()/2)
-	for _, e := range edges {
+	for _, i := range order {
+		e := edges[i]
 		if !matched[e.U] && !matched[e.V] {
 			matched[e.U], matched[e.V] = true, true
 			pairs = append(pairs, [2]int{e.U, e.V})
@@ -257,7 +264,7 @@ func ContractTIG(t *TIG, c Contraction) (*TIG, error) {
 	}
 	out := NewTIGWithWeights(cw)
 	out.Name = t.Name
-	if err := out.adoptEdges(edges, out.AddEdge); err != nil {
+	if err := out.adoptEdges(edges); err != nil {
 		return nil, err
 	}
 	return out, nil

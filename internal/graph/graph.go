@@ -36,10 +36,9 @@ type Neighbor struct {
 type Undirected struct {
 	n     int
 	edges []Edge
-	// seen holds every edge's canonical endpoints while a graph of at
-	// least scanEdges edges is under construction (until its adjacency is
-	// built or its decode ends), so AddEdge's duplicate check and HasEdge
-	// are O(1).
+	// seen holds every edge's canonical endpoints while AddEdge builds a
+	// graph of at least scanEdges edges (until its adjacency is built), so
+	// AddEdge's duplicate check and HasEdge are O(1).
 	seen map[[2]int]struct{}
 	// CSR adjacency: neighbours of v are adj[offsets[v]:offsets[v+1]].
 	offsets []int
@@ -65,14 +64,8 @@ func (g *Undirected) M() int { return len(g.edges) }
 // Self-loops and duplicate edges are rejected with an error: the TIG model
 // has no self-communication and a pair of grids overlaps at most once.
 func (g *Undirected) AddEdge(u, v int, weight float64) error {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n)
-	}
-	if u == v {
-		return fmt.Errorf("graph: self-loop at vertex %d", u)
-	}
-	if weight < 0 {
-		return fmt.Errorf("graph: negative edge weight %v on (%d,%d)", weight, u, v)
+	if err := g.checkEdge(u, v, weight); err != nil {
+		return err
 	}
 	if g.seen == nil && len(g.edges) >= scanEdges {
 		g.seen = make(map[[2]int]struct{}, 2*len(g.edges))
@@ -92,6 +85,21 @@ func (g *Undirected) AddEdge(u, v int, weight float64) error {
 	return nil
 }
 
+// checkEdge is AddEdge's check of one edge on its own: endpoints in
+// range, no self-loop, no negative weight.
+func (g *Undirected) checkEdge(u, v int, weight float64) error {
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
+		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, g.n)
+	}
+	if u == v {
+		return fmt.Errorf("graph: self-loop at vertex %d", u)
+	}
+	if weight < 0 {
+		return fmt.Errorf("graph: negative edge weight %v on (%d,%d)", weight, u, v)
+	}
+	return nil
+}
+
 // scanEdges is the edge count up to which AddEdge finds duplicates by
 // scanning the edge list. A scan that long takes about a microsecond,
 // while a hash set would about double the memory of a graph under
@@ -106,26 +114,48 @@ func edgeKey(u, v int) [2]int {
 	return [2]int{u, v}
 }
 
-// adoptEdges makes edges the edge list of g, which has none yet, adding
-// them in order through add (g's AddEdge, or a wrapper of it such as
-// ResourceGraph.AddLink) and so with AddEdge's checks. It takes ownership
-// of edges: add appends edge i at index i of the same backing array,
-// after edge i has been read. The graph is then complete, so the
-// duplicate set is dropped rather than kept alive with it.
-func (g *Undirected) adoptEdges(edges []Edge, add func(u, v int, weight float64) error) error {
+// adoptEdges makes edges the edge list of g, which has none yet, and
+// fails exactly where adding them in order with AddEdge would, with the
+// same error. It takes ownership of edges, storing each with its
+// endpoints in canonical order. Repeated pairs are found with
+// hasParallelEdges' transient int32 neighbour list, so a valid list
+// builds no hash set; firstRepeat's set only names a list's first
+// repeat.
+func (g *Undirected) adoptEdges(edges []Edge) error {
 	if len(edges) == 0 {
 		return nil
 	}
-	g.edges = edges[:0]
-	if len(edges) >= scanEdges {
-		g.seen = make(map[[2]int]struct{}, len(edges))
-	}
-	for _, e := range edges {
-		if err := add(e.U, e.V, e.Weight); err != nil {
+	for i, e := range edges {
+		if err := g.checkEdge(e.U, e.V, e.Weight); err != nil {
+			// AddEdge would have stopped first at a repeat before edge i.
+			if dup := firstRepeat(edges[:i]); dup != nil {
+				return dup
+			}
 			return err
 		}
 	}
-	g.seen = nil
+	if hasParallelEdges(g.n, edges) {
+		return firstRepeat(edges)
+	}
+	for i, e := range edges {
+		edges[i].U, edges[i].V = min(e.U, e.V), max(e.U, e.V)
+	}
+	g.edges = edges
+	g.dirty = true
+	return nil
+}
+
+// firstRepeat returns AddEdge's error for the first edge of edges that
+// joins the same pair as an earlier one, and nil if there is none.
+func firstRepeat(edges []Edge) error {
+	seen := make(map[[2]int]bool, len(edges))
+	for _, e := range edges {
+		key := edgeKey(e.U, e.V)
+		if seen[key] {
+			return fmt.Errorf("graph: duplicate edge (%d,%d)", e.U, e.V)
+		}
+		seen[key] = true
+	}
 	return nil
 }
 

@@ -513,3 +513,64 @@ func TestValidateMatchesMapCheck(t *testing.T) {
 		}
 	}
 }
+
+// TestAdoptEdgesMatchesAddEdge: adoptEdges, which the instance reader
+// and ContractTIG use, must accept exactly the lists that adding every
+// edge in order with AddEdge accepts, fail with AddEdge's first error,
+// and store the same canonical edges. A duplicate that slipped through
+// would leave a parallel edge in the graph. Lists both under and over
+// scanEdges are tried, since AddEdge finds repeats differently there.
+func TestAdoptEdgesMatchesAddEdge(t *testing.T) {
+	check := func(name string, n int, edges []Edge) {
+		t.Helper()
+		ref := NewUndirected(n)
+		var want error
+		for _, e := range edges {
+			if want = ref.AddEdge(e.U, e.V, e.Weight); want != nil {
+				break
+			}
+		}
+		g := NewUndirected(n)
+		got := g.adoptEdges(append([]Edge(nil), edges...))
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: adoptEdges error %v, AddEdge error %v", name, got, want)
+		}
+		if got == nil && fmt.Sprint(g.Edges()) != fmt.Sprint(ref.Edges()) {
+			t.Fatalf("%s: adopted edges differ from the added ones", name)
+		}
+	}
+	check("repeat", 3, []Edge{{0, 2, 1}, {2, 0, 1}})
+	check("repeat before a range fault", 4, []Edge{{3, 1, 1}, {1, 3, 1}, {0, 5, 1}})
+	check("range fault before a repeat", 4, []Edge{{3, 1, 1}, {0, 5, 1}, {1, 3, 1}})
+	check("negative repeat", 4, []Edge{{0, 1, 1}, {1, 0, -1}})
+	check("valid", 4, []Edge{{1, 0, 1}, {1, 2, 1}, {3, 2, 1}})
+
+	// A list past scanEdges: every pair of a 60-vertex clique, in random
+	// orientation, then with one pair repeated at a random position.
+	rng := xrand.New(43)
+	const n = 60
+	var clique []Edge
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			e := Edge{U: u, V: v, Weight: float64(rng.Intn(9))}
+			if rng.Intn(2) == 0 {
+				e.U, e.V = v, u
+			}
+			clique = append(clique, e)
+		}
+	}
+	if len(clique) < scanEdges {
+		t.Fatalf("test premise broken: %d edges, want at least %d", len(clique), scanEdges)
+	}
+	check("large valid", n, clique)
+	for trial := 0; trial < 20; trial++ {
+		edges := append([]Edge(nil), clique...)
+		i, j := rng.Intn(len(edges)), rng.Intn(len(edges))
+		dup := Edge{U: edges[i].V, V: edges[i].U, Weight: 1}
+		edges = append(edges[:j], append([]Edge{dup}, edges[j:]...)...)
+		if trial%4 == 0 {
+			edges[rng.Intn(len(edges))].Weight = -1
+		}
+		check(fmt.Sprintf("large trial %d", trial), n, edges)
+	}
+}

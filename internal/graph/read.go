@@ -741,7 +741,7 @@ func (d *tigDoc) build() (*TIG, error) {
 	}
 	t := NewTIGWithWeights(d.weights)
 	t.Name = d.name
-	if err := t.adoptEdges(d.edges, t.AddEdge); err != nil {
+	if err := t.adoptEdges(d.edges); err != nil {
 		return nil, err
 	}
 	if err := t.Validate(); err != nil {
@@ -830,7 +830,7 @@ func (d *platformDoc) build() (*ResourceGraph, error) {
 	} else {
 		p = newResourceGraph(costs)
 		p.Name = d.name
-		if err := p.adoptEdges(d.links, p.AddLink); err != nil {
+		if err := p.adoptLinks(d.links); err != nil {
 			return nil, err
 		}
 		if d.closed {

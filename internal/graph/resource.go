@@ -237,6 +237,21 @@ func (r *ResourceGraph) AddLink(s, b int, weight float64) error {
 	return nil
 }
 
+// adoptLinks is adoptEdges for a platform that has no links yet: it
+// takes links as its topology, with AddLink's checks and errors, and
+// enters every link's cost into the link table.
+func (r *ResourceGraph) adoptLinks(links []Edge) error {
+	if err := r.adoptEdges(links); err != nil {
+		return err
+	}
+	n := r.N()
+	for _, e := range r.Edges() {
+		r.links.Block[e.U*n+e.V] = e.Weight
+		r.links.Block[e.V*n+e.U] = e.Weight
+	}
+	return nil
+}
+
 // MustAddLink is AddLink that panics on error.
 func (r *ResourceGraph) MustAddLink(s, b int, weight float64) {
 	if err := r.AddLink(s, b, weight); err != nil {

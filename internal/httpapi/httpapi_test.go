@@ -50,28 +50,40 @@ func instanceJSON(t *testing.T, seed uint64, n int) []byte {
 // answer with the same result and content address as a submission
 // without it.
 func TestSubmitAcceptsUnprunedScoring(t *testing.T) {
-	checkIgnoredOptions(t, func(o *api.SolverOptions) { o.UnprunedScoring = true })
+	checkIgnoredOptions(t, func(r *api.SubmitRequest) { r.Options.UnprunedScoring = true })
 }
 
 // TestSubmitAcceptsSparseOptions: older clients may still send
 // "sparse_eps" and "sparse_cut", the knobs of the deleted sparse-row
 // update. The daemon must accept them and solve as if they were absent.
 func TestSubmitAcceptsSparseOptions(t *testing.T) {
-	checkIgnoredOptions(t, func(o *api.SolverOptions) { o.SparseEps, o.SparseCut = 1e-4, 64 })
+	checkIgnoredOptions(t, func(r *api.SubmitRequest) { r.Options.SparseEps, r.Options.SparseCut = 1e-4, 64 })
 }
 
-// checkIgnoredOptions submits a job carrying options the solver ignores
-// (set by legacy) and asserts it completes with the bits of a direct
-// library solve without them, and that the plain submission shares its
-// content address and is answered from the cache.
-func checkIgnoredOptions(t *testing.T, legacy func(*api.SolverOptions)) {
+// TestSubmitDistributedRunsMaTCH: solver "distributed" named the deleted
+// agent-based MaTCH and is now an alias of match. A submission naming it,
+// with the ignored "num_agents", must solve as match and share its
+// content address.
+func TestSubmitDistributedRunsMaTCH(t *testing.T) {
+	checkIgnoredOptions(t, func(r *api.SubmitRequest) {
+		r.Solver = api.SolverDistributed
+		r.Options.NumAgents = 4
+	})
+}
+
+// checkIgnoredOptions submits a match job rewritten by legacy into an
+// older form (a deprecated solver alias, options the solver ignores) and
+// asserts it completes with the bits of a direct library solve without
+// them, and that the plain submission shares its content address and is
+// answered from the cache.
+func checkIgnoredOptions(t *testing.T, legacy func(*api.SubmitRequest)) {
 	t.Helper()
 	c, m := newTestServer(t, jobs.Options{Workers: 1})
 	ctx := context.Background()
 	inst := instanceJSON(t, 6, 10)
-	opts := api.SolverOptions{Seed: 3, Workers: 1}
-	legacy(&opts)
-	old, err := c.Submit(ctx, api.SubmitRequest{Instance: inst, Solver: api.SolverMaTCH, Options: opts})
+	req := api.SubmitRequest{Instance: inst, Solver: api.SolverMaTCH, Options: api.SolverOptions{Seed: 3, Workers: 1}}
+	legacy(&req)
+	old, err := c.Submit(ctx, req)
 	if err != nil {
 		t.Fatalf("Submit with legacy options: %v", err)
 	}
@@ -81,6 +93,9 @@ func checkIgnoredOptions(t *testing.T, legacy func(*api.SolverOptions)) {
 	}
 	if final.State != api.StateDone {
 		t.Fatalf("job ended %q (error %q), want done", final.State, final.Error)
+	}
+	if final.Solver != api.SolverMaTCH {
+		t.Fatalf("job reports solver %q, want %q", final.Solver, api.SolverMaTCH)
 	}
 	res, err := c.Result(ctx, old.ID)
 	if err != nil {

@@ -362,12 +362,13 @@ func buildRevision() string {
 // formatting and field-order noise in the client's JSON does not defeat
 // caching), the solver name, the options document and, for a submission
 // that resumes from one (see Admit), the checkpoint bytes, so an outside
-// checkpoint gets its own address. Options that no longer affect the solve (UnprunedScoring,
-// SparseEps and SparseCut, accepted on the wire and ignored) are cleared
-// first, so submissions differing only in them share one cache entry and
-// route.
+// checkpoint gets its own address. Options that no longer affect the
+// solve (UnprunedScoring, NumAgents, SparseEps and SparseCut, accepted on
+// the wire and ignored) are cleared first, so submissions differing only
+// in them share one cache entry and route.
 func Key(p *matchsim.Problem, solver string, opts api.SolverOptions, checkpoint []byte) (string, error) {
 	opts.UnprunedScoring = false
+	opts.NumAgents = 0
 	opts.SparseEps, opts.SparseCut = 0, 0
 	ob, err := json.Marshal(opts)
 	if err != nil {
@@ -389,12 +390,17 @@ func Key(p *matchsim.Problem, solver string, opts api.SolverOptions, checkpoint 
 }
 
 // Admit is both serving tiers' one front door for a submission: it
-// checks the solver name and that an instance is present, decodes the
-// instance, settles the checkpoint (see decodeResume; a checkpoint that
-// cannot resume exactly is cleared from req) and computes the content
-// address. It returns the problem, the checkpoint to resume from (nil to
-// solve fresh) and the key. Every error is an invalid submission.
+// checks the solver name (rewriting the deprecated alias distributed to
+// match) and that an instance is present, decodes the instance, settles
+// the checkpoint (see decodeResume; a checkpoint that cannot resume
+// exactly is cleared from req) and computes the content address. It
+// returns the problem, the checkpoint to resume from (nil to solve fresh)
+// and the key. Every error is an invalid submission.
 func Admit(req *api.SubmitRequest, log *slog.Logger) (*matchsim.Problem, *matchsim.Checkpoint, string, error) {
+	if s := CanonicalSolver(req.Solver); s != req.Solver {
+		log.Warn("deprecated solver alias rewritten", "solver", req.Solver, "runs", s)
+		req.Solver = s
+	}
 	if err := validSolver(req.Solver); err != nil {
 		return nil, nil, "", err
 	}
@@ -554,10 +560,20 @@ func (m *Manager) startJobSpan(ctx context.Context, j *job) {
 	j.traceID = span.TraceID()
 }
 
+// CanonicalSolver returns the solver a submission naming name runs: the
+// deprecated alias distributed (the deleted agent-based MaTCH) runs
+// match; every other name is returned unchanged.
+func CanonicalSolver(name string) string {
+	if name == api.SolverDistributed {
+		return api.SolverMaTCH
+	}
+	return name
+}
+
 // validSolver reports whether a submission names a known solver.
 func validSolver(s string) error {
 	switch s {
-	case api.SolverMaTCH, api.SolverManyToOne, api.SolverGA, api.SolverDistributed,
+	case api.SolverMaTCH, api.SolverManyToOne, api.SolverGA,
 		api.SolverRandom, api.SolverGreedy, api.SolverLocal, api.SolverAnneal:
 		return nil
 	}

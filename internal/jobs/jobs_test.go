@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -120,11 +122,13 @@ func TestSubmitSolveAndDeterminism(t *testing.T) {
 
 // TestKeyOptions pins which option differences change a submission's
 // content address: real solver knobs and a checkpoint do, options the
-// solver ignores (unpruned_scoring, sparse_eps and sparse_cut, accepted
-// on the wire for older clients) do not. The checkpoint-free address is pinned to its recorded
-// bytes, so caches and ring routes survive upgrades.
+// solver ignores (unpruned_scoring, num_agents, sparse_eps and
+// sparse_cut, accepted on the wire for older clients) and the deprecated
+// solver alias distributed do not. The checkpoint-free address is pinned
+// to its recorded bytes, so caches and ring routes survive upgrades.
 func TestKeyOptions(t *testing.T) {
-	p, err := matchsim.ReadProblem(bytes.NewReader(instanceJSON(t, 3, 10)))
+	inst := instanceJSON(t, 3, 10)
+	p, err := matchsim.ReadProblem(bytes.NewReader(inst))
 	if err != nil {
 		t.Fatalf("ReadProblem: %v", err)
 	}
@@ -145,20 +149,27 @@ func TestKeyOptions(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name string
-		edit func(*api.SolverOptions)
+		edit func(*api.SubmitRequest)
 		same bool
 	}{
-		{"identical", func(*api.SolverOptions) {}, true},
-		{"unpruned_scoring is ignored", func(o *api.SolverOptions) { o.UnprunedScoring = true }, true},
-		{"sparse_eps and sparse_cut are ignored", func(o *api.SolverOptions) { o.SparseEps, o.SparseCut = 1e-4, 64 }, true},
-		{"seed changes the key", func(o *api.SolverOptions) { o.Seed = 10 }, false},
-		{"iteration cap changes the key", func(o *api.SolverOptions) { o.MaxIterations = 5 }, false},
+		{"identical", func(*api.SubmitRequest) {}, true},
+		{"unpruned_scoring is ignored", func(r *api.SubmitRequest) { r.Options.UnprunedScoring = true }, true},
+		{"sparse_eps and sparse_cut are ignored", func(r *api.SubmitRequest) { r.Options.SparseEps, r.Options.SparseCut = 1e-4, 64 }, true},
+		{"distributed with num_agents is match", func(r *api.SubmitRequest) { r.Solver, r.Options.NumAgents = api.SolverDistributed, 4 }, true},
+		{"seed changes the key", func(r *api.SubmitRequest) { r.Options.Seed = 10 }, false},
+		{"iteration cap changes the key", func(r *api.SubmitRequest) { r.Options.MaxIterations = 5 }, false},
+		{"another solver changes the key", func(r *api.SubmitRequest) { r.Solver = api.SolverManyToOne }, false},
 	} {
-		opts := base
-		c.edit(&opts)
-		key, err := Key(p, api.SolverMaTCH, opts, nil)
+		// Through Admit, the one admission point, which applies the
+		// solver alias before computing the key.
+		req := api.SubmitRequest{Instance: inst, Solver: api.SolverMaTCH, Options: base}
+		c.edit(&req)
+		_, _, key, err := Admit(&req, slog.New(slog.NewTextHandler(io.Discard, nil)))
 		if err != nil {
-			t.Fatalf("%s: Key: %v", c.name, err)
+			t.Fatalf("%s: Admit: %v", c.name, err)
+		}
+		if req.Solver == api.SolverDistributed {
+			t.Errorf("%s: Admit left the solver alias %q in place", c.name, req.Solver)
 		}
 		if (key == baseKey) != c.same {
 			t.Errorf("%s: key equal to base = %v, want %v", c.name, key == baseKey, c.same)

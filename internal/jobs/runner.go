@@ -118,17 +118,6 @@ func (m *Manager) solve(ctx context.Context, j *job, onIter func(matchsim.Iterat
 			Context:        ctx,
 			OnGeneration:   onIter,
 		})
-	case api.SolverDistributed:
-		sol, err = matchsim.SolveDistributed(j.problem, matchsim.DistributedOptions{
-			NumAgents:     o.NumAgents,
-			SampleSize:    o.SampleSize,
-			Rho:           o.Rho,
-			Zeta:          o.Zeta,
-			StallC:        o.StallC,
-			MaxIterations: o.MaxIterations,
-			Seed:          o.Seed,
-			Context:       ctx,
-		})
 	case api.SolverRandom:
 		budget := o.Budget
 		if budget <= 0 {

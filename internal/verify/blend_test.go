@@ -211,7 +211,7 @@ func TestIslandDeterminism(t *testing.T) {
 					perIsland[it.Island] = append(perIsland[it.Island], it)
 				}
 				for g, h := range perIsland {
-					if err := CheckHistory(h, true); err != nil {
+					if err := CheckHistory(h); err != nil {
 						t.Fatalf("topo=%s I=%d seed=%d island %d: %v", topo, count, seed, g, err)
 					}
 				}

@@ -36,9 +36,8 @@
 //   - CheckEliteSelection: ce.SelectElite's postcondition — the elite
 //     prefix is exactly the k best draws and gamma bounds the rest.
 //   - CheckHistory: per-iteration search invariants — finite summaries,
-//     Best <= Gamma <= Worst and Best <= Mean <= Worst in the improving
-//     direction, and BestSoFar is monotone
-//     (non-increasing when minimising), which is the run-level form of
+//     Best <= Gamma <= Worst and Best <= Mean <= Worst, and BestSoFar is
+//     non-increasing, which is the run-level form of
 //     "gamma never regresses past the incumbent under elite selection".
 //     (Raw gamma_k may rise between iterations; see the note in
 //     internal/ce/ce.go.)

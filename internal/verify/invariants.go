@@ -94,11 +94,11 @@ func CheckAliasRow(m *stochmat.Matrix, row, draws int, rng *xrand.RNG, alpha flo
 
 // CheckEliteSelection verifies ce.SelectElite's postcondition on a
 // freshly selected order: order is a permutation of [0, len(scores)), its
-// first k entries are sorted in the improving direction with ascending-
-// index tie-breaks, and gamma = scores[order[k-1]] bounds every non-elite
-// score — i.e. elite selection never lets a sample better than gamma
-// escape the elite set.
-func CheckEliteSelection(order []int, scores []float64, k int, minimize bool) error {
+// first k entries are sorted by ascending score with ascending-index
+// tie-breaks, and gamma = scores[order[k-1]] bounds every non-elite
+// score — i.e. elite selection never lets a sample below gamma escape the
+// elite set.
+func CheckEliteSelection(order []int, scores []float64, k int) error {
 	n := len(scores)
 	if len(order) != n {
 		return fmt.Errorf("verify: order length %d != %d scores", len(order), n)
@@ -115,10 +115,7 @@ func CheckEliteSelection(order []int, scores []float64, k int, minimize bool) er
 	better := func(a, b int) bool {
 		sa, sb := scores[a], scores[b]
 		if sa != sb {
-			if minimize {
-				return sa < sb
-			}
-			return sa > sb
+			return sa < sb
 		}
 		return a < b
 	}
@@ -140,21 +137,14 @@ func CheckEliteSelection(order []int, scores []float64, k int, minimize bool) er
 
 // CheckHistory verifies the per-iteration search invariants of a CE run's
 // trajectory: every summary statistic is finite (every draw is scored
-// exactly), in the improving direction Best_k <= Gamma_k <= Worst_k
-// (elite selection puts gamma at the rho-quantile, never past the
-// extremes) and Best_k <= Mean_k <= Worst_k, BestSoFar_k is monotone and
-// never worse than Best_k, the elite is non-empty and within the draw
-// count. Raw gamma_k itself may move against the improving direction
-// between iterations (the sample set is redrawn each time — see the note
-// in internal/ce/ce.go), so the monotone quantity under elite selection
-// is the incumbent BestSoFar.
-func CheckHistory(history []ce.IterStats, minimize bool) error {
-	worseThan := func(a, b float64) bool {
-		if minimize {
-			return a > b
-		}
-		return a < b
-	}
+// exactly), Best_k <= Gamma_k <= Worst_k (elite selection puts gamma at
+// the rho-quantile, never past the extremes) and Best_k <= Mean_k <=
+// Worst_k, BestSoFar_k is non-increasing and never above Best_k, the
+// elite is non-empty and within the draw count. Raw gamma_k itself may
+// rise between iterations (the sample set is redrawn each time — see the
+// note in internal/ce/ce.go), so the monotone quantity under elite
+// selection is the incumbent BestSoFar.
+func CheckHistory(history []ce.IterStats) error {
 	prevBestSoFar := math.NaN()
 	for i, it := range history {
 		for name, v := range map[string]float64{
@@ -171,21 +161,21 @@ func CheckHistory(history []ce.IterStats, minimize bool) error {
 		if it.EliteCount < 1 || it.EliteCount > it.Draws {
 			return fmt.Errorf("verify: iteration %d elite count %d outside [1,%d]", i, it.EliteCount, it.Draws)
 		}
-		if worseThan(it.Best, it.Gamma) {
+		if it.Best > it.Gamma {
 			return fmt.Errorf("verify: iteration %d best %.6g worse than gamma %.6g", i, it.Best, it.Gamma)
 		}
-		if worseThan(it.Gamma, it.Worst) {
+		if it.Gamma > it.Worst {
 			return fmt.Errorf("verify: iteration %d gamma %.6g worse than worst %.6g", i, it.Gamma, it.Worst)
 		}
-		if worseThan(it.Best, it.Mean) || worseThan(it.Mean, it.Worst) {
+		if it.Best > it.Mean || it.Mean > it.Worst {
 			return fmt.Errorf("verify: iteration %d mean %.6g outside [best %.6g, worst %.6g]",
 				i, it.Mean, it.Best, it.Worst)
 		}
-		if worseThan(it.BestSoFar, it.Best) {
+		if it.BestSoFar > it.Best {
 			return fmt.Errorf("verify: iteration %d best-so-far %.6g worse than iteration best %.6g",
 				i, it.BestSoFar, it.Best)
 		}
-		if i > 0 && worseThan(it.BestSoFar, prevBestSoFar) {
+		if i > 0 && it.BestSoFar > prevBestSoFar {
 			return fmt.Errorf("verify: best-so-far regressed at iteration %d: %.6g after %.6g",
 				i, it.BestSoFar, prevBestSoFar)
 		}

@@ -119,9 +119,6 @@ func TestGeneratePaperAndSolveAll(t *testing.T) {
 		"ga": func() (*Solution, error) {
 			return SolveGA(p, GAOptions{PopulationSize: 40, Generations: 40, Seed: 1})
 		},
-		"distributed": func() (*Solution, error) {
-			return SolveDistributed(p, DistributedOptions{Seed: 1, MaxIterations: 60})
-		},
 		"random": func() (*Solution, error) { return SolveRandom(p, 500, 1) },
 		"greedy": func() (*Solution, error) { return SolveGreedy(p) },
 		"local":  func() (*Solution, error) { return SolveLocalSearch(p, 2, 1) },

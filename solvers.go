@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"matchsim/internal/agents"
 	"matchsim/internal/ce"
 	"matchsim/internal/core"
 	"matchsim/internal/ga"
@@ -383,54 +382,6 @@ func SolveGA(p *Problem, opts GAOptions) (*Solution, error) {
 		Iterations:  res.Generations,
 		Evaluations: res.Evaluations,
 		Solver:      "FastMap-GA",
-		StopReason:  stop,
-	}, nil
-}
-
-// DistributedOptions tunes the agent-based distributed MaTCH (the
-// paper's future-work design). Zero values take MaTCH defaults with
-// NumAgents = GOMAXPROCS.
-type DistributedOptions struct {
-	NumAgents     int
-	SampleSize    int
-	Rho           float64
-	Zeta          float64
-	StallC        int
-	MaxIterations int
-	Seed          uint64
-	// Context, when non-nil, cancels the protocol at round granularity
-	// (same contract as MaTCHOptions.Context).
-	Context context.Context
-}
-
-// SolveDistributed runs the message-passing agent implementation of
-// MaTCH: row ownership of the stochastic matrix is partitioned across
-// agents that communicate only by messages.
-func SolveDistributed(p *Problem, opts DistributedOptions) (*Solution, error) {
-	res, err := agents.Solve(p.evaluator(), agents.Options{
-		NumAgents:     opts.NumAgents,
-		SampleSize:    opts.SampleSize,
-		Rho:           opts.Rho,
-		Zeta:          opts.Zeta,
-		StallC:        opts.StallC,
-		MaxIterations: opts.MaxIterations,
-		Seed:          opts.Seed,
-		Context:       opts.Context,
-	})
-	if err != nil {
-		return nil, err
-	}
-	stop := "completed"
-	if res.Cancelled {
-		stop = StopCancelled
-	}
-	return &Solution{
-		Mapping:     res.Mapping,
-		Exec:        res.Exec,
-		MappingTime: res.MappingTime,
-		Iterations:  res.Iterations,
-		Evaluations: res.Evaluations,
-		Solver:      "MaTCH-distributed",
 		StopReason:  stop,
 	}, nil
 }
