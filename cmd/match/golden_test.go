@@ -37,10 +37,10 @@ func TestTraceGolden(t *testing.T) {
 		unordered bool
 	}{
 		// Plain single-population MaTCH.
-		{"match", "match", func(c *config) { c.seed = 3 }, false},
+		{"match", "match", func(c *config) { c.opts.Seed = 3 }, false},
 		// The island ensemble fills island/migrants_in/out/blend_rounds.
 		{"match-islands", "match", func(c *config) {
-			c.islands, c.migrateEvery, c.migrants, c.blendAlpha = 2, 5, 2, 0.2
+			c.opts.Islands, c.opts.MigrateEvery, c.opts.MigrantCount, c.opts.BlendAlpha = 2, 5, 2, 0.2
 		}, true},
 		{"ga", "ga", func(c *config) {}, false},
 	}

@@ -13,15 +13,19 @@
 //	match -top -tail run.jsonl
 //	match -spans <trace-id or job-id> -daemon http://127.0.0.1:8080
 //
-// Solvers: match (default, the paper's CE heuristic), ga (FastMap-GA),
-// random, greedy, local, anneal.
+// Solvers are the entries of matchd's solver table (jobs.SolverNames),
+// run by the same code as a matchd job with the same options: match
+// (default, the paper's CE heuristic), match-m2o (many-to-one CE), ga
+// (FastMap-GA), random, greedy, local, anneal.
 //
-// With -checkpoint, a MaTCH run becomes interruptible: Ctrl-C (or
+// With -checkpoint, a plain match run becomes interruptible: Ctrl-C (or
 // SIGTERM) stops the CE loop within one iteration and saves its state to
 // the file; re-running the same command resumes from it and ends with
 // exactly the result of an uninterrupted run. -max-iters caps the whole
 // chain, and the file is also written on normal completion, so a
-// finished run can later be extended with a larger -max-iters.
+// finished run can later be extended with a larger -max-iters. The flag
+// is refused for other solvers and for -multilevel or -islands runs,
+// which do not resume exactly.
 package main
 
 import (
@@ -31,47 +35,30 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"matchsim"
+	"matchsim/api"
+	"matchsim/internal/jobs"
 	"matchsim/internal/trace"
 )
 
 // config carries every CLI knob into run (tests build it directly).
 type config struct {
-	in      string
-	solver  string
-	seed    uint64
+	in     string
+	solver string
+	// opts are the solver knobs, as a matchd job would carry them; the
+	// solver table turns them into the library call.
+	opts    api.SolverOptions
 	verbose bool
-	// MaTCH knobs.
-	samples  int
-	rho      float64
-	zeta     float64
-	maxIters int
-	// Large-instance knobs: the multilevel pipeline.
-	multilevel   bool
-	minCoarse    int
-	coarsenRatio float64
-	refinePasses int
-	// Island-model knobs (match solver): islands > 1 splits the run into
-	// an ensemble of CE islands exchanging elites and blending P rows.
-	islands        int
-	islandTopology string
-	migrateEvery   int
-	migrants       int
-	blendAlpha     float64
-	// GA knobs.
-	pop  int
-	gens int
-	// Baseline knobs.
-	budget   int
-	restarts int
 	// Validation / observability.
 	simulate  int
 	traceFile string
-	// checkpoint names a resumable snapshot file (MaTCH only): loaded at
-	// start when present, written on interrupt and on completion.
+	// checkpoint names a resumable snapshot file: loaded at start when
+	// present, written on interrupt and on completion. Only runs the
+	// solver table resumes (plain match) take one.
 	checkpoint string
 	// matchtop knobs (see top.go): -top switches the command into the live
 	// convergence view, fed either by a matchd job's SSE stream (-job,
@@ -88,29 +75,30 @@ type config struct {
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.in, "in", "", "instance JSON file (default stdin)")
-	flag.StringVar(&cfg.solver, "solver", "match", "match | ga | random | greedy | local | anneal")
-	flag.Uint64Var(&cfg.seed, "seed", 1, "solver seed")
+	flag.StringVar(&cfg.solver, "solver", "match", strings.Join(jobs.SolverNames(), " | "))
+	o := &cfg.opts
+	flag.Uint64Var(&o.Seed, "seed", 1, "solver seed")
 	flag.BoolVar(&cfg.verbose, "v", false, "print per-iteration progress")
-	flag.IntVar(&cfg.samples, "samples", 0, "CE sample size N (default 2n^2)")
-	flag.Float64Var(&cfg.rho, "rho", 0, "CE focus parameter (default 0.05)")
-	flag.Float64Var(&cfg.zeta, "zeta", 0, "CE smoothing factor (default 0.3)")
-	flag.IntVar(&cfg.maxIters, "max-iters", 0, "CE iteration cap (default 1000)")
-	flag.BoolVar(&cfg.multilevel, "multilevel", false, "solve through the multilevel coarsen/solve/refine pipeline (large instances)")
-	flag.IntVar(&cfg.minCoarse, "min-coarse", 0, "multilevel: coarsest instance size (default 128)")
-	flag.Float64Var(&cfg.coarsenRatio, "coarsen-ratio", 0, "multilevel: abort coarsening when a step keeps more than this vertex fraction (default 0.95)")
-	flag.IntVar(&cfg.refinePasses, "refine-passes", 0, "multilevel: refinement passes per level (default 8)")
-	flag.IntVar(&cfg.islands, "islands", 0, "island-model ensemble size I (match solver; 0/1 = single population)")
-	flag.StringVar(&cfg.islandTopology, "island-topology", "", "island exchange topology: ring | all (default ring)")
-	flag.IntVar(&cfg.migrateEvery, "migrate-every", 0, "islands: exchange interval in CE iterations (default 10)")
-	flag.IntVar(&cfg.migrants, "migrants", 0, "islands: elite migrants sent per exchange (default 4; negative disables migration)")
-	flag.Float64Var(&cfg.blendAlpha, "blend-alpha", 0, "islands: peer weight of the P-matrix row blend, in [0,1) (0 disables blending)")
-	flag.IntVar(&cfg.pop, "pop", 0, "GA population size (default 500)")
-	flag.IntVar(&cfg.gens, "gens", 0, "GA generations (default 1000)")
-	flag.IntVar(&cfg.budget, "budget", 10000, "random-search samples")
-	flag.IntVar(&cfg.restarts, "restarts", 5, "local-search restarts")
+	flag.IntVar(&o.SampleSize, "samples", 0, "CE sample size N (default 2n^2)")
+	flag.Float64Var(&o.Rho, "rho", 0, "CE focus parameter (default 0.05)")
+	flag.Float64Var(&o.Zeta, "zeta", 0, "CE smoothing factor (default 0.3)")
+	flag.IntVar(&o.MaxIterations, "max-iters", 0, "CE iteration cap (default 1000)")
+	flag.BoolVar(&o.Multilevel, "multilevel", false, "solve through the multilevel coarsen/solve/refine pipeline (large instances)")
+	flag.IntVar(&o.MinCoarse, "min-coarse", 0, "multilevel: coarsest instance size (default 128)")
+	flag.Float64Var(&o.CoarsenRatio, "coarsen-ratio", 0, "multilevel: abort coarsening when a step keeps more than this vertex fraction (default 0.95)")
+	flag.IntVar(&o.RefinePasses, "refine-passes", 0, "multilevel: refinement passes per level (default 8)")
+	flag.IntVar(&o.Islands, "islands", 0, "island-model ensemble size I (match solver; 0/1 = single population)")
+	flag.StringVar(&o.IslandTopology, "island-topology", "", "island exchange topology: ring | all (default ring)")
+	flag.IntVar(&o.MigrateEvery, "migrate-every", 0, "islands: exchange interval in CE iterations (default 10)")
+	flag.IntVar(&o.MigrantCount, "migrants", 0, "islands: elite migrants sent per exchange (default 4; negative disables migration)")
+	flag.Float64Var(&o.BlendAlpha, "blend-alpha", 0, "islands: peer weight of the P-matrix row blend, in [0,1) (0 disables blending)")
+	flag.IntVar(&o.PopulationSize, "pop", 0, "GA population size (default 500)")
+	flag.IntVar(&o.Generations, "gens", 0, "GA generations (default 1000)")
+	flag.IntVar(&o.Budget, "budget", 10000, "random-search samples")
+	flag.IntVar(&o.Restarts, "restarts", 5, "local-search restarts")
 	flag.IntVar(&cfg.simulate, "simulate", 0, "after mapping, execute this many supersteps on the discrete-event simulator")
 	flag.StringVar(&cfg.traceFile, "trace", "", "write a JSONL run trace to this file")
-	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "MaTCH checkpoint file: resume from it if present, save on interrupt/finish")
+	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "checkpoint file of a plain match run: resume from it if present, save on interrupt/finish")
 	flag.BoolVar(&cfg.top, "top", false, "matchtop: render a live convergence view instead of solving (needs -job or -tail)")
 	flag.StringVar(&cfg.daemon, "daemon", "http://127.0.0.1:8080", "matchd base URL for -top -job")
 	flag.StringVar(&cfg.topJob, "job", "", "matchd job ID to watch with -top")
@@ -144,15 +132,12 @@ func run(cfg config) error {
 	if err != nil {
 		return fmt.Errorf("reading instance: %w", err)
 	}
-
-	if cfg.checkpoint != "" && cfg.solver != "match" {
-		return fmt.Errorf("-checkpoint applies only to the match solver (got %q)", cfg.solver)
+	s := jobs.LookupSolver(cfg.solver)
+	if s == nil {
+		return fmt.Errorf("unknown solver %q (want %s)", cfg.solver, strings.Join(jobs.SolverNames(), ", "))
 	}
-	if cfg.islands > 1 && cfg.checkpoint != "" {
-		return fmt.Errorf("-checkpoint cannot be combined with -islands (island ensembles are not resumable)")
-	}
-	if cfg.islands > 1 && cfg.solver != "match" {
-		return fmt.Errorf("-islands applies only to the match solver (got %q)", cfg.solver)
+	if cfg.checkpoint != "" && !s.Resumes(cfg.opts) {
+		return fmt.Errorf("-checkpoint applies only to plain match runs, without -multilevel or -islands (got solver %q)", cfg.solver)
 	}
 
 	var tw *trace.Writer
@@ -162,7 +147,7 @@ func run(cfg config) error {
 			return err
 		}
 		tw = trace.NewWriter(f)
-		if err := tw.Start(cfg.solver, problem.NumTasks(), cfg.seed); err != nil {
+		if err := tw.Start(cfg.solver, problem.NumTasks(), cfg.opts.Seed); err != nil {
 			return err
 		}
 		defer tw.Close()
@@ -181,25 +166,7 @@ func run(cfg config) error {
 		}
 	}
 
-	var sol *matchsim.Solution
-	switch cfg.solver {
-	case "match":
-		sol, err = runMatch(problem, cfg, progress)
-	case "ga":
-		sol, err = matchsim.SolveGA(problem, matchsim.GAOptions{
-			PopulationSize: cfg.pop, Generations: cfg.gens, Seed: cfg.seed, OnGeneration: progress,
-		})
-	case "random":
-		sol, err = matchsim.SolveRandom(problem, cfg.budget, cfg.seed)
-	case "greedy":
-		sol, err = matchsim.SolveGreedy(problem)
-	case "local":
-		sol, err = matchsim.SolveLocalSearch(problem, cfg.restarts, cfg.seed)
-	case "anneal":
-		sol, err = matchsim.SolveAnnealing(problem, matchsim.AnnealingOptions{Seed: cfg.seed})
-	default:
-		return fmt.Errorf("unknown solver %q", cfg.solver)
-	}
+	sol, err := solve(s, cfg, problem, progress)
 	if err != nil {
 		return err
 	}
@@ -255,63 +222,39 @@ func run(cfg config) error {
 	return nil
 }
 
-// runMatch runs the MaTCH solver with optional checkpointing: the run
-// resumes from cfg.checkpoint when the file exists, stops cleanly on
-// SIGINT/SIGTERM, and saves its state back on interrupt and on finish.
-func runMatch(problem *matchsim.Problem, cfg config, progress func(matchsim.IterationTrace)) (*matchsim.Solution, error) {
-	opts := matchsim.MaTCHOptions{
-		SampleSize: cfg.samples, Rho: cfg.rho, Zeta: cfg.zeta,
-		MaxIterations: cfg.maxIters, Seed: cfg.seed, OnIteration: progress,
-	}
-	if cfg.multilevel {
-		opts.Multilevel = &matchsim.MultilevelOptions{
-			MinCoarse:    cfg.minCoarse,
-			CoarsenRatio: cfg.coarsenRatio,
-			RefinePasses: cfg.refinePasses,
-		}
-	}
-	if cfg.islands > 1 {
-		opts.Islands = &matchsim.IslandOptions{
-			Count:        cfg.islands,
-			Topology:     cfg.islandTopology,
-			MigrateEvery: cfg.migrateEvery,
-			MigrantCount: cfg.migrants,
-			BlendAlpha:   cfg.blendAlpha,
-		}
-	}
+// solve runs cfg's solver through its table entry, the code a matchd
+// job runs. With cfg.checkpoint the run resumes from the file when it
+// exists, stops cleanly on SIGINT/SIGTERM, and saves its state back on
+// interrupt and on finish.
+func solve(s *jobs.Solver, cfg config, problem *matchsim.Problem, progress func(matchsim.IterationTrace)) (*matchsim.Solution, error) {
+	h := jobs.Hooks{Context: context.Background(), OnIteration: progress}
 	if cfg.checkpoint == "" {
-		return matchsim.SolveMaTCH(problem, opts)
+		return s.Run(problem, cfg.opts, h)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signal.NotifyContext(h.Context, os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	opts.Context = ctx
-
-	var sol *matchsim.Solution
-	var err error
-	if data, readErr := os.ReadFile(cfg.checkpoint); readErr == nil {
-		ckpt, decErr := matchsim.DecodeCheckpoint(data)
-		if decErr != nil {
-			return nil, fmt.Errorf("loading checkpoint %s: %w", cfg.checkpoint, decErr)
+	h.Context = ctx
+	if data, err := os.ReadFile(cfg.checkpoint); err == nil {
+		if h.Resume, err = matchsim.DecodeCheckpoint(data); err != nil {
+			return nil, fmt.Errorf("loading checkpoint %s: %w", cfg.checkpoint, err)
 		}
-		fmt.Fprintf(os.Stderr, "match: resuming from %s (%d iterations banked)\n", cfg.checkpoint, ckpt.Iterations)
-		sol, err = matchsim.ResumeMaTCH(problem, ckpt, opts)
-	} else if os.IsNotExist(readErr) {
-		sol, err = matchsim.SolveMaTCH(problem, opts)
-	} else {
-		return nil, readErr
+		fmt.Fprintf(os.Stderr, "match: resuming from %s (%d iterations banked)\n", cfg.checkpoint, h.Resume.Iterations)
+	} else if !os.IsNotExist(err) {
+		return nil, err
 	}
+	sol, err := s.Run(problem, cfg.opts, h)
 	if err != nil {
 		return nil, err
 	}
 
 	if ckpt := sol.Checkpoint(); ckpt != nil {
-		data, encErr := ckpt.Encode()
-		if encErr != nil {
-			return nil, encErr
+		data, err := ckpt.Encode()
+		if err != nil {
+			return nil, err
 		}
-		if writeErr := os.WriteFile(cfg.checkpoint, data, 0o644); writeErr != nil {
-			return nil, fmt.Errorf("saving checkpoint: %w", writeErr)
+		if err := os.WriteFile(cfg.checkpoint, data, 0o644); err != nil {
+			return nil, fmt.Errorf("saving checkpoint: %w", err)
 		}
 		if sol.StopReason == matchsim.StopCancelled {
 			fmt.Fprintf(os.Stderr, "match: interrupted after %d iterations; state saved to %s (re-run to resume)\n",

@@ -302,12 +302,6 @@ func newFlightID() string {
 	return "f" + hex.EncodeToString(b[:])
 }
 
-// checkpointable reports whether a routed job can export and resume
-// checkpoints: only plain (non-multilevel, non-island) match solves.
-func checkpointable(req api.SubmitRequest) bool {
-	return req.Solver == api.SolverMaTCH && !req.Options.Multilevel && req.Options.Islands <= 1
-}
-
 // Submit routes a submission: cache hit → an already-done job;
 // identical in-flight solve → attach (singleflight); otherwise a new
 // flight is journalled and dispatched to the key's ring worker.
@@ -851,7 +845,8 @@ func (co *Coordinator) runFlight(f *flight) {
 
 // buildWorkerRequest derives the submission routed to a worker: the
 // original request, plus the freshest checkpoint (handoffs resume, not
-// restart) and the injected export cadence for checkpointable solves.
+// restart) and the injected export cadence for solves whose solver-table
+// entry resumes them.
 func (co *Coordinator) buildWorkerRequest(f *flight) api.SubmitRequest {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -859,7 +854,7 @@ func (co *Coordinator) buildWorkerRequest(f *flight) api.SubmitRequest {
 	if len(f.checkpoint) > 0 {
 		req.Checkpoint = f.checkpoint
 	}
-	if checkpointable(req) {
+	if jobs.LookupSolver(req.Solver).Resumes(req.Options) {
 		if req.CheckpointEvery <= 0 {
 			req.CheckpointEvery = co.opts.CheckpointEvery
 		}
@@ -1041,10 +1036,10 @@ func (co *Coordinator) pollFlight(f *flight) (flightOutcome, string) {
 }
 
 // refreshCheckpoint polls the worker's mid-run checkpoint export and
-// keeps the freshest one for handoff. Only checkpointable solves export;
+// keeps the freshest one for handoff. Only solves that resume export;
 // a 404 simply means no iterations have completed yet.
 func (co *Coordinator) refreshCheckpoint(cl *client.Client, f *flight) {
-	if !checkpointable(f.req) {
+	if !jobs.LookupSolver(f.req.Solver).Resumes(f.req.Options) {
 		return
 	}
 	ctx, cancel := co.callCtx()

@@ -175,7 +175,10 @@ func TestPaperSuiteSizes(t *testing.T) {
 		if inst.TIG.N() != want || inst.Platform.N() != want {
 			t.Fatalf("suite[%d] sizes %d/%d, want %d", i, inst.TIG.N(), inst.Platform.N(), want)
 		}
-		if err := inst.Validate(); err != nil {
+		if err := inst.TIG.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.Platform.Validate(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +191,8 @@ func TestPaperInstanceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return inst.Validate() == nil && inst.TIG.IsConnected() && inst.Platform.FullyLinked()
+		return inst.TIG.Validate() == nil && inst.Platform.Validate() == nil &&
+			inst.TIG.IsConnected() && inst.Platform.FullyLinked()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

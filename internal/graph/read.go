@@ -744,7 +744,7 @@ func (d *tigDoc) build() (*TIG, error) {
 	if err := t.adoptEdges(d.edges); err != nil {
 		return nil, err
 	}
-	if err := t.Validate(); err != nil {
+	if err := t.validateWeights(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -839,7 +839,9 @@ func (d *platformDoc) build() (*ResourceGraph, error) {
 			}
 		}
 	}
-	if err := p.Validate(); err != nil {
+	// The topology, if any, came through adoptLinks, which checked its
+	// edges; only the costs and the link table are left.
+	if err := p.validateTable(); err != nil {
 		return nil, err
 	}
 	return p, nil

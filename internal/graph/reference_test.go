@@ -140,8 +140,8 @@ func refReadInstance(rd io.Reader) (*Instance, error) {
 	if ref.Platform != nil {
 		in.Platform = ref.Platform.g
 	}
-	if err := in.Validate(); err != nil {
-		return nil, err
+	if in.TIG == nil || in.Platform == nil {
+		return nil, fmt.Errorf("graph: instance missing TIG or platform")
 	}
 	return in, nil
 }

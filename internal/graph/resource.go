@@ -373,6 +373,12 @@ func (r *ResourceGraph) Validate() error {
 	if err := r.Undirected.Validate(); err != nil {
 		return err
 	}
+	return r.validateTable()
+}
+
+// validateTable is Validate without the topology's edge checks, for a
+// platform whose links adoptLinks has already checked (or that has none).
+func (r *ResourceGraph) validateTable() error {
 	n := r.N()
 	if len(r.Costs) != n {
 		return fmt.Errorf("graph: resource graph has %d costs for %d resources", len(r.Costs), n)

@@ -67,6 +67,12 @@ func (t *TIG) Validate() error {
 	if err := t.Undirected.Validate(); err != nil {
 		return err
 	}
+	return t.validateWeights()
+}
+
+// validateWeights is Validate without the edge checks, for a TIG whose
+// edges adoptEdges has already checked.
+func (t *TIG) validateWeights() error {
 	if len(t.Weights) != t.N() {
 		return fmt.Errorf("graph: TIG has %d weights for %d tasks", len(t.Weights), t.N())
 	}

@@ -401,8 +401,8 @@ func Admit(req *api.SubmitRequest, log *slog.Logger) (*matchsim.Problem, *matchs
 		log.Warn("deprecated solver alias rewritten", "solver", req.Solver, "runs", s)
 		req.Solver = s
 	}
-	if err := validSolver(req.Solver); err != nil {
-		return nil, nil, "", err
+	if LookupSolver(req.Solver) == nil {
+		return nil, nil, "", fmt.Errorf("jobs: unknown solver %q", req.Solver)
 	}
 	if len(req.Instance) == 0 {
 		return nil, nil, "", fmt.Errorf("jobs: submission carries no instance")
@@ -425,15 +425,17 @@ func Admit(req *api.SubmitRequest, log *slog.Logger) (*matchsim.Problem, *matchs
 // decodeResume is the one rule for a submission's checkpoint: it returns
 // the checkpoint to resume from, or nil to solve fresh from (spec, seed).
 // A checkpoint that cannot resume exactly (older than
-// matchsim.CheckpointVersion, or options asking for multilevel or
-// islands) is logged and cleared from req. Either way the result is the
-// uninterrupted run's. An undecodable, ill-fitting or forged checkpoint,
-// or one sent to a solver other than match, is an error.
+// matchsim.CheckpointVersion, or options the solver's entry does not
+// resume, such as multilevel or islands) is logged and cleared from req.
+// Either way the result is the uninterrupted run's. An undecodable,
+// ill-fitting or forged checkpoint, or one sent to a solver whose entry
+// takes no checkpoints, is an error.
 func decodeResume(problem *matchsim.Problem, req *api.SubmitRequest, log *slog.Logger) (*matchsim.Checkpoint, error) {
 	if len(req.Checkpoint) == 0 {
 		return nil, nil
 	}
-	if req.Solver != api.SolverMaTCH {
+	s := LookupSolver(req.Solver)
+	if s == nil || s.resumes == nil {
 		return nil, fmt.Errorf("jobs: solver %q does not accept checkpoints", req.Solver)
 	}
 	c, err := matchsim.DecodeCheckpoint(req.Checkpoint)
@@ -443,7 +445,7 @@ func decodeResume(problem *matchsim.Problem, req *api.SubmitRequest, log *slog.L
 	if err != nil {
 		return nil, fmt.Errorf("jobs: invalid checkpoint: %w", err)
 	}
-	if o := req.Options; c.Version != matchsim.CheckpointVersion || o.Multilevel || o.Islands > 1 {
+	if o := req.Options; c.Version != matchsim.CheckpointVersion || !s.Resumes(o) {
 		log.Warn("checkpoint dropped: it cannot resume exactly; solving fresh",
 			"version", c.Version, "multilevel", o.Multilevel, "islands", o.Islands)
 		req.Checkpoint = nil
@@ -568,16 +570,6 @@ func CanonicalSolver(name string) string {
 		return api.SolverMaTCH
 	}
 	return name
-}
-
-// validSolver reports whether a submission names a known solver.
-func validSolver(s string) error {
-	switch s {
-	case api.SolverMaTCH, api.SolverManyToOne, api.SolverGA,
-		api.SolverRandom, api.SolverGreedy, api.SolverLocal, api.SolverAnneal:
-		return nil
-	}
-	return fmt.Errorf("jobs: unknown solver %q", s)
 }
 
 // register files the job in the store. Caller holds mu.

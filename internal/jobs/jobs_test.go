@@ -177,6 +177,96 @@ func TestKeyOptions(t *testing.T) {
 	}
 }
 
+// TestKeyPerSolver pins one content address per solver-table entry, each
+// recorded before the table existed, so caches, ring routes and journals
+// keep their keys for every solver. It also checks the pins cover the
+// table.
+func TestKeyPerSolver(t *testing.T) {
+	inst := instanceJSON(t, 3, 10)
+	p, err := matchsim.ReadProblem(bytes.NewReader(inst))
+	if err != nil {
+		t.Fatalf("ReadProblem: %v", err)
+	}
+	pins := []struct {
+		solver string
+		opts   api.SolverOptions
+		key    string
+	}{
+		{api.SolverMaTCH, api.SolverOptions{Seed: 9, Workers: 1, MaxIterations: 30}, "47b389e15b30c9ae96b3e7b4b1c273b6593fb2b72c99da986a4efa5b97d76440"},
+		{api.SolverManyToOne, api.SolverOptions{Seed: 9, Workers: 1, MaxIterations: 30}, "f861fbb02fcdb4f645c9d9dbd3220de1f71a3bef93ad86a811b7a5e259870a85"},
+		{api.SolverGA, api.SolverOptions{Seed: 9, Workers: 1, PopulationSize: 20, Generations: 20}, "05f59c8a7ecd1e58b33691b9c4eed62c23acd71f85d6d9cf9901957cfe7b57c7"},
+		{api.SolverRandom, api.SolverOptions{Seed: 9, Budget: 200}, "fee3f1da68fa65a92e70045549c5fd74b78f28e27910217bb08845a3725e54bc"},
+		{api.SolverGreedy, api.SolverOptions{}, "ddbad22f8dc705428d64e62a91c4f3941a8d144e0f8d4cc716b57b6da19ef064"},
+		{api.SolverLocal, api.SolverOptions{Seed: 9, Restarts: 2}, "d60f140f725054ae4333e099993f58f4c8852196e8b67f5d586363c13d3491f9"},
+		{api.SolverAnneal, api.SolverOptions{Seed: 9, Steps: 500}, "d60e7f0704cbd151cf3b9bed0565732679ea7db18af0b0232b9c56eb0fbcb2d6"},
+	}
+	var pinned []string
+	for _, pin := range pins {
+		pinned = append(pinned, pin.solver)
+		req := api.SubmitRequest{Instance: inst, Solver: pin.solver, Options: pin.opts}
+		_, _, key, err := Admit(&req, slog.New(slog.NewTextHandler(io.Discard, nil)))
+		if err != nil {
+			t.Fatalf("%s: Admit: %v", pin.solver, err)
+		}
+		if key != pin.key {
+			t.Errorf("%s: key = %s, want the recorded %s", pin.solver, key, pin.key)
+		}
+		if direct, _ := Key(p, pin.solver, pin.opts, nil); direct != key {
+			t.Errorf("%s: Admit's key %s differs from Key's %s", pin.solver, key, direct)
+		}
+	}
+	if !slices.Equal(pinned, SolverNames()) {
+		t.Errorf("pinned solvers %v, the table has %v", pinned, SolverNames())
+	}
+}
+
+// TestAdmitCheckpointBySolver walks the solver table through Admit's
+// checkpoint rule: a valid checkpoint resumes a plain match run, is
+// dropped (the job solves fresh) for a match run with multilevel or
+// islands, and is an invalid submission for every solver without a
+// resume rule.
+func TestAdmitCheckpointBySolver(t *testing.T) {
+	inst := instanceJSON(t, 3, 10)
+	p, err := matchsim.ReadProblem(bytes.NewReader(inst))
+	if err != nil {
+		t.Fatalf("ReadProblem: %v", err)
+	}
+	sol, err := matchsim.SolveMaTCH(p, matchsim.MaTCHOptions{Seed: 9, Workers: 1, MaxIterations: 3})
+	if err != nil {
+		t.Fatalf("SolveMaTCH: %v", err)
+	}
+	ckpt, err := sol.Checkpoint().Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	log := slog.New(slog.NewTextHandler(io.Discard, nil))
+	admit := func(solver string, o api.SolverOptions) (*matchsim.Checkpoint, api.SubmitRequest, error) {
+		req := api.SubmitRequest{Instance: inst, Solver: solver, Options: o, Checkpoint: ckpt}
+		_, resume, _, err := Admit(&req, log)
+		return resume, req, err
+	}
+	base := api.SolverOptions{Seed: 9, Workers: 1}
+	for _, name := range SolverNames() {
+		resume, _, err := admit(name, base)
+		switch {
+		case name == api.SolverMaTCH && (err != nil || resume == nil):
+			t.Errorf("match: resume %v, error %v; want the checkpoint", resume != nil, err)
+		case name != api.SolverMaTCH && err == nil:
+			t.Errorf("%s: a checkpoint was admitted", name)
+		}
+	}
+	for name, o := range map[string]api.SolverOptions{
+		"multilevel": {Seed: 9, Workers: 1, Multilevel: true},
+		"islands":    {Seed: 9, Workers: 1, Islands: 2},
+	} {
+		resume, req, err := admit(api.SolverMaTCH, o)
+		if err != nil || resume != nil || req.Checkpoint != nil {
+			t.Errorf("match with %s: resume %v, checkpoint kept %v, error %v; want it dropped",
+				name, resume != nil, req.Checkpoint != nil, err)
+		}
+	}
+}
+
 // TestCacheHit checks that an identical resubmission is answered from the
 // result cache: done immediately, zero new solver runs, same mapping.
 func TestCacheHit(t *testing.T) {

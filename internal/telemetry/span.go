@@ -696,15 +696,6 @@ func NewSpanLog(w io.Writer) *SpanLog {
 	return l
 }
 
-// OpenSpanLog creates (or truncates) a span log file.
-func OpenSpanLog(path string) (*SpanLog, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return NewSpanLog(f), nil
-}
-
 // Write appends one span record.
 func (l *SpanLog) Write(sd SpanData) error {
 	l.mu.Lock()

@@ -11,7 +11,7 @@
 // never shares code with the optimised paths, so a bug in the clever code
 // cannot hide in the oracle too:
 //
-//   - RefLoads / RefExec / RefExecS (oracle.go) walk tig.Edges() and call
+//   - RefLoads / RefExec (oracle.go) walk tig.Edges() and call
 //     platform.LinkCost per edge — no adjacency build, no packing, no
 //     incremental state.
 //   - RefExecAfterSwap copies the mapping, swaps, and fully rescores.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -108,12 +109,55 @@ type simInstance struct {
 	problem *matchsim.Problem
 }
 
+// simArm is one solver arm the short jobs rotate through: the solver and
+// options (less the seed) a job carries, and the direct library call its
+// result must equal bit for bit.
+type simArm struct {
+	solver string
+	opts   api.SolverOptions
+	direct func(p *matchsim.Problem, seed uint64) (*matchsim.Solution, error)
+}
+
+// simArms covers every solver-table entry (TestFaultSimArmsCoverTable)
+// with a small budget, match also as a 2-island ensemble and as a
+// multilevel solve. The final epoch probes each arm, so every arm is held
+// to its direct solve at least once.
+var simArms = []simArm{
+	{api.SolverMaTCH, api.SolverOptions{Workers: 1, MaxIterations: 30}, func(p *matchsim.Problem, seed uint64) (*matchsim.Solution, error) {
+		return matchsim.SolveMaTCH(p, matchsim.MaTCHOptions{Seed: seed, Workers: 1, MaxIterations: 30})
+	}},
+	{api.SolverMaTCH, api.SolverOptions{Workers: 1, MaxIterations: 30, Islands: 2}, func(p *matchsim.Problem, seed uint64) (*matchsim.Solution, error) {
+		return matchsim.SolveMaTCH(p, matchsim.MaTCHOptions{Seed: seed, Workers: 1, MaxIterations: 30, Islands: &matchsim.IslandOptions{Count: 2}})
+	}},
+	{api.SolverMaTCH, api.SolverOptions{Workers: 1, MaxIterations: 30, Multilevel: true, MinCoarse: 8}, func(p *matchsim.Problem, seed uint64) (*matchsim.Solution, error) {
+		return matchsim.SolveMaTCH(p, matchsim.MaTCHOptions{Seed: seed, Workers: 1, MaxIterations: 30, Multilevel: &matchsim.MultilevelOptions{MinCoarse: 8}})
+	}},
+	{api.SolverManyToOne, api.SolverOptions{Workers: 1, MaxIterations: 30}, func(p *matchsim.Problem, seed uint64) (*matchsim.Solution, error) {
+		return matchsim.SolveMaTCHManyToOne(p, matchsim.MaTCHOptions{Seed: seed, Workers: 1, MaxIterations: 30})
+	}},
+	{api.SolverGA, api.SolverOptions{Workers: 1, PopulationSize: 20, Generations: 20}, func(p *matchsim.Problem, seed uint64) (*matchsim.Solution, error) {
+		return matchsim.SolveGA(p, matchsim.GAOptions{Seed: seed, Workers: 1, PopulationSize: 20, Generations: 20})
+	}},
+	{api.SolverRandom, api.SolverOptions{Budget: 200}, func(p *matchsim.Problem, seed uint64) (*matchsim.Solution, error) {
+		return matchsim.SolveRandom(p, 200, seed)
+	}},
+	{api.SolverGreedy, api.SolverOptions{}, func(p *matchsim.Problem, _ uint64) (*matchsim.Solution, error) {
+		return matchsim.SolveGreedy(p)
+	}},
+	{api.SolverLocal, api.SolverOptions{Restarts: 2}, func(p *matchsim.Problem, seed uint64) (*matchsim.Solution, error) {
+		return matchsim.SolveLocalSearch(p, 2, seed)
+	}},
+	{api.SolverAnneal, api.SolverOptions{Steps: 2000}, func(p *matchsim.Problem, seed uint64) (*matchsim.Solution, error) {
+		return matchsim.SolveAnnealing(p, matchsim.AnnealingOptions{Seed: seed, Steps: 2000})
+	}},
+}
+
 // jobRec is the simulator's own ledger entry for an accepted job — the
 // ground truth "no lost jobs" is checked against.
 type jobRec struct {
 	instIdx       int
 	key           string
-	long          bool
+	arm           *simArm // the short job's arm; nil for a long job
 	userCancelled bool
 	closed        bool // accounted for: delivered or user-cancelled
 }
@@ -129,7 +173,9 @@ type stalledSub struct {
 // submissions (with deliberate duplicate keys), bursts against a tiny
 // queue, user cancels, stalled and immediately-disconnecting SSE
 // subscribers, and SIGTERM-style shutdown/Restore cycles taken while a
-// checkpointable job is mid-run. Throughout, it asserts:
+// checkpointable job is mid-run. Short jobs rotate through simArms, so
+// every solver-table entry runs; long jobs are plain MaTCH. Throughout,
+// it asserts:
 //
 //   - no lost jobs: every accepted submission is either delivered (done),
 //     user-cancelled, or persisted at shutdown and restored — under its
@@ -138,6 +184,8 @@ type stalledSub struct {
 //     bit-identical (mapping and Exec) to the first result computed for
 //     that key, and every mapping re-validates against the independent
 //     problem evaluator;
+//   - one dispatch: every short job's result equals a direct library
+//     call of its arm (mapping, Exec bits, iterations, evaluations);
 //   - resumable state: a job interrupted mid-run resumes past its
 //     checkpointed iteration after Restore;
 //   - well-formed streams: every subscriber channel closes, events are in
@@ -164,8 +212,13 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 		}
 		instances[i] = simInstance{json: buf.Bytes(), problem: p}
 	}
-	shortOpts := func(instIdx int) api.SolverOptions {
-		return api.SolverOptions{Seed: 100 + uint64(instIdx), Workers: 1, MaxIterations: 30}
+	shortSeed := func(instIdx int) uint64 { return 100 + uint64(instIdx) }
+	// Short submissions take the arms in turn.
+	nextArm := 0
+	rotateArm := func() *simArm {
+		a := &simArms[nextArm%len(simArms)]
+		nextArm++
+		return a
 	}
 	longOpts := api.SolverOptions{
 		Seed: 7, Workers: 1,
@@ -181,10 +234,13 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 
 	// validateResult checks a delivered result against the independent
 	// evaluator and against the first result seen for its cache key —
-	// resumed jobs included, since a resume is exact.
+	// resumed jobs included, since a resume is exact. The first result
+	// for a short job's key must equal a direct library call of its arm.
 	validateResult := func(id string, rec *jobRec, res api.JobResult) error {
-		if err := CheckPermutation(res.Mapping); err != nil {
-			return fmt.Errorf("job %s: %w", id, err)
+		if rec.arm == nil || rec.arm.solver != api.SolverManyToOne {
+			if err := CheckPermutation(res.Mapping); err != nil {
+				return fmt.Errorf("job %s: %w", id, err)
+			}
 		}
 		exec, err := instances[rec.instIdx].problem.Exec(res.Mapping)
 		if err != nil {
@@ -194,33 +250,38 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 			return fmt.Errorf("job %s: reported exec %v != evaluated %v", id, res.Exec, exec)
 		}
 		mu.Lock()
+		want, seen := expected[rec.key]
+		mu.Unlock()
+		if !seen && rec.arm != nil {
+			sol, err := rec.arm.direct(instances[rec.instIdx].problem, shortSeed(rec.instIdx))
+			if err != nil {
+				return fmt.Errorf("job %s: direct %s solve: %w", id, rec.arm.solver, err)
+			}
+			want = api.JobResult{Mapping: sol.Mapping, Exec: sol.Exec, Iterations: sol.Iterations, Evaluations: sol.Evaluations}
+			seen = true
+		}
+		if seen && (!slices.Equal(res.Mapping, want.Mapping) || math.Float64bits(res.Exec) != math.Float64bits(want.Exec) ||
+			res.Iterations != want.Iterations || res.Evaluations != want.Evaluations) {
+			return fmt.Errorf("job %s: %s result for key %s: exec %v after %d iterations, %d evaluations, mapping %v; want %v, %d, %d, %v",
+				id, res.Solver, rec.key, res.Exec, res.Iterations, res.Evaluations, res.Mapping,
+				want.Exec, want.Iterations, want.Evaluations, want.Mapping)
+		}
+		mu.Lock()
 		defer mu.Unlock()
-		if want, ok := expected[rec.key]; ok {
-			if len(want.Mapping) != len(res.Mapping) {
-				return fmt.Errorf("job %s: stale result for key %s: mapping length changed", id, rec.key)
-			}
-			for t := range want.Mapping {
-				if want.Mapping[t] != res.Mapping[t] {
-					return fmt.Errorf("job %s: stale result for key %s: mapping diverged at task %d (%d != %d)",
-						id, rec.key, t, res.Mapping[t], want.Mapping[t])
-				}
-			}
-			if math.Float64bits(want.Exec) != math.Float64bits(res.Exec) {
-				return fmt.Errorf("job %s: stale result for key %s: exec %v != %v", id, rec.key, res.Exec, want.Exec)
-			}
-		} else {
+		if _, ok := expected[rec.key]; !ok {
 			expected[rec.key] = res
 		}
 		st.ResultsChecked++
 		return nil
 	}
 
-	submit := func(m *jobs.Manager, instIdx int, long bool) (string, error) {
-		req := api.SubmitRequest{Instance: instances[instIdx].json, Solver: api.SolverMaTCH}
-		if long {
-			req.Options = longOpts
-		} else {
-			req.Options = shortOpts(instIdx)
+	// submit submits a short job of arm, or a long plain MaTCH job when
+	// arm is nil.
+	submit := func(m *jobs.Manager, instIdx int, arm *simArm) (string, error) {
+		req := api.SubmitRequest{Instance: instances[instIdx].json, Solver: api.SolverMaTCH, Options: longOpts}
+		if arm != nil {
+			req.Solver, req.Options = arm.solver, arm.opts
+			req.Options.Seed = shortSeed(instIdx)
 		}
 		st.Submitted++
 		info, err := m.Submit(req)
@@ -237,7 +298,7 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 		}
 		mu.Lock()
 		if recs[info.ID] == nil {
-			recs[info.ID] = &jobRec{instIdx: instIdx, key: info.Key, long: long}
+			recs[info.ID] = &jobRec{instIdx: instIdx, key: info.Key, arm: arm}
 			ids = append(ids, info.ID)
 		}
 		mu.Unlock()
@@ -261,6 +322,40 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 		}
 	}
 
+	// settle waits job id out and validates its result; a failed job is
+	// an error. It returns the terminal state.
+	settle := func(m *jobs.Manager, id string, rec *jobRec) (string, error) {
+		info, err := waitTerminal(m, id)
+		if err != nil {
+			return "", err
+		}
+		switch info.State {
+		case api.StateFailed:
+			return "", fmt.Errorf("verify: faultsim job %s failed: %s", id, info.Error)
+		case api.StateDone:
+			res, err := m.Result(id)
+			if err != nil {
+				return "", fmt.Errorf("verify: faultsim result %s: %w", id, err)
+			}
+			if err := validateResult(id, rec, res); err != nil {
+				return "", err
+			}
+		}
+		return info.State, nil
+	}
+
+	// cancelJob cancels job id as its user would.
+	cancelJob := func(m *jobs.Manager, id string) error {
+		if _, err := m.Cancel(id); err != nil {
+			return fmt.Errorf("verify: faultsim cancel %s: %w", id, err)
+		}
+		mu.Lock()
+		recs[id].userCancelled = true
+		mu.Unlock()
+		st.Cancels++
+		return nil
+	}
+
 	// pickOpen deterministically picks a not-yet-accounted job id.
 	pickOpen := func(longOK bool) (string, *jobRec) {
 		mu.Lock()
@@ -271,27 +366,29 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 		start := rng.Intn(len(ids))
 		for off := 0; off < len(ids); off++ {
 			id := ids[(start+off)%len(ids)]
-			if r := recs[id]; !r.closed && (longOK || !r.long) {
+			if r := recs[id]; !r.closed && (longOK || r.arm != nil) {
 				return id, r
 			}
 		}
 		return "", nil
 	}
 
+	// validateStream checks a job's events. The islands of an ensemble
+	// report concurrently, so iterations only need to rise per island.
 	validateStream := func(events []api.Event) error {
-		prevIter := -1
+		prevIter := map[int]int{}
 		for i, e := range events {
 			switch e.Kind {
 			case api.KindStart:
-				prevIter = -1
+				clear(prevIter)
 			case api.KindIteration:
 				if e.Iter < 0 {
 					return fmt.Errorf("verify: faultsim stream: negative iteration %d", e.Iter)
 				}
-				if e.Iter < prevIter {
-					return fmt.Errorf("verify: faultsim stream: iteration went backwards (%d after %d)", e.Iter, prevIter)
+				if prev, ok := prevIter[e.Island]; ok && e.Iter < prev {
+					return fmt.Errorf("verify: faultsim stream: island %d iteration went backwards (%d after %d)", e.Island, e.Iter, prev)
 				}
-				prevIter = e.Iter
+				prevIter[e.Island] = e.Iter
 			case api.KindEnd:
 				if i != len(events)-1 {
 					return fmt.Errorf("verify: faultsim stream: %d event(s) after end", len(events)-1-i)
@@ -416,13 +513,9 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 					return st, err
 				}
 				st.ResumedIterOK++
-				if _, err := m.Cancel(longID); err != nil {
-					return st, fmt.Errorf("verify: faultsim cancelling resumed job: %w", err)
+				if err := cancelJob(m, longID); err != nil {
+					return st, err
 				}
-				mu.Lock()
-				recs[longID].userCancelled = true
-				mu.Unlock()
-				st.Cancels++
 				longID = ""
 			}
 		}
@@ -456,13 +549,13 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 			for op := 0; op < cfg.Ops; op++ {
 				switch roll := rng.Intn(100); {
 				case roll < 40: // plain submit, pool reuse forces key collisions
-					if _, err := submit(m, rng.Intn(cfg.Instances), false); err != nil {
+					if _, err := submit(m, rng.Intn(cfg.Instances), rotateArm()); err != nil {
 						return err
 					}
 				case roll < 50: // burst against the tiny queue behind long blockers
 					var blockers []string
 					for b := 0; b < 2; b++ {
-						id, err := submit(m, rng.Intn(cfg.Instances), true)
+						id, err := submit(m, rng.Intn(cfg.Instances), nil)
 						if err != nil {
 							return err
 						}
@@ -471,28 +564,20 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 						}
 					}
 					for i := 0; i < 2*cfg.QueueCapacity+4; i++ {
-						if _, err := submit(m, rng.Intn(cfg.Instances), false); err != nil {
+						if _, err := submit(m, rng.Intn(cfg.Instances), rotateArm()); err != nil {
 							return err
 						}
 					}
 					for _, id := range blockers {
-						if _, err := m.Cancel(id); err != nil {
-							return fmt.Errorf("verify: faultsim cancelling blocker: %w", err)
+						if err := cancelJob(m, id); err != nil {
+							return err
 						}
-						mu.Lock()
-						recs[id].userCancelled = true
-						mu.Unlock()
-						st.Cancels++
 					}
 				case roll < 60: // user cancel
-					if id, rec := pickOpen(false); id != "" {
-						if _, err := m.Cancel(id); err != nil {
-							return fmt.Errorf("verify: faultsim cancel %s: %w", id, err)
+					if id, _ := pickOpen(false); id != "" {
+						if err := cancelJob(m, id); err != nil {
+							return err
 						}
-						mu.Lock()
-						rec.userCancelled = true
-						mu.Unlock()
-						st.Cancels++
 					}
 				case roll < 70: // stalled subscriber: never reads until drained
 					if id, _ := pickOpen(true); id != "" {
@@ -521,23 +606,8 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 						st.StreamsChecked++
 					}
 				default: // settle: wait a job out and validate its result
-					id, rec := pickOpen(false)
-					if id == "" {
-						continue
-					}
-					info, err := waitTerminal(m, id)
-					if err != nil {
-						return err
-					}
-					if info.State == api.StateFailed {
-						return fmt.Errorf("verify: faultsim job %s failed: %s", id, info.Error)
-					}
-					if info.State == api.StateDone {
-						res, err := m.Result(id)
-						if err != nil {
-							return fmt.Errorf("verify: faultsim result %s: %w", id, err)
-						}
-						if err := validateResult(id, rec, res); err != nil {
+					if id, rec := pickOpen(false); id != "" {
+						if _, err := settle(m, id, rec); err != nil {
 							return err
 						}
 					}
@@ -548,7 +618,7 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 				// Put a checkpointable job mid-run, then pull the plug:
 				// SIGTERM during an active solve.
 				for {
-					id, err := submit(m, 0, true)
+					id, err := submit(m, 0, nil)
 					if err != nil {
 						return err
 					}
@@ -581,30 +651,17 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 				if err != nil {
 					return st, fmt.Errorf("verify: faultsim lost job %s: %w", id, err)
 				}
-				if !api.TerminalState(info.State) && rec.long && !rec.userCancelled {
-					if _, err := m.Cancel(id); err != nil {
-						return st, fmt.Errorf("verify: faultsim final cancel %s: %w", id, err)
+				if !api.TerminalState(info.State) && rec.arm == nil && !rec.userCancelled {
+					if err := cancelJob(m, id); err != nil {
+						return st, err
 					}
-					mu.Lock()
-					rec.userCancelled = true
-					mu.Unlock()
-					st.Cancels++
 				}
-				info, err = waitTerminal(m, id)
+				state, err := settle(m, id, rec)
 				if err != nil {
 					return st, err
 				}
-				switch info.State {
-				case api.StateFailed:
-					return st, fmt.Errorf("verify: faultsim job %s failed: %s", id, info.Error)
+				switch state {
 				case api.StateDone:
-					res, err := m.Result(id)
-					if err != nil {
-						return st, fmt.Errorf("verify: faultsim result %s: %w", id, err)
-					}
-					if err := validateResult(id, rec, res); err != nil {
-						return st, err
-					}
 					st.Done++
 				case api.StateCancelled:
 					st.Cancelled++
@@ -614,51 +671,32 @@ func RunFaultSim(cfg FaultSimConfig) (FaultSimStats, error) {
 				mu.Unlock()
 			}
 
-			// Deterministic cache-hit probe: with the manager quiescent,
-			// an immediate duplicate of a completed submission must be
-			// served from the cache and must match the original bits.
-			probe, err := submit(m, 0, false)
-			if err != nil {
-				return st, err
-			}
-			if probe != "" {
-				if _, err := waitTerminal(m, probe); err != nil {
-					return st, err
+			// Deterministic cache-hit probes, one per arm, so every arm is
+			// held to its direct solve: with the manager quiescent, a
+			// submission completes, and its immediate duplicate must be
+			// served from the cache with the original bits.
+			for i := range simArms {
+				for _, dup := range []bool{false, true} {
+					id, err := submit(m, 0, &simArms[i])
+					if err != nil {
+						return st, err
+					}
+					info, err := m.Info(id)
+					if err != nil {
+						return st, fmt.Errorf("verify: faultsim probe: %w", err)
+					}
+					if dup && !info.CacheHit {
+						return st, fmt.Errorf("verify: faultsim duplicate of quiescent key was not a cache hit")
+					}
+					mu.Lock()
+					rec := recs[id]
+					rec.closed = true
+					mu.Unlock()
+					if state, err := settle(m, id, rec); err != nil || state != api.StateDone {
+						return st, fmt.Errorf("verify: faultsim probe %s ended %q: %v", id, state, err)
+					}
+					st.Done++
 				}
-				res, err := m.Result(probe)
-				if err != nil {
-					return st, fmt.Errorf("verify: faultsim probe result: %w", err)
-				}
-				mu.Lock()
-				rec := recs[probe]
-				rec.closed = true
-				mu.Unlock()
-				if err := validateResult(probe, rec, res); err != nil {
-					return st, err
-				}
-				st.Done++
-				dup, err := submit(m, 0, false)
-				if err != nil {
-					return st, err
-				}
-				info, err := m.Info(dup)
-				if err != nil {
-					return st, fmt.Errorf("verify: faultsim probe duplicate: %w", err)
-				}
-				if !info.CacheHit {
-					return st, fmt.Errorf("verify: faultsim duplicate of quiescent key was not a cache hit")
-				}
-				res2, err := m.Result(dup)
-				if err != nil {
-					return st, fmt.Errorf("verify: faultsim probe duplicate result: %w", err)
-				}
-				mu.Lock()
-				recs[dup].closed = true
-				mu.Unlock()
-				if err := validateResult(dup, recs[dup], res2); err != nil {
-					return st, err
-				}
-				st.Done++
 			}
 		}
 

@@ -1,10 +1,22 @@
 package verify
 
 import (
+	"slices"
 	"testing"
 
+	"matchsim/internal/jobs"
 	"matchsim/internal/memcheck"
 )
+
+// TestFaultSimArmsCoverTable checks the short jobs rotate through every
+// entry of the solver table.
+func TestFaultSimArmsCoverTable(t *testing.T) {
+	for _, name := range jobs.SolverNames() {
+		if !slices.ContainsFunc(simArms, func(a simArm) bool { return a.solver == name }) {
+			t.Errorf("no fault-sim arm runs solver %q", name)
+		}
+	}
+}
 
 // TestFaultSimWithRestarts is the full gauntlet: two SIGTERM-style
 // restart cycles with checkpoint persistence, tiny queue and cache, and

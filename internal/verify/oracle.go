@@ -39,18 +39,6 @@ func RefLoads(tig *graph.TIG, platform *graph.ResourceGraph, m []int) ([]float64
 	return loads, nil
 }
 
-// RefExecS returns Exec_s(M) for one resource s.
-func RefExecS(tig *graph.TIG, platform *graph.ResourceGraph, m []int, s int) (float64, error) {
-	loads, err := RefLoads(tig, platform, m)
-	if err != nil {
-		return 0, err
-	}
-	if s < 0 || s >= len(loads) {
-		return 0, fmt.Errorf("verify: resource %d outside [0,%d)", s, len(loads))
-	}
-	return loads[s], nil
-}
-
 // RefExec returns Exec(M) = max_s Exec_s(M) of eq. (2).
 func RefExec(tig *graph.TIG, platform *graph.ResourceGraph, m []int) (float64, error) {
 	loads, err := RefLoads(tig, platform, m)

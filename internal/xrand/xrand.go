@@ -115,14 +115,6 @@ func (r *RNG) ReseedKeyed(seed, a, b uint64) {
 	r.Reseed(h)
 }
 
-// NewKeyed returns a fresh generator on the keyed stream (seed, a, b); see
-// ReseedKeyed.
-func NewKeyed(seed, a, b uint64) *RNG {
-	r := &RNG{}
-	r.ReseedKeyed(seed, a, b)
-	return r
-}
-
 // SeedKeyed derives a sub-seed addressed by (seed, a), using the same
 // splitmix64-finalised folding as ReseedKeyed. The island-model runtime
 // derives each island's run seed as SeedKeyed(seed, island) and then keys

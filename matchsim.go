@@ -5,10 +5,11 @@
 // — is minimised.
 //
 // The primary solver is MaTCH, the Cross-Entropy heuristic of Sanyal &
-// Das (IPDPS 2005); the package also exposes the paper's FastMap-GA
-// baseline, a distributed agent-based MaTCH (the paper's future work),
-// and a set of classic baselines (random search, greedy, local search,
-// simulated annealing).
+// Das (IPDPS 2005), also as a many-to-one variant, a multilevel pipeline
+// for large instances and an island-model ensemble (the paper's
+// distributed future work). The package also exposes the paper's
+// FastMap-GA baseline and a set of classic baselines (random search,
+// greedy, local search, simulated annealing).
 //
 // Quick start:
 //
