@@ -247,8 +247,8 @@ func TestCheckpointSaveAndResume(t *testing.T) {
 			resumed.Exec, resumed.Iterations, resumed.Evaluations, resumed.Mapping,
 			whole.Exec, whole.Iterations, whole.Evaluations, whole.Mapping)
 	}
-	// The command itself takes the same path: a third invocation at
-	// -max-iters 20 resumes a finished chain and changes nothing.
+	// The command itself runs the same path: a third invocation resumes
+	// the finished chain from the file.
 	if err := run(cfg); err != nil {
 		t.Fatalf("run: %v", err)
 	}
