@@ -698,7 +698,7 @@ func (co *Coordinator) Readiness() (bool, []api.ReadyCheck) {
 	}
 	if dir := co.opts.StateDir; dir != "" {
 		cc := api.ReadyCheck{Name: "state_dir", OK: true, Detail: dir}
-		if err := probeWritableDir(dir); err != nil {
+		if err := jobs.ProbeWritable(dir); err != nil {
 			cc.OK = false
 			cc.Detail = err.Error()
 		}

@@ -91,7 +91,7 @@ func (co *Coordinator) writeJournal(f *flight) {
 		co.log.Warn("journal dir create failed", "dir", co.opts.StateDir, "error", err)
 		return
 	}
-	if err := writeFileAtomic(co.journalPath(f), data); err != nil {
+	if err := jobs.WriteFileAtomic(co.journalPath(f), data); err != nil {
 		co.log.Warn("journal write failed", "flight", f.id, "error", err)
 	}
 }
@@ -121,47 +121,6 @@ func (co *Coordinator) removeJournal(f *flight) {
 	if err := os.Remove(co.journalPath(f)); err != nil && !os.IsNotExist(err) {
 		co.log.Warn("journal remove failed", "flight", f.id, "error", err)
 	}
-}
-
-// writeFileAtomic writes via a unique temp file + rename, so a crash
-// mid-write never leaves a torn journal and concurrent flights never
-// collide on a temp name.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".journal-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return nil
-}
-
-// probeWritableDir verifies a directory exists (creating it on demand)
-// and accepts a write; backs the readiness check.
-func probeWritableDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(dir, ".readyz-*")
-	if err != nil {
-		return err
-	}
-	name := f.Name()
-	f.Close()
-	return os.Remove(name)
 }
 
 // Restore re-attaches the journalled flights of a previous coordinator

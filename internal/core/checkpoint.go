@@ -127,8 +127,9 @@ func (c *Checkpoint) Verify(eval *cost.Evaluator) error {
 	return nil
 }
 
-// restore loads the checkpoint into a fresh problem.
-func (pr *problem) restore(c *Checkpoint) {
+// restore loads the checkpoint into a fresh problem and returns the CE
+// loop state that pairs with it.
+func (pr *problem) restore(c *Checkpoint) ce.State {
 	pr.p = c.Matrix.Clone()
 	pr.alias.Rebuild(pr.p)
 	copy(pr.prevArgmax, c.PrevArgmax)
@@ -136,6 +137,13 @@ func (pr *problem) restore(c *Checkpoint) {
 	pr.iter = c.Iterations
 	if pr.snapshotEvery > 0 {
 		pr.snapshots[0] = Snapshot{Iter: c.Iterations, Matrix: pr.p.Clone()}
+	}
+	return ce.State{
+		Iterations:     c.Iterations,
+		Gamma:          c.Gamma,
+		GammaStallRuns: c.GammaStallRuns,
+		Best:           c.Best,
+		BestScore:      c.BestExec,
 	}
 }
 
@@ -160,15 +168,5 @@ func Resume(eval *cost.Evaluator, c *Checkpoint, opts Options) (*Result, error) 
 	}
 	opts = opts.withDefaults(eval.NumTasks())
 	opts.WarmStart = nil // the checkpoint matrix IS the initialisation
-	start := ce.State{
-		Iterations:     c.Iterations,
-		Gamma:          c.Gamma,
-		GammaStallRuns: c.GammaStallRuns,
-		Best:           c.Best,
-		BestScore:      c.BestExec,
-	}
-	return solveFromProblem(eval, opts, start, func(pr *problem) error {
-		pr.restore(c)
-		return nil
-	})
+	return solveFromProblem(eval, opts, true, c)
 }

@@ -216,13 +216,17 @@ func solveIslands(eval *cost.Evaluator, opts Options) (*Result, error) {
 
 	runs := make([]ce.IslandRun, len(locals))
 	for li, g := range locals {
-		pr := newProblem(eval, opts)
+		pr := newProblem(eval, opts, true)
 		if opts.WarmStart != nil {
-			if err := pr.applyWarmStart(opts.WarmStart, opts.WarmStartBias); err != nil {
+			if err := pr.applyWarmStart(opts.WarmStart); err != nil {
 				return nil, err
 			}
 		}
-		g := g
+		cfg := opts.ceConfig()
+		cfg.SampleSize = perIsland
+		cfg.Seed = xrand.SeedKeyed(opts.Seed, uint64(g))
+		cfg.OnIteration = forward
+		cfg.Island = g
 		runs[li] = ce.IslandRun{
 			Problem:       pr,
 			ExchangeEvery: iopts.MigrateEvery,
@@ -241,18 +245,7 @@ func solveIslands(eval *cost.Evaluator, opts Options) (*Result, error) {
 				mu.Unlock()
 				return nil
 			},
-			Config: ce.Config{
-				SampleSize:     perIsland,
-				Rho:            opts.Rho,
-				Zeta:           opts.Zeta,
-				StallWindow:    opts.GammaStallWindow,
-				MaxIterations:  opts.MaxIterations,
-				Workers:        opts.Workers,
-				Seed:           xrand.SeedKeyed(opts.Seed, uint64(g)),
-				OnIteration:    forward,
-				DiscardHistory: opts.DiscardHistory,
-				Island:         g,
-			},
+			Config: cfg,
 		}
 	}
 

@@ -9,7 +9,10 @@
 //     uniform (P_0 = 1/n everywhere).
 //   - Samples are bijective mappings drawn by GenPerm (Fig. 4): tasks are
 //     visited in a random order and each draws a resource from its row
-//     restricted to the still-unassigned columns.
+//     restricted to the still-unassigned columns. The many-to-one
+//     generalisation (ManyToOne) keeps everything else and swaps only this
+//     draw rule: each task draws from its own row of the |Vt| x |Vr|
+//     matrix (eq. 8).
 //   - Performance is the application execution time Exec of eqs. (1)-(2),
 //     evaluated by cost.Evaluator; MaTCH minimises it.
 //   - The update (eq. 11) sets q_ij to the fraction of elite samples that
@@ -20,7 +23,7 @@
 //     gamma-stall / iteration-cap conditions.
 //
 // Sampling and scoring run on the ce worker pool: one Sample call per
-// draw runs the alias-table GenPerm sampler and scores the draw with
+// draw runs the alias-table sampler and scores the draw with
 // cost.Evaluator.ExecInto. The per-goroutine scratch (sampler and load
 // buffer) lives in a sync.Pool so the hot loop is allocation-free after
 // warm-up.
@@ -73,14 +76,10 @@ type Options struct {
 	GammaStallWindow int
 	// WarmStart, when non-nil, biases the initial stochastic matrix
 	// towards the given mapping instead of starting uniform: row i gets
-	// WarmStartBias extra probability mass on column WarmStart[i]. Use
+	// warmStartBias extra probability mass on column WarmStart[i]. Use
 	// it to seed MaTCH with a greedy or previous solution — an extension
 	// beyond the paper's uniform P_0.
 	WarmStart cost.Mapping
-	// WarmStartBias is the probability mass moved onto the warm-start
-	// column of each row; default 0.5. The remaining mass stays uniform
-	// so the CE search can still leave the seed.
-	WarmStartBias float64
 	// Polish, when true, runs steepest-descent 2-swap local search on the
 	// best mapping after the CE loop terminates — a hybrid extension
 	// beyond the paper that removes the small residual gaps the eq. 12
@@ -143,11 +142,30 @@ func (o Options) withDefaults(n int) Options {
 	if o.GammaStallWindow == 0 {
 		o.GammaStallWindow = 25
 	}
-	if o.WarmStartBias == 0 {
-		o.WarmStartBias = 0.5
-	}
 	return o
 }
+
+// ceConfig is the CE loop configuration o describes; o must already carry
+// defaults.
+func (o Options) ceConfig() ce.Config {
+	return ce.Config{
+		SampleSize:     o.SampleSize,
+		Rho:            o.Rho,
+		Zeta:           o.Zeta,
+		StallWindow:    o.GammaStallWindow,
+		MaxIterations:  o.MaxIterations,
+		Workers:        o.Workers,
+		Seed:           o.Seed,
+		Context:        o.Context,
+		OnIteration:    o.OnIteration,
+		DiscardHistory: o.DiscardHistory,
+	}
+}
+
+// warmStartBias is the probability mass a warm start moves onto each
+// row's seeded column. The remaining mass stays uniform so the CE search
+// can still leave the seed.
+const warmStartBias = 0.5
 
 // Snapshot is one recorded state of the stochastic matrix.
 type Snapshot struct {
@@ -192,10 +210,15 @@ type Result struct {
 // problem implements ce.Problem for the mapping COP.
 type problem struct {
 	eval *cost.Evaluator
-	n    int
+	n, r int // tasks (rows of p) and resources (columns of p)
 	p    *stochmat.Matrix
 
-	// alias caches the per-row alias tables of p for the GenPerm sampler.
+	// bijective selects the draw rule: GenPerm permutations (Fig. 4) when
+	// set, one independent draw per task from its own row (eq. 8, the
+	// many-to-one generalisation) otherwise. Only bijective runs resume.
+	bijective bool
+
+	// alias caches the per-row alias tables of p for the sampler.
 	// It is rebuilt after every mutation of p (all of which happen on a
 	// single goroutine between sampling phases) and read concurrently by
 	// the sampling workers.
@@ -224,29 +247,35 @@ type problem struct {
 }
 
 // drawScratch is the per-goroutine state of one draw: the GenPerm sampler
-// and the load buffer ExecInto scores into.
+// (bijective runs only) and the load buffer ExecInto scores into.
 type drawScratch struct {
 	sampler *stochmat.Sampler
 	loads   []float64
 }
 
-func newProblem(eval *cost.Evaluator, opts Options) *problem {
-	n := eval.NumTasks()
+func newProblem(eval *cost.Evaluator, opts Options, bijective bool) *problem {
+	n, r := eval.NumTasks(), eval.NumResources()
 	pr := &problem{
 		eval:          eval,
 		n:             n,
-		p:             stochmat.NewUniform(n, n),
+		r:             r,
+		p:             stochmat.NewUniform(n, r),
+		bijective:     bijective,
 		stallC:        opts.StallC,
 		snapshotEvery: opts.SnapshotEvery,
 		prevArgmax:    make([]int, n),
-		counts:        make([]float64, n*n),
+		counts:        make([]float64, n*r),
 	}
 	pr.alias = stochmat.NewAliasTable(pr.p)
 	for i := range pr.prevArgmax {
 		pr.prevArgmax[i] = -1
 	}
 	pr.scratch.New = func() any {
-		return &drawScratch{sampler: stochmat.NewSampler(n), loads: make([]float64, eval.NumResources())}
+		ds := &drawScratch{loads: make([]float64, r)}
+		if bijective {
+			ds.sampler = stochmat.NewSampler(n)
+		}
+		return ds
 	}
 	if opts.SnapshotEvery > 0 {
 		pr.snapshots = append(pr.snapshots, Snapshot{Iter: 0, Matrix: pr.p.Clone()})
@@ -255,24 +284,25 @@ func newProblem(eval *cost.Evaluator, opts Options) *problem {
 }
 
 // applyWarmStart re-initialises P_0 with bias mass on the warm mapping's
-// columns: p_ij = bias + (1-bias)/n for j = warm[i], (1-bias)/n otherwise.
-func (pr *problem) applyWarmStart(warm cost.Mapping, bias float64) error {
+// columns: p_ij = b + (1-b)/r for j = warm[i], (1-b)/r otherwise, with
+// b = warmStartBias. A bijective run needs a permutation.
+func (pr *problem) applyWarmStart(warm cost.Mapping) error {
 	if len(warm) != pr.n {
 		return fmt.Errorf("core: warm start length %d for %d tasks", len(warm), pr.n)
 	}
-	if !warm.IsPermutation() {
+	if err := warm.Validate(pr.r); err != nil {
+		return err
+	}
+	if pr.bijective && !warm.IsPermutation() {
 		return fmt.Errorf("core: warm start %v is not a permutation", warm)
 	}
-	if bias <= 0 || bias >= 1 {
-		return fmt.Errorf("core: warm start bias %v outside (0, 1)", bias)
-	}
-	row := make([]float64, pr.n)
-	uniform := (1 - bias) / float64(pr.n)
+	row := make([]float64, pr.r)
+	uniform := (1 - warmStartBias) / float64(pr.r)
 	for i := 0; i < pr.n; i++ {
 		for j := range row {
 			row[j] = uniform
 		}
-		row[warm[i]] += bias
+		row[warm[i]] += warmStartBias
 		if err := pr.p.SetRow(i, row); err != nil {
 			return err
 		}
@@ -291,13 +321,22 @@ func (pr *problem) NewSolution() []int { return make([]int, pr.n) }
 // Copy implements ce.Problem.
 func (pr *problem) Copy(dst, src []int) { copy(dst, src) }
 
-// Sample implements ce.Problem: one GenPerm draw from the current matrix
-// through the alias table, scored by the application execution time
-// (eqs. 1-2).
+// Sample implements ce.Problem: one draw from the current matrix through
+// the alias table, scored by the application execution time (eqs. 1-2).
+// A bijective run draws a GenPerm permutation. Otherwise each task's
+// resource is drawn independently from its row (eq. 8): one O(1) alias
+// draw per task, with no column masking.
 func (pr *problem) Sample(rng *xrand.RNG, dst []int) (float64, error) {
 	ds := pr.scratch.Get().(*drawScratch)
-	err := ds.sampler.SamplePermutation(pr.p, pr.alias, rng, dst)
-	pr.drainSamplerStats(ds.sampler)
+	var err error
+	if pr.bijective {
+		err = ds.sampler.SamplePermutation(pr.p, pr.alias, rng, dst)
+		pr.drainSamplerStats(ds.sampler)
+	} else {
+		for task := range dst {
+			dst[task] = pr.alias.Sample(task, rng)
+		}
+	}
 	var score float64
 	if err == nil {
 		score = pr.eval.ExecInto(dst, ds.loads)
@@ -387,36 +426,22 @@ func Solve(eval *cost.Evaluator, opts Options) (*Result, error) {
 	if opts.Multilevel != nil {
 		return solveMultilevel(eval, opts)
 	}
-	opts = opts.withDefaults(n)
-	return solveFromProblem(eval, opts, ce.State{}, func(pr *problem) error {
-		if opts.WarmStart != nil {
-			return pr.applyWarmStart(opts.WarmStart, opts.WarmStartBias)
-		}
-		return nil
-	})
+	return solveFromProblem(eval, opts.withDefaults(n), true, nil)
 }
 
-// solveFromProblem builds the problem, applies init (warm start or
-// checkpoint restore) and runs the CE loop from start. opts must already
-// carry defaults.
-func solveFromProblem(eval *cost.Evaluator, opts Options, start ce.State, init func(*problem) error) (*Result, error) {
-	pr := newProblem(eval, opts)
-	if init != nil {
-		if err := init(pr); err != nil {
+// solveFromProblem builds the problem with the given draw rule, applies
+// opts.WarmStart, and runs the CE loop — from the checkpoint from when it
+// is non-nil. opts must already carry defaults.
+func solveFromProblem(eval *cost.Evaluator, opts Options, bijective bool, from *Checkpoint) (*Result, error) {
+	pr := newProblem(eval, opts, bijective)
+	if opts.WarmStart != nil {
+		if err := pr.applyWarmStart(opts.WarmStart); err != nil {
 			return nil, err
 		}
 	}
-	cfg := ce.Config{
-		SampleSize:     opts.SampleSize,
-		Rho:            opts.Rho,
-		Zeta:           opts.Zeta,
-		StallWindow:    opts.GammaStallWindow,
-		MaxIterations:  opts.MaxIterations,
-		Workers:        opts.Workers,
-		Seed:           opts.Seed,
-		Context:        opts.Context,
-		OnIteration:    opts.OnIteration,
-		DiscardHistory: opts.DiscardHistory,
+	var start ce.State
+	if from != nil {
+		start = pr.restore(from)
 	}
 
 	// Periodic checkpoint export, after the iteration's Update, so the
@@ -431,7 +456,7 @@ func solveFromProblem(eval *cost.Evaluator, opts Options, start ce.State, init f
 	}
 
 	began := time.Now()
-	ceRes, err := ce.RunFrom(pr, cfg, start, onState)
+	ceRes, err := ce.RunFrom(pr, opts.ceConfig(), start, onState)
 	if err != nil {
 		return nil, err
 	}
@@ -455,13 +480,12 @@ func solveFromProblem(eval *cost.Evaluator, opts Options, start ce.State, init f
 		History:     ceRes.History,
 		Snapshots:   pr.snapshots,
 		FinalMatrix: pr.p,
-
-		loop:            ceRes.State,
-		finalArgmax:     pr.prevArgmax,
-		finalStableRuns: pr.stableRuns,
 	}
-	if !res.Mapping.IsPermutation() {
-		return nil, fmt.Errorf("core: internal error — best mapping is not a permutation: %v", res.Mapping)
+	if bijective {
+		if !res.Mapping.IsPermutation() {
+			return nil, fmt.Errorf("core: internal error — best mapping is not a permutation: %v", res.Mapping)
+		}
+		res.loop, res.finalArgmax, res.finalStableRuns = ceRes.State, pr.prevArgmax, pr.stableRuns
 	}
 	if opts.Polish && res.StopReason != ce.StopCancelled {
 		if err := polish(eval, res); err != nil {

@@ -356,7 +356,7 @@ func TestWarmStartBiasesInitialMatrix(t *testing.T) {
 	warm := cost.Mapping{3, 1, 0, 2, 7, 6, 5, 4}
 	res, err := Solve(e, Options{
 		Seed: 1, Workers: 1, MaxIterations: 1, GammaStallWindow: 100,
-		WarmStart: warm, WarmStartBias: 0.6, SnapshotEvery: 1,
+		WarmStart: warm, SnapshotEvery: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -367,8 +367,8 @@ func TestWarmStartBiasesInitialMatrix(t *testing.T) {
 		if col != warm[i] {
 			t.Fatalf("row %d argmax %d, want warm column %d", i, col, warm[i])
 		}
-		if p < 0.6 {
-			t.Fatalf("row %d bias mass %v < 0.6", i, p)
+		if p < warmStartBias {
+			t.Fatalf("row %d bias mass %v < %v", i, p, warmStartBias)
 		}
 	}
 	if err := init.Validate(1e-9); err != nil {
@@ -415,9 +415,6 @@ func TestWarmStartValidation(t *testing.T) {
 	}
 	if _, err := Solve(e, Options{WarmStart: cost.Mapping{0, 0, 1, 2, 3}}); err == nil {
 		t.Fatal("non-permutation warm start accepted")
-	}
-	if _, err := Solve(e, Options{WarmStart: cost.Identity(5), WarmStartBias: 1.5}); err == nil {
-		t.Fatal("bias > 1 accepted")
 	}
 }
 

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"time"
 
 	"matchsim/internal/core"
@@ -204,12 +205,21 @@ func AblateWorkers(cfg AblationConfig, workerCounts []int) (*Table, error) {
 	return t, nil
 }
 
+// rowSeeds returns the stream of a baseline row's per-repeat seeds. It
+// depends only on (seed, name), so adding, removing or reordering rows
+// leaves every other row's inputs unchanged.
+func rowSeeds(seed uint64, name string) *xrand.RNG {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return xrand.New(xrand.SeedKeyed(seed, h.Sum64()))
+}
+
 // CompareBaselines races every solver in the repository on one instance:
 // MaTCH, FastMap-GA, random search, greedy, 2-swap local search and
-// simulated annealing.
+// simulated annealing. Each row's seeds come from (cfg.Seed, row name).
 func CompareBaselines(cfg AblationConfig) (*Table, error) {
 	cfg = cfg.withDefaults()
-	eval, master, err := cfg.evaluator()
+	eval, _, err := cfg.evaluator()
 	if err != nil {
 		return nil, err
 	}
@@ -224,8 +234,9 @@ func CompareBaselines(cfg AblationConfig) (*Table, error) {
 	}
 	run := func(name string, f func(seed uint64) (outcome, error)) error {
 		var et, mt, evals float64
+		seeds := rowSeeds(cfg.Seed, name)
 		for r := 0; r < cfg.Repeats; r++ {
-			out, err := f(master.Uint64())
+			out, err := f(seeds.Uint64())
 			if err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -235,6 +236,37 @@ func TestCompareBaselinesSmall(t *testing.T) {
 		if !strings.Contains(out, solver) {
 			t.Fatalf("baseline table missing %s:\n%s", solver, out)
 		}
+	}
+}
+
+// TestCompareBaselinesRowSeedsStandAlone holds a row's inputs to (seed,
+// row name) alone: the MaTCH row equals MaTCH runs seeded from rowSeeds,
+// whatever rows come before or after it.
+func TestCompareBaselinesRowSeedsStandAlone(t *testing.T) {
+	cfg := AblationConfig{Size: 8, Repeats: 2, Seed: 5, MaxIterations: 15}
+	tb, err := CompareBaselines(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, _, err := cfg.evaluator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := rowSeeds(cfg.Seed, "MaTCH")
+	var et float64
+	for r := 0; r < cfg.Repeats; r++ {
+		res, err := core.Solve(eval, core.Options{Seed: seeds.Uint64(), MaxIterations: cfg.MaxIterations})
+		if err != nil {
+			t.Fatal(err)
+		}
+		et += res.Exec
+	}
+	want := fmt.Sprintf("%.0f", et/float64(cfg.Repeats))
+	if tb.Rows[0][0] != "MaTCH" || tb.Rows[0][1] != want {
+		t.Fatalf("MaTCH row %v, want mean ET %s", tb.Rows[0], want)
+	}
+	if rowSeeds(5, "MaTCH").Uint64() == rowSeeds(5, "Greedy").Uint64() {
+		t.Fatal("rows share a seed stream")
 	}
 }
 

@@ -359,14 +359,8 @@ func (g *Undirected) Validate() error {
 func (g *Undirected) firstInvalidEdge() error {
 	seen := make(map[[2]int]bool, len(g.edges))
 	for _, e := range g.edges {
-		if e.U < 0 || e.U >= g.n || e.V < 0 || e.V >= g.n {
-			return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, g.n)
-		}
-		if e.U == e.V {
-			return fmt.Errorf("graph: self-loop at %d", e.U)
-		}
-		if e.Weight < 0 {
-			return fmt.Errorf("graph: negative weight %v on (%d,%d)", e.Weight, e.U, e.V)
+		if err := g.checkEdge(e.U, e.V, e.Weight); err != nil {
+			return err
 		}
 		key := edgeKey(e.U, e.V)
 		if seen[key] {

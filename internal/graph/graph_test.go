@@ -477,7 +477,7 @@ func TestValidateMatchesMapCheck(t *testing.T) {
 		{3, []Edge{{2, 1, 1}, {0, 1, 1}, {1, 2, 1}}, "graph: duplicate edge (1,2)"},
 		{4, []Edge{{3, 1, 1}, {0, 1, 1}, {1, 3, 1}, {0, 5, 1}}, "graph: duplicate edge (1,3)"},
 		{4, []Edge{{3, 1, 1}, {0, 5, 1}, {1, 3, 1}}, "graph: edge (0,5) out of range [0,4)"},
-		{4, []Edge{{0, 1, 1}, {2, 2, 1}, {1, 0, 1}}, "graph: self-loop at 2"},
+		{4, []Edge{{0, 1, 1}, {2, 2, 1}, {1, 0, 1}}, "graph: self-loop at vertex 2"},
 		{4, []Edge{{0, 1, 1}, {1, 0, 1}, {2, 3, -1}}, "graph: duplicate edge (1,0)"},
 		{4, []Edge{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}}, ""},
 	}

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -1276,7 +1275,7 @@ func (m *Manager) Readiness() (bool, []api.ReadyCheck) {
 
 	if dir := m.opts.CheckpointDir; dir != "" {
 		cc := api.ReadyCheck{Name: "checkpoint_dir", OK: true, Detail: dir}
-		if err := probeWritable(dir); err != nil {
+		if err := ProbeWritable(dir); err != nil {
 			cc.OK = false
 			cc.Detail = err.Error()
 		}
@@ -1294,19 +1293,4 @@ func (m *Manager) Readiness() (bool, []api.ReadyCheck) {
 		ready = ready && c.OK
 	}
 	return ready, checks
-}
-
-// probeWritable verifies a directory exists (creating it on demand, as
-// Shutdown would) and accepts a write.
-func probeWritable(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(dir, ".readyz-*")
-	if err != nil {
-		return err
-	}
-	name := f.Name()
-	f.Close()
-	return os.Remove(name)
 }

@@ -82,21 +82,49 @@ func (m *Manager) persistInterrupted() error {
 			continue
 		}
 		path := filepath.Join(m.opts.CheckpointDir, persistFileName(j.id))
-		if err := writeFileAtomic(path, data); err != nil && firstErr == nil {
+		if err := WriteFileAtomic(path, data); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// writeFileAtomic writes via a temp file + rename so a crash mid-write
-// never leaves a torn checkpoint for Restore to choke on.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+// WriteFileAtomic writes data to path via a uniquely named temp file in
+// the same directory and a rename, so a crash mid-write never leaves a
+// torn file for a restore to choke on, and concurrent writers never
+// collide on a temp name. The temp file is removed on every failure.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".write-*")
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	name := tmp.Name()
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(name, path)
+	}
+	if err != nil {
+		os.Remove(name)
+	}
+	return err
+}
+
+// ProbeWritable verifies a directory exists (creating it on demand) and
+// accepts a write; it backs the readiness checks of both serving tiers.
+func ProbeWritable(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.CreateTemp(dir, ".readyz-*")
+	if err != nil {
+		return err
+	}
+	name := f.Name()
+	f.Close()
+	return os.Remove(name)
 }
 
 func removePersisted(path string) { _ = os.Remove(path) }

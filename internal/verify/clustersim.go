@@ -50,6 +50,8 @@ type ClusterSimStats struct {
 	Heals               int    // partitions healed and re-admitted by probes
 	ResultsChecked      int    // results validated against the oracle
 	TracesChecked       int    // span trees validated after shutdowns
+	// Routed counts accepted coordinator submissions per solver name.
+	Routed map[string]int
 }
 
 func (c ClusterSimConfig) withDefaults() ClusterSimConfig {
@@ -99,8 +101,9 @@ func (w *simWorker) crash() {
 // RunClusterSim drives a real coordinator over real worker daemons
 // through the cluster failure drill:
 //
-//  1. baseline fan-out — a batch of submissions spread across the ring,
-//     every result bit-identical to a standalone daemon's;
+//  1. baseline fan-out — a batch of short submissions, one per simArms
+//     entry, spread across the ring, every result bit-identical to a
+//     standalone daemon's;
 //  2. worker crash mid-solve — the routed worker dies after the
 //     coordinator captured a checkpoint; the job must finish on a
 //     survivor with Resumed set and the standalone daemon's fresh bits
@@ -110,16 +113,20 @@ func (w *simWorker) crash() {
 //     new one re-attaches through the StateDir journal; the job keeps
 //     its id and completes;
 //  4. partition + heal — a partitioned worker's solve hands off to a
-//     survivor and still ends with the standalone bits, the heal is picked up by health probes, and new jobs
-//     route onto the healed worker again.
+//     survivor and still ends with the standalone bits, the heal is
+//     picked up by health probes, and new jobs route onto the healed
+//     worker again.
+//
+// Short jobs rotate through simArms, so every solver-table entry is
+// routed; the long jobs that crashes, restarts and partitions interrupt
+// are plain MaTCH, the one entry that resumes from a checkpoint.
 //
 // Throughout: no lost jobs (every accepted submission reaches done under
 // its original id), and every mapping re-validates against the
 // independent problem evaluator.
 func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 	cfg = cfg.withDefaults()
-	var st ClusterSimStats
-	st.Workers = cfg.Workers
+	st := ClusterSimStats{Workers: cfg.Workers, Routed: map[string]int{}}
 	if cfg.StateDir == "" {
 		return st, fmt.Errorf("verify: clustersim needs a state dir")
 	}
@@ -199,37 +206,48 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 		})
 	}
 
-	shortOpts := func(seed uint64) api.SolverOptions {
-		return api.SolverOptions{Seed: seed, Workers: 1, MaxIterations: 40}
+	// Short submissions take the arms in turn.
+	nextArm := 0
+	rotateArm := func() *simArm {
+		a := &simArms[nextArm%len(simArms)]
+		nextArm++
+		return a
 	}
-	// Long enough (hundreds of ms) that the coordinator reliably captures
-	// a mid-run checkpoint before the fault fires, bounded so rescued and
-	// orphaned runs still finish on their own.
-	longOpts := func(seed uint64) api.SolverOptions {
-		return api.SolverOptions{
-			Seed: seed, Workers: 1, SampleSize: 400,
+	// makeReq builds a short job of arm, or a long plain MaTCH job when
+	// arm is nil: long enough (hundreds of ms) that the coordinator
+	// reliably captures a mid-run checkpoint before the fault fires,
+	// bounded so rescued and orphaned runs still finish on their own.
+	makeReq := func(instIdx int, arm *simArm, seed uint64) api.SubmitRequest {
+		req := api.SubmitRequest{Instance: instances[instIdx], Solver: api.SolverMaTCH, Options: api.SolverOptions{
+			Workers: 1, SampleSize: 400,
 			MaxIterations: 2500, StallC: 1 << 20, GammaStallWindow: 1 << 20,
+		}}
+		if arm != nil {
+			req.Solver, req.Options = arm.solver, arm.opts
 		}
+		req.Options.Seed = seed
+		return req
 	}
-	makeReq := func(instIdx int, opts api.SolverOptions) api.SubmitRequest {
-		return api.SubmitRequest{Instance: instances[instIdx], Solver: api.SolverMaTCH, Options: opts}
+	reqKey := func(instIdx int, req api.SubmitRequest) (string, error) {
+		key, err := jobs.Key(problems[instIdx], req.Solver, req.Options, nil)
+		if err != nil {
+			return "", fmt.Errorf("verify: clustersim key: %w", err)
+		}
+		return key, nil
 	}
 
 	// ownedReq searches option seeds until the request's content address
 	// lands on the wanted worker (with the given members excluded, so the
 	// search matches what a coordinator with dead members would do).
-	ownedReq := func(instIdx int, long bool, owner string, excluded map[string]bool, from uint64) (api.SubmitRequest, error) {
+	ownedReq := func(instIdx int, arm *simArm, owner string, excluded map[string]bool, from uint64) (api.SubmitRequest, error) {
 		for seed := from; seed < from+500; seed++ {
-			opts := shortOpts(seed)
-			if long {
-				opts = longOpts(seed)
-			}
-			key, err := jobs.Key(problems[instIdx], api.SolverMaTCH, opts, nil)
+			req := makeReq(instIdx, arm, seed)
+			key, err := reqKey(instIdx, req)
 			if err != nil {
-				return api.SubmitRequest{}, fmt.Errorf("verify: clustersim key: %w", err)
+				return api.SubmitRequest{}, err
 			}
 			if w, ok := ring.LookupExcluding(key, excluded); ok && w == owner {
-				return makeReq(instIdx, opts), nil
+				return req, nil
 			}
 		}
 		return api.SubmitRequest{}, fmt.Errorf("verify: clustersim found no key owned by %s", owner)
@@ -306,9 +324,11 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 		}
 	}
 
-	validate := func(id string, instIdx int, res api.JobResult) error {
-		if err := CheckPermutation(res.Mapping); err != nil {
-			return fmt.Errorf("job %s: %w", id, err)
+	validate := func(id string, instIdx int, solver string, res api.JobResult) error {
+		if solver != api.SolverManyToOne {
+			if err := CheckPermutation(res.Mapping); err != nil {
+				return fmt.Errorf("job %s: %w", id, err)
+			}
 		}
 		exec, err := problems[instIdx].Exec(res.Mapping)
 		if err != nil {
@@ -338,6 +358,7 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 			return info, fmt.Errorf("verify: clustersim submit: %w", err)
 		}
 		st.Submitted++
+		st.Routed[req.Solver]++
 		ledger = append(ledger, ledgerEntry{info.ID, epoch})
 		return info, nil
 	}
@@ -356,7 +377,7 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 		if err != nil {
 			return final, res, fmt.Errorf("verify: clustersim result %s: %w", id, err)
 		}
-		if err := validate(id, instIdx, res); err != nil {
+		if err := validate(id, instIdx, req.Solver, res); err != nil {
 			return final, res, err
 		}
 		want, err := refResult(req)
@@ -404,22 +425,21 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 		req     api.SubmitRequest
 	}
 	var batch []pending
-	for i := 0; i < poolSize; i++ {
-		for _, seed := range []uint64{1, 2} {
-			req := makeReq(i, shortOpts(seed))
-			info, err := submit(co, req)
-			if err != nil {
-				return st, err
-			}
-			batch = append(batch, pending{info.ID, i, req})
+	for k := range simArms {
+		instIdx := k % poolSize
+		req := makeReq(instIdx, rotateArm(), uint64(1+k/poolSize))
+		info, err := submit(co, req)
+		if err != nil {
+			return st, err
 		}
+		batch = append(batch, pending{info.ID, instIdx, req})
 	}
 	for _, p := range batch {
 		final, _, err := settle(co, p.id, p.instIdx, p.req)
 		if err != nil {
 			return st, err
 		}
-		key, err := jobs.Key(problems[p.instIdx], api.SolverMaTCH, p.req.Options, nil)
+		key, err := reqKey(p.instIdx, p.req)
 		if err != nil {
 			return st, err
 		}
@@ -429,7 +449,7 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 	}
 
 	// ---- Scenario 2: worker crash mid-solve --------------------------
-	crashReq := makeReq(0, longOpts(11))
+	crashReq := makeReq(0, nil, 11)
 	info, err := submit(co, crashReq)
 	if err != nil {
 		return st, err
@@ -482,7 +502,7 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 	var restartReq api.SubmitRequest
 	for _, w := range workers {
 		if !w.crashed {
-			if restartReq, err = ownedReq(1, true, w.ts.URL, excluded, 20); err != nil {
+			if restartReq, err = ownedReq(1, nil, w.ts.URL, excluded, 20); err != nil {
 				return st, err
 			}
 			break
@@ -536,7 +556,7 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 			break
 		}
 	}
-	partReq, err := ownedReq(2, true, part.ts.URL, excluded, 40)
+	partReq, err := ownedReq(2, nil, part.ts.URL, excluded, 40)
 	if err != nil {
 		return st, err
 	}
@@ -578,7 +598,7 @@ func RunClusterSim(cfg ClusterSimConfig) (ClusterSimStats, error) {
 		time.Sleep(time.Millisecond)
 	}
 	st.Heals++
-	healReq, err := ownedReq(2, false, part.ts.URL, excluded, 60)
+	healReq, err := ownedReq(2, rotateArm(), part.ts.URL, excluded, 60)
 	if err != nil {
 		return st, err
 	}

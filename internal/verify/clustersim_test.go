@@ -1,13 +1,18 @@
 package verify
 
-import "testing"
+import (
+	"testing"
+
+	"matchsim/internal/jobs"
+)
 
 // TestClusterSim is the multi-node failure drill: a coordinator over
 // three real worker daemons goes through a baseline fan-out, a worker
 // crash mid-solve, a coordinator restart re-attaching through its
 // journal, and a network partition that heals. The stats assertions
 // prove each fault actually fired — and that every rescue completed with
-// Resumed set, nothing was lost, and no stale result was ever served.
+// Resumed set, nothing was lost, and no stale result was ever served —
+// and that every solver-table entry was routed through the coordinator.
 func TestClusterSim(t *testing.T) {
 	st, err := RunClusterSim(ClusterSimConfig{
 		Seed:     1,
@@ -34,6 +39,11 @@ func TestClusterSim(t *testing.T) {
 	}
 	if st.Done != st.Submitted {
 		t.Errorf("done=%d of submitted=%d — jobs were lost", st.Done, st.Submitted)
+	}
+	for _, name := range jobs.SolverNames() {
+		if st.Routed[name] == 0 {
+			t.Errorf("solver %q never routed through the coordinator", name)
+		}
 	}
 	if st.ResultsChecked == 0 || st.TracesChecked == 0 {
 		t.Errorf("nothing validated: results=%d traces=%d", st.ResultsChecked, st.TracesChecked)
