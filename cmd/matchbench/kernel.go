@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"testing"
 
-	"matchsim/internal/ce"
 	"matchsim/internal/core"
 	"matchsim/internal/cost"
 	"matchsim/internal/gen"
@@ -68,8 +66,8 @@ type kernelBench struct {
 }
 
 // runKernel benchmarks the hot-path kernels — the alias-table GenPerm
-// draw, its table rebuild, the draw scored by Evaluator.ExecInto, elite
-// selection and the 2-swap delta — plus an end-to-end Solve at n=64,
+// draw, its table rebuild, the draw scored by Evaluator.ExecInto and the
+// 2-swap delta — plus an end-to-end Solve at n=64,
 // printing a table and — with -json — writing the micro records to
 // BENCH_kernel.json. baselineNs, when non-zero, is a reference ns/op
 // (e.g. an earlier end-to-end measurement) printed beside the end-to-end
@@ -122,14 +120,6 @@ func runKernel(seed uint64, quick, jsonOut bool, baselineNs int64, quiet bool, c
 				sink = eval.ExecInto(cost.Mapping(dst), scratch)
 			}
 			_ = sink
-		}},
-		{"elite-quickselect", func(b *testing.B) {
-			b.ReportAllocs()
-			benchEliteSelect(b, true)
-		}},
-		{"elite-full-sort", func(b *testing.B) {
-			b.ReportAllocs()
-			benchEliteSelect(b, false)
 		}},
 		{"exec-after-swap", func(b *testing.B) {
 			b.ReportAllocs()
@@ -237,36 +227,4 @@ func runKernel(seed uint64, quick, jsonOut bool, baselineNs int64, quiet bool, c
 		return writeBenchJSON("kernel", kernelRecs)
 	}
 	return nil
-}
-
-// benchEliteSelect measures elite extraction from a CE-iteration-sized
-// score vector (N = 2n^2 at n=64), either by quickselect (the production
-// path) or a full sort of the candidate order.
-func benchEliteSelect(b *testing.B, quickselect bool) {
-	const sampleN = 2 * 64 * 64
-	k := sampleN / 20
-	rng := xrand.New(5)
-	base := make([]float64, sampleN)
-	for i := range base {
-		base[i] = rng.Float64() * 1000
-	}
-	scores := make([]float64, sampleN)
-	order := make([]int, sampleN)
-	for i := 0; i < b.N; i++ {
-		copy(scores, base)
-		for j := range order {
-			order[j] = j
-		}
-		if quickselect {
-			ce.SelectElite(order, scores, k)
-		} else {
-			sort.Slice(order, func(a, c int) bool {
-				sa, sc := scores[order[a]], scores[order[c]]
-				if sa != sc {
-					return sa < sc
-				}
-				return order[a] < order[c]
-			})
-		}
-	}
 }

@@ -30,7 +30,10 @@
 // an atomic cursor, and every unit's RNG stream is keyed to (seed,
 // iteration, unit index), so results are deterministic for a fixed seed
 // regardless of the worker count or the stealing schedule, and the hot
-// loop does not allocate.
+// loop does not allocate. The elite is streamed (see Elite): workers
+// offer each draw as they score it and only the best floor(rho*N) are
+// kept, so a run holds floor(rho*N) + Workers + 1 solution buffers (the
+// last for the best so far) and N scores, not N solutions.
 package ce
 
 import (
@@ -48,8 +51,11 @@ import (
 // concurrently from multiple workers and must not mutate shared problem
 // state; Update is called from a single goroutine between iterations.
 type Problem interface {
-	// NewSolution allocates one blank solution buffer. The framework
-	// allocates N of them once and reuses them every iteration.
+	// NewSolution allocates one blank solution buffer. A run calls it
+	// floor(rho*N) + Workers + 1 times before its first iteration, from
+	// the goroutine that started it: one buffer per elite slot, one
+	// scratch buffer per worker and the best-so-far copy. The buffers are
+	// reused every iteration; the N draws are never all held at once.
 	NewSolution() []int
 	// Sample overwrites dst with one draw from the current distribution,
 	// using the provided per-worker RNG, and returns the draw's
@@ -325,21 +331,18 @@ func run(p Problem, cfg Config, start State, exchangeEvery int, exchange Exchang
 	}
 
 	n := cfg.SampleSize
-	solutions := make([][]int, n)
-	for i := range solutions {
-		solutions[i] = p.NewSolution()
-	}
-	scores := make([]float64, n)
-	order := make([]int, n)
-	elite := make([][]int, 0, n)
-	var eliteScores []float64
-	if exchange != nil {
-		eliteScores = make([]float64, 0, n)
-	}
-
 	eliteCount := int(math.Floor(cfg.Rho * float64(n)))
 	if eliteCount < 1 {
 		eliteCount = 1
+	}
+	// Every score is kept (Mean sums them in index order); of the draws,
+	// only the elite's.
+	scores := make([]float64, n)
+	top := NewElite(eliteCount, p.NewSolution)
+	elite := make([][]int, 0, eliteCount)
+	var eliteScores []float64
+	if exchange != nil {
+		eliteScores = make([]float64, 0, eliteCount)
 	}
 
 	res := Result{State: start}
@@ -368,7 +371,7 @@ func run(p Problem, cfg Config, start State, exchangeEvery int, exchange Exchang
 		return res, nil
 	}
 
-	pool := newSamplePool(p, cfg.Workers, cfg.Seed, solutions, scores, done)
+	pool := newSamplePool(p, cfg.Workers, cfg.Seed, scores, top, done)
 	defer pool.close()
 
 	for iter := start.Iterations + 1; iter <= cfg.MaxIterations; iter++ {
@@ -388,15 +391,12 @@ func run(p Problem, cfg Config, start State, exchangeEvery int, exchange Exchang
 		}
 		res.Evaluations += int64(n)
 
-		// Extract the elite by partial selection: only the best eliteCount
-		// samples ever need ranking, so a full sort of all N scores is
-		// wasted work. Worst and mean come from one streaming pass.
-		for i := range order {
-			order[i] = i
-		}
-		SelectElite(order, scores, eliteCount)
-
-		worst := scores[order[0]]
+		// The workers left the best eliteCount draws in top; rank them.
+		// Worst and mean come from one pass over all N scores.
+		top.Sort()
+		best, _, bestSol := top.At(0)
+		gamma, _, _ := top.At(eliteCount - 1)
+		worst := best
 		total := 0.0
 		for _, s := range scores {
 			if worst < s {
@@ -405,12 +405,11 @@ func run(p Problem, cfg Config, start State, exchangeEvery int, exchange Exchang
 			total += s
 		}
 
-		gamma := scores[order[eliteCount-1]]
 		stats := IterStats{
 			Iter:       iter,
 			Island:     cfg.Island,
 			Gamma:      gamma,
-			Best:       scores[order[0]],
+			Best:       best,
 			Worst:      worst,
 			EliteCount: eliteCount,
 			Draws:      n,
@@ -424,17 +423,18 @@ func run(p Problem, cfg Config, start State, exchangeEvery int, exchange Exchang
 			stats.FallbackDraws = ss.FallbackDraws
 		}
 
-		if scores[order[0]] < res.BestScore {
-			res.BestScore = scores[order[0]]
-			p.Copy(res.Best, solutions[order[0]])
+		if best < res.BestScore {
+			res.BestScore = best
+			p.Copy(res.Best, bestSol)
 		}
 		stats.BestSoFar = res.BestScore
 
 		// Elite set: every sample at least as good as gamma, capped at the
 		// quantile count (eq. 11 counts indicator hits S(X) <= gamma).
 		elite = elite[:0]
-		for _, idx := range order[:eliteCount] {
-			elite = append(elite, solutions[idx])
+		for i := 0; i < eliteCount; i++ {
+			_, _, sol := top.At(i)
+			elite = append(elite, sol)
 		}
 		updateStart := time.Now()
 		stats.SelectNs = updateStart.Sub(selectStart).Nanoseconds()
@@ -449,8 +449,9 @@ func run(p Problem, cfg Config, start State, exchangeEvery int, exchange Exchang
 		// between sampling barriers, so the hook may mutate the problem.
 		if exchange != nil && iter%exchangeEvery == 0 {
 			eliteScores = eliteScores[:0]
-			for _, idx := range order[:eliteCount] {
-				eliteScores = append(eliteScores, scores[idx])
+			for i := 0; i < eliteCount; i++ {
+				s, _, _ := top.At(i)
+				eliteScores = append(eliteScores, s)
 			}
 			ex, err := exchange(ctx, iter, elite, eliteScores)
 			if err != nil {

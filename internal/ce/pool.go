@@ -26,17 +26,22 @@ const unitDraws = 32
 //
 // Determinism does not depend on the stealing schedule: the RNG stream of
 // every unit is keyed to (run seed, iteration, unit index) via
-// xrand.ReseedKeyed, and results land in slots keyed to the draw index.
+// xrand.ReseedKeyed, and scores land in slots keyed to the draw index.
 // Any worker claiming any unit in any order therefore produces the same
 // samples, which also makes runs reproducible across *different* worker
 // counts — a strictly stronger guarantee than the per-(seed, workers)
 // reproducibility of the earlier static-chunk runtime.
+//
+// Draws are not kept. Each worker draws into one scratch buffer of its
+// own and offers it to the iteration's Elite, which keeps the best
+// floor(rho*N) under the (score, draw index) order, again whichever
+// worker drew them. Solution memory is k + Workers buffers, not N.
 type samplePool struct {
-	problem   Problem
-	seed      uint64
-	solutions [][]int
-	scores    []float64
-	done      <-chan struct{}
+	problem Problem
+	seed    uint64
+	scores  []float64
+	elite   *Elite
+	done    <-chan struct{}
 
 	numUnits int
 	iter     uint64       // written by the main loop before release; read by workers
@@ -59,23 +64,25 @@ type samplePool struct {
 	idleNs     int64
 }
 
-// newSamplePool spawns the worker goroutines. Callers must stop the pool
-// with close() (idempotent via sync.Once is unnecessary — Run owns it).
-func newSamplePool(p Problem, workers int, seed uint64, solutions [][]int, scores []float64, done <-chan struct{}) *samplePool {
+// newSamplePool allocates each worker's scratch buffer with
+// p.NewSolution and spawns the worker goroutines. Callers must stop the
+// pool with close() (idempotent via sync.Once is unnecessary — Run owns
+// it).
+func newSamplePool(p Problem, workers int, seed uint64, scores []float64, elite *Elite, done <-chan struct{}) *samplePool {
 	n := len(scores)
 	pl := &samplePool{
-		problem:   p,
-		seed:      seed,
-		solutions: solutions,
-		scores:    scores,
-		done:      done,
-		numUnits:  (n + unitDraws - 1) / unitDraws,
-		errs:      make([]error, workers),
-		claimed:   make([]int64, workers),
-		tokens:    make(chan struct{}, workers),
+		problem:  p,
+		seed:     seed,
+		scores:   scores,
+		elite:    elite,
+		done:     done,
+		numUnits: (n + unitDraws - 1) / unitDraws,
+		errs:     make([]error, workers),
+		claimed:  make([]int64, workers),
+		tokens:   make(chan struct{}, workers),
 	}
 	for w := 0; w < workers; w++ {
-		go pl.worker(w)
+		go pl.worker(w, p.NewSolution())
 	}
 	return pl
 }
@@ -85,29 +92,31 @@ func newSamplePool(p Problem, workers int, seed uint64, solutions [][]int, score
 // out. Token accounting is per-iteration, not per-goroutine: if a fast
 // worker consumes two of an iteration's tokens (its second admission finds
 // no units left) the WaitGroup still balances, so the barrier is correct
-// under any scheduling.
-func (pl *samplePool) worker(w int) {
+// under any scheduling. scratch is the buffer the worker draws into; an
+// admitted draw trades it for a spare from the elite.
+func (pl *samplePool) worker(w int, scratch []int) {
 	rng := &xrand.RNG{} // reseeded per unit; zero state never drawn from
 	for range pl.tokens {
-		pl.drainIteration(w, rng)
+		scratch = pl.drainIteration(w, rng, scratch)
 		pl.busyNs.Add(time.Since(pl.iterStart).Nanoseconds())
 		pl.wg.Done()
 	}
 }
 
 // drainIteration claims and processes units until the iteration is done,
-// the context is cancelled, or sampling fails.
-func (pl *samplePool) drainIteration(w int, rng *xrand.RNG) {
+// the context is cancelled, or sampling fails, and returns the worker's
+// scratch buffer.
+func (pl *samplePool) drainIteration(w int, rng *xrand.RNG, scratch []int) []int {
 	n := len(pl.scores)
 	for {
 		u := pl.cursor.Add(1) - 1
 		if u >= int64(pl.numUnits) {
-			return
+			return scratch
 		}
 		pl.claimed[w]++
 		select {
 		case <-pl.done:
-			return
+			return scratch
 		default:
 		}
 		rng.ReseedKeyed(pl.seed, pl.iter, uint64(u))
@@ -117,23 +126,26 @@ func (pl *samplePool) drainIteration(w int, rng *xrand.RNG) {
 			hi = n
 		}
 		for i := lo; i < hi; i++ {
-			score, err := pl.problem.Sample(rng, pl.solutions[i])
+			score, err := pl.problem.Sample(rng, scratch)
 			if err != nil {
 				pl.errs[w] = err
-				return
+				return scratch
 			}
 			pl.scores[i] = score
+			scratch = pl.elite.Offer(score, i, scratch)
 		}
 	}
 }
 
 // runIteration samples and scores all draw slots for iteration iter,
-// blocking until the barrier completes. The token sends happen-before the
-// workers' reads of pl.iter, and the workers' slot writes happen-before
-// wg.Wait returns, so no other synchronisation is needed.
+// offering each draw to the emptied elite, and blocks until the barrier
+// completes. The token sends happen-before the workers' reads of pl.iter,
+// and the workers' slot and elite writes happen-before wg.Wait returns,
+// so no other synchronisation is needed.
 func (pl *samplePool) runIteration(iter int) {
 	workers := cap(pl.tokens)
 	pl.iter = uint64(iter)
+	pl.elite.Reset()
 	pl.cursor.Store(0)
 	for w := range pl.claimed {
 		pl.claimed[w] = 0

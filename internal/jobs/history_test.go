@@ -150,10 +150,15 @@ func TestRunningJobHeapBound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
+	// The least of three samples on each side: garbage another goroutine
+	// of the test process holds at one GC is not the job's retained heap.
+	minHeap := func() uint64 {
+		return min(memcheck.HeapAfterGC(), memcheck.HeapAfterGC(), memcheck.HeapAfterGC())
+	}
 	waitDropped(t, m, info.ID, 2000-MaxHistoryIters)
-	before := memcheck.HeapAfterGC()
+	before := minHeap()
 	waitDropped(t, m, info.ID, 4000-MaxHistoryIters)
-	after := memcheck.HeapAfterGC()
+	after := minHeap()
 	if _, err := m.Cancel(info.ID); err != nil {
 		t.Fatalf("Cancel: %v", err)
 	}

@@ -33,8 +33,8 @@
 //     drive core.Solve with SnapshotEvery: 1 and check each snapshot).
 //   - CheckAliasRow: a stochmat.AliasTable row reproduces the matrix row
 //     distribution (chi-square goodness of fit via stats.ChiSquareSurvival).
-//   - CheckEliteSelection: ce.SelectElite's postcondition — the elite
-//     prefix is exactly the k best draws and gamma bounds the rest.
+//   - CheckEliteSelection: a streamed ce.Elite holds exactly the k best
+//     draws, best first, and gamma bounds the rest.
 //   - CheckHistory: per-iteration search invariants — finite summaries,
 //     Best <= Gamma <= Worst and Best <= Mean <= Worst, and BestSoFar is
 //     non-increasing, which is the run-level form of

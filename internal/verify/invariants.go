@@ -92,25 +92,22 @@ func CheckAliasRow(m *stochmat.Matrix, row, draws int, rng *xrand.RNG, alpha flo
 	return nil
 }
 
-// CheckEliteSelection verifies ce.SelectElite's postcondition on a
-// freshly selected order: order is a permutation of [0, len(scores)), its
-// first k entries are sorted by ascending score with ascending-index
-// tie-breaks, and gamma = scores[order[k-1]] bounds every non-elite
-// score — i.e. elite selection never lets a sample below gamma escape the
-// elite set.
-func CheckEliteSelection(order []int, scores []float64, k int) error {
+// CheckEliteSelection verifies a CE iteration's elite against all of its
+// scores: elite lists min(k, len(scores)) distinct sample indices, best
+// first by ascending score with ascending-index tie-breaks, and no sample
+// left out ranks before the last of them — i.e. elite selection never
+// lets a sample below gamma escape the elite set. ce.Elite, which keeps
+// the elite while the workers draw, must leave exactly such a list.
+func CheckEliteSelection(elite []int, scores []float64, k int) error {
 	n := len(scores)
-	if len(order) != n {
-		return fmt.Errorf("verify: order length %d != %d scores", len(order), n)
-	}
-	if err := CheckPermutation(order); err != nil {
-		return fmt.Errorf("verify: order is not a permutation: %w", err)
-	}
-	if k <= 0 {
-		return nil
-	}
 	if k > n {
 		k = n
+	}
+	if k < 0 {
+		k = 0
+	}
+	if len(elite) != k {
+		return fmt.Errorf("verify: elite holds %d samples, want %d", len(elite), k)
 	}
 	better := func(a, b int) bool {
 		sa, sb := scores[a], scores[b]
@@ -119,15 +116,26 @@ func CheckEliteSelection(order []int, scores []float64, k int) error {
 		}
 		return a < b
 	}
-	for i := 1; i < k; i++ {
-		if better(order[i], order[i-1]) {
-			return fmt.Errorf("verify: elite prefix unsorted at %d: sample %d (%.6g) after %d (%.6g)",
-				i, order[i], scores[order[i]], order[i-1], scores[order[i-1]])
+	in := make([]bool, n)
+	for i, idx := range elite {
+		if idx < 0 || idx >= n {
+			return fmt.Errorf("verify: elite[%d] = %d outside [0,%d)", i, idx, n)
+		}
+		if in[idx] {
+			return fmt.Errorf("verify: sample %d in the elite twice", idx)
+		}
+		in[idx] = true
+		if i > 0 && better(idx, elite[i-1]) {
+			return fmt.Errorf("verify: elite unsorted at %d: sample %d (%.6g) after %d (%.6g)",
+				i, idx, scores[idx], elite[i-1], scores[elite[i-1]])
 		}
 	}
-	gammaIdx := order[k-1]
-	for _, idx := range order[k:] {
-		if better(idx, gammaIdx) {
+	if k == 0 {
+		return nil
+	}
+	gammaIdx := elite[k-1]
+	for idx := range scores {
+		if !in[idx] && better(idx, gammaIdx) {
 			return fmt.Errorf("verify: non-elite sample %d (%.6g) beats gamma sample %d (%.6g)",
 				idx, scores[idx], gammaIdx, scores[gammaIdx])
 		}

@@ -3,6 +3,7 @@ package verify
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"matchsim/internal/ce"
@@ -130,8 +131,9 @@ func TestAliasReproducesRowDistributions(t *testing.T) {
 	}
 }
 
-// TestEliteSelectionInvariant checks SelectElite's postcondition over
-// random score vectors with heavy ties and edge k values.
+// TestEliteSelectionInvariant streams random score vectors with heavy
+// ties into a ce.Elite from several goroutines, in a shuffled order, and
+// checks the sorted elite against every score.
 func TestEliteSelectionInvariant(t *testing.T) {
 	rng := xrand.New(9)
 	for trial := 0; trial < 200; trial++ {
@@ -140,16 +142,35 @@ func TestEliteSelectionInvariant(t *testing.T) {
 		for i := range scores {
 			scores[i] = float64(rng.Intn(8)) // small range: many exact ties
 		}
+		offers := make([]int, n)
+		for i := range offers {
+			offers[i] = i
+		}
+		rng.ShuffleInts(offers)
 		for _, k := range []int{1, n / 20, n / 2, n} {
 			if k < 1 {
 				k = 1
 			}
-			order := make([]int, n)
-			for i := range order {
-				order[i] = i
+			e := ce.NewElite(k, func() []int { return make([]int, 1) })
+			const workers = 3
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					buf := make([]int, 1)
+					for i := w; i < n; i += workers {
+						buf = e.Offer(scores[offers[i]], offers[i], buf)
+					}
+				}(w)
 			}
-			ce.SelectElite(order, scores, k)
-			if err := CheckEliteSelection(order, scores, k); err != nil {
+			wg.Wait()
+			e.Sort()
+			elite := make([]int, e.Len())
+			for i := range elite {
+				_, elite[i], _ = e.At(i)
+			}
+			if err := CheckEliteSelection(elite, scores, k); err != nil {
 				t.Fatalf("n=%d k=%d: %v", n, k, err)
 			}
 		}
